@@ -3,7 +3,8 @@
 // internal/experiments and prints the paper-style rows once per `go test
 // -bench` invocation; ns/op measures the cost of regenerating the artifact.
 // Micro-benchmarks at the bottom measure the framework's hot paths (DM
-// decisions, reachability checks, executor throughput, planners).
+// decisions, reachability checks, executor throughput); the planner
+// benchmarks live next to the planners in internal/plan.
 package soter_test
 
 import (
@@ -19,7 +20,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/geom"
 	"repro/internal/mission"
-	"repro/internal/plan"
 	"repro/internal/plant"
 	"repro/internal/pubsub"
 	"repro/internal/reach"
@@ -335,39 +335,6 @@ func buildBareExecutor(st *mission.Stack) (*soter.Executor, error) {
 		Name:    mission.TopicDroneState,
 		Default: plant.State{Pos: geom.V(3, 3, 2), Battery: 1},
 	}})
-}
-
-// BenchmarkRRTStarPlan measures one RRT* planning query in the city
-// workspace.
-func BenchmarkRRTStarPlan(b *testing.B) {
-	ws := geom.CityWorkspace()
-	cfg := plan.DefaultRRTStarConfig(1)
-	cfg.Margin = 0.45
-	p, err := plan.NewRRTStar(ws, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Plan(geom.V(3, 3, 2), geom.V(46, 46, 2)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAStarPlan measures one certified A* planning query.
-func BenchmarkAStarPlan(b *testing.B) {
-	ws := geom.CityWorkspace()
-	p, err := plan.NewAStar(ws, 1.0, 0.45)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Plan(geom.V(3, 3, 2), geom.V(46, 46, 2)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkBackwardReachSet measures the grid BRS computation (Level-Set

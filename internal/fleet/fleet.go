@@ -222,14 +222,15 @@ func Run(ctx context.Context, missions []Mission, opts Options) *Report {
 	return rep
 }
 
-func runOne(ctx context.Context, i int, m Mission, opts Options) MissionResult {
-	res := MissionResult{Name: m.Name, Seed: m.Seed}
+// runOne runs mission i. The result is named so the deferred Wall stamp
+// lands on the value returned, on every path (a Reuse hit included).
+func runOne(ctx context.Context, i int, m Mission, opts Options) (res MissionResult) {
+	res = MissionResult{Name: m.Name, Seed: m.Seed}
 	start := time.Now()                             //soter:nondet-ok MissionResult.Wall measures real elapsed time; it never feeds simulated state
 	defer func() { res.Wall = time.Since(start) }() //soter:nondet-ok measurement-only: reporting wall time of the mission
 	if opts.Reuse != nil {
 		if prior, ok := opts.Reuse(i, m); ok {
 			prior.Name, prior.Seed, prior.Cached = m.Name, m.Seed, true
-			prior.Wall = time.Since(start) //soter:nondet-ok measurement-only: reporting cache-hit latency
 			return prior
 		}
 	}

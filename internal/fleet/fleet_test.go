@@ -360,3 +360,30 @@ func TestReuseAndOnResultHooks(t *testing.T) {
 		t.Errorf("aggregate sim time = %v, want 20s", rep.SimTime)
 	}
 }
+
+// TestMissionWallStamped: every result carries the wall time its worker
+// spent on it, both for fresh simulations and for Reuse hits (whose Wall is
+// the lookup latency, here at least the hook's own 1 ms).
+func TestMissionWallStamped(t *testing.T) {
+	missions := SeedSweep("wall", Seeds(1, 2), surveillanceMission)
+	rep := Run(context.Background(), missions, Options{
+		Workers: 2,
+		Reuse: func(i int, m Mission) (MissionResult, bool) {
+			if i == 0 {
+				return MissionResult{}, false
+			}
+			time.Sleep(time.Millisecond)
+			return MissionResult{Metrics: sim.Metrics{Duration: time.Second}}, true
+		},
+	})
+	if err := rep.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, hit := rep.Results[0], rep.Results[1]
+	if fresh.Cached || fresh.Wall <= 0 {
+		t.Errorf("fresh mission: Cached=%v Wall=%v, want uncached with Wall > 0", fresh.Cached, fresh.Wall)
+	}
+	if !hit.Cached || hit.Wall < time.Millisecond {
+		t.Errorf("reused mission: Cached=%v Wall=%v, want cached with Wall ≥ 1ms", hit.Cached, hit.Wall)
+	}
+}

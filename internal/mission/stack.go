@@ -267,12 +267,14 @@ func Build(cfg StackConfig) (*Stack, error) {
 	plain = append(plain, appNode)
 
 	// --- Motion planner layer ----------------------------------------------
-	rrt, err := plan.NewRRTStar(cfg.Workspace, rrtConfig(cfg, planMargin))
-	if err != nil {
-		return nil, fmt.Errorf("stack: %w", err)
-	}
 	astar := arts.astar
 	if cfg.WithPlannerModule {
+		// The untrusted RRT* exists only as the module's AC: planner-off
+		// stacks never sample, so they never build one.
+		rrt, err := plan.NewRRTStar(cfg.Workspace, rrtConfig(cfg, planMargin))
+		if err != nil {
+			return nil, fmt.Errorf("stack: %w", err)
+		}
 		acPlanner, err := NewPlannerNode(PlannerConfig{
 			Name:    "planner.ac",
 			Planner: rrt,

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,9 +9,10 @@ import (
 )
 
 // TestNNGridMatchesLinear grows a random node cloud the way Plan does —
-// inserting into the grid as it appends — and checks nearest/near against
-// the reference linear scans at every step, including duplicate positions
-// (index tie-breaks) and out-of-bounds points (clamped cells).
+// inserting into the grid as it appends — and checks nearest/near (indices
+// and distances) against the reference linear scans at every step, including
+// duplicate positions (index tie-breaks) and out-of-bounds points (clamped
+// cells).
 func TestNNGridMatchesLinear(t *testing.T) {
 	ws := geom.CityWorkspace()
 	r, err := NewRRTStar(ws, DefaultRRTStarConfig(11))
@@ -20,7 +22,8 @@ func TestNNGridMatchesLinear(t *testing.T) {
 	bounds := ws.Bounds()
 	size := bounds.Size()
 	rng := rand.New(rand.NewSource(23))
-	r.nn.reset(bounds, r.cfg.NeighborRadius)
+	const n = 600
+	r.nn.reset(bounds, r.cfg.NeighborRadius, n)
 	var nodes []rrtNode
 	randPt := func(slack float64) geom.Vec3 {
 		return geom.V(
@@ -29,7 +32,7 @@ func TestNNGridMatchesLinear(t *testing.T) {
 			bounds.Min.Z-slack+rng.Float64()*(size.Z+2*slack),
 		)
 	}
-	for i := 0; i < 600; i++ {
+	for i := 0; i < n; i++ {
 		var p geom.Vec3
 		switch {
 		case i > 0 && i%17 == 0:
@@ -41,20 +44,142 @@ func TestNNGridMatchesLinear(t *testing.T) {
 		}
 		nodes = append(nodes, rrtNode{pos: p, parent: -1})
 		r.nn.insert(len(nodes)-1, p)
+		checkNN(t, r, nodes, randPt(3))
+	}
+}
 
-		q := randPt(3)
-		if got, want := r.nearest(nodes, q), r.nearestLinear(nodes, q); got != want {
-			t.Fatalf("step %d: nearest(%v) = %d, linear = %d", i, q, got, want)
-		}
-		got := r.near(nodes, q)
-		want := r.nearLinear(nodes, q)
-		if len(got) != len(want) {
-			t.Fatalf("step %d: near(%v) = %v, linear = %v", i, q, got, want)
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("step %d: near(%v)[%d] = %d, linear = %d", i, q, j, got[j], want[j])
+// TestNNGridBoundaryCases places nodes exactly on cell boundaries (grid
+// lines, the workspace faces) and past the faces (clamped into edge cells),
+// inserted in both orders so the lower index of a tie sits on either side of
+// a boundary. Queries sit on the nodes, half a cell off along one axis
+// (an exact tie whose far node's cell lower bound equals the tie distance),
+// at exactly NeighborRadius, and off the diagonals.
+func TestNNGridBoundaryCases(t *testing.T) {
+	ws := geom.CityWorkspace()
+	rad := DefaultRRTStarConfig(3).NeighborRadius
+	// Grid lines of the 6 m grid over the 50×50×12 city, the faces, and
+	// points beyond them.
+	xs := []float64{-5, 0, 6, 12, 18, 48, 50, 60}
+	zs := []float64{-4, 0, 6, 12, 20}
+	var pts []geom.Vec3
+	for _, x := range xs {
+		for _, y := range xs {
+			for _, z := range zs {
+				pts = append(pts, geom.V(x, y, z))
 			}
+		}
+	}
+	var queries []geom.Vec3
+	for _, p := range pts {
+		queries = append(queries, p,
+			p.Add(geom.V(3, 0, 0)), p.Add(geom.V(0, -3, 0)), p.Add(geom.V(0, 0, 3)),
+			p.Add(geom.V(rad, 0, 0)), p.Add(geom.V(0, -rad, 0)), p.Add(geom.V(0, 0, rad)),
+			p.Add(geom.V(3, 3, 3)), p.Add(geom.V(-3, 3, -3)))
+	}
+	for _, descending := range []bool{false, true} {
+		r, err := NewRRTStar(ws, DefaultRRTStarConfig(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.nn.reset(ws.Bounds(), rad, len(pts))
+		var nodes []rrtNode
+		for k := range pts {
+			p := pts[k]
+			if descending {
+				p = pts[len(pts)-1-k]
+			}
+			nodes = append(nodes, rrtNode{pos: p, parent: -1})
+			r.nn.insert(k, p)
+			if k%16 == 15 || k == len(pts)-1 {
+				for _, q := range queries {
+					checkNN(t, r, nodes, q)
+				}
+			}
+		}
+	}
+
+	// A node clamped into an edge cell from past the face is nearer than
+	// the query cell's own node, though the edge cell's in-bounds slab
+	// would put it beyond that node.
+	r, err := NewRRTStar(ws, DefaultRRTStarConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.nn.reset(ws.Bounds(), rad, 2)
+	nodes := []rrtNode{{pos: geom.V(60, 3, 3), parent: -1}, {pos: geom.V(55, 7, 3), parent: -1}}
+	for i, n := range nodes {
+		r.nn.insert(i, n.pos)
+	}
+	if got := r.nearest(nodes, geom.V(60, 7, 3)); got != 0 {
+		t.Fatalf("nearest past the face = %d, want 0", got)
+	}
+	checkNN(t, r, nodes, geom.V(60, 7, 3))
+}
+
+// FuzzNNGridMatchesLinear holds the grid queries to the linear references on
+// fuzzed point clouds. The first byte picks the grid cell (NeighborRadius);
+// every following 4-byte chunk (x, y, z, op) is a point on a 0.5 m lattice
+// reaching past the city bounds, so nodes and queries land exactly on cell
+// boundaries, on the workspace faces and in clamped edge cells. op bit 0
+// inserts the point as a node; bit 1 shifts the query by exactly
+// NeighborRadius along axis op>>2 % 3. Every chunk checks nearest and near
+// (indices and distances) at its query point.
+func FuzzNNGridMatchesLinear(f *testing.F) {
+	f.Add([]byte{2, 0, 0, 0, 0, 12, 12, 12, 0, 24, 12, 6, 1, 12, 12, 12, 2})
+	f.Add([]byte{0, 100, 100, 30, 0, 100, 100, 30, 0, 101, 99, 30, 3, 0, 0, 0, 7})
+	f.Add([]byte{3, 127, 127, 63, 0, 12, 127, 0, 0, 40, 40, 20, 6, 40, 40, 20, 10})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Bounded clouds and cells of at least 2.5 m keep each input cheap:
+		// a nearest() far from a sparse cloud walks O(rings³) empty cells.
+		if len(data) == 0 || len(data) > 1+4*64 {
+			t.Skip()
+		}
+		cfg := DefaultRRTStarConfig(1)
+		cfg.NeighborRadius = []float64{2.5, 4, 6, 13}[data[0]%4]
+		ws := geom.CityWorkspace()
+		r, err := NewRRTStar(ws, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := data[1:]
+		r.nn.reset(ws.Bounds(), cfg.NeighborRadius, len(chunks)/4+1)
+		var nodes []rrtNode
+		for ; len(chunks) >= 4; chunks = chunks[4:] {
+			p := geom.V(-6+float64(chunks[0]%128)*0.5, -6+float64(chunks[1]%128)*0.5, -3+float64(chunks[2]%64)*0.5)
+			op := chunks[3]
+			if op&1 == 0 {
+				nodes = append(nodes, rrtNode{pos: p, parent: -1})
+				r.nn.insert(len(nodes)-1, p)
+			}
+			if len(nodes) == 0 {
+				continue
+			}
+			q := p
+			if op&2 != 0 {
+				off := [3]float64{}
+				off[(op>>2)%3] = cfg.NeighborRadius
+				q = q.Add(geom.V(off[0], off[1], off[2]))
+			}
+			checkNN(t, r, nodes, q)
+		}
+	})
+}
+
+// checkNN compares the grid queries against the linear references at q.
+func checkNN(t *testing.T, r *RRTStar, nodes []rrtNode, q geom.Vec3) {
+	t.Helper()
+	if got, want := r.nearest(nodes, q), r.nearestLinear(nodes, q); got != want {
+		t.Fatalf("%d nodes: nearest(%v) = %d, linear = %d", len(nodes), q, got, want)
+	}
+	gotIdx, gotDist := r.near(nodes, q)
+	wantIdx, wantDist := r.nearLinear(nodes, q)
+	if len(gotIdx) != len(wantIdx) || len(gotDist) != len(gotIdx) {
+		t.Fatalf("%d nodes: near(%v) = %v %v, linear = %v %v", len(nodes), q, gotIdx, gotDist, wantIdx, wantDist)
+	}
+	for j := range gotIdx {
+		if gotIdx[j] != wantIdx[j] || math.Float64bits(gotDist[j]) != math.Float64bits(wantDist[j]) {
+			t.Fatalf("%d nodes: near(%v)[%d] = (%d, %v), linear = (%d, %v)",
+				len(nodes), q, j, gotIdx[j], gotDist[j], wantIdx[j], wantDist[j])
 		}
 	}
 }

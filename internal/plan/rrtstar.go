@@ -3,8 +3,8 @@ package plan
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -145,8 +145,12 @@ type rrtNode struct {
 // collide — by design, to exercise the RTA protection.
 func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 	bounds := r.ws.Bounds()
+	maxNodes := r.cfg.MaxIters + 1 // the start plus one node per iteration
+	if cap(r.nodes) < maxNodes {
+		r.nodes = make([]rrtNode, 0, maxNodes)
+	}
 	nodes := append(r.nodes[:0], rrtNode{pos: start, parent: -1})
-	r.nn.reset(bounds, r.cfg.NeighborRadius)
+	r.nn.reset(bounds, r.cfg.NeighborRadius, maxNodes)
 	r.nn.insert(0, start)
 	bestGoal := -1
 	bestCost := math.Inf(1)
@@ -174,9 +178,11 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 		// Choose parent: lowest cost among neighbours with a free edge.
 		parent := nearest
 		cost := nodes[nearest].cost + nodes[nearest].pos.Dist(newPos)
-		neighbors := r.near(nodes, newPos)
-		for _, n := range neighbors {
-			c := nodes[n].cost + nodes[n].pos.Dist(newPos)
+		// near's distances are reused below: Dist is bitwise symmetric, so
+		// they equal both nodes[n].pos.Dist(newPos) and newPos.Dist(nodes[n].pos).
+		neighbors, dists := r.near(nodes, newPos)
+		for j, n := range neighbors {
+			c := nodes[n].cost + dists[j]
 			if c < cost && r.edgeFree(nodes[n].pos, newPos) {
 				parent, cost = n, c
 			}
@@ -185,8 +191,8 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 		newIdx := len(nodes) - 1
 		r.nn.insert(newIdx, newPos)
 		// Rewire neighbours through the new node when cheaper.
-		for _, n := range neighbors {
-			c := cost + newPos.Dist(nodes[n].pos)
+		for j, n := range neighbors {
+			c := cost + dists[j]
 			if c < nodes[n].cost && r.edgeFree(newPos, nodes[n].pos) {
 				nodes[n].parent = newIdx
 				nodes[n].cost = c
@@ -224,24 +230,21 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 
 // nearest returns the index of the node closest to p — the lexicographic
 // (distance, index) minimum, exactly as the reference linear scan computes it
-// — via expanding Chebyshev shells over the NN grid.
+// — via expanding Chebyshev shells over the NN grid. A cell is skipped, and
+// the shell walk stops, once its lower-bound distance to p exceeds the best
+// distance found so far by more than float rounding (nnSlack), so a node that
+// could tie or win is never skipped.
 func (r *RRTStar) nearest(nodes []rrtNode, p geom.Vec3) int {
 	g := &r.nn
 	cqx := g.axisOf(p.X, g.origin.X, g.nx)
 	cqy := g.axisOf(p.Y, g.origin.Y, g.ny)
 	cqz := g.axisOf(p.Z, g.origin.Z, g.nz)
 	best, bestD := 0, math.Inf(1)
-	maxRing := g.nx
-	if g.ny > maxRing {
-		maxRing = g.ny
-	}
-	if g.nz > maxRing {
-		maxRing = g.nz
-	}
+	lim, limSq := bestD, bestD // prune threshold: bestD plus slack
+	maxRing := max(g.nx, g.ny, g.nz)
 	for ring := 0; ring <= maxRing; ring++ {
-		// Any node in ring r is at least (r-1)·cell away; once that exceeds
-		// bestD (with one cell of float slack) no farther ring can win or tie.
-		if !math.IsInf(bestD, 1) && float64(ring-1)*g.cell > bestD+g.cell {
+		// Any node in ring r is at least (r-1)·cell away.
+		if float64(ring-1)*g.cell > lim {
 			break
 		}
 		for dz := -ring; dz <= ring; dz++ {
@@ -249,9 +252,15 @@ func (r *RRTStar) nearest(nodes []rrtNode, p geom.Vec3) int {
 			if cz < 0 || cz >= g.nz {
 				continue
 			}
+			gz := g.gap(p.Z, g.origin.Z, cz, g.nz)
 			for dy := -ring; dy <= ring; dy++ {
 				cy := cqy + dy
 				if cy < 0 || cy >= g.ny {
+					continue
+				}
+				gy := g.gap(p.Y, g.origin.Y, cy, g.ny)
+				gzy := gz*gz + gy*gy
+				if gzy > limSq {
 					continue
 				}
 				for dx := -ring; dx <= ring; dx++ {
@@ -263,11 +272,16 @@ func (r *RRTStar) nearest(nodes []rrtNode, p geom.Vec3) int {
 					if cx < 0 || cx >= g.nx {
 						continue
 					}
+					if gx := g.gap(p.X, g.origin.X, cx, g.nx); gzy+gx*gx > limSq {
+						continue
+					}
 					for _, ni := range g.buckets[(cz*g.ny+cy)*g.nx+cx] {
 						i := int(ni)
 						d := nodes[i].pos.Dist(p)
 						if d < bestD || (d == bestD && i < best) {
 							best, bestD = i, d
+							lim = bestD + nnSlack(bestD)
+							limSq = lim * lim
 						}
 					}
 				}
@@ -278,9 +292,12 @@ func (r *RRTStar) nearest(nodes []rrtNode, p geom.Vec3) int {
 }
 
 // near returns the indices of all nodes within NeighborRadius of p in
-// ascending order, exactly as the reference linear scan returns them. The
-// returned slice is planner scratch, valid until the next near call.
-func (r *RRTStar) near(nodes []rrtNode, p geom.Vec3) []int {
+// ascending order, exactly as the reference linear scan returns them, and
+// alongside each index its distance nodes[i].pos.Dist(p). Hits are marked in
+// a bitmap over node indices, so the ascending order comes from a word scan
+// rather than a sort. Both slices are planner scratch, valid until the next
+// near call.
+func (r *RRTStar) near(nodes []rrtNode, p geom.Vec3) ([]int, []float64) {
 	g := &r.nn
 	rad := r.cfg.NeighborRadius
 	lox := g.axisOf(p.X-rad, g.origin.X, g.nx)
@@ -289,24 +306,40 @@ func (r *RRTStar) near(nodes []rrtNode, p geom.Vec3) []int {
 	hiy := g.axisOf(p.Y+rad, g.origin.Y, g.ny)
 	loz := g.axisOf(p.Z-rad, g.origin.Z, g.nz)
 	hiz := g.axisOf(p.Z+rad, g.origin.Z, g.nz)
-	out := g.nearBuf[:0]
+	loW, hiW := len(g.mark), -1 // bitmap words holding a hit
 	for cz := loz; cz <= hiz; cz++ {
 		for cy := loy; cy <= hiy; cy++ {
 			base := (cz*g.ny + cy) * g.nx
 			for cx := lox; cx <= hix; cx++ {
 				for _, ni := range g.buckets[base+cx] {
 					i := int(ni)
-					if nodes[i].pos.Dist(p) <= rad {
-						out = append(out, i)
+					if d := nodes[i].pos.Dist(p); d <= rad {
+						g.dist[i] = d
+						w := i >> 6
+						g.mark[w] |= 1 << (i & 63)
+						loW, hiW = min(loW, w), max(hiW, w)
 					}
 				}
 			}
 		}
 	}
-	sort.Ints(out)
-	g.nearBuf = out
-	return out
+	idx, dist := g.nearIdx[:0], g.nearDist[:0]
+	for w := loW; w <= hiW; w++ {
+		for m := g.mark[w]; m != 0; m &= m - 1 {
+			i := w<<6 | bits.TrailingZeros64(m)
+			idx = append(idx, i)
+			dist = append(dist, g.dist[i])
+		}
+		g.mark[w] = 0
+	}
+	g.nearIdx, g.nearDist = idx, dist
+	return idx, dist
 }
+
+// nnSlack is the float-rounding allowance of nearest's lower-bound pruning:
+// a cell is skipped only when its box distance exceeds d + nnSlack(d), far
+// above the few-ulp error of the box and Dist arithmetic at workspace scale.
+func nnSlack(d float64) float64 { return 1e-9 * (1 + d) }
 
 // nearestLinear is the reference O(n) nearest kept as differential-test
 // ground truth for the grid implementation.
@@ -322,29 +355,39 @@ func (r *RRTStar) nearestLinear(nodes []rrtNode, p geom.Vec3) int {
 
 // nearLinear is the reference O(n) radius query kept as differential-test
 // ground truth for the grid implementation.
-func (r *RRTStar) nearLinear(nodes []rrtNode, p geom.Vec3) []int {
-	var out []int
+func (r *RRTStar) nearLinear(nodes []rrtNode, p geom.Vec3) ([]int, []float64) {
+	var idx []int
+	var dist []float64
 	for i, n := range nodes {
-		if n.pos.Dist(p) <= r.cfg.NeighborRadius {
-			out = append(out, i)
+		if d := n.pos.Dist(p); d <= r.cfg.NeighborRadius {
+			idx = append(idx, i)
+			dist = append(dist, d)
 		}
 	}
-	return out
+	return idx, dist
 }
 
 // nnGrid is a uniform-grid point index over tree nodes with cell edge equal
-// to the rewiring radius: near() inspects at most 3 cells per axis and
-// nearest() nearly always terminates in the first shell. Buckets are reused
-// across Plan calls.
+// to the rewiring radius: near() inspects at most 3 cells per axis, and
+// nearest() usually scans only the query cell and its first shell, skipping
+// the cells its best distance so far already rules out. Buckets and the
+// per-node near() scratch are sized once per planner and reused across Plan
+// calls.
 type nnGrid struct {
 	origin     geom.Vec3
 	cell       float64
 	nx, ny, nz int
 	buckets    [][]int32
-	nearBuf    []int
+	// near() scratch: a hit bitmap and distance per node index, and the
+	// returned (index, distance) slices.
+	mark     []uint64
+	dist     []float64
+	nearIdx  []int
+	nearDist []float64
 }
 
-func (g *nnGrid) reset(bounds geom.AABB, cell float64) {
+// reset empties the grid over bounds for at most maxNodes nodes.
+func (g *nnGrid) reset(bounds geom.AABB, cell float64, maxNodes int) {
 	size := bounds.Size()
 	g.origin = bounds.Min
 	g.cell = cell
@@ -359,6 +402,10 @@ func (g *nnGrid) reset(bounds geom.AABB, cell float64) {
 	for i := range g.buckets {
 		g.buckets[i] = g.buckets[i][:0]
 	}
+	if len(g.dist) < maxNodes {
+		g.dist = make([]float64, maxNodes)
+		g.mark = make([]uint64, (maxNodes+63)/64)
+	}
 }
 
 func gridAxisCells(extent, cell float64) int {
@@ -370,6 +417,22 @@ func gridAxisCells(extent, cell float64) int {
 		return 1
 	}
 	return n
+}
+
+// gap is the distance along one axis from v to cell c's slab. Edge slabs
+// extend to infinity, because axisOf clamps out-of-bounds points into them.
+func (g *nnGrid) gap(v, origin float64, c, n int) float64 {
+	if c > 0 {
+		if lo := origin + float64(c)*g.cell; v < lo {
+			return lo - v
+		}
+	}
+	if c < n-1 {
+		if hi := origin + float64(c+1)*g.cell; v > hi {
+			return v - hi
+		}
+	}
+	return 0
 }
 
 // axisOf maps a coordinate to its clamped cell index; out-of-bounds
