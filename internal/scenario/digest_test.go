@@ -1,0 +1,68 @@
+package scenario_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/rta"
+	"repro/internal/scenario"
+	"repro/internal/sim"
+)
+
+// resultDigestFile pins every registry scenario's closed-loop results: one
+// SHA-256 per (scenario, policy) over the full obs.Metrics and the switch
+// log of seeds 1–3. Metrics print through %+v, whose shortest round-trip
+// float formatting and sorted map keys make the text exact (CrashPos is
+// printed per component: geom.Vec3's String rounds), so any change
+// to a float's bits, a time-in-mode counter or a switch shows up here as a
+// changed line — including the fields perfbench's verdict digest omits.
+const resultDigestFile = "testdata/registry_results.digest"
+
+// digestCap caps mission durations so the whole registry × policy × seed
+// grid stays cheap enough for every test run.
+const digestCap = 20 * time.Second
+
+func resultDigests(t testing.TB) string {
+	var b strings.Builder
+	for _, spec := range scenario.All() {
+		if spec.Duration > digestCap {
+			spec.Duration = digestCap
+		}
+		for _, pol := range rta.PolicyNames() {
+			s := spec.With(scenario.Override{Apply: func(s *scenario.Spec) { s.SwitchPolicy = pol }})
+			h := sha256.New()
+			for seed := int64(1); seed <= 3; seed++ {
+				cfg, err := s.Build(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sim.Run(cfg)
+				if err != nil {
+					t.Fatalf("%s %s seed %d: %v", spec.Name, pol, seed, err)
+				}
+				m, p := res.Metrics, res.Metrics.CrashPos
+				fmt.Fprintf(h, "seed=%d crash=%v,%v,%v %+v\n%+v\n", seed, p.X, p.Y, p.Z, m, res.Switches)
+			}
+			fmt.Fprintf(&b, "%s %s %x\n", spec.Name, pol, h.Sum(nil))
+		}
+	}
+	return b.String()
+}
+
+// TestRegistryResultDigest holds every registry scenario's results
+// bit-identical to the recorded ones under every switching policy: hot-path
+// optimisations of the executor, mission nodes, planners and metrics must
+// not change a single outcome.
+func TestRegistryResultDigest(t *testing.T) {
+	want, err := os.ReadFile(resultDigestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultDigests(t); got != string(want) {
+		t.Fatalf("registry result digests changed.\ngot:\n%swant:\n%s", got, want)
+	}
+}
