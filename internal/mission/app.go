@@ -71,6 +71,7 @@ func NewAppNode(cfg AppConfig) (*node.Node, error) {
 		}
 	}
 
+	out := make(pubsub.Valuation, 1) // refilled every firing (node.StepFunc)
 	step := func(st node.State, in pubsub.Valuation) (node.State, pubsub.Valuation, error) {
 		s, ok := st.(*appState)
 		if !ok {
@@ -107,7 +108,8 @@ func NewAppNode(cfg AppConfig) (*node.Node, error) {
 				target = next.points[next.idx]
 			}
 		}
-		return &next, pubsub.Valuation{TopicMissionTarget: target}, nil
+		out[TopicMissionTarget] = target
+		return &next, out, nil
 	}
 
 	return node.New(

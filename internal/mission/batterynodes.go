@@ -2,6 +2,7 @@ package mission
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/battery"
@@ -21,6 +22,8 @@ type batteryFwdState struct {
 // that receives the current motion plan from the planner and simply forwards
 // it to the motion primitives (Section V-B).
 func NewBatteryACNode(name string, period time.Duration) (*node.Node, error) {
+	out := make(pubsub.Valuation, 1) // refilled every firing (node.StepFunc)
+	var fp []byte                    // fingerprint scratch, likewise reused
 	step := func(st node.State, in pubsub.Valuation) (node.State, pubsub.Valuation, error) {
 		s, ok := st.(*batteryFwdState)
 		if !ok {
@@ -31,13 +34,13 @@ func NewBatteryACNode(name string, period time.Duration) (*node.Node, error) {
 			return s, nil, nil
 		}
 		next := *s
-		fp := fingerprint(p)
-		if fp != s.lastPlan {
+		fp = appendFingerprint(fp[:0], p)
+		if string(fp) != s.lastPlan {
 			next.seq++
-			next.lastPlan = fp
+			next.lastPlan = string(fp)
 		}
-		out := ActivePlan{Waypoints: p.Clone(), Landing: false, Seq: next.seq}
-		return &next, pubsub.Valuation{TopicActivePlan: out}, nil
+		out[TopicActivePlan] = ActivePlan{Waypoints: p.Clone(), Landing: false, Seq: next.seq}
+		return &next, out, nil
 	}
 	return node.New(
 		name,
@@ -80,6 +83,7 @@ func NewBatteryLanderNode(name string, period time.Duration, landingZ float64) (
 	if landingZ <= 0 {
 		return nil, fmt.Errorf("battery lander: landingZ must be positive")
 	}
+	out := make(pubsub.Valuation, 1) // refilled every firing (node.StepFunc)
 	step := func(st node.State, in pubsub.Valuation) (node.State, pubsub.Valuation, error) {
 		s, ok := st.(*landerState)
 		if !ok {
@@ -98,12 +102,12 @@ func NewBatteryLanderNode(name string, period time.Duration, landingZ float64) (
 			next.site = geom.V(ds.Pos.X, ds.Pos.Y, landingZ)
 			next.plan = descentProfile(ds.Pos, next.site)
 		}
-		p := ActivePlan{
+		out[TopicActivePlan] = ActivePlan{
 			Waypoints: next.plan,
 			Landing:   true,
 			Seq:       next.seq,
 		}
-		return &next, pubsub.Valuation{TopicActivePlan: p}, nil
+		return &next, out, nil
 	}
 	return node.New(
 		name,
@@ -152,12 +156,22 @@ func NewBatteryModule(ac, sc *node.Node, mon *battery.Monitor) (*rta.Module, err
 	})
 }
 
-// fingerprint cheaply summarises a waypoint list for change detection.
-func fingerprint(pts []geom.Vec3) string {
+// appendFingerprint appends a cheap summary of a waypoint list, for change
+// detection, to dst: the waypoint count and the first and last waypoints at
+// two decimals — byte for byte fmt's "%d|%.2f,%.2f,%.2f|%.2f,%.2f,%.2f" —
+// and nothing for an empty list.
+func appendFingerprint(dst []byte, pts []geom.Vec3) []byte {
 	if len(pts) == 0 {
-		return ""
+		return dst
 	}
 	first, last := pts[0], pts[len(pts)-1]
-	return fmt.Sprintf("%d|%.2f,%.2f,%.2f|%.2f,%.2f,%.2f",
-		len(pts), first.X, first.Y, first.Z, last.X, last.Y, last.Z)
+	dst = strconv.AppendInt(dst, int64(len(pts)), 10)
+	for i, f := range [6]float64{first.X, first.Y, first.Z, last.X, last.Y, last.Z} {
+		sep := byte(',')
+		if i%3 == 0 {
+			sep = '|'
+		}
+		dst = strconv.AppendFloat(append(dst, sep), f, 'f', 2, 64)
+	}
+	return dst
 }

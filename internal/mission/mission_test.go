@@ -1,6 +1,9 @@
 package mission
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -426,5 +429,39 @@ func TestProtectionModeString(t *testing.T) {
 	if ProtectRTA.String() != "rta" || ProtectACOnly.String() != "ac-only" ||
 		ProtectSCOnly.String() != "sc-only" || ProtectionMode(9).String() == "" {
 		t.Error("ProtectionMode.String wrong")
+	}
+}
+
+// TestAppendFingerprintMatchesFmt holds the battery AC's allocation-free
+// plan fingerprint byte-identical to the fmt format it replaced, across
+// rounding ties, signed zeros, huge magnitudes and non-finite values.
+func TestAppendFingerprintMatchesFmt(t *testing.T) {
+	ref := func(pts []geom.Vec3) string {
+		if len(pts) == 0 {
+			return ""
+		}
+		first, last := pts[0], pts[len(pts)-1]
+		return fmt.Sprintf("%d|%.2f,%.2f,%.2f|%.2f,%.2f,%.2f",
+			len(pts), first.X, first.Y, first.Z, last.X, last.Y, last.Z)
+	}
+	specials := []float64{0, math.Copysign(0, -1), 0.005, 0.015, 1.005, 2.675, -2.675, -0.004,
+		1e21, -1e300, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(1))
+	pick := func() float64 {
+		if rng.Intn(3) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(8)))
+	}
+	var buf []byte
+	for i := 0; i < 5000; i++ {
+		pts := make([]geom.Vec3, rng.Intn(4))
+		for j := range pts {
+			pts[j] = geom.V(pick(), pick(), pick())
+		}
+		buf = appendFingerprint(buf[:0], pts)
+		if got, want := string(buf), ref(pts); got != want {
+			t.Fatalf("fingerprint(%v) = %q, fmt gives %q", pts, got, want)
+		}
 	}
 }

@@ -50,6 +50,7 @@ func NewPlannerNode(cfg PlannerConfig) (*node.Node, error) {
 	if cfg.ReplanDist <= 0 {
 		cfg.ReplanDist = 0.5
 	}
+	out := make(pubsub.Valuation, 1) // refilled every firing (node.StepFunc)
 	step := func(st node.State, in pubsub.Valuation) (node.State, pubsub.Valuation, error) {
 		s, ok := st.(*plannerState)
 		if !ok {
@@ -74,7 +75,8 @@ func NewPlannerNode(cfg PlannerConfig) (*node.Node, error) {
 			next.target = target
 			next.cached = p
 		}
-		return &next, pubsub.Valuation{TopicPlan: next.cached}, nil
+		out[TopicPlan] = next.cached
+		return &next, out, nil
 	}
 	return node.New(
 		cfg.Name,

@@ -28,6 +28,7 @@ func NewWaypointManagerNode(name string, period time.Duration, tolerance float64
 	if tolerance <= 0 {
 		tolerance = 0.8
 	}
+	out := make(pubsub.Valuation, 1) // refilled every firing (node.StepFunc)
 	step := func(st node.State, in pubsub.Valuation) (node.State, pubsub.Valuation, error) {
 		s, ok := st.(*wpState)
 		if !ok {
@@ -36,7 +37,8 @@ func NewWaypointManagerNode(name string, period time.Duration, tolerance float64
 		ap, havePlan := activePlan(in)
 		ds, haveState := droneState(in)
 		if !havePlan || !haveState {
-			return s, pubsub.Valuation{TopicWaypoint: Waypoint{}}, nil
+			out[TopicWaypoint] = Waypoint{}
+			return s, out, nil
 		}
 		next := *s
 		if ap.Seq != s.seq || len(s.plan.Waypoints) == 0 {
@@ -56,13 +58,13 @@ func NewWaypointManagerNode(name string, period time.Duration, tolerance float64
 		if next.idx > 0 {
 			from = wps[next.idx-1]
 		}
-		out := Waypoint{
+		out[TopicWaypoint] = Waypoint{
 			From:   from,
 			Target: wps[next.idx],
 			Land:   next.landing,
 			Valid:  true,
 		}
-		return &next, pubsub.Valuation{TopicWaypoint: out}, nil
+		return &next, out, nil
 	}
 	return node.New(
 		name,
@@ -83,6 +85,7 @@ func NewPrimitiveNode(name string, period time.Duration, ctrl controller.Control
 	}
 	// The node's local state is its own clock, advanced by one period per
 	// firing; controllers use it for time-dependent behaviour (faults).
+	out := make(pubsub.Valuation, 1) // refilled every firing (node.StepFunc)
 	step := func(st node.State, in pubsub.Valuation) (node.State, pubsub.Valuation, error) {
 		t, _ := st.(time.Duration)
 		nextT := t + period
@@ -95,8 +98,8 @@ func NewPrimitiveNode(name string, period time.Duration, ctrl controller.Control
 		if haveWP {
 			target = wp.Target
 		}
-		u := ctrl.Control(t, ds.Pos, ds.Vel, target)
-		return nextT, pubsub.Valuation{TopicCmd: u}, nil
+		out[TopicCmd] = ctrl.Control(t, ds.Pos, ds.Vel, target)
+		return nextT, out, nil
 	}
 	return node.New(
 		name,

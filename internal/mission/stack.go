@@ -267,7 +267,7 @@ func Build(cfg StackConfig) (*Stack, error) {
 	plain = append(plain, appNode)
 
 	// --- Motion planner layer ----------------------------------------------
-	astar := arts.astar
+	astar := plan.NewAStarOnGrid(cfg.Workspace, arts.astarGrid, planMargin)
 	if cfg.WithPlannerModule {
 		// The untrusted RRT* exists only as the module's AC: planner-off
 		// stacks never sample, so they never build one.

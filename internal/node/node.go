@@ -29,6 +29,13 @@ type State any
 // The input valuation is only valid for the duration of the call: the
 // executor reuses the backing buffer across firings, so implementations must
 // copy any values they need beyond the step rather than retain the map.
+//
+// The returned output valuation is owned by the node: the executor consumes
+// it (copying its values into the topic store) before the node's next step,
+// so a node may return the same map every firing and refill it in place.
+// Callers that step a node by hand must likewise finish with one output
+// before stepping the node again. A node that reuses its output therefore
+// belongs to one executor at a time.
 type StepFunc func(st State, in pubsub.Valuation) (State, pubsub.Valuation, error)
 
 // InitFunc produces the initial local state l0 of a node.

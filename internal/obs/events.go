@@ -18,11 +18,11 @@
 //     and MetricsSink aggregates the stream into the Metrics the paper's
 //     evaluation reports.
 //
-// Emitters (internal/runtime's executor, internal/sim's closed-loop runner,
-// internal/live's real-time runner) deliver events synchronously on the run
-// goroutine in a deterministic order: the same seed yields the identical
-// event sequence, which is what makes recorded streams replayable and fleet
-// runs comparable at any worker count.
+// Emitters (internal/runtime's executor, internal/sim's closed-loop runner)
+// deliver events synchronously on the run goroutine in a deterministic
+// order: the same seed yields the identical event sequence, which is what
+// makes recorded streams replayable and fleet runs comparable at any worker
+// count.
 package obs
 
 import (

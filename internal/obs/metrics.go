@@ -74,14 +74,23 @@ func (m Metrics) TotalDisengagements() int {
 // TrajectorySample (distance flown, minimum obstacle clearance) and every
 // NodeFired (dropped-firing accounting), so it reproduces exactly what the
 // simulator's bespoke callbacks used to compute — same accumulation order,
-// bit-identical floats. A sink observes one run; it is not safe for
-// concurrent use.
+// bit-identical floats. Both high-volume kinds have typed, unboxed entry
+// points (TrajectoryObserver, NodeFiredObserver). A sink observes one run;
+// it is not safe for concurrent use.
 type MetricsSink struct {
 	ws *geom.Workspace
 
-	m         Metrics
-	lastPos   geom.Vec3
-	havePos   bool
+	m       Metrics
+	lastPos geom.Vec3
+	havePos bool
+	// haveClear marks MinClearance as set: a genuine zero (a sample inside
+	// an obstacle) must not read as "unset". clearPos/clearAt are the last
+	// exactly evaluated sample and its clearance, the anchor of the
+	// Lipschitz skip in OnTrajectorySample.
+	haveClear bool
+	clearPos  geom.Vec3
+	clearAt   float64
+
 	modeSince map[string]time.Duration
 	modeNow   map[string]rta.Mode
 	ended     bool
@@ -113,9 +122,7 @@ func (s *MetricsSink) OnEvent(e Event) {
 			s.modeNow[name] = rta.ModeSC
 		}
 	case NodeFired:
-		if ev.Dropped {
-			s.m.DroppedFirings++
-		}
+		s.OnNodeFired(ev)
 	case ModeSwitch:
 		stats := s.m.Modules[ev.Module]
 		if ev.To == rta.ModeSC {
@@ -157,6 +164,15 @@ func (s *MetricsSink) OnEvent(e Event) {
 	}
 }
 
+// OnNodeFired implements NodeFiredObserver — the unboxed entry point for
+// the per-firing stream. OnEvent routes here, so either path yields
+// identical metrics.
+func (s *MetricsSink) OnNodeFired(ev NodeFired) {
+	if ev.Dropped {
+		s.m.DroppedFirings++
+	}
+}
+
 // OnTrajectorySample implements TrajectoryObserver — the unboxed entry point
 // for the per-sub-step sample stream. OnEvent routes here, so either path
 // yields identical metrics.
@@ -166,10 +182,23 @@ func (s *MetricsSink) OnTrajectorySample(ev TrajectorySample) {
 	}
 	s.lastPos = ev.Pos
 	s.havePos = true
-	if s.ws != nil && !ev.Landed {
-		if c := s.ws.Clearance(ev.Pos); s.m.MinClearance == 0 || c < s.m.MinClearance {
-			s.m.MinClearance = c
+	if s.ws == nil || ev.Landed {
+		return
+	}
+	// Clearance is 1-Lipschitz, so it is at least clearAt − |pos − clearPos|.
+	// When that bound clears the minimum by more than the rounding slack,
+	// the exact value cannot lower the minimum and the obstacle scan is
+	// skipped; MinClearance stays bit-identical to scanning every sample.
+	if s.haveClear {
+		if lo := s.m.MinClearance; s.clearAt-ev.Pos.Dist(s.clearPos) > lo+1e-9*(1+lo) {
+			return
 		}
+	}
+	c := s.ws.Clearance(ev.Pos)
+	s.clearPos, s.clearAt = ev.Pos, c
+	if !s.haveClear || c < s.m.MinClearance {
+		s.m.MinClearance = c
+		s.haveClear = true
 	}
 }
 

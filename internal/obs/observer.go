@@ -98,18 +98,7 @@ type TrajectoryObserver interface {
 // deliveries relative to attachment order, so emitters fall back to the
 // boxed path for the whole list when any member lacks the typed one.
 func TrajectoryObservers(list []Observer) []TrajectoryObserver {
-	if len(list) == 0 {
-		return nil
-	}
-	typed := make([]TrajectoryObserver, len(list))
-	for i, o := range list {
-		to, ok := o.(TrajectoryObserver)
-		if !ok {
-			return nil
-		}
-		typed[i] = to
-	}
-	return typed
+	return typedList[TrajectoryObserver](list)
 }
 
 // EmitTrajectory delivers a sample through the typed path, in list order.
@@ -117,4 +106,44 @@ func EmitTrajectory(list []TrajectoryObserver, s TrajectorySample) {
 	for _, o := range list {
 		o.OnTrajectorySample(s)
 	}
+}
+
+// NodeFiredObserver is the typed fast path for NodeFired, which the executor
+// emits on every node firing: delivering it through OnEvent boxes the event
+// into the Event interface per firing, while OnNodeFired passes it by value.
+// Implementations must treat both entry points identically; emitters may use
+// either.
+type NodeFiredObserver interface {
+	Observer
+	OnNodeFired(NodeFired)
+}
+
+// NodeFiredObservers converts a KindNodeFired dispatch list to its typed
+// form, under the same all-or-nothing rule as TrajectoryObservers.
+func NodeFiredObservers(list []Observer) []NodeFiredObserver {
+	return typedList[NodeFiredObserver](list)
+}
+
+// EmitNodeFired delivers a firing through the typed path, in list order.
+func EmitNodeFired(list []NodeFiredObserver, e NodeFired) {
+	for _, o := range list {
+		o.OnNodeFired(e)
+	}
+}
+
+// typedList returns list with every member asserted to T, or nil when the
+// list is empty or any member does not implement T.
+func typedList[T Observer](list []Observer) []T {
+	if len(list) == 0 {
+		return nil
+	}
+	typed := make([]T, len(list))
+	for i, o := range list {
+		to, ok := o.(T)
+		if !ok {
+			return nil
+		}
+		typed[i] = to
+	}
+	return typed
 }

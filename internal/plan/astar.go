@@ -12,12 +12,20 @@ import (
 // smoothing and a final validation pass. Its output is safe by construction:
 // every returned plan passes Validate, or an error is returned.
 //
-// AStar carries no mutable state between Plan calls, so one instance may be
-// shared across fleet workers (the mission artifact pool relies on this).
+// The grid is immutable and may be shared (see AStarGrid, NewAStarOnGrid);
+// the search arrays are per-planner scratch, kept across Plan calls, so an
+// AStar serves one goroutine at a time — a mission stack owns its own.
 type AStar struct {
 	ws     *geom.Workspace
 	grid   *geom.Grid
 	margin float64
+
+	// Search scratch, sized to the grid on first use and reset per Plan.
+	gScore   []float64
+	cameFrom []int32
+	closed   []bool
+	open     asHeap
+	nbuf     []geom.Cell
 }
 
 var _ Planner = (*AStar)(nil)
@@ -26,12 +34,30 @@ var _ Planner = (*AStar)(nil)
 // clearance required of the final plan (the grid is inflated by margin plus
 // half a cell diagonal so that cell-centre paths respect the margin).
 func NewAStar(ws *geom.Workspace, res, margin float64) (*AStar, error) {
+	grid, err := AStarGrid(ws, res, margin)
+	if err != nil {
+		return nil, err
+	}
+	return NewAStarOnGrid(ws, grid, margin), nil
+}
+
+// AStarGrid builds the inflated occupancy grid NewAStar searches for the
+// given resolution and margin. The grid is immutable, so many planners may
+// share it.
+func AStarGrid(ws *geom.Workspace, res, margin float64) (*geom.Grid, error) {
 	inflate := margin + res*math.Sqrt(3)/2
 	grid, err := geom.NewGrid(ws, res, inflate)
 	if err != nil {
 		return nil, fmt.Errorf("astar grid: %w", err)
 	}
-	return &AStar{ws: ws, grid: grid, margin: margin}, nil
+	return grid, nil
+}
+
+// NewAStarOnGrid builds a planner over a grid from AStarGrid(ws, res,
+// margin), with its own search scratch; it plans exactly as NewAStar(ws,
+// res, margin) does.
+func NewAStarOnGrid(ws *geom.Workspace, grid *geom.Grid, margin float64) *AStar {
+	return &AStar{ws: ws, grid: grid, margin: margin}
 }
 
 // asItem is an open-list entry: a cell's linear grid index and its f-score.
@@ -87,7 +113,8 @@ func (h *asHeap) pop() asItem {
 }
 
 // Plan implements Planner. The search runs over flat arrays indexed by the
-// grid's linear cell index — no per-node map or interface allocations.
+// grid's linear cell index — no per-node map or interface allocations — and
+// reuses them from the previous call.
 func (a *AStar) Plan(start, goal geom.Vec3) (Plan, error) {
 	sc, err := a.nearestFreeCell(start)
 	if err != nil {
@@ -98,27 +125,17 @@ func (a *AStar) Plan(start, goal geom.Vec3) (Plan, error) {
 		return nil, fmt.Errorf("astar goal %v: %w", goal, err)
 	}
 
-	n := a.grid.NumCells()
-	gScore := make([]float64, n)
-	for i := range gScore {
-		gScore[i] = math.Inf(1)
-	}
-	cameFrom := make([]int32, n)
-	for i := range cameFrom {
-		cameFrom[i] = -1
-	}
-	closed := make([]bool, n)
+	gScore, cameFrom, closed := a.resetScratch()
 	goalP := a.grid.CellCenter(gc)
 
 	h := func(c geom.Cell) float64 { return a.grid.CellCenter(c).Dist(goalP) }
 	si, _ := a.grid.Index(sc)
 	gi, _ := a.grid.Index(gc)
-	open := make(asHeap, 0, 1024)
+	open := &a.open
 	open.push(asItem{ci: int32(si), f: h(sc)})
 	gScore[si] = 0
 
-	var nbuf []geom.Cell
-	for len(open) > 0 {
+	for len(*open) > 0 {
 		ci := int(open.pop().ci)
 		if closed[ci] {
 			continue
@@ -129,8 +146,8 @@ func (a *AStar) Plan(start, goal geom.Vec3) (Plan, error) {
 		closed[ci] = true
 		cur := a.grid.CellAt(ci)
 		curP := a.grid.CellCenter(cur)
-		nbuf = a.grid.Neighbors26(cur, nbuf[:0])
-		for _, nb := range nbuf {
+		a.nbuf = a.grid.Neighbors26(cur, a.nbuf[:0])
+		for _, nb := range a.nbuf {
 			ni, _ := a.grid.Index(nb)
 			if a.grid.Occupied(nb) || closed[ni] {
 				continue
@@ -144,6 +161,25 @@ func (a *AStar) Plan(start, goal geom.Vec3) (Plan, error) {
 		}
 	}
 	return nil, fmt.Errorf("astar %v → %v: %w", start, goal, ErrNoPath)
+}
+
+// resetScratch returns the search arrays, sized to the grid, in their
+// initial state: every g-score +Inf, no predecessors, nothing closed.
+func (a *AStar) resetScratch() (gScore []float64, cameFrom []int32, closed []bool) {
+	if n := a.grid.NumCells(); len(a.gScore) != n {
+		a.gScore, a.cameFrom, a.closed = make([]float64, n), make([]int32, n), make([]bool, n)
+		a.open = make(asHeap, 0, 1024)
+	}
+	inf := math.Inf(1)
+	for i := range a.gScore {
+		a.gScore[i] = inf
+	}
+	for i := range a.cameFrom {
+		a.cameFrom[i] = -1
+	}
+	clear(a.closed)
+	a.open = a.open[:0]
+	return a.gScore, a.cameFrom, a.closed
 }
 
 func (a *AStar) reconstruct(cameFrom []int32, cur int, start, goal geom.Vec3) (Plan, error) {

@@ -80,13 +80,36 @@ func (e *InvariantViolationError) Error() string {
 	return fmt.Sprintf("invariant φInv violated at t=%v in module %q (mode %v)", e.Time, e.Module, e.Mode)
 }
 
-// Config holds the executor's mutable configuration (L, OE, ct, FN, Topics).
-type Config struct {
-	Local  map[string]node.State
-	OE     map[string]bool
-	CT     time.Duration
-	FN     []string
-	Topics *pubsub.Store
+// config holds the executor's mutable configuration (L, OE, ct, FN,
+// Topics). L and OE live in the node records — each record carries its
+// node's local state and output enable — and FN is the rest of the current
+// instant's firing sequence.
+type config struct {
+	ct     time.Duration
+	fn     []*nodeRec
+	topics *pubsub.Store
+}
+
+// nodeRec is a node resolved once at construction into everything a firing
+// needs, so dispatch does no per-firing name lookups.
+type nodeRec struct {
+	name  string
+	node  *node.Node
+	sched calendar.Schedule
+	// mod is the module a DM decides for, nil for every other node; ac and
+	// sc are that module's controller records, whose output enables the DM
+	// flips.
+	mod    *rta.Module
+	ac, sc *nodeRec
+	// inIDs are the store's dense topic IDs for the node's subscriptions;
+	// in is the reusable input valuation they are read into. Refilling the
+	// same map with the same keys every firing performs no allocation.
+	inIDs []pubsub.TopicID
+	in    pubsub.Valuation
+	// local is the node's entry of L; oe its entry of OE (always true for
+	// plain nodes and DMs).
+	local node.State
+	oe    bool
 }
 
 // Option configures an Executor.
@@ -153,7 +176,14 @@ func WithDropFilter(drop func(ct time.Duration, nodeName string) bool) Option {
 type Executor struct {
 	sys *rta.System
 	cal *calendar.Calendar
-	cfg Config
+	cfg config
+
+	// byName indexes the node records; dms and rest are the records of the
+	// decision modules and of every other node, each in sorted name order —
+	// the default same-instant order walks them without lookups.
+	byName map[string]*nodeRec
+	dms    []*nodeRec
+	rest   []*nodeRec
 
 	env      Environment
 	order    ScheduleOrder
@@ -166,22 +196,14 @@ type Executor struct {
 	// unobserved kinds cost nothing on the per-firing hot path.
 	observers []obs.Observer
 	byKind    [obs.KindCount][]obs.Observer
+	// firedTyped is the NodeFired list in its unboxed form, nil when some
+	// member lacks obs.NodeFiredObserver (see obs.NodeFiredObservers).
+	firedTyped []obs.NodeFiredObserver
 
-	// Per-node input plumbing, precomputed at construction: the store's
-	// dense topic IDs for each node's subscriptions and a reusable input
-	// valuation. Refilling the same map with the same keys every firing
-	// performs no allocation, unlike the Store.Read of a fresh map — on the
-	// per-tick hot path the fleet engine multiplies across thousands of
-	// runs, this is the difference between O(1) and O(inputs) allocations
-	// per node firing.
-	inIDs map[string][]pubsub.TopicID
-	inBuf map[string]pubsub.Valuation
-
-	// Reusable firing-set buffers for the default schedule order. FN is
+	// Reusable firing-sequence buffer for the default schedule order. FN is
 	// fully consumed before the next time progress (Step only advances time
-	// when FN is empty), so the backing arrays can be recycled per instant.
-	fnBuf  []string
-	ordBuf []string
+	// when FN is empty), so the backing array can be recycled per instant.
+	fnBuf []*nodeRec
 
 	switches []Switch
 	steps    uint64
@@ -220,52 +242,66 @@ func New(sys *rta.System, envTopics []pubsub.Topic, opts ...Option) (*Executor, 
 	}
 
 	e := &Executor{
-		sys: sys,
-		cal: cal,
-		cfg: Config{
-			Local:  make(map[string]node.State),
-			OE:     make(map[string]bool),
-			Topics: store,
-		},
+		sys:    sys,
+		cal:    cal,
+		cfg:    config{topics: store},
+		byName: make(map[string]*nodeRec),
 	}
 	// Initial configuration: L0 = init states (mode = SC for DMs); OE0
-	// enables every SC and disables every AC; ct0 = 0; FN0 = ∅.
-	e.inIDs = make(map[string][]pubsub.TopicID)
-	e.inBuf = make(map[string]pubsub.Valuation)
-	for _, name := range sys.NodeNames() {
+	// enables every SC and disables every AC; ct0 = 0; FN0 = ∅. The records
+	// follow the calendar's sorted name order.
+	names := cal.Names()
+	recs := make([]nodeRec, len(names))
+	for i, name := range names {
 		n, _ := sys.Node(name)
-		e.cfg.Local[name] = n.InitState()
+		sched, _ := cal.Schedule(name)
 		ids, err := store.IDs(n.Inputs())
 		if err != nil {
 			return nil, fmt.Errorf("node %q inputs: %w", name, err)
 		}
-		e.inIDs[name] = ids
-		e.inBuf[name] = make(pubsub.Valuation, len(ids))
+		recs[i] = nodeRec{
+			name:  name,
+			node:  n,
+			sched: sched,
+			inIDs: ids,
+			in:    make(pubsub.Valuation, len(ids)),
+			local: n.InitState(),
+			oe:    true,
+		}
+		e.byName[name] = &recs[i]
 	}
-	for dm, ac := range sys.ACNodes() {
-		e.cfg.OE[ac] = false
-		e.cfg.OE[sys.SCNodes()[dm]] = true
+	for i := range recs {
+		r := &recs[i]
+		if m, isDM := sys.IsDM(r.name); isDM {
+			r.mod, r.ac, r.sc = m, e.byName[m.AC().Name()], e.byName[m.SC().Name()]
+			r.ac.oe, r.sc.oe = false, true
+			e.dms = append(e.dms, r)
+		} else {
+			e.rest = append(e.rest, r)
+		}
 	}
 	for _, opt := range opts {
 		opt(e)
 	}
 	e.byKind = obs.ByKind(e.observers)
+	e.firedTyped = obs.NodeFiredObservers(e.byKind[obs.KindNodeFired])
 	return e, nil
 }
 
 // Now returns the current time ct.
-func (e *Executor) Now() time.Duration { return e.cfg.CT }
+func (e *Executor) Now() time.Duration { return e.cfg.ct }
 
 // Topics returns the global topic store.
-func (e *Executor) Topics() *pubsub.Store { return e.cfg.Topics }
+func (e *Executor) Topics() *pubsub.Store { return e.cfg.topics }
 
 // Mode returns the current mode of the named module.
 func (e *Executor) Mode(moduleName string) (rta.Mode, error) {
 	for _, m := range e.sys.Modules() {
 		if m.Name() == moduleName {
-			dm, ok := e.cfg.Local[m.DM().Name()].(rta.DMState)
+			local := e.byName[m.DM().Name()].local
+			dm, ok := local.(rta.DMState)
 			if !ok {
-				return 0, fmt.Errorf("module %q: DM state has type %T", moduleName, e.cfg.Local[m.DM().Name()])
+				return 0, fmt.Errorf("module %q: DM state has type %T", moduleName, local)
 			}
 			return dm.Mode, nil
 		}
@@ -276,8 +312,8 @@ func (e *Executor) Mode(moduleName string) (rta.Mode, error) {
 // OutputEnabled reports whether the named controller node's outputs are
 // currently enabled; plain nodes are always enabled.
 func (e *Executor) OutputEnabled(nodeName string) bool {
-	en, tracked := e.cfg.OE[nodeName]
-	return !tracked || en
+	r, ok := e.byName[nodeName]
+	return !ok || r.oe
 }
 
 // Switches returns all recorded mode switches so far.
@@ -293,31 +329,44 @@ func (e *Executor) Steps() uint64 { return e.steps }
 // LocalState returns the local state of a node (for inspection by tests and
 // the systematic-testing engine).
 func (e *Executor) LocalState(nodeName string) (node.State, bool) {
-	st, ok := e.cfg.Local[nodeName]
-	return st, ok
+	r, ok := e.byName[nodeName]
+	if !ok {
+		return nil, false
+	}
+	return r.local, true
 }
 
 // Step applies one transition of the operational semantics: a time progress
 // when FN is empty, otherwise the firing of the next node in FN. It returns
 // false when the calendar is empty (no further transitions exist).
 func (e *Executor) Step() (bool, error) {
-	if len(e.cfg.FN) == 0 {
+	if len(e.cfg.fn) == 0 {
 		return e.timeProgress()
 	}
-	name := e.cfg.FN[0]
-	e.cfg.FN = e.cfg.FN[1:]
-	if e.drop != nil && e.drop(e.cfg.CT, name) {
+	r := e.cfg.fn[0]
+	e.cfg.fn = e.cfg.fn[1:]
+	if e.drop != nil && e.drop(e.cfg.ct, r.name) {
 		// Firing skipped: missed deadline.
-		if list := e.byKind[obs.KindNodeFired]; len(list) > 0 {
-			_, isDM := e.sys.IsDM(name)
-			obs.Emit(list, obs.NodeFired{T: e.cfg.CT, Node: name, DM: isDM, Dropped: true})
+		if len(e.byKind[obs.KindNodeFired]) > 0 {
+			e.emitFired(obs.NodeFired{T: e.cfg.ct, Node: r.name, DM: r.mod != nil, Dropped: true})
 		}
 		return true, nil
 	}
-	if err := e.fire(name); err != nil {
+	if err := e.fire(r); err != nil {
 		return false, err
 	}
 	return true, nil
+}
+
+// emitFired delivers a NodeFired event, unboxed when every observer of the
+// kind takes the typed path. Callers check the kind's list for emptiness
+// first, so unobserved firings construct nothing.
+func (e *Executor) emitFired(ev obs.NodeFired) {
+	if e.firedTyped != nil {
+		obs.EmitNodeFired(e.firedTyped, ev)
+		return
+	}
+	obs.Emit(e.byKind[obs.KindNodeFired], ev)
 }
 
 // Run advances the system until ct would exceed deadline or the context is
@@ -329,13 +378,13 @@ func (e *Executor) Step() (bool, error) {
 func (e *Executor) Run(ctx context.Context, deadline time.Duration) error {
 	done := ctx.Done()
 	for {
-		if len(e.cfg.FN) == 0 {
+		if len(e.cfg.fn) == 0 {
 			select {
 			case <-done:
 				return ctx.Err()
 			default:
 			}
-			next, ok := e.cal.PeekNext(e.cfg.CT)
+			next, ok := e.cal.PeekNext(e.cfg.ct)
 			if !ok || next > deadline {
 				return nil
 			}
@@ -357,14 +406,14 @@ func (e *Executor) RunUntil(deadline time.Duration) error {
 // timeProgress implements DISCRETE-TIME-PROGRESS-STEP plus the environment
 // hook.
 func (e *Executor) timeProgress() (bool, error) {
-	next, ok := e.cal.PeekNext(e.cfg.CT)
+	next, ok := e.cal.PeekNext(e.cfg.ct)
 	if !ok {
 		return false, nil
 	}
-	prev := e.cfg.CT
-	e.cfg.CT = next
+	prev := e.cfg.ct
+	e.cfg.ct = next
 	if e.env != nil {
-		if err := e.env.Advance(prev, next, e.cfg.Topics); err != nil {
+		if err := e.env.Advance(prev, next, e.cfg.topics); err != nil {
 			return false, fmt.Errorf("environment at t=%v: %w", next, err)
 		}
 	}
@@ -374,78 +423,74 @@ func (e *Executor) timeProgress() (bool, error) {
 	if list := e.byKind[obs.KindTimeProgress]; len(list) > 0 {
 		obs.Emit(list, obs.TimeProgress{T: next, Prev: prev})
 	}
-	e.cfg.FN = e.orderFiring(next)
+	e.cfg.fn = e.orderFiring(next)
 	return true, nil
 }
 
-// orderFiring computes the instant's firing set and arranges it: decision
-// modules first (so OE reflects the freshest mode before controllers
-// publish), then the rest, both alphabetically — unless a custom order is
-// installed. The default path builds into per-executor scratch; the custom
-// path hands the scheduler freshly allocated slices, since the hook may
-// retain them (the systematic-testing engine records schedules).
-func (e *Executor) orderFiring(ct time.Duration) []string {
+// orderFiring computes the instant's firing sequence: decision modules
+// first (so OE reflects the freshest mode before controllers publish), then
+// the rest, both alphabetically — unless a custom order is installed. The
+// default path builds into per-executor scratch; the custom path hands the
+// scheduler freshly allocated slices, since the hook may retain them (the
+// systematic-testing engine records schedules).
+func (e *Executor) orderFiring(ct time.Duration) []*nodeRec {
 	if e.order != nil {
 		firing := e.cal.FiringAt(ct)
 		ordered := e.order(ct, firing)
-		if validPermutation(firing, ordered) {
-			return ordered
+		if !validPermutation(firing, ordered) {
+			// An invalid permutation from a custom scheduler falls back to
+			// the default order rather than corrupting the run.
+			return e.appendDefaultOrder(ct, nil)
 		}
-		// An invalid permutation from a custom scheduler falls back to the
-		// default order rather than corrupting the run.
-		return defaultOrder(e.sys, firing, nil)
+		fn := make([]*nodeRec, len(ordered))
+		for i, name := range ordered {
+			fn[i] = e.byName[name]
+		}
+		return fn
 	}
-	e.fnBuf = e.cal.AppendFiringAt(ct, e.fnBuf[:0])
-	e.ordBuf = defaultOrder(e.sys, e.fnBuf, e.ordBuf[:0])
-	return e.ordBuf
+	e.fnBuf = e.appendDefaultOrder(ct, e.fnBuf[:0])
+	return e.fnBuf
 }
 
-// defaultOrder appends firing to dst with DMs first, preserving the sorted
-// order within each class.
-func defaultOrder(sys *rta.System, firing []string, dst []string) []string {
-	for _, n := range firing {
-		if _, isDM := sys.IsDM(n); isDM {
-			dst = append(dst, n)
-		}
-	}
-	for _, n := range firing {
-		if _, isDM := sys.IsDM(n); !isDM {
-			dst = append(dst, n)
+// appendDefaultOrder appends the records firing at ct to dst, DMs first,
+// each class in sorted name order — the calendar's firing set, partitioned.
+func (e *Executor) appendDefaultOrder(ct time.Duration, dst []*nodeRec) []*nodeRec {
+	for _, class := range [2][]*nodeRec{e.dms, e.rest} {
+		for _, r := range class {
+			if r.sched.FiresAt(ct) {
+				dst = append(dst, r)
+			}
 		}
 	}
 	return dst
 }
 
-// fire executes DM-STEP or AC-OR-SC-STEP for the named node.
-func (e *Executor) fire(name string) error {
-	n, ok := e.sys.Node(name)
-	if !ok {
-		return fmt.Errorf("firing unknown node %q", name)
-	}
+// fire executes DM-STEP or AC-OR-SC-STEP for the node.
+func (e *Executor) fire(r *nodeRec) error {
 	e.steps++
-	m, isDM := e.sys.IsDM(name)
-	if list := e.byKind[obs.KindNodeFired]; len(list) > 0 {
-		obs.Emit(list, obs.NodeFired{T: e.cfg.CT, Node: name, DM: isDM})
+	if len(e.byKind[obs.KindNodeFired]) > 0 {
+		e.emitFired(obs.NodeFired{T: e.cfg.ct, Node: r.name, DM: r.mod != nil})
 	}
 	// The input valuation is a per-node reusable buffer filled through the
 	// store's dense topic IDs; it is only valid for the duration of the
 	// firing (nodes must not retain it, per the StepFunc contract).
-	in := e.inBuf[name]
-	e.cfg.Topics.ReadInto(e.inIDs[name], in)
+	e.cfg.topics.ReadInto(r.inIDs, r.in)
 
-	if isDM {
-		return e.fireDM(m, n, in)
+	if r.mod != nil {
+		return e.fireDM(r)
 	}
 
 	// AC-OR-SC-STEP: the node steps; outputs are written only when enabled.
-	next, out, err := n.Step(e.cfg.Local[name], in)
+	// Write copies the values into the store, so the node may reuse its
+	// output valuation at its next step.
+	next, out, err := r.node.Step(r.local, r.in)
 	if err != nil {
 		return err
 	}
-	e.cfg.Local[name] = next
-	if e.OutputEnabled(name) {
-		if err := e.cfg.Topics.Write(out); err != nil {
-			return fmt.Errorf("node %q outputs: %w", name, err)
+	r.local = next
+	if r.oe {
+		if err := e.cfg.topics.Write(out); err != nil {
+			return fmt.Errorf("node %q outputs: %w", r.name, err)
 		}
 	}
 	return nil
@@ -453,27 +498,27 @@ func (e *Executor) fire(name string) error {
 
 // fireDM executes DM-STEP: update the DM state from the switching policy and
 // flip the output-enable entries of the controlled AC and SC (dm1, dm2).
-func (e *Executor) fireDM(m *rta.Module, dmNode *node.Node, in pubsub.Valuation) error {
-	prev, ok := e.cfg.Local[dmNode.Name()].(rta.DMState)
+func (e *Executor) fireDM(r *nodeRec) error {
+	prev, ok := r.local.(rta.DMState)
 	if !ok {
-		return fmt.Errorf("DM %q: local state has type %T, want rta.DMState", dmNode.Name(), e.cfg.Local[dmNode.Name()])
+		return fmt.Errorf("DM %q: local state has type %T, want rta.DMState", r.name, r.local)
 	}
-	next, _, err := dmNode.Step(prev, in)
+	next, _, err := r.node.Step(prev, r.in)
 	if err != nil {
 		return err
 	}
 	dm, ok := next.(rta.DMState)
 	if !ok {
-		return fmt.Errorf("DM %q: step returned state of type %T, want rta.DMState", dmNode.Name(), next)
+		return fmt.Errorf("DM %q: step returned state of type %T, want rta.DMState", r.name, next)
 	}
-	e.cfg.Local[dmNode.Name()] = dm
-	mode := dm.Mode
+	r.local = dm
+	m, mode := r.mod, dm.Mode
 	enAC := mode == rta.ModeAC
-	e.cfg.OE[m.AC().Name()] = enAC
-	e.cfg.OE[m.SC().Name()] = !enAC
+	r.ac.oe = enAC
+	r.sc.oe = !enAC
 
 	if mode != prev.Mode {
-		e.recordSwitch(Switch{Time: e.cfg.CT, Module: m.Name(), From: prev.Mode, To: mode, Reason: dm.Reason})
+		e.recordSwitch(Switch{Time: e.cfg.ct, Module: m.Name(), From: prev.Mode, To: mode, Reason: dm.Reason})
 		// Coordinated switching (Section VII): a disengagement demotes the
 		// coordinated partner modules to SC immediately.
 		if mode == rta.ModeSC {
@@ -481,11 +526,11 @@ func (e *Executor) fireDM(m *rta.Module, dmNode *node.Node, in pubsub.Valuation)
 		}
 	}
 	if e.checkInv {
-		if !m.SafeHolds(in) || !m.InvariantHolds(mode, in) {
+		if !m.SafeHolds(r.in) || !m.InvariantHolds(mode, r.in) {
 			if list := e.byKind[obs.KindInvariantViolation]; len(list) > 0 {
-				obs.Emit(list, obs.InvariantViolation{T: e.cfg.CT, Module: m.Name(), Mode: mode})
+				obs.Emit(list, obs.InvariantViolation{T: e.cfg.ct, Module: m.Name(), Mode: mode})
 			}
-			return &InvariantViolationError{Time: e.cfg.CT, Module: m.Name(), Mode: mode}
+			return &InvariantViolationError{Time: e.cfg.ct, Module: m.Name(), Mode: mode}
 		}
 	}
 	return nil
@@ -506,16 +551,15 @@ func (e *Executor) recordSwitch(sw Switch) {
 // other entry into SC mode.
 func (e *Executor) forceCoordinated(trigger *rta.Module) {
 	for _, partner := range e.sys.CoordinatedWith(trigger.Name()) {
-		dmName := partner.DM().Name()
-		prev, ok := e.cfg.Local[dmName].(rta.DMState)
+		dm := e.byName[partner.DM().Name()]
+		prev, ok := dm.local.(rta.DMState)
 		if !ok || prev.Mode == rta.ModeSC {
 			continue
 		}
-		e.cfg.Local[dmName] = rta.DMState{Mode: rta.ModeSC, Reason: rta.ReasonCoordinated, Policy: prev.Policy}
-		e.cfg.OE[partner.AC().Name()] = false
-		e.cfg.OE[partner.SC().Name()] = true
+		dm.local = rta.DMState{Mode: rta.ModeSC, Reason: rta.ReasonCoordinated, Policy: prev.Policy}
+		dm.ac.oe, dm.sc.oe = false, true
 		e.recordSwitch(Switch{
-			Time:        e.cfg.CT,
+			Time:        e.cfg.ct,
 			Module:      partner.Name(),
 			From:        prev.Mode,
 			To:          rta.ModeSC,
