@@ -42,10 +42,10 @@ func runSweep(tb testing.TB, svc *Server, specs []JobSpec) (done, cached int) {
 		for range live {
 		}
 		cancel()
-		if st := job.Status(); st != StatusDone {
-			tb.Fatalf("job %s (%s): %s (%v)", job.ID(), job.spec.Scenario, st, job.Err())
-		}
 		view := job.view()
+		if view.Status != StatusDone {
+			tb.Fatalf("job %s (%s): %s (%v)", job.ID(), view.Scenario, view.Status, job.Err())
+		}
 		done += view.Cells.Done
 		cached += view.Cells.Cached
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	goruntime "runtime"
 	"time"
 
 	"repro/internal/certify"
@@ -63,111 +62,46 @@ func (cs CertifyJobSpec) config() certify.Config {
 	}
 }
 
-// maxSeeds resolves the effective seed budget (the job's cell total).
-func (cs CertifyJobSpec) maxSeeds() int {
-	if cs.MaxSeeds > 0 {
-		return cs.MaxSeeds
+// request implements kind: a certification's cells are its seed budget;
+// early stopping legitimately finishes with fewer done.
+func (cs CertifyJobSpec) request() (string, int, int) {
+	cells := cs.MaxSeeds
+	if cells <= 0 {
+		cells = certify.DefaultMaxSeeds
 	}
-	return certify.DefaultMaxSeeds
+	return cs.Scenario, cells, cs.Workers
 }
 
-// SubmitCertify validates a certification request and enqueues it on the same
-// job queue as sweep and falsify jobs — one runner pool, one retention table,
-// one event fan-out mechanism.
-func (s *Server) SubmitCertify(spec CertifyJobSpec) (*Job, error) {
-	if err := spec.config().Validate(); err != nil {
-		return nil, err
-	}
-	return s.enqueue(func(id string) *Job {
-		return &Job{
-			id:      id,
-			certify: &spec,
-			fan:     newFanout(s.cfg.EventRing),
-			created: time.Now(),
-			status:  StatusQueued,
+// resolve implements kind: the campaign configuration validates itself.
+func (cs CertifyJobSpec) resolve() (kind, error) { return cs, cs.config().Validate() }
+
+// run implements kind. The job's fan-out is wired straight into the engine's
+// observer list, so CertifyProgress events stream to /jobs/{id}/events
+// subscribers exactly like sweep events do; they also keep the job's cell
+// counters live for polling clients. A cancelled campaign keeps the partial
+// (inconclusive) result it accumulated.
+func (cs CertifyJobSpec) run(ctx context.Context, e env) (any, error) {
+	cfg := cs.config()
+	cfg.Workers = e.workers
+	cfg.Observers = []obs.Observer{e.fan, obs.ObserverFunc(func(ev obs.Event) {
+		if p, ok := ev.(obs.CertifyProgress); ok {
+			e.progress(p.Seeds, 0)
 		}
-	})
-}
-
-// runCertifyJob executes one certification campaign. The job's fan-out is
-// wired straight into the engine's observer list, so CertifyProgress events
-// stream to /jobs/{id}/events subscribers exactly like sweep events do; a
-// second tap keeps the job's progress counters live. A cancelled campaign
-// keeps the partial (inconclusive) result it accumulated.
-func (s *Server) runCertifyJob(job *Job) {
-	ctx, cancel := context.WithCancel(s.ctx)
-	defer cancel()
-	if !job.begin(cancel) {
-		job.finish(nil, context.Canceled)
-		return
-	}
-	cfg := job.certify.config()
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = goruntime.GOMAXPROCS(0)
-	}
-	if job.certify.Workers > 0 && job.certify.Workers < workers {
-		workers = job.certify.Workers
-	}
-	cfg.Workers = workers
-	cfg.Observers = []obs.Observer{job.fan, certifyTap{job}}
+	})}
 	// Deterministic cells (FaultActivation == 1, no boost) share fingerprints
 	// with sweep jobs, so a certification after a warm sweep consumes stored
 	// outcomes instead of fresh simulations; the engine ignores the store for
 	// sporadic/boosted cells.
-	cfg.Store = s.store
+	cfg.Store = e.store
 	res, err := certify.Certify(ctx, cfg)
-	job.finishCertify(res, err, ctx.Err())
+	return res, err
 }
 
-// certifyTap mirrors campaign progress into the job's cell counters so
-// polling clients (GET /jobs/{id}) see seeds/budget without subscribing to
-// the event stream.
-type certifyTap struct{ job *Job }
-
-// Interests implements obs.Interested.
-func (t certifyTap) Interests() obs.KindSet {
-	return obs.Kinds(obs.KindCertifyProgress)
+// view implements kind.
+func (cs CertifyJobSpec) view(v *JobView, result any) {
+	v.Certify = &cs
+	v.CertifyResult, _ = result.(*certify.Result)
 }
 
-// OnEvent implements obs.Observer.
-func (t certifyTap) OnEvent(e obs.Event) {
-	if p, ok := e.(obs.CertifyProgress); ok {
-		t.job.certifyProgress(p.Seeds)
-	}
-}
-
-// certifyProgress records the latest campaign seed count.
-func (j *Job) certifyProgress(seeds int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cellsDone = seeds
-}
-
-// certifyReport returns the campaign result, or nil while the job runs.
-func (j *Job) certifyReport() *certify.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.certifyResult
-}
-
-// finishCertify records the campaign's terminal state. A cancelled campaign
-// carries both a partial result and the cancellation error, so the job keeps
-// the inconclusive partial while still reporting cancelled status.
-func (j *Job) finishCertify(res *certify.Result, err, ctxErr error) {
-	j.mu.Lock()
-	j.certifyResult = res
-	j.finished = time.Now()
-	switch {
-	case ctxErr != nil || j.status == StatusCancelled:
-		j.status = StatusCancelled
-		j.err = context.Canceled
-	case err != nil:
-		j.status = StatusFailed
-		j.err = err
-	default:
-		j.status = StatusDone
-	}
-	j.mu.Unlock()
-	j.fan.Close()
-}
+// report implements kind: the certification result as is.
+func (cs CertifyJobSpec) report(result any) any { return result }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	goruntime "runtime"
 	"time"
 
 	"repro/internal/falsify"
@@ -60,105 +59,39 @@ func (fs FalsifyJobSpec) config() falsify.Config {
 	}
 }
 
-// budget resolves the effective execution budget (the job's cell total).
-func (fs FalsifyJobSpec) budget() int {
-	if fs.Budget > 0 {
-		return fs.Budget
+// request implements kind: a campaign's cells are its execution budget.
+func (fs FalsifyJobSpec) request() (string, int, int) {
+	cells := fs.Budget
+	if cells <= 0 {
+		cells = falsify.DefaultBudget
 	}
-	return falsify.DefaultBudget
+	return fs.Scenario, cells, fs.Workers
 }
 
-// SubmitFalsify validates a falsification request and enqueues it on the same
-// job queue as sweep jobs — one runner pool, one retention table, one event
-// fan-out mechanism.
-func (s *Server) SubmitFalsify(spec FalsifyJobSpec) (*Job, error) {
-	if err := spec.config().Validate(); err != nil {
-		return nil, err
-	}
-	return s.enqueue(func(id string) *Job {
-		return &Job{
-			id:      id,
-			falsify: &spec,
-			fan:     newFanout(s.cfg.EventRing),
-			created: time.Now(),
-			status:  StatusQueued,
+// resolve implements kind: the campaign configuration validates itself.
+func (fs FalsifyJobSpec) resolve() (kind, error) { return fs, fs.config().Validate() }
+
+// run implements kind. The job's fan-out is wired straight into the engine's
+// observer list, so CampaignProgress and CounterexampleFound events stream to
+// /jobs/{id}/events subscribers exactly like sweep events do; the progress
+// events also keep the job's cell counters live for polling clients.
+func (fs FalsifyJobSpec) run(ctx context.Context, e env) (any, error) {
+	cfg := fs.config()
+	cfg.Workers = e.workers
+	cfg.Observers = []obs.Observer{e.fan, obs.ObserverFunc(func(ev obs.Event) {
+		if p, ok := ev.(obs.CampaignProgress); ok {
+			e.progress(p.Executions, 0)
 		}
-	})
-}
-
-// runFalsifyJob executes one falsification campaign. The job's fan-out is
-// wired straight into the engine's observer list, so CampaignProgress and
-// CounterexampleFound events stream to /jobs/{id}/events subscribers exactly
-// like sweep events do; a second tap keeps the job's progress counters live.
-func (s *Server) runFalsifyJob(job *Job) {
-	ctx, cancel := context.WithCancel(s.ctx)
-	defer cancel()
-	if !job.begin(cancel) {
-		job.finish(nil, context.Canceled)
-		return
-	}
-	cfg := job.falsify.config()
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = goruntime.GOMAXPROCS(0)
-	}
-	if job.falsify.Workers > 0 && job.falsify.Workers < workers {
-		workers = job.falsify.Workers
-	}
-	cfg.Workers = workers
-	cfg.Observers = []obs.Observer{job.fan, campaignTap{job}}
+	})}
 	res, err := falsify.Campaign(ctx, cfg)
-	job.finishFalsify(res, err, ctx.Err())
+	return res, err
 }
 
-// campaignTap mirrors campaign progress into the job's cell counters so
-// polling clients (GET /jobs/{id}) see executions/budget without subscribing
-// to the event stream.
-type campaignTap struct{ job *Job }
-
-// Interests implements obs.Interested.
-func (t campaignTap) Interests() obs.KindSet {
-	return obs.Kinds(obs.KindCampaignProgress, obs.KindCounterexample)
+// view implements kind.
+func (fs FalsifyJobSpec) view(v *JobView, result any) {
+	v.Falsify = &fs
+	v.FalsifyResult, _ = result.(*falsify.Result)
 }
 
-// OnEvent implements obs.Observer.
-func (t campaignTap) OnEvent(e obs.Event) {
-	if p, ok := e.(obs.CampaignProgress); ok {
-		t.job.falsifyProgress(p.Executions, p.Found)
-	}
-}
-
-// falsifyProgress records the latest campaign counters.
-func (j *Job) falsifyProgress(executions, found int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cellsDone = executions
-	j.falsifyFound = found
-}
-
-// falsifyReport returns the campaign result, or nil while the job runs.
-func (j *Job) falsifyReport() *falsify.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.falsifyResult
-}
-
-// finishFalsify records the campaign's terminal state. Like sweep jobs, a
-// cancelled campaign keeps the partial result it accumulated.
-func (j *Job) finishFalsify(res *falsify.Result, err, ctxErr error) {
-	j.mu.Lock()
-	j.falsifyResult = res
-	j.finished = time.Now()
-	switch {
-	case ctxErr != nil || j.status == StatusCancelled:
-		j.status = StatusCancelled
-		j.err = context.Canceled
-	case err != nil:
-		j.status = StatusFailed
-		j.err = err
-	default:
-		j.status = StatusDone
-	}
-	j.mu.Unlock()
-	j.fan.Close()
-}
+// report implements kind: the campaign result as is.
+func (fs FalsifyJobSpec) report(result any) any { return result }

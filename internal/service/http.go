@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/falsify"
 	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/rta"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -123,55 +123,77 @@ func reportView(rep *fleet.Report, policy string) *ReportView {
 func (j *Job) view() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	scenario, cells, _ := j.kind.request()
 	v := JobView{
 		ID:       j.id,
-		Scenario: j.spec.Scenario,
+		Scenario: scenario,
 		Status:   j.status,
-		Spec:     j.spec,
-		Cells:    CellsView{Total: len(j.seeds), Done: j.cellsDone, Cached: j.cellsCached},
+		Cells:    CellsView{Total: cells, Done: j.cellsDone, Cached: j.cellsCached},
 		Created:  j.created,
 		Started:  j.started,
 		Finished: j.finished,
 	}
-	if j.falsify != nil {
-		v.Scenario = j.falsify.Scenario
-		v.Falsify = j.falsify
-		// A campaign's "cells" are its execution budget.
-		v.Cells = CellsView{Total: j.falsify.budget(), Done: j.cellsDone}
-	}
-	if j.certify != nil {
-		v.Scenario = j.certify.Scenario
-		v.Certify = j.certify
-		// A certification's "cells" are its seed budget; early stopping
-		// legitimately finishes with Done < Total.
-		v.Cells = CellsView{Total: j.certify.maxSeeds(), Done: j.cellsDone}
-	}
 	if j.err != nil {
 		v.Error = j.err.Error()
 	}
-	if j.status.Terminal() {
-		switch {
-		case j.falsify != nil:
-			v.FalsifyResult = j.falsifyResult
-		case j.certify != nil:
-			v.CertifyResult = j.certifyResult
-		default:
-			v.Report = reportView(j.report, j.policyName())
-		}
-	}
+	j.kind.view(&v, j.result)
 	return v
 }
 
-// policyName is the canonical switching-policy spec of the job's resolved
-// scenario ("soter-fig9" unless overridden).
-func (j *Job) policyName() string {
-	name, err := rta.CanonicalPolicySpec(j.resolved.SwitchPolicy)
+// report is the job's GET /jobs/{id}/report body.
+func (j *Job) report() any {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.kind.report(j.result)
+}
+
+// maxBodyBytes bounds a POST body. The largest admissible request, an
+// explicit list of maxCellsPerJob seeds, fits well inside it.
+const maxBodyBytes = 2 << 20
+
+// submitRoutes maps each POST path to the request form its body decodes
+// into.
+var submitRoutes = []struct {
+	path, what string
+	decode     func(io.Reader) (kind, error)
+}{
+	{"/jobs", "job spec", decodeAs[JobSpec]},
+	{"/falsify", "falsify spec", decodeAs[FalsifyJobSpec]},
+	{"/certify", "certify spec", decodeAs[CertifyJobSpec]},
+}
+
+// decodeAs decodes one request body as K, rejecting unknown fields.
+func decodeAs[K kind](r io.Reader) (kind, error) {
+	var k K
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&k)
+	return k, err
+}
+
+// handleSubmit is the one POST handler: decode the bounded body, Submit,
+// answer 202 with the queued job's view.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, what string, decode func(io.Reader) (kind, error)) {
+	request, err := decode(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		// The spec was registry-validated at submit; an error here can only
-		// mean the policy was unregistered since — fall back to the raw spec.
-		return j.resolved.SwitchPolicy
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("decode %s: %w", what, err))
+		return
 	}
-	return name
+	job, err := s.Submit(request)
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
+			status = http.StatusServiceUnavailable
+		}
+		writeErr(w, status, err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, job.view())
 }
 
 // scenarioView is one /scenarios catalog entry.
@@ -245,63 +267,11 @@ func (s *Server) Handler() http.Handler {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(val)
 	})
-	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
-			return
-		}
-		job, err := s.Submit(spec)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
-				status = http.StatusServiceUnavailable
-			}
-			writeErr(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, job.view())
-	})
-	mux.HandleFunc("POST /falsify", func(w http.ResponseWriter, r *http.Request) {
-		var spec FalsifyJobSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode falsify spec: %w", err))
-			return
-		}
-		job, err := s.SubmitFalsify(spec)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
-				status = http.StatusServiceUnavailable
-			}
-			writeErr(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, job.view())
-	})
-	mux.HandleFunc("POST /certify", func(w http.ResponseWriter, r *http.Request) {
-		var spec CertifyJobSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode certify spec: %w", err))
-			return
-		}
-		job, err := s.SubmitCertify(spec)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
-				status = http.StatusServiceUnavailable
-			}
-			writeErr(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, job.view())
-	})
+	for _, route := range submitRoutes {
+		mux.HandleFunc("POST "+route.path, func(w http.ResponseWriter, r *http.Request) {
+			s.handleSubmit(w, r, route.what, route.decode)
+		})
+	}
 	mux.HandleFunc("GET /falsify/strategies", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, falsify.StrategyNames())
 	})
@@ -330,15 +300,7 @@ func (s *Server) Handler() http.Handler {
 			writeErr(w, http.StatusConflict, fmt.Errorf("job %s is %s; report not ready", j.ID(), j.Status()))
 			return
 		}
-		if j.falsify != nil {
-			writeJSON(w, http.StatusOK, j.falsifyReport())
-			return
-		}
-		if j.certify != nil {
-			writeJSON(w, http.StatusOK, j.certifyReport())
-			return
-		}
-		writeJSON(w, http.StatusOK, reportView(j.Report(), j.policyName()))
+		writeJSON(w, http.StatusOK, j.report())
 	})
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
 	cancel := func(w http.ResponseWriter, r *http.Request) {

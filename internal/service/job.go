@@ -1,18 +1,20 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/certify"
-	"repro/internal/falsify"
 	"repro/internal/fleet"
 	"repro/internal/mission"
 	"repro/internal/plan"
+	"repro/internal/rta"
 	"repro/internal/scenario"
+	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // Status is a job's lifecycle state.
@@ -187,10 +189,24 @@ type JobSpec struct {
 	SeedCount int   `json:"seed_count,omitempty"`
 	// Workers bounds the job's fleet worker pool (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
+
+	// Compiled by resolve at submit; never on the wire.
+	resolved scenario.Spec // base spec with the overrides folded in
+	seeds    []int64
+	keys     []string // per-seed cache keys, aligned with seeds
 }
 
-// seeds resolves the seed sweep.
-func (js JobSpec) seeds() ([]int64, error) {
+// request implements kind: a sweep's cells are its seeds.
+func (js JobSpec) request() (string, int, int) {
+	cells := len(js.Seeds)
+	if cells == 0 {
+		cells = max(js.SeedCount, 1)
+	}
+	return js.Scenario, cells, js.Workers
+}
+
+// expandSeeds resolves the seed sweep.
+func (js JobSpec) expandSeeds() ([]int64, error) {
 	if len(js.Seeds) > 0 && (js.SeedCount > 0 || js.SeedStart != 0) {
 		return nil, fmt.Errorf("seeds and seed_start/seed_count are mutually exclusive")
 	}
@@ -215,60 +231,148 @@ func (js JobSpec) seeds() ([]int64, error) {
 	return []int64{1}, nil
 }
 
-// resolve validates the request against the scenario registry and compiles it
-// into the effective spec, the seed sweep and the per-cell cache keys.
-func (js JobSpec) resolve() (scenario.Spec, []int64, []string, error) {
+// resolve implements kind: it validates the request against the scenario
+// registry and compiles it into the effective spec, the seed sweep and the
+// per-cell cache keys.
+func (js JobSpec) resolve() (kind, error) {
 	if js.Scenario == "" {
-		return scenario.Spec{}, nil, nil, fmt.Errorf("missing scenario name")
+		return nil, fmt.Errorf("missing scenario name")
 	}
 	base, ok := scenario.Get(js.Scenario)
 	if !ok {
-		return scenario.Spec{}, nil, nil, fmt.Errorf("unknown scenario %q (have: %s)",
+		return nil, fmt.Errorf("unknown scenario %q (have: %s)",
 			js.Scenario, strings.Join(scenario.Names(), ", "))
 	}
 	spec, err := js.Overrides.apply(base)
 	if err != nil {
-		return scenario.Spec{}, nil, nil, fmt.Errorf("scenario %q: %w", js.Scenario, err)
+		return nil, fmt.Errorf("scenario %q: %w", js.Scenario, err)
 	}
 	if err := spec.Validate(); err != nil {
-		return scenario.Spec{}, nil, nil, err
+		return nil, err
 	}
-	seeds, err := js.seeds()
+	seeds, err := js.expandSeeds()
 	if err != nil {
-		return scenario.Spec{}, nil, nil, err
+		return nil, err
 	}
 	keys, err := spec.Fingerprints(seeds)
 	if err != nil {
-		return scenario.Spec{}, nil, nil, err
+		return nil, err
 	}
-	return spec, seeds, keys, nil
+	js.resolved, js.seeds, js.keys = spec, seeds, keys
+	return js, nil
 }
 
-// Job is one submitted batch with its live state. All mutable fields are
-// guarded by mu; the event fan-out has its own synchronization. Exactly one
-// of the three request forms is set: spec (a fleet sweep), falsify (a
-// falsification campaign) or certify (a certification campaign).
-type Job struct {
-	id       string
-	spec     JobSpec
-	resolved scenario.Spec // base spec with the overrides folded in
-	seeds    []int64
-	keys     []string // per-seed cache keys, aligned with seeds
-	falsify  *FalsifyJobSpec
-	certify  *CertifyJobSpec
-	fan      *fanout
-	created  time.Time
+// run implements kind: it sweeps the cells over the fleet engine with the
+// tiered result store wired into the per-mission reuse hook. Every cell goes
+// through the store's singleflight group: a miss elects this mission the fill
+// leader (it simulates and completes the fill in OnResult), while a
+// concurrent identical cell — in this job or any other — blocks on the leader
+// and shares its bytes. Determinism makes the wait safe: whatever the leader
+// produces is exactly what the waiter's own simulation would have produced.
+// A failed mission fails the job; the report is kept either way.
+func (js JobSpec) run(ctx context.Context, e env) (any, error) {
+	missions := js.missions(e.fan)
+	// fills[i] is written by mission i's Reuse call and consumed by the same
+	// worker goroutine's OnResult call; distinct indices never share an
+	// element, so the slice needs no lock.
+	fills := make([]*store.Fill, len(missions))
+	var mu sync.Mutex // guards done and cached across workers
+	var done, cached int
+	rep := fleet.Run(ctx, missions, fleet.Options{
+		Workers: e.workers,
+		Reuse: func(i int, m fleet.Mission) (fleet.MissionResult, bool) {
+			val, fill := e.store.Acquire(ctx, js.keys[i])
+			if fill != nil {
+				// Miss, and this mission leads the fill: simulate, then
+				// Complete (or Abort) in OnResult below.
+				fills[i] = fill
+				return fleet.MissionResult{}, false
+			}
+			if val == nil {
+				// Cancelled while waiting: simulate without caching duties
+				// (the run is about to be cancelled too).
+				return fleet.MissionResult{}, false
+			}
+			p, err := store.DecodePayload(val)
+			if err != nil {
+				// A corrupt entry must not poison the job; fall back to
+				// simulating the cell.
+				return fleet.MissionResult{}, false
+			}
+			return fleet.MissionResult{Metrics: p.Metrics, Switches: p.Switches}, true
+		},
+		OnResult: func(i int, m fleet.Mission, res fleet.MissionResult) {
+			if fill := fills[i]; fill != nil {
+				fills[i] = nil
+				raw, err := store.Payload{Metrics: res.Metrics, Switches: res.Switches}.Encode()
+				if res.Err == nil && !res.Cached && err == nil {
+					fill.Complete(ctx, raw)
+				} else {
+					// Failed or cancelled: waiters wake, re-probe and elect
+					// a new leader rather than inheriting the failure.
+					fill.Abort()
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			done++
+			if res.Cached {
+				cached++
+			}
+			e.progress(done, cached)
+		},
+	})
+	// Missions a cancelled batch never started got no OnResult; their leader
+	// slots must not strand waiters in other jobs.
+	for _, fill := range fills {
+		if fill != nil {
+			fill.Abort()
+		}
+	}
+	return rep, rep.FirstErr()
+}
 
-	mu            sync.Mutex
-	status        Status
-	started       time.Time
-	finished      time.Time
-	cancel        func()
-	report        *fleet.Report
-	falsifyResult *falsify.Result
-	certifyResult *certify.Result
-	falsifyFound  int
-	err           error
-	cellsDone     int
-	cellsCached   int
+// missions expands the sweep into fleet missions, with the job's event
+// fan-out attached to every mission's observer list.
+func (js JobSpec) missions(fan *fanout) []fleet.Mission {
+	missions := make([]fleet.Mission, len(js.seeds))
+	for i, seed := range js.seeds {
+		missions[i] = fleet.Mission{
+			Name: fmt.Sprintf("%s/seed-%d", js.resolved.Name, seed),
+			Seed: seed,
+			Build: func() (sim.RunConfig, error) {
+				cfg, err := js.resolved.Build(seed)
+				if err != nil {
+					return cfg, err
+				}
+				cfg.Observers = append(cfg.Observers, fan)
+				return cfg, nil
+			},
+		}
+	}
+	return missions
+}
+
+// view implements kind.
+func (js JobSpec) view(v *JobView, result any) {
+	v.Spec = js
+	v.Report, _ = js.report(result).(*ReportView)
+}
+
+// report implements kind: the fleet report's wire form.
+func (js JobSpec) report(result any) any {
+	rep, _ := result.(*fleet.Report)
+	return reportView(rep, js.policyName())
+}
+
+// policyName is the canonical switching-policy spec of the resolved scenario
+// ("soter-fig9" unless overridden).
+func (js JobSpec) policyName() string {
+	name, err := rta.CanonicalPolicySpec(js.resolved.SwitchPolicy)
+	if err != nil {
+		// The spec was registry-validated at submit; an error here can only
+		// mean the policy was unregistered since — fall back to the raw spec.
+		return js.resolved.SwitchPolicy
+	}
+	return name
 }

@@ -41,9 +41,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -203,54 +201,92 @@ func (s *Server) Close() {
 		s.wg.Wait()
 		// Jobs that were queued when the runners exited would otherwise stay
 		// StatusQueued forever (and their event streams open).
-		for {
-			select {
-			case job := <-s.queue:
-				job.requestCancel()
-				job.finish(nil, context.Canceled)
-			default:
-				// Closed last: with the runners drained no fill can be in
-				// flight, so closing the store wakes nobody mid-simulation.
-				_ = s.store.Close()
-				return
-			}
-		}
+		s.drain()
+		// Closed last: with the runners drained no fill can be in flight, so
+		// closing the store wakes nobody mid-simulation.
+		_ = s.store.Close()
 	})
 }
 
 // Store exposes the tiered result store (tests seed or inspect it).
 func (s *Server) Store() *store.Tiered { return s.store }
 
-// Submit validates the request against the scenario registry and enqueues it.
-// It returns the queued job, or an error when the spec does not resolve, the
-// queue is full, the retention bound cannot admit another job, or the server
-// is closed.
-func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	resolved, seeds, keys, err := spec.resolve()
+// maxCellsPerJob bounds one job's cell total (a sweep's seeds, a falsify
+// budget, a certify max_seeds). Submit checks it before any per-cell work, so
+// an oversized request is refused at once instead of being expanded and
+// fingerprinted inside the HTTP handler.
+const maxCellsPerJob = 1 << 16
+
+// kind is one job type behind the engine: JobSpec (a fleet sweep),
+// FalsifyJobSpec (a falsification campaign) or CertifyJobSpec (a
+// certification campaign). Every kind shares one Submit, one runner, one
+// finish and one event fan-out; a new job type is one file implementing kind.
+type kind interface {
+	// request reads the job's scenario, cell total and requested worker
+	// bound (0 = the server's) off the request, without per-cell work.
+	request() (scenario string, cells, workers int)
+	// resolve validates the request and returns it ready to run, carrying
+	// whatever it compiled at submit.
+	resolve() (kind, error)
+	// run executes the job. The result is kept whatever the error, including
+	// a cancelled run's partial result.
+	run(ctx context.Context, e env) (result any, err error)
+	// view fills the JobView's request and result fields; result is nil
+	// until the job is terminal.
+	view(v *JobView, result any)
+	// report is the GET /jobs/{id}/report body for the result.
+	report(result any) any
+}
+
+// env is what a running kind gets from the server.
+type env struct {
+	store    *store.Tiered
+	workers  int     // the job's clamped fleet worker bound
+	fan      *fanout // the job's event stream
+	progress func(done, cached int)
+}
+
+// Job is one submitted request with its live state. All mutable fields are
+// guarded by mu; the event fan-out has its own synchronization.
+type Job struct {
+	id      string
+	kind    kind // resolved at submit
+	fan     *fanout
+	created time.Time
+
+	mu          sync.Mutex
+	status      Status
+	started     time.Time
+	finished    time.Time
+	cancel      func()
+	result      any
+	err         error
+	cellsDone   int
+	cellsCached int
+}
+
+// admit bounds and resolves a request: the cell total is checked before any
+// per-cell work, then the kind validates itself.
+func admit(k kind) (kind, error) {
+	if _, cells, _ := k.request(); cells > maxCellsPerJob {
+		return nil, fmt.Errorf("job of %d cells exceeds the limit of %d", cells, maxCellsPerJob)
+	}
+	return k.resolve()
+}
+
+// Submit validates a request (a JobSpec, FalsifyJobSpec or CertifyJobSpec)
+// and enqueues it. It returns the queued job, or an error when the request
+// is oversized or does not resolve, the queue is full, the retention bound
+// cannot admit another job, or the server is closed. Registration, retention
+// eviction and the (non-blocking) enqueue happen under one lock, so a full
+// queue never unregisters a neighbour's job and Close — which flips s.closed
+// under the same lock before stopping the runners — can never strand a job
+// in the queue.
+func (s *Server) Submit(request kind) (*Job, error) {
+	k, err := admit(request)
 	if err != nil {
 		return nil, err
 	}
-	return s.enqueue(func(id string) *Job {
-		return &Job{
-			id:       id,
-			spec:     spec,
-			resolved: resolved,
-			seeds:    seeds,
-			keys:     keys,
-			fan:      newFanout(s.cfg.EventRing),
-			created:  time.Now(),
-			status:   StatusQueued,
-		}
-	})
-}
-
-// enqueue registers and queues a freshly built job — the shared tail of
-// Submit and SubmitFalsify. Registration, retention eviction and the
-// (non-blocking) enqueue happen under one lock, so a full queue never
-// unregisters a neighbour's job and Close — which flips s.closed under the
-// same lock before stopping the runners — can never strand a job in the
-// queue.
-func (s *Server) enqueue(build func(id string) *Job) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -261,7 +297,13 @@ func (s *Server) enqueue(build func(id string) *Job) (*Job, error) {
 		return nil, fmt.Errorf("job table full (%d active jobs): %w", len(s.jobs), ErrBusy)
 	}
 	s.seq++
-	job := build(fmt.Sprintf("job-%06d", s.seq))
+	job := &Job{
+		id:      fmt.Sprintf("job-%06d", s.seq),
+		kind:    k,
+		fan:     newFanout(s.cfg.EventRing),
+		created: time.Now(),
+		status:  StatusQueued,
+	}
 	select {
 	case s.queue <- job:
 	default:
@@ -358,53 +400,38 @@ func (s *Server) runner() {
 	for {
 		select {
 		case <-s.ctx.Done():
-			// Drain: jobs still queued at shutdown are marked cancelled so
-			// clients polling them see a terminal state.
-			for {
-				select {
-				case job := <-s.queue:
-					job.requestCancel()
-					job.finish(nil, context.Canceled)
-				default:
-					return
-				}
-			}
+			s.drain()
+			return
 		case job := <-s.queue:
-			s.runJob(job)
+			s.run(job)
 		}
 	}
 }
 
-// runJob dispatches a dequeued job to its executor: falsification campaigns
-// to the falsify engine, certification campaigns to the certify engine,
-// everything else to the fleet sweep below.
-func (s *Server) runJob(job *Job) {
-	switch {
-	case job.falsify != nil:
-		s.runFalsifyJob(job)
-	case job.certify != nil:
-		s.runCertifyJob(job)
-	default:
-		s.runSweepJob(job)
+// drain marks every job still queued cancelled, so clients polling them see
+// a terminal state once the server shuts down.
+func (s *Server) drain() {
+	for {
+		select {
+		case job := <-s.queue:
+			job.finish(nil, nil, true)
+		default:
+			return
+		}
 	}
 }
 
-// runSweepJob executes one batch job over the fleet engine with the tiered
-// result store wired into the per-mission reuse hook. Every cell goes through
-// the store's singleflight group: a miss elects this mission the fill leader
-// (it simulates and completes the fill in OnResult), while a concurrent
-// identical cell — in this job or any other — blocks on the leader and shares
-// its bytes. Determinism makes the wait safe: whatever the leader produces is
-// exactly what the waiter's own simulation would have produced.
-func (s *Server) runSweepJob(job *Job) {
+// run is the one job runner: queued → running, the worker-bound clamp, the
+// kind's own work, then finish.
+func (s *Server) run(job *Job) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
-	if !job.begin(cancel) {
-		// Cancelled while queued.
-		job.finish(nil, context.Canceled)
+	// A job cancelled while queued never starts, and neither does one the
+	// server closed on: the runner's select may still pick it off the queue.
+	if s.ctx.Err() != nil || !job.begin(cancel) {
+		job.finish(nil, nil, true)
 		return
 	}
-	missions := job.missions()
 	// A job may lower the worker bound for itself but never raise it above
 	// the server's — worker counts are a server capacity decision, not a
 	// client-controlled one.
@@ -412,81 +439,11 @@ func (s *Server) runSweepJob(job *Job) {
 	if workers <= 0 {
 		workers = goruntime.GOMAXPROCS(0)
 	}
-	if job.spec.Workers > 0 && job.spec.Workers < workers {
-		workers = job.spec.Workers
+	if _, _, w := job.kind.request(); w > 0 && w < workers {
+		workers = w
 	}
-	// fills[i] is written by mission i's Reuse call and consumed by the same
-	// worker goroutine's OnResult call; distinct indices never share an
-	// element, so the slice needs no lock.
-	fills := make([]*store.Fill, len(missions))
-	rep := fleet.Run(ctx, missions, fleet.Options{
-		Workers: workers,
-		Reuse: func(i int, m fleet.Mission) (fleet.MissionResult, bool) {
-			val, fill := s.store.Acquire(ctx, job.keys[i])
-			if fill != nil {
-				// Miss, and this mission leads the fill: simulate, then
-				// Complete (or Abort) in OnResult below.
-				fills[i] = fill
-				return fleet.MissionResult{}, false
-			}
-			if val == nil {
-				// Cancelled while waiting: simulate without caching duties
-				// (the run is about to be cancelled too).
-				return fleet.MissionResult{}, false
-			}
-			p, err := store.DecodePayload(val)
-			if err != nil {
-				// A corrupt entry must not poison the job; fall back to
-				// simulating the cell.
-				return fleet.MissionResult{}, false
-			}
-			return fleet.MissionResult{Metrics: p.Metrics, Switches: p.Switches}, true
-		},
-		OnResult: func(i int, m fleet.Mission, res fleet.MissionResult) {
-			if fill := fills[i]; fill != nil {
-				fills[i] = nil
-				raw, err := store.Payload{Metrics: res.Metrics, Switches: res.Switches}.Encode()
-				if res.Err == nil && !res.Cached && err == nil {
-					fill.Complete(ctx, raw)
-				} else {
-					// Failed or cancelled: waiters wake, re-probe and elect
-					// a new leader rather than inheriting the failure.
-					fill.Abort()
-				}
-			}
-			job.progress(res.Cached)
-		},
-	})
-	// Missions a cancelled batch never started got no OnResult; their leader
-	// slots must not strand waiters in other jobs.
-	for _, fill := range fills {
-		if fill != nil {
-			fill.Abort()
-		}
-	}
-	job.finish(rep, ctx.Err())
-}
-
-// missions expands the job into fleet missions, with the job's event fan-out
-// attached to every mission's observer list.
-func (j *Job) missions() []fleet.Mission {
-	missions := make([]fleet.Mission, len(j.seeds))
-	for i, seed := range j.seeds {
-		seed := seed
-		missions[i] = fleet.Mission{
-			Name: fmt.Sprintf("%s/seed-%d", j.resolved.Name, seed),
-			Seed: seed,
-			Build: func() (sim.RunConfig, error) {
-				cfg, err := j.resolved.Build(seed)
-				if err != nil {
-					return cfg, err
-				}
-				cfg.Observers = append(cfg.Observers, j.fan)
-				return cfg, nil
-			},
-		}
-	}
-	return missions
+	result, err := job.kind.run(ctx, env{store: s.store, workers: workers, fan: job.fan, progress: job.progress})
+	job.finish(result, err, ctx.Err() != nil)
 }
 
 // ID returns the job's identifier.
@@ -497,14 +454,6 @@ func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.status
-}
-
-// Report returns the aggregated fleet report, or nil while the job has not
-// reached a terminal state.
-func (j *Job) Report() *fleet.Report {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.report
 }
 
 // Err returns the job-terminating error, if any.
@@ -550,35 +499,33 @@ func (j *Job) requestCancel() {
 	}
 }
 
-// progress bumps the completed-cell counters.
-func (j *Job) progress(cached bool) {
+// progress records the job's completed and store-served cell counts.
+func (j *Job) progress(done, cached int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.cellsDone++
-	if cached {
-		j.cellsCached++
-	}
+	j.cellsDone, j.cellsCached = done, cached
 }
 
-// finish records the terminal state and closes the event stream. The report
-// is recorded even for cancelled jobs — partial results are kept, and the
-// fleet report is internally consistent about what never ran.
-func (j *Job) finish(rep *fleet.Report, ctxErr error) {
+// finish records the terminal state and closes the event stream: cancelled
+// when the run's context was cancelled or the job was cancelled while queued,
+// otherwise failed on err, otherwise done. The result is kept in every case —
+// a cancelled job keeps the partial result its kind accumulated.
+func (j *Job) finish(result any, err error, cancelled bool) {
 	j.mu.Lock()
-	j.report = rep
+	j.result = result
 	j.finished = time.Now()
 	switch {
-	case ctxErr != nil || j.status == StatusCancelled:
+	case cancelled || j.status == StatusCancelled:
 		j.status = StatusCancelled
 		j.err = context.Canceled
-	case rep != nil && rep.FirstErr() != nil:
+	case err != nil:
 		j.status = StatusFailed
-		j.err = rep.FirstErr()
+		j.err = err
 	default:
 		j.status = StatusDone
 	}
 	j.mu.Unlock()
 	// Closed outside the lock after the terminal state is visible, so a
-	// subscriber that sees its channel close finds the report in place.
+	// subscriber that sees its channel close finds the result in place.
 	j.fan.Close()
 }

@@ -264,6 +264,46 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestAdmissionBounds: an oversized request is refused before any per-cell
+// work — a 2^40-seed sweep gets its 400 at once instead of being expanded
+// and fingerprinted — and an oversized body is refused with 413.
+func TestAdmissionBounds(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ name, path, body string }{
+		{"sweep seed_count", "/jobs", `{"scenario":"surveillance-city","seed_count":1099511627776}`},
+		{"sweep seed list", "/jobs", `{"scenario":"surveillance-city","seeds":[` +
+			strings.Repeat("1,", maxCellsPerJob) + `1]}`},
+		{"falsify budget", "/falsify", `{"scenario":"surveillance-city","budget":65537}`},
+		{"certify max_seeds", "/certify", `{"scenario":"surveillance-city","threshold":0.01,"max_seeds":65537}`},
+	} {
+		start := time.Now()
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%s: rejection took %v", tc.name, took)
+		}
+	}
+	if _, err := admit(JobSpec{Scenario: "surveillance-city", SeedCount: maxCellsPerJob}); err != nil {
+		t.Errorf("a sweep of exactly maxCellsPerJob seeds was refused: %v", err)
+	}
+
+	body := `{"scenario":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status = %d, want 413", resp.StatusCode)
+	}
+}
+
 // TestJobRetentionBound: the server retains at most MaxJobs jobs, evicting
 // the oldest terminal ones first and never an active job.
 func TestJobRetentionBound(t *testing.T) {

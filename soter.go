@@ -56,24 +56,20 @@
 // closed-loop simulator and the bounded-asynchrony systematic-testing
 // engine. Above them sits the serving layer: named scenarios, the parallel
 // fleet engine, and the soter-serve HTTP service with its deterministic
-// result cache (re-exported below as the Service* and Job* vocabulary). See
+// result cache, whose public surface is HTTP and the CLIs (soter-serve,
+// soter-falsify, soter-bench) rather than this package. See
 // docs/ARCHITECTURE.md for the layer map and README.md for quickstarts.
 package soter
 
 import (
-	"context"
 	"io"
 	"time"
 
-	"repro/internal/certify"
-	"repro/internal/falsify"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/pubsub"
 	"repro/internal/rta"
 	"repro/internal/runtime"
-	"repro/internal/service"
-	"repro/internal/store"
 )
 
 // Core vocabulary, re-exported from the internal implementation packages so
@@ -230,183 +226,6 @@ func UnmarshalEvent(line []byte) (Event, error) { return obs.UnmarshalEvent(line
 
 // ReadJSONL decodes a recorded JSONL stream back into events.
 func ReadJSONL(r io.Reader) ([]Event, error) { return obs.ReadJSONL(r) }
-
-// Simulation-as-a-service vocabulary, re-exported from internal/service: the
-// layer cmd/soter-serve runs, for applications that want to embed the job
-// server (submit batch jobs against the scenario registry, stream obs events,
-// share the tiered result store) instead of shelling out to HTTP.
-type (
-	// ServiceConfig sizes a job server (incl. StoreDir/StoreMaxBytes/Peers,
-	// the result store's durable and distributed tiers).
-	ServiceConfig = service.Config
-	// ServiceServer accepts, schedules, stores and reports batch jobs.
-	ServiceServer = service.Server
-	// ServiceStats is the /stats payload (store counters, job tallies).
-	ServiceStats = service.Stats
-	// Job is one submitted batch with its live state.
-	Job = service.Job
-	// JobSpec is a batch simulation request (scenario, overrides, seeds).
-	JobSpec = service.JobSpec
-	// JobStatus is a job's lifecycle state.
-	JobStatus = service.Status
-	// JobOverrides is the declarative override set of a JobSpec.
-	JobOverrides = service.Overrides
-)
-
-// Result-store vocabulary, re-exported from internal/store: the durable,
-// sharded, deduplicated result store behind the serving layer. Every mission
-// is deterministic per (spec, seed), so its verdict is a content-addressed
-// artifact keyed by Spec.Fingerprint(seed); the store composes an in-memory
-// LRU, a crash-safe disk tier and a peer fetch-through tier behind one
-// interface, with a singleflight group collapsing concurrent identical
-// fills.
-type (
-	// ResultStore is the tier contract (Get/Put/Stats/Close by fingerprint).
-	ResultStore = store.Store
-	// TieredStore is the composed memory → disk → peers store the server runs.
-	TieredStore = store.Tiered
-	// StoreOptions configures a TieredStore's tiers.
-	StoreOptions = store.Options
-	// MemoryStore is tier 0: the in-process LRU.
-	MemoryStore = store.Memory
-	// DiskStore is tier 1: fingerprint-sharded crash-safe files.
-	DiskStore = store.Disk
-	// PeerStore is tier 2: rendezvous-hashed fetch-through from siblings.
-	PeerStore = store.Peers
-	// PeerStoreConfig configures a PeerStore.
-	PeerStoreConfig = store.PeersConfig
-	// StoreStats is the whole store's counter snapshot (/stats payload).
-	StoreStats = store.Stats
-	// StoreTierStats is one tier's counter snapshot.
-	StoreTierStats = store.TierStats
-	// StorePayload is the canonical stored form of one mission's verdict.
-	StorePayload = store.Payload
-)
-
-// NewTieredStore composes a result store from the configured tiers;
-// NewMemoryStore, NewDiskStore and NewPeerStore build the individual tiers.
-func NewTieredStore(opts StoreOptions) *TieredStore { return store.NewTiered(opts) }
-
-// NewMemoryStore builds the in-process LRU tier (capacity entries; 0 =
-// default).
-func NewMemoryStore(capacity int) *MemoryStore { return store.NewMemory(capacity) }
-
-// NewDiskStore opens the crash-safe disk tier rooted at dir (maxBytes 0 =
-// default 1 GiB).
-func NewDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
-	return store.NewDisk(dir, maxBytes)
-}
-
-// NewPeerStore builds the peer fetch-through tier over sibling soter-serve
-// base URLs.
-func NewPeerStore(cfg PeerStoreConfig) (*PeerStore, error) { return store.NewPeers(cfg) }
-
-// Job lifecycle states.
-const (
-	JobQueued    = service.StatusQueued
-	JobRunning   = service.StatusRunning
-	JobDone      = service.StatusDone
-	JobFailed    = service.StatusFailed
-	JobCancelled = service.StatusCancelled
-)
-
-// NewService builds a job server and starts its runners; Close releases
-// them. Handler() adapts it to HTTP — cmd/soter-serve is exactly that
-// wiring plus graceful shutdown. It errors when the configured store tiers
-// cannot be opened.
-func NewService(cfg ServiceConfig) (*ServiceServer, error) { return service.New(cfg) }
-
-// Falsification vocabulary, re-exported from internal/falsify: adversarial
-// counterexample search over the scenario × policy × seed space. Campaigns
-// are deterministic given (strategy, seed, budget); counterexamples are
-// self-contained and replayable. The serving layer runs the same engine as
-// POST /falsify jobs (FalsifyJobSpec below).
-type (
-	// FalsifyConfig configures a falsification campaign.
-	FalsifyConfig = falsify.Config
-	// FalsifyResult is a campaign's deterministic ranked summary.
-	FalsifyResult = falsify.Result
-	// FalsifyParams is one point of the search space — the JSON delta a
-	// counterexample carries to be replayed over its base scenario.
-	FalsifyParams = falsify.Params
-	// FalsifyVerdict is the oracle's summary of one candidate execution.
-	FalsifyVerdict = falsify.Verdict
-	// Counterexample is one distinct falsifying execution, replayable.
-	Counterexample = falsify.Counterexample
-	// FalsifyStrategy decides how a campaign spends its execution budget.
-	FalsifyStrategy = falsify.Strategy
-	// FalsifyStrategyFactory builds a strategy from a "name:K" spec parameter.
-	FalsifyStrategyFactory = falsify.StrategyFactory
-	// CorpusEntry is the on-disk form of a counterexample (testdata corpora).
-	CorpusEntry = falsify.CorpusEntry
-	// FalsifyJobSpec is the serving layer's falsification-campaign request.
-	FalsifyJobSpec = service.FalsifyJobSpec
-)
-
-// Falsify runs one falsification campaign to completion (or cancellation).
-func Falsify(ctx context.Context, cfg FalsifyConfig) (*FalsifyResult, error) {
-	return falsify.Campaign(ctx, cfg)
-}
-
-// RegisterFalsifyStrategy adds a named search strategy to the falsification
-// registry. Built-ins: random (seeded uniform sampling, the default), guided
-// (hill-climb on the severity objective), schedule (bounded-asynchrony
-// interleaving enumeration).
-func RegisterFalsifyStrategy(name string, f FalsifyStrategyFactory) error {
-	return falsify.RegisterStrategy(name, f)
-}
-
-// FalsifyStrategyNames returns the registered strategy names, sorted.
-func FalsifyStrategyNames() []string { return falsify.StrategyNames() }
-
-// CanonicalFalsifyStrategySpec normalizes a strategy spec, making defaults
-// explicit ("" → "random", "guided" → "guided:8").
-func CanonicalFalsifyStrategySpec(spec string) (string, error) {
-	return falsify.CanonicalStrategySpec(spec)
-}
-
-// Certification vocabulary, re-exported from internal/certify: statistical
-// crash-probability certification of (scenario, overrides, policy) cells by
-// sequential seed sweeps with early stopping — "crash probability < 1e-3 at
-// 95% confidence" as a first-class, deterministic verdict. The serving layer
-// runs the same engine as POST /certify jobs (CertifyJobSpec below).
-type (
-	// CertifyConfig configures one certification cell and its test.
-	CertifyConfig = certify.Config
-	// CertifyResult is a certification campaign's deterministic summary.
-	CertifyResult = certify.Result
-	// CertifyVerdict is the campaign's terminal answer.
-	CertifyVerdict = certify.Verdict
-	// CertifyInterval is a confidence interval on the crash probability.
-	CertifyInterval = certify.Interval
-	// CertifyMatrixConfig sweeps one test over a scenarios × policies grid.
-	CertifyMatrixConfig = certify.MatrixConfig
-	// CertifyMatrixResult is the certification matrix with verdict tallies.
-	CertifyMatrixResult = certify.MatrixResult
-	// CertifyJobSpec is the serving layer's certification request.
-	CertifyJobSpec = service.CertifyJobSpec
-)
-
-// Certification verdicts.
-const (
-	// CertifiedVerdict: the interval's upper bound is below the threshold.
-	CertifiedVerdict = certify.VerdictCertified
-	// RefutedVerdict: the interval's lower bound is above the threshold.
-	RefutedVerdict = certify.VerdictRefuted
-	// InconclusiveVerdict: the budget ran out with the interval straddling.
-	InconclusiveVerdict = certify.VerdictInconclusive
-)
-
-// Certify runs one certification campaign to completion, early stop, or
-// cancellation (returning the partial result marked inconclusive).
-func Certify(ctx context.Context, cfg CertifyConfig) (*CertifyResult, error) {
-	return certify.Certify(ctx, cfg)
-}
-
-// CertifyMatrix certifies every cell of a scenarios × policies grid.
-func CertifyMatrix(ctx context.Context, mc CertifyMatrixConfig) (*CertifyMatrixResult, error) {
-	return certify.Matrix(ctx, mc)
-}
 
 // Modes.
 const (
