@@ -6,13 +6,18 @@
 // Usage:
 //
 //	soter-falsify [-scenario surveillance-city] [-strategy guided:8]
-//	              [-seed 1] [-budget 64] [-duration 20s] [-json]
+//	              [-seed 1] [-budget 64] [-duration 20s] [-base '{...}'] [-json]
 //	              [-corpus testdata/falsified] [-register]
 //	soter-falsify -replay testdata/falsified
 //
 // The second form replays a counterexample corpus and verifies every
 // non-retired entry still falsifies — the regression direction of the same
 // tool, suitable for CI.
+//
+// -base pins campaign-wide falsify.Params in the JSON form of soter-serve's
+// falsify "base" field. With -strategy schedule[:N] the campaign model-checks
+// node interleavings (internal/explore); a slim base keeps that tree
+// tractable, e.g. -base '{"no_planner_module":true,"no_battery_module":true}'.
 package main
 
 import (
@@ -46,6 +51,7 @@ func run() error {
 		seed         = flag.Int64("seed", 1, "campaign seed (mutations and run seeds derive from it)")
 		budget       = flag.Int("budget", falsify.DefaultBudget, "execution budget (candidate runs)")
 		duration     = flag.Duration("duration", 0, "per-candidate mission horizon override (0 = scenario default)")
+		base         = flag.String("base", "", "campaign-wide Params pin as JSON (the soter-serve falsify \"base\" field)")
 		policies     = flag.String("policies", "", "comma-separated policy mutation pool (default: every registered policy)")
 		clampStorm   = flag.Int("clamp-storm", 0, "clamp-storm threshold (0 = default, negative disables the category)")
 		maxCE        = flag.Int("max-counterexamples", 0, "bound on the ranked result list (0 = default)")
@@ -76,6 +82,13 @@ func run() error {
 		ClampStorm:         *clampStorm,
 		MaxCounterexamples: *maxCE,
 		AutoRegister:       *register,
+	}
+	if *base != "" {
+		dec := json.NewDecoder(strings.NewReader(*base))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&cfg.Base); err != nil {
+			return fmt.Errorf("-base: %w", err)
+		}
 	}
 	if *policies != "" {
 		for _, p := range strings.Split(*policies, ",") {

@@ -55,7 +55,7 @@ type Calendar struct {
 	scheds map[string]Schedule
 	names  []string // sorted, for deterministic iteration
 	// byName is the schedule list aligned with names, so the per-instant
-	// scans in NextTime/FiringAt skip the map lookups.
+	// scans in PeekNext/FiringAt skip the map lookups.
 	byName []Schedule
 }
 
@@ -117,21 +117,11 @@ func (c *Calendar) AppendFiringAt(t time.Duration, dst []string) []string {
 	return dst
 }
 
-// NextTime returns the earliest time strictly after ct at which any node
-// fires, together with the sorted set of nodes firing then (rules dt2, dt3).
-// ok is false when the calendar is empty.
-func (c *Calendar) NextTime(ct time.Duration) (next time.Duration, firing []string, ok bool) {
-	next, ok = c.PeekNext(ct)
-	if !ok {
-		return 0, nil, false
-	}
-	return next, c.FiringAt(next), true
-}
-
 // PeekNext returns the earliest time strictly after ct at which any node
-// fires, without materializing the firing set. It is the allocation-free
-// deadline check for run loops that only need to know whether — not what —
-// anything fires before a deadline.
+// fires (rules dt2, dt3; FiringAt gives the set firing then); ok is false
+// when the calendar is empty. It does not materialize the firing set, so run
+// loops that only need to know whether — not what — anything fires before a
+// deadline check it allocation-free.
 func (c *Calendar) PeekNext(ct time.Duration) (next time.Duration, ok bool) {
 	if len(c.byName) == 0 {
 		return 0, false
@@ -143,33 +133,4 @@ func (c *Calendar) PeekNext(ct time.Duration) (next time.Duration, ok bool) {
 		}
 	}
 	return next, true
-}
-
-// HyperPeriod returns the least common multiple of all periods (with phase 0
-// this is the cycle after which the firing pattern repeats). It saturates at
-// the maximum representable duration on overflow.
-func (c *Calendar) HyperPeriod() time.Duration {
-	l := time.Duration(0)
-	for _, s := range c.scheds {
-		if l == 0 {
-			l = s.Period
-			continue
-		}
-		l = lcm(l, s.Period)
-		if l <= 0 { // overflow
-			return time.Duration(1<<63 - 1)
-		}
-	}
-	return l
-}
-
-func gcd(a, b time.Duration) time.Duration {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm(a, b time.Duration) time.Duration {
-	return a / gcd(a, b) * b
 }

@@ -109,22 +109,32 @@ func TestCalendarAdd(t *testing.T) {
 	}
 }
 
+// nextTime is the executor's step rule: the earliest firing instant after ct
+// and the sorted set of nodes firing then.
+func nextTime(c *Calendar, ct time.Duration) (time.Duration, []string, bool) {
+	next, ok := c.PeekNext(ct)
+	if !ok {
+		return 0, nil, false
+	}
+	return next, c.FiringAt(next), true
+}
+
 func TestCalendarNextTime(t *testing.T) {
 	c := New()
 	mustAdd(t, c, "slow", Schedule{Period: 100 * time.Millisecond})
 	mustAdd(t, c, "fast", Schedule{Period: 20 * time.Millisecond})
 	mustAdd(t, c, "offset", Schedule{Period: 100 * time.Millisecond, Phase: 10 * time.Millisecond})
 
-	next, firing, ok := c.NextTime(0)
+	next, firing, ok := nextTime(c, 0)
 	if !ok || next != 10*time.Millisecond || !reflect.DeepEqual(firing, []string{"offset"}) {
 		t.Errorf("NextTime(0) = %v %v %v", next, firing, ok)
 	}
-	next, firing, ok = c.NextTime(10 * time.Millisecond)
+	next, firing, ok = nextTime(c, 10*time.Millisecond)
 	if !ok || next != 20*time.Millisecond || !reflect.DeepEqual(firing, []string{"fast"}) {
 		t.Errorf("NextTime(10ms) = %v %v %v", next, firing, ok)
 	}
 	// At 100ms both slow and fast fire; names are sorted.
-	next, firing, ok = c.NextTime(99 * time.Millisecond)
+	next, firing, ok = nextTime(c, 99*time.Millisecond)
 	if !ok || next != 100*time.Millisecond || !reflect.DeepEqual(firing, []string{"fast", "slow"}) {
 		t.Errorf("NextTime(99ms) = %v %v %v", next, firing, ok)
 	}
@@ -132,20 +142,8 @@ func TestCalendarNextTime(t *testing.T) {
 
 func TestCalendarEmpty(t *testing.T) {
 	c := New()
-	if _, _, ok := c.NextTime(0); ok {
+	if _, _, ok := nextTime(c, 0); ok {
 		t.Error("empty calendar should report no next time")
-	}
-	if c.HyperPeriod() != 0 {
-		t.Errorf("empty HyperPeriod = %v", c.HyperPeriod())
-	}
-}
-
-func TestCalendarHyperPeriod(t *testing.T) {
-	c := New()
-	mustAdd(t, c, "a", Schedule{Period: 20 * time.Millisecond})
-	mustAdd(t, c, "b", Schedule{Period: 50 * time.Millisecond})
-	if got := c.HyperPeriod(); got != 100*time.Millisecond {
-		t.Errorf("HyperPeriod = %v", got)
 	}
 }
 
@@ -159,7 +157,7 @@ func TestCalendarNamesSorted(t *testing.T) {
 	}
 }
 
-// Property: the firing set returned by NextTime is exactly the set of nodes
+// Property: the firing set at the next instant is exactly the set of nodes
 // whose schedule fires at that time.
 func TestCalendarFiringConsistency(t *testing.T) {
 	c := New()
@@ -168,7 +166,7 @@ func TestCalendarFiringConsistency(t *testing.T) {
 	mustAdd(t, c, "c", Schedule{Period: 110 * time.Millisecond})
 	ct := time.Duration(0)
 	for i := 0; i < 200; i++ {
-		next, firing, ok := c.NextTime(ct)
+		next, firing, ok := nextTime(c, ct)
 		if !ok {
 			t.Fatal("calendar exhausted")
 		}

@@ -169,8 +169,9 @@ func (cfg Config) Validate() error {
 }
 
 // campaign is the resolved sequential-sweep state. Accounting is
-// single-threaded in seed order; only evaluateOne runs on fleet workers, and
-// everything it touches on the campaign is immutable.
+// single-threaded in seed order; only evaluate's mission Build closures run
+// on fleet workers, and everything they touch on the campaign is immutable
+// (each writes only its own run's outcome).
 type campaign struct {
 	cfg       Config
 	spec      scenario.Spec
@@ -277,7 +278,7 @@ func newCampaign(cfg Config) (*campaign, error) {
 // binomial and keeps the exact Clopper-Pearson interval.
 func (c *campaign) importance() bool { return c.q > c.p }
 
-// run is the sequential sweep: evaluate a batch of seeds through fleet.Map,
+// run is the sequential sweep: evaluate a batch of seeds on the fleet engine,
 // fold the outcomes in seed order, recompute the interval, stop when it is
 // conclusive against the threshold or the budget is spent. A cancelled batch
 // is discarded whole, so the partial Result covers exactly the accounted
@@ -288,15 +289,7 @@ func (c *campaign) run(ctx context.Context) (*Result, error) {
 		if rem := c.cfg.MaxSeeds - c.seeds; n > rem {
 			n = rem
 		}
-		first := c.seeds
-		keys := c.batchKeys(first, n)
-		outs, _ := fleet.Map(ctx, c.cfg.Workers, n, func(ctx context.Context, i int) (runOutcome, error) {
-			key := ""
-			if keys != nil {
-				key = keys[i]
-			}
-			return c.evaluateOne(ctx, first+i, key), nil
-		})
+		outs := c.evaluate(ctx, c.seeds, n)
 		if err := ctx.Err(); err != nil {
 			res := c.result(VerdictInconclusive)
 			c.emitProgress(res)
@@ -325,20 +318,14 @@ type runOutcome struct {
 	err     error
 }
 
-// reusable reports whether the campaign's runs share fingerprints with
-// ordinary sweep missions — a deterministic fault model (no thinning, no
-// boost) means BuildWith applies no tweak, so the run is exactly the sweep
-// mission of (spec, seed) and the result store applies.
-func (c *campaign) reusable() bool {
-	return c.cfg.Store != nil && c.p >= 1 && c.q <= 1
-}
-
 // batchKeys fingerprints the batch's seeds for the result store, or returns
-// nil when the store does not apply (sporadic/boosted cells, no store). A
-// fingerprint failure disables reuse for the batch rather than failing it —
-// the campaign can always just simulate.
+// nil when the store does not apply: no store, or a sporadic/boosted cell,
+// whose thinned fault windows make its runs differ from the sweep mission of
+// (spec, seed) — only a deterministic fault model leaves BuildWith without a
+// tweak. A fingerprint failure disables reuse for the batch rather than
+// failing it — the campaign can always just simulate.
 func (c *campaign) batchKeys(first, n int) []string {
-	if !c.reusable() {
+	if c.cfg.Store == nil || c.p < 1 {
 		return nil
 	}
 	seeds := make([]int64, n)
@@ -352,60 +339,40 @@ func (c *campaign) batchKeys(first, n int) []string {
 	return keys
 }
 
-// evaluateOne builds and simulates run idx. Runs inside a fleet worker. A
-// non-empty key routes the run through the result store's singleflight
-// group: a stored verdict is consumed without simulating, a miss elects this
-// run the fill leader and its fresh verdict is stored for every later
-// consumer (sweep jobs included).
-func (c *campaign) evaluateOne(ctx context.Context, idx int, key string) runOutcome {
-	seed := c.cfg.Seed + int64(idx)*101
-	out := runOutcome{weight: 1, wmax: 1}
-	var fill *store.Fill
-	if key != "" {
-		val, f := c.cfg.Store.Acquire(ctx, key)
-		if f == nil && val != nil {
-			if p, err := store.DecodePayload(val); err == nil {
-				out.crashed = p.Metrics.Crashed
-				return out
+// evaluate runs seeds first..first+n-1 as one fleet batch. Keyed missions
+// (deterministic cells with a store) go through the result store, so a
+// stored verdict is consumed without simulating and a fresh one is stored
+// for every later consumer, sweep jobs included. Sporadic cells thin their
+// fault windows inside the worker, which writes each run's likelihood-ratio
+// weights into its own outcome.
+func (c *campaign) evaluate(ctx context.Context, first, n int) []runOutcome {
+	keys := c.batchKeys(first, n)
+	outs := make([]runOutcome, n)
+	missions := make([]fleet.Mission, n)
+	for i := range missions {
+		seed := c.cfg.Seed + int64(first+i)*101
+		out := &outs[i]
+		*out = runOutcome{weight: 1, wmax: 1}
+		var tweak func(*mission.StackConfig)
+		if c.q < 1 || c.p < 1 {
+			tweak = func(sc *mission.StackConfig) {
+				sc.ACFaults, out.weight, out.wmax = thinFaults(sc.ACFaults, c.p, c.q, activationSeed(seed))
 			}
-			// Undecodable entry: fall through and simulate (without a fill —
-			// the singleflight slot already resolved for this acquire).
 		}
-		fill = f // nil when cancelled while waiting: simulate uncached
-	}
-	var tweak func(*mission.StackConfig)
-	if c.q < 1 || c.p < 1 {
-		tweak = func(sc *mission.StackConfig) {
-			sc.ACFaults, out.weight, out.wmax = thinFaults(sc.ACFaults, c.p, c.q, activationSeed(seed))
+		missions[i] = fleet.Mission{
+			Name:  c.cfg.Scenario,
+			Seed:  seed,
+			Build: func() (sim.RunConfig, error) { return c.spec.BuildWith(seed, tweak) },
 		}
-	}
-	rc, err := c.spec.BuildWith(seed, tweak)
-	if err != nil {
-		out.err = err
-		if fill != nil {
-			fill.Abort()
-		}
-		return out
-	}
-	rc.Context = ctx
-	rc.Label = c.cfg.Scenario
-	res, err := sim.Run(rc)
-	if err != nil {
-		out.err = err
-		if fill != nil {
-			fill.Abort()
-		}
-		return out
-	}
-	out.crashed = res.Metrics.Crashed
-	if fill != nil {
-		if raw, err := (store.Payload{Metrics: res.Metrics, Switches: res.Switches}).Encode(); err == nil {
-			fill.Complete(ctx, raw)
-		} else {
-			fill.Abort()
+		if keys != nil {
+			missions[i].Key = keys[i]
 		}
 	}
-	return out
+	rep := fleet.Run(ctx, missions, fleet.Options{Workers: c.cfg.Workers, Store: c.cfg.Store})
+	for i, res := range rep.Results {
+		outs[i].crashed, outs[i].err = res.Metrics.Crashed, res.Err
+	}
+	return outs
 }
 
 // thinFaults samples the sporadic fault model: each scheduled window fires

@@ -1,7 +1,7 @@
 // Package certify is the statistical certification engine of the
 // reproduction: it turns "is this (scenario, policy) cell safe?" from a
 // single-seed anecdote into a sequential hypothesis test. A certification
-// campaign sweeps seeds in batches through fleet.Map, maintains a
+// campaign sweeps seeds in batches through the fleet engine, maintains a
 // crash-probability estimator with exact two-sided confidence intervals
 // (Clopper-Pearson, plus Wilson for display), and stops as soon as the
 // interval is conclusive against the target threshold — certified when the
@@ -21,7 +21,7 @@
 // seeds-consumed are pure functions of (cell, threshold, confidence, seed,
 // batch size) and byte-identical at any worker count, because run seeds and
 // fault-activation draws derive only from the campaign seed and the run
-// index, batches are evaluated through fleet.Map (index-ordered results),
+// index, batches are evaluated through fleet.Run (index-ordered results),
 // and accounting folds outcomes in index order.
 package certify
 

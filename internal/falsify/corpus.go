@@ -156,20 +156,19 @@ func (c Counterexample) Replay(ctx context.Context) (Verdict, error) {
 	if err != nil {
 		return Verdict{}, err
 	}
-	oracle := NewOracle(rc.Stack.Config.Workspace)
 	rc.Context = ctx
 	rc.Label = c.Name
-	rc.Observers = append(rc.Observers, oracle)
-	if _, err := sim.Run(rc); err != nil {
+	res, err := sim.Run(rc)
+	if err != nil {
 		return Verdict{}, err
 	}
-	return oracle.Verdict(), nil
+	return verdictOf(res.Metrics), nil
 }
 
 // replaySchedule re-executes the recorded interleaving.
 func (c Counterexample) replaySchedule(spec scenario.Spec) (Verdict, error) {
 	v, err := explore.ReplaySchedule(explore.Config{
-		Build:   ScheduleInstanceBuilder(spec, c.Candidate.Seed),
+		Build:   scheduleInstanceBuilder(spec, c.Candidate.Seed),
 		Horizon: spec.Duration,
 	}, c.Schedule)
 	if err != nil {

@@ -9,7 +9,7 @@
 // fault/planner-bug/jitter profiles, Δ/hysteresis, workspace family,
 // switching policy — filtered for validity through Spec.Validate. Strategies
 // live behind a named registry mirroring rta.Policy's: "random" (seeded
-// uniform sampling), "guided" (hill-climb on the Oracle's severity
+// uniform sampling), "guided" (hill-climb on the verdict's severity
 // objective), "schedule" (the internal/explore bounded-asynchrony
 // interleaving enumeration wrapped as one strategy, so the seed engine
 // survives as a backend rather than an island).
@@ -17,7 +17,7 @@
 // Campaigns are deterministic: given (strategy, seed, budget) the ranked
 // counterexample list is byte-identical at any worker count, because
 // candidates are generated single-threaded from one seeded RNG, evaluated
-// through fleet.Map (index-ordered results), and accounted in index order.
+// through fleet.Run (index-ordered results), and accounted in index order.
 // Every Counterexample carries the exact canonical spec delta, seed, policy
 // and fingerprint needed to replay it; found ones auto-register as
 // "falsified/<hash>" regression scenarios and can be persisted to a JSON
@@ -383,59 +383,59 @@ func (e *Engine) Evaluate(ctx context.Context, batch []Candidate) ([]Outcome, er
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	outs, _ := fleet.Map(ctx, e.cfg.Workers, len(batch), func(ctx context.Context, i int) (Outcome, error) {
-		return e.evaluateOne(ctx, batch[i]), nil
-	})
+	outs := make([]Outcome, len(batch))
+	missions := make([]fleet.Mission, len(batch))
+	for i, cand := range batch {
+		outs[i].Candidate = cand
+		missions[i] = e.mission(&outs[i])
+	}
+	rep := fleet.Run(ctx, missions, fleet.Options{Workers: e.cfg.Workers})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for i := range outs {
-		e.account(&outs[i])
+	for i, res := range rep.Results {
+		out := &outs[i]
+		if out.Err == nil {
+			out.Verdict = verdictOf(res.Metrics)
+			if res.Err != nil {
+				out.Verdict.Err = res.Err.Error()
+			} else {
+				out.Severity = Severity(out.Verdict, e.margin)
+				out.Category = out.Verdict.Category(e.cfg.ClampStorm)
+			}
+		}
+		e.account(out)
 	}
 	e.emitProgress()
 	return outs, nil
 }
 
-// evaluateOne builds and simulates one candidate. It runs inside a fleet
-// worker: everything it touches on the engine is immutable campaign state.
-func (e *Engine) evaluateOne(ctx context.Context, cand Candidate) Outcome {
-	out := Outcome{Candidate: cand}
+// mission compiles a candidate into a keyless fleet mission. Candidates do
+// not go through the result store: no measured workload shows them recurring
+// across jobs, and every fill would cost a store write. A candidate that cannot be evaluated — an invalid spec after mutation, a
+// build failure — records the reason in out.Err; the Build closure runs on a
+// fleet worker and writes only its own outcome.
+func (e *Engine) mission(out *Outcome) fleet.Mission {
+	cand := out.Candidate
+	m := fleet.Mission{Name: e.cfg.Scenario, Seed: cand.Seed}
 	spec, err := cand.Params.Apply(e.base)
 	if err == nil {
 		err = spec.Validate()
 	}
+	if err == nil {
+		out.Fingerprint, err = spec.Fingerprint(cand.Seed)
+	}
 	if err != nil {
 		out.Err = err
-		return out
+		m.Build = func() (sim.RunConfig, error) { return sim.RunConfig{}, err }
+		return m
 	}
-	out.Fingerprint, err = spec.Fingerprint(cand.Seed)
-	if err != nil {
+	m.Build = func() (sim.RunConfig, error) {
+		rc, err := spec.Build(cand.Seed)
 		out.Err = err
-		return out
+		return rc, err
 	}
-	rc, err := spec.Build(cand.Seed)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	oracle := NewOracle(rc.Stack.Config.Workspace)
-	rc.Context = ctx
-	rc.Label = e.cfg.Scenario
-	rc.Observers = append(rc.Observers, oracle)
-	if _, err := sim.Run(rc); err != nil {
-		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-			out.Err = err
-			return out
-		}
-		v := oracle.Verdict()
-		v.Err = err.Error()
-		out.Verdict = v
-		return out
-	}
-	out.Verdict = oracle.Verdict()
-	out.Severity = Severity(out.Verdict, e.margin)
-	out.Category = out.Verdict.Category(e.cfg.ClampStorm)
-	return out
+	return m
 }
 
 // account folds one outcome into the campaign state, in candidate order.

@@ -61,7 +61,7 @@ func (s scheduleStrategy) Name() string {
 func (s scheduleStrategy) Search(ctx context.Context, e *Engine) error {
 	spec := e.Base()
 	ecfg := explore.Config{
-		Build:        ScheduleInstanceBuilder(spec, e.CampaignSeed()),
+		Build:        scheduleInstanceBuilder(spec, e.CampaignSeed()),
 		Horizon:      spec.Duration,
 		MaxSchedules: e.Remaining(),
 	}
@@ -101,13 +101,12 @@ func convertExploreReport(rep *explore.Report) *ScheduleReport {
 	return out
 }
 
-// ScheduleInstanceBuilder compiles a scenario Spec into the explore backend's
+// scheduleInstanceBuilder compiles a scenario Spec into the explore backend's
 // per-schedule instance factory: a fresh mission stack, a plant-in-the-loop
 // environment and the no-crash property. This is what lets the systematic
 // tester run *any* registered scenario, where the seed engine drove one
-// hand-built system. Exposed for replay (corpus entries with a Schedule) and
-// for cmd/soter-explore.
-func ScheduleInstanceBuilder(spec scenario.Spec, seed int64) explore.Builder {
+// hand-built system. Corpus replay of schedule counterexamples uses it too.
+func scheduleInstanceBuilder(spec scenario.Spec, seed int64) explore.Builder {
 	return func() (*explore.Instance, error) {
 		cfg, err := spec.StackConfig(seed)
 		if err != nil {

@@ -84,7 +84,7 @@ func TestScheduleStrategyDeterministicSpend(t *testing.T) {
 		Seed:     1,
 		Budget:   4,
 		Duration: 500 * time.Millisecond,
-		// Fewer modules, tractable branching — the soter-explore default.
+		// Fewer modules, tractable branching — the usual schedule-strategy base.
 		Base: Params{NoPlannerModule: &off, NoBatteryModule: &off},
 	}
 	var want []byte

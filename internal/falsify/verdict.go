@@ -1,12 +1,8 @@
 package falsify
 
-import (
-	"repro/internal/geom"
-	"repro/internal/obs"
-	"repro/internal/rta"
-)
+import "repro/internal/sim"
 
-// Verdict is the oracle's summary of one candidate execution — the facts the
+// Verdict is the summary of one candidate execution — the facts the
 // severity objective and the counterexample classification are computed from.
 // It is JSON-stable: corpus entries pin it so a replay can be compared
 // against the verdict the counterexample was filed with.
@@ -91,62 +87,22 @@ func Severity(v Verdict, margin float64) float64 {
 	return s
 }
 
-// Oracle watches one candidate run's event stream and condenses it into a
-// Verdict: crashes, φInv violations, clamp count and the minimum obstacle
-// clearance (the near-miss distance standing in for the minimum ttf2Δ
-// margin, which is not directly observable on the stream). It narrows its
-// interests to the four kinds it needs and implements the typed trajectory
-// fast path, so attaching it costs the run loop nothing extra. One oracle
-// observes one run.
-type Oracle struct {
-	ws        *geom.Workspace
-	v         Verdict
-	haveClear bool
-}
-
-// NewOracle builds an oracle measuring clearance against ws (nil disables
-// near-miss tracking).
-func NewOracle(ws *geom.Workspace) *Oracle { return &Oracle{ws: ws} }
-
-// Interests implements obs.Interested.
-func (o *Oracle) Interests() obs.KindSet {
-	return obs.Kinds(obs.KindModeSwitch, obs.KindInvariantViolation, obs.KindCrash, obs.KindTrajectorySample)
-}
-
-// OnEvent implements obs.Observer.
-func (o *Oracle) OnEvent(e obs.Event) {
-	switch ev := e.(type) {
-	case obs.ModeSwitch:
-		if ev.To == rta.ModeSC {
-			o.v.Disengagements++
-			if ev.Reason == rta.ReasonClamped {
-				o.v.Clamped++
-			}
-		}
-	case obs.InvariantViolation:
-		o.v.InvariantViolations++
-	case obs.Crash:
-		o.v.Collisions++
-		if !o.v.Crashed {
-			o.v.Crashed = true
-			o.v.CrashTime = int64(ev.T)
-		}
-	case obs.TrajectorySample:
-		o.OnTrajectorySample(ev)
+// verdictOf condenses a run's metrics into the falsification verdict: every
+// fact the severity objective and the counterexample classification need is
+// already aggregated by the run's obs.MetricsSink (clamps and disengagements
+// summed over modules; MinClearance is the near-miss distance standing in for
+// the minimum ttf2Δ margin, which the event stream does not carry).
+func verdictOf(m sim.Metrics) Verdict {
+	v := Verdict{
+		Crashed:             m.Crashed,
+		CrashTime:           int64(m.CrashTime),
+		Collisions:          m.Collisions,
+		InvariantViolations: m.InvariantViolations,
+		Disengagements:      m.TotalDisengagements(),
+		MinClearance:        m.MinClearance,
 	}
-}
-
-// OnTrajectorySample implements obs.TrajectoryObserver — the unboxed entry
-// point for the highest-volume kind.
-func (o *Oracle) OnTrajectorySample(ev obs.TrajectorySample) {
-	if o.ws == nil || ev.Landed {
-		return
+	for _, s := range m.Modules {
+		v.Clamped += s.Clamped
 	}
-	if c := o.ws.Clearance(ev.Pos); !o.haveClear || c < o.v.MinClearance {
-		o.v.MinClearance = c
-		o.haveClear = true
-	}
+	return v
 }
-
-// Verdict returns the aggregated verdict.
-func (o *Oracle) Verdict() Verdict { return o.v }

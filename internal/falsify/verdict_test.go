@@ -64,32 +64,24 @@ func TestSeverity(t *testing.T) {
 	}
 }
 
+// TestOracleAggregation: a candidate's verdict is derived from the run's
+// obs.MetricsSink aggregate. A clamp is an SC switch with the clamped reason;
+// a coordinated disengagement is an SC switch for any other reason; AC
+// re-engagements count as neither; the crash time is the first collision's.
 func TestOracleAggregation(t *testing.T) {
-	ws := geom.CityWorkspace()
-	o := NewOracle(ws)
+	sink := obs.NewMetricsSink(geom.CityWorkspace())
+	sink.OnEvent(obs.RunStart{Modules: []string{"motion", "battery"}})
+	sink.OnEvent(obs.ModeSwitch{T: 10 * time.Millisecond, Module: "motion", From: rta.ModeAC, To: rta.ModeSC, Reason: rta.ReasonClamped})
+	sink.OnEvent(obs.ModeSwitch{T: 20 * time.Millisecond, Module: "battery", From: rta.ModeAC, To: rta.ModeSC, Reason: rta.ReasonTTFTrip})
+	sink.OnEvent(obs.ModeSwitch{T: 30 * time.Millisecond, Module: "motion", From: rta.ModeSC, To: rta.ModeAC, Reason: rta.ReasonRecovery})
+	sink.OnEvent(obs.ModeSwitch{T: 35 * time.Millisecond, Module: "battery", From: rta.ModeAC, To: rta.ModeSC, Reason: rta.ReasonClamped})
+	sink.OnEvent(obs.InvariantViolation{T: 40 * time.Millisecond, Module: "motion", Mode: rta.ModeSC})
+	sink.OnEvent(obs.Crash{T: 50 * time.Millisecond, Pos: geom.V(1, 1, 0)})
+	sink.OnEvent(obs.Crash{T: 60 * time.Millisecond, Pos: geom.V(1, 1, 0)})
 
-	for _, k := range []obs.Kind{obs.KindModeSwitch, obs.KindInvariantViolation, obs.KindCrash, obs.KindTrajectorySample} {
-		if !o.Interests().Has(k) {
-			t.Errorf("oracle not interested in %v", k)
-		}
-	}
-	if o.Interests().Has(obs.KindNodeFired) {
-		t.Error("oracle subscribed to the hot NodeFired kind")
-	}
-
-	// A clamp is an SC switch with the clamped reason; a coordinated
-	// disengagement is an SC switch for any other reason; AC re-engagements
-	// count as neither.
-	o.OnEvent(obs.ModeSwitch{T: 10 * time.Millisecond, Module: "motion", From: rta.ModeAC, To: rta.ModeSC, Reason: rta.ReasonClamped})
-	o.OnEvent(obs.ModeSwitch{T: 20 * time.Millisecond, Module: "motion", From: rta.ModeAC, To: rta.ModeSC, Reason: rta.ReasonTTFTrip})
-	o.OnEvent(obs.ModeSwitch{T: 30 * time.Millisecond, Module: "motion", From: rta.ModeSC, To: rta.ModeAC, Reason: rta.ReasonRecovery})
-	o.OnEvent(obs.InvariantViolation{T: 40 * time.Millisecond, Module: "motion", Mode: rta.ModeSC})
-	o.OnEvent(obs.Crash{T: 50 * time.Millisecond, Pos: geom.V(1, 1, 0)})
-	o.OnEvent(obs.Crash{T: 60 * time.Millisecond, Pos: geom.V(1, 1, 0)})
-
-	v := o.Verdict()
-	if v.Clamped != 1 || v.Disengagements != 2 {
-		t.Errorf("clamped=%d disengagements=%d, want 1, 2", v.Clamped, v.Disengagements)
+	v := verdictOf(sink.Metrics())
+	if v.Clamped != 2 || v.Disengagements != 3 {
+		t.Errorf("clamped=%d disengagements=%d, want 2, 3 (summed over modules)", v.Clamped, v.Disengagements)
 	}
 	if v.InvariantViolations != 1 {
 		t.Errorf("invariant violations = %d", v.InvariantViolations)
@@ -99,24 +91,26 @@ func TestOracleAggregation(t *testing.T) {
 	}
 }
 
+// TestOracleMinClearance: the verdict's near-miss distance is the sink's
+// minimum obstacle clearance over airborne samples.
 func TestOracleMinClearance(t *testing.T) {
 	ws := geom.CityWorkspace()
-	o := NewOracle(ws)
+	sink := obs.NewMetricsSink(ws)
 	a := geom.V(5, 5, 2)
 	b := geom.V(25, 25, 2)
 	ca, cb := ws.Clearance(a), ws.Clearance(b)
-	o.OnTrajectorySample(obs.TrajectorySample{T: 0, Pos: a})
-	o.OnTrajectorySample(obs.TrajectorySample{T: time.Millisecond, Pos: b})
+	sink.OnTrajectorySample(obs.TrajectorySample{T: 0, Pos: a})
+	sink.OnTrajectorySample(obs.TrajectorySample{T: time.Millisecond, Pos: b})
 	// Landed samples are ignored: ground contact at the pad is not a near-miss.
-	o.OnTrajectorySample(obs.TrajectorySample{T: 2 * time.Millisecond, Pos: geom.V(0, 0, 0), Landed: true})
-	if want := min(ca, cb); o.Verdict().MinClearance != want {
-		t.Errorf("MinClearance = %v, want %v (a=%v b=%v)", o.Verdict().MinClearance, want, ca, cb)
+	sink.OnTrajectorySample(obs.TrajectorySample{T: 2 * time.Millisecond, Pos: geom.V(0, 0, 0), Landed: true})
+	if got, want := verdictOf(sink.Metrics()).MinClearance, min(ca, cb); got != want {
+		t.Errorf("MinClearance = %v, want %v (a=%v b=%v)", got, want, ca, cb)
 	}
 
 	// A nil workspace disables the near-miss channel entirely.
-	o2 := NewOracle(nil)
-	o2.OnTrajectorySample(obs.TrajectorySample{Pos: a})
-	if o2.Verdict().MinClearance != 0 {
-		t.Errorf("nil-workspace oracle measured clearance %v", o2.Verdict().MinClearance)
+	blind := obs.NewMetricsSink(nil)
+	blind.OnTrajectorySample(obs.TrajectorySample{Pos: a})
+	if got := verdictOf(blind.Metrics()).MinClearance; got != 0 {
+		t.Errorf("nil-workspace sink measured clearance %v", got)
 	}
 }

@@ -13,7 +13,10 @@
 // worker count or completion order — including each mission's event stream,
 // which its per-run obs.MetricsSink aggregates into the MissionResult
 // metrics the Report is assembled from. Run threads a context through the
-// pool and into every mission, so whole batches cancel cleanly.
+// pool and into every mission, so whole batches cancel cleanly. With
+// Options.Store set, Run is the repository's one cell evaluator: sweep jobs,
+// certification and falsification all run their (spec, seed) cells through
+// it and share the tiered result store's entries.
 package fleet
 
 import (
@@ -30,6 +33,7 @@ import (
 	"repro/internal/rta"
 	soterruntime "repro/internal/runtime"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // Options configures a batch run.
@@ -43,19 +47,19 @@ type Options struct {
 	// Workers bounds how many missions simulate concurrently. Zero or
 	// negative defaults to runtime.GOMAXPROCS(0).
 	Workers int
-	// Reuse, when non-nil, is consulted inside the worker before a mission is
-	// built: returning (res, true) serves the mission from that prior result
-	// — marked Cached, with the mission's own Name and Seed — without
-	// simulating. This is the serving layer's deterministic-cache hook: runs
-	// are reproducible per (scenario, seed), so a remembered result is
-	// indistinguishable from a fresh one. Reuse is called concurrently from
-	// every worker and must be safe for concurrent use.
-	Reuse func(i int, m Mission) (MissionResult, bool)
+	// Store, when non-nil, is the tiered result store every keyed mission
+	// goes through: a stored verdict is served without simulating — marked
+	// Cached, with the mission's own Name and Seed — and a miss makes this
+	// mission the key's fill leader, whose clean result is stored for every
+	// later consumer while concurrent requests for the same key wait on it.
+	// Runs are reproducible per (scenario, seed), so a stored result is
+	// indistinguishable from a fresh one.
+	Store *store.Tiered
 	// OnResult, when non-nil, is invoked inside the worker right after each
-	// mission's verdict is known (simulated, reused or failed) — the
-	// progress/cache-fill hook of the serving layer. Calls arrive in
-	// completion order, concurrently from every worker; OnResult must be safe
-	// for concurrent use.
+	// mission's verdict is known (simulated, stored or failed) — the
+	// progress hook of the serving layer. Calls arrive in completion order,
+	// concurrently from every worker; OnResult must be safe for concurrent
+	// use.
 	OnResult func(i int, m Mission, res MissionResult)
 }
 
@@ -73,6 +77,11 @@ type Mission struct {
 	// Seed is echoed into the result for traceability; Build is expected to
 	// thread it into the stack and run configuration.
 	Seed int64
+	// Key is the mission's result-store key, its
+	// scenario.Spec.Fingerprint(seed); empty keeps the mission out of
+	// Options.Store (a run whose configuration is not a plain (spec, seed)
+	// mission must not share entries with one).
+	Key string
 	// Build constructs the run configuration. It runs inside the worker, so
 	// everything it creates — stack, store, executor, RNG — is private to
 	// this run.
@@ -89,7 +98,7 @@ type MissionResult struct {
 	Switches []soterruntime.Switch
 	// Wall is the wall-clock time this mission took inside its worker.
 	Wall time.Duration
-	// Cached marks a result served through Options.Reuse instead of a fresh
+	// Cached marks a result served from Options.Store instead of a fresh
 	// simulation.
 	Cached bool
 	Err    error
@@ -179,7 +188,7 @@ func Run(ctx context.Context, missions []Mission, opts Options) *Report {
 	// must agree, and TestRunCancelledBatchContract holds them to it.
 	results, _ := Map(ctx, opts.Workers, len(missions), func(ctx context.Context, i int) (MissionResult, error) {
 		ran[i] = true
-		res := runOne(ctx, i, missions[i], opts)
+		res := runOne(ctx, missions[i], opts.Store)
 		if opts.OnResult != nil {
 			opts.OnResult(i, missions[i], res)
 		}
@@ -222,17 +231,28 @@ func Run(ctx context.Context, missions []Mission, opts Options) *Report {
 	return rep
 }
 
-// runOne runs mission i. The result is named so the deferred Wall stamp
-// lands on the value returned, on every path (a Reuse hit included).
-func runOne(ctx context.Context, i int, m Mission, opts Options) (res MissionResult) {
+// runOne runs one mission, through the result store when st is set and the
+// mission has a key. The result is named so the deferred Wall stamp lands on
+// the value returned, on every path (a store hit included).
+func runOne(ctx context.Context, m Mission, st *store.Tiered) (res MissionResult) {
 	res = MissionResult{Name: m.Name, Seed: m.Seed}
 	start := time.Now()                             //soter:nondet-ok MissionResult.Wall measures real elapsed time; it never feeds simulated state
 	defer func() { res.Wall = time.Since(start) }() //soter:nondet-ok measurement-only: reporting wall time of the mission
-	if opts.Reuse != nil {
-		if prior, ok := opts.Reuse(i, m); ok {
-			prior.Name, prior.Seed, prior.Cached = m.Name, m.Seed, true
-			return prior
+	var fill *store.Fill
+	if st != nil && m.Key != "" {
+		var val []byte
+		if val, fill = st.Acquire(ctx, m.Key); fill != nil {
+			// This mission leads the key's fill. Abort is a no-op once
+			// Complete ran; on every other exit — failure, cancellation, an
+			// unencodable result — it wakes the waiters to re-probe and
+			// elect a new leader rather than inherit the failure.
+			defer fill.Abort()
+		} else if p, err := store.DecodePayload(val); err == nil {
+			res.Metrics, res.Switches, res.Cached = p.Metrics, p.Switches, true
+			return res
 		}
+		// Otherwise a corrupt entry, or a wait cancelled mid-flight:
+		// simulate without a fill (the key's slot is not ours to end).
 	}
 	if m.Build == nil {
 		res.Err = fmt.Errorf("nil Build")
@@ -258,6 +278,11 @@ func runOne(ctx context.Context, i int, m Mission, opts Options) (res MissionRes
 		res.Switches = out.Switches
 	}
 	res.Err = err
+	if fill != nil && err == nil {
+		if raw, err := (store.Payload{Metrics: res.Metrics, Switches: res.Switches}).Encode(); err == nil {
+			fill.Complete(ctx, raw)
+		}
+	}
 	return res
 }
 
@@ -270,9 +295,10 @@ func runOne(ctx context.Context, i int, m Mission, opts Options) (res MissionRes
 // context and is expected to honour it).
 //
 // Index-ordered collection is what lets callers build worker-count-invariant
-// results on top: internal/certify folds each Map batch into its estimator
-// strictly in index order, so a certification verdict never depends on which
-// worker finished first. Keep that property when changing Map.
+// results on top: Run is built on it, and internal/certify and
+// internal/falsify fold each Run batch into their campaign state strictly in
+// index order, so a verdict never depends on which worker finished first.
+// Keep that property when changing Map.
 func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil

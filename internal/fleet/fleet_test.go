@@ -17,6 +17,7 @@ import (
 	"repro/internal/mission"
 	"repro/internal/plant"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // surveillanceMission builds a short, fully isolated surveillance run.
@@ -303,37 +304,50 @@ func TestFleetEventStreamsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestReuseAndOnResultHooks: missions served through Options.Reuse skip Build
-// entirely, come back marked Cached under their own name and seed, and both
-// fresh and reused verdicts flow through OnResult and into the aggregates.
-func TestReuseAndOnResultHooks(t *testing.T) {
-	missions := SeedSweep("hook", Seeds(1, 4), surveillanceMission)
-	var built atomic.Int32
+// keyedSweep is a SeedSweep whose missions carry distinct store keys and
+// count their Build calls.
+func keyedSweep(name string, n int, built *atomic.Int32) []Mission {
+	missions := SeedSweep(name, Seeds(1, n), surveillanceMission)
 	for i := range missions {
 		build := missions[i].Build
+		missions[i].Key = fmt.Sprintf("%s%08x", name, i)
 		missions[i].Build = func() (sim.RunConfig, error) {
 			built.Add(1)
 			return build()
 		}
 	}
-	canned := MissionResult{
-		Name:    "stale-name-must-be-overwritten",
-		Metrics: sim.Metrics{Duration: 5 * time.Second, DistanceFlown: 123},
+	return missions
+}
+
+// TestReuseAndOnResultHooks: missions whose key the store holds skip Build
+// entirely and come back marked Cached under their own name and seed; the
+// others simulate and fill the store; fresh and stored verdicts both flow
+// through OnResult and into the aggregates, and a rerun is served whole from
+// the store, byte-identical to the fresh results.
+func TestReuseAndOnResultHooks(t *testing.T) {
+	var built atomic.Int32
+	missions := keyedSweep("a0", 4, &built)
+	st := store.NewTiered(store.Options{})
+	defer st.Close()
+	canned, err := store.Payload{Metrics: sim.Metrics{Duration: 5 * time.Second, DistanceFlown: 123}}.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	var observed atomic.Int32
-	var cachedSeen atomic.Int32
-	rep := Run(context.Background(), missions, Options{
+	for i := 0; i < len(missions); i += 2 {
+		st.Put(context.Background(), missions[i].Key, canned) // even missions come from the store
+	}
+	var observed, cachedSeen atomic.Int32
+	opts := Options{
 		Workers: 2,
-		Reuse: func(i int, m Mission) (MissionResult, bool) {
-			return canned, i%2 == 0 // even missions come from the "cache"
-		},
+		Store:   st,
 		OnResult: func(i int, m Mission, res MissionResult) {
 			observed.Add(1)
 			if res.Cached {
 				cachedSeen.Add(1)
 			}
 		},
-	})
+	}
+	rep := Run(context.Background(), missions, opts)
 	if err := rep.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -355,27 +369,76 @@ func TestReuseAndOnResultHooks(t *testing.T) {
 				i, res.Name, res.Seed, missions[i].Name, missions[i].Seed)
 		}
 	}
-	// The canned metrics participate in aggregation like fresh ones.
+	if rep.Results[0].Metrics.DistanceFlown != 123 {
+		t.Errorf("stored metrics not served: %+v", rep.Results[0].Metrics)
+	}
 	if rep.SimTime != 4*5*time.Second {
 		t.Errorf("aggregate sim time = %v, want 20s", rep.SimTime)
+	}
+	if got := st.Stats().Fills; got != 2 {
+		t.Errorf("store fills = %d, want 2 (the simulated missions)", got)
+	}
+
+	again := Run(context.Background(), missions, opts)
+	if got := built.Load(); got != 2 {
+		t.Errorf("rerun built %d stacks in total, want 2 (all served from the store)", got)
+	}
+	for i := range again.Results {
+		a, b := rep.Results[i], again.Results[i]
+		if !b.Cached || !reflect.DeepEqual(a.Metrics, b.Metrics) || !reflect.DeepEqual(a.Switches, b.Switches) {
+			t.Errorf("mission %d: stored rerun diverges (cached=%v)", i, b.Cached)
+		}
+	}
+}
+
+// TestStoreFillProtocol: a mission leads its key's fill only for a clean
+// result — a failed mission aborts the fill, a corrupt entry is simulated
+// around without a fill, and keyless missions never touch the store. No
+// fill outlives its batch.
+func TestStoreFillProtocol(t *testing.T) {
+	var built atomic.Int32
+	missions := keyedSweep("b0", 3, &built)
+	missions[0].Build = func() (sim.RunConfig, error) { return sim.RunConfig{}, errors.New("boom") }
+	missions[2].Key = ""
+	st := store.NewTiered(store.Options{})
+	defer st.Close()
+	st.Put(context.Background(), missions[1].Key, []byte("not a payload"))
+	rep := Run(context.Background(), missions, Options{Workers: 2, Store: st})
+	if rep.Results[0].Err == nil || rep.Results[1].Err != nil || rep.Results[2].Err != nil {
+		t.Fatalf("errors = %v, %v, %v; want only mission 0 failing",
+			rep.Results[0].Err, rep.Results[1].Err, rep.Results[2].Err)
+	}
+	if rep.Results[1].Cached || built.Load() != 2 {
+		t.Errorf("corrupt entry: cached=%v, built %d; want it simulated", rep.Results[1].Cached, built.Load())
+	}
+	s := st.Stats()
+	if s.Fills != 0 || s.Aborts != 1 || s.Inflight != 0 {
+		t.Errorf("fills %d aborts %d inflight %d; want 0, 1, 0", s.Fills, s.Aborts, s.Inflight)
+	}
+	if s.Memory.Hits+s.Memory.Misses != 2 {
+		t.Errorf("store probed %d times, want 2 (keyless mission bypasses it)", s.Memory.Hits+s.Memory.Misses)
 	}
 }
 
 // TestMissionWallStamped: every result carries the wall time its worker
-// spent on it, both for fresh simulations and for Reuse hits (whose Wall is
-// the lookup latency, here at least the hook's own 1 ms).
+// spent on it, both for fresh simulations and for store hits, whose Wall is
+// the lookup latency — here a wait on another holder's in-flight fill.
 func TestMissionWallStamped(t *testing.T) {
-	missions := SeedSweep("wall", Seeds(1, 2), surveillanceMission)
-	rep := Run(context.Background(), missions, Options{
-		Workers: 2,
-		Reuse: func(i int, m Mission) (MissionResult, bool) {
-			if i == 0 {
-				return MissionResult{}, false
-			}
-			time.Sleep(time.Millisecond)
-			return MissionResult{Metrics: sim.Metrics{Duration: time.Second}}, true
-		},
-	})
+	var built atomic.Int32
+	missions := keyedSweep("c0", 2, &built)
+	st := store.NewTiered(store.Options{})
+	defer st.Close()
+	raw, err := store.Payload{Metrics: sim.Metrics{Duration: time.Second}}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	missions[0].Key = "" // simulated fresh
+	_, fill := st.Acquire(context.Background(), missions[1].Key)
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		fill.Complete(context.Background(), raw)
+	}()
+	rep := Run(context.Background(), missions, Options{Workers: 2, Store: st})
 	if err := rep.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -384,6 +447,6 @@ func TestMissionWallStamped(t *testing.T) {
 		t.Errorf("fresh mission: Cached=%v Wall=%v, want uncached with Wall > 0", fresh.Cached, fresh.Wall)
 	}
 	if !hit.Cached || hit.Wall < time.Millisecond {
-		t.Errorf("reused mission: Cached=%v Wall=%v, want cached with Wall ≥ 1ms", hit.Cached, hit.Wall)
+		t.Errorf("stored mission: Cached=%v Wall=%v, want cached with Wall ≥ 1ms", hit.Cached, hit.Wall)
 	}
 }

@@ -135,42 +135,8 @@ func (g *Grid) Neighbors26(c Cell, dst []Cell) []Cell {
 	return dst
 }
 
-// DistanceToOccupied computes, for every cell, the multi-source BFS hop
-// distance (in cells, 6-connected) to the nearest occupied cell. Occupied
-// cells have distance zero. The result indexes cells the same way as the
-// grid. This is the discrete analogue of the signed distance field a
-// level-set method produces, and drives the backward-reachable-set
-// computation in internal/reach.
-func (g *Grid) DistanceToOccupied() []int {
-	const unset = math.MaxInt32
-	dist := make([]int, len(g.occupied))
-	queue := make([]Cell, 0, len(g.occupied)/8)
-	for i := range dist {
-		if g.occupied[i] {
-			dist[i] = 0
-			queue = append(queue, g.cellAt(i))
-		} else {
-			dist[i] = unset
-		}
-	}
-	var nbuf []Cell
-	for head := 0; head < len(queue); head++ {
-		c := queue[head]
-		d := dist[g.index(c)]
-		nbuf = g.Neighbors6(c, nbuf[:0])
-		for _, n := range nbuf {
-			ni := g.index(n)
-			if dist[ni] > d+1 {
-				dist[ni] = d + 1
-				queue = append(queue, n)
-			}
-		}
-	}
-	return dist
-}
-
-// Index returns the linear index of a valid cell; it is exported so callers
-// can address per-cell data computed by DistanceToOccupied.
+// Index returns the linear index of a valid cell, and false for a cell
+// outside the grid — the key callers address per-cell data by.
 func (g *Grid) Index(c Cell) (int, bool) {
 	if !g.InGrid(c) {
 		return 0, false

@@ -90,48 +90,6 @@ func TestGridNeighbors(t *testing.T) {
 	}
 }
 
-func TestDistanceToOccupied(t *testing.T) {
-	g, _ := testGrid(t, 1.0, 0)
-	dist := g.DistanceToOccupied()
-	// Occupied cells are at distance 0.
-	i, _ := g.Index(g.CellOf(V(6, 6, 3)))
-	if dist[i] != 0 {
-		t.Errorf("occupied cell distance = %d", dist[i])
-	}
-	// A free cell adjacent to the obstacle is at distance 1.
-	i, _ = g.Index(g.CellOf(V(4.5, 6.5, 3)))
-	if dist[i] != 1 {
-		t.Errorf("adjacent cell distance = %d", dist[i])
-	}
-	// Distances grow with separation and satisfy the BFS property: each
-	// free cell has some 6-neighbor with distance one less.
-	var nbuf []Cell
-	nx, ny, nz := g.Dims()
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				c := Cell{x, y, z}
-				ci, _ := g.Index(c)
-				if dist[ci] == 0 {
-					continue
-				}
-				ok := false
-				nbuf = g.Neighbors6(c, nbuf[:0])
-				for _, n := range nbuf {
-					ni, _ := g.Index(n)
-					if dist[ni] == dist[ci]-1 {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Fatalf("cell %v (d=%d) has no predecessor", c, dist[ci])
-				}
-			}
-		}
-	}
-}
-
 // Property: CellOf maps any in-bounds point to a valid cell whose center is
 // within half a cell diagonal.
 func TestCellOfProperty(t *testing.T) {

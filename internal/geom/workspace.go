@@ -152,24 +152,6 @@ func (w *Workspace) segmentFreeLinear(a, b Vec3, margin float64) bool {
 	return true
 }
 
-// PathFree reports whether every consecutive segment of the waypoint path is
-// free with the given margin. A path with fewer than two waypoints is free if
-// all its points are.
-func (w *Workspace) PathFree(path []Vec3, margin float64) bool {
-	if len(path) == 0 {
-		return true
-	}
-	if len(path) == 1 {
-		return w.FreeWithMargin(path[0], margin)
-	}
-	for i := 0; i+1 < len(path); i++ {
-		if !w.SegmentFree(path[i], path[i+1], margin) {
-			return false
-		}
-	}
-	return true
-}
-
 // Clearance returns the distance from p to the nearest obstacle surface or
 // workspace boundary. Points inside an obstacle or outside the bounds report
 // zero clearance.

@@ -84,27 +84,6 @@ func TestWorkspaceSegmentFree(t *testing.T) {
 	}
 }
 
-func TestWorkspacePathFree(t *testing.T) {
-	ws := testWorkspace(t)
-	good := []Vec3{V(1, 1, 1), V(10, 1, 1), V(18, 10, 1)}
-	if !ws.PathFree(good, 0.2) {
-		t.Error("good path reported unsafe")
-	}
-	bad := []Vec3{V(1, 6, 3), V(10, 6, 3)}
-	if ws.PathFree(bad, 0) {
-		t.Error("colliding path reported safe")
-	}
-	if !ws.PathFree(nil, 0.2) {
-		t.Error("empty path should be free")
-	}
-	if !ws.PathFree([]Vec3{V(1, 1, 1)}, 0.2) {
-		t.Error("single free waypoint should be free")
-	}
-	if ws.PathFree([]Vec3{V(6, 6, 3)}, 0) {
-		t.Error("single colliding waypoint should not be free")
-	}
-}
-
 func TestWorkspaceClearance(t *testing.T) {
 	ws := testWorkspace(t)
 	if got := ws.Clearance(V(6, 6, 3)); got != 0 {

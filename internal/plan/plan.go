@@ -90,9 +90,10 @@ func FirstUnsafeSegment(p Plan, ws *geom.Workspace, margin float64) int {
 
 // DistanceToUnsafe returns the path distance from the start of the plan to
 // the first unsafe segment, and whether any segment is unsafe. The planner
-// RTA module's ttf2Δ uses this: if the drone, progressing along the plan at
-// vmax, can reach the unsafe segment within 2Δ, control must switch to the
-// certified planner.
+// RTA module's ttf2Δ does not use it: that check measures the straight-line
+// distance from the drone to the unsafe segment's start, the conservative
+// bound. Along-path distance is the tighter measure a sampled ttf2Δ could
+// adopt.
 func DistanceToUnsafe(p Plan, ws *geom.Workspace, margin float64) (float64, bool) {
 	idx := FirstUnsafeSegment(p, ws, margin)
 	if idx < 0 {

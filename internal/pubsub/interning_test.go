@@ -1,7 +1,6 @@
 package pubsub
 
 import (
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -88,109 +87,6 @@ func TestValuationCloneInto(t *testing.T) {
 	}
 }
 
-// TestBusRingWraparound drives the ring through several fill/drain cycles so
-// head wraps the backing slice in every position.
-func TestBusRingWraparound(t *testing.T) {
-	b := NewBus()
-	if err := b.Subscribe("n", "t", 3); err != nil {
-		t.Fatal(err)
-	}
-	next := 0
-	for cycle := 0; cycle < 5; cycle++ {
-		// Overfill: capacity 3, publish 4+cycle, oldest dropped.
-		count := 4 + cycle
-		first := next
-		for i := 0; i < count; i++ {
-			b.Publish("t", next)
-			next++
-		}
-		if v, ok := b.Latest("n", "t"); !ok || v.(int) != next-1 {
-			t.Fatalf("cycle %d: Latest = %v, %v; want %d", cycle, v, ok, next-1)
-		}
-		got := b.Drain("n", "t")
-		want := []Value{first + count - 3, first + count - 2, first + count - 1}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cycle %d: Drain = %v, want %v", cycle, got, want)
-		}
-	}
-}
-
-func TestBusCapacityOne(t *testing.T) {
-	b := NewBus()
-	if err := b.Subscribe("n", "t", 1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		b.Publish("t", i)
-	}
-	got := b.Drain("n", "t")
-	if len(got) != 1 || got[0].(int) != 9 {
-		t.Errorf("Drain = %v, want [9]", got)
-	}
-}
-
-func TestBusPartialDrainInterleaved(t *testing.T) {
-	b := NewBus()
-	if err := b.Subscribe("n", "t", 4); err != nil {
-		t.Fatal(err)
-	}
-	b.Publish("t", 1)
-	b.Publish("t", 2)
-	if got := b.Drain("n", "t"); !reflect.DeepEqual(got, []Value{1, 2}) {
-		t.Fatalf("first drain = %v", got)
-	}
-	// After a drain the ring restarts; overflow again from a reset head.
-	for i := 3; i <= 8; i++ {
-		b.Publish("t", i)
-	}
-	if got := b.Drain("n", "t"); !reflect.DeepEqual(got, []Value{5, 6, 7, 8}) {
-		t.Fatalf("second drain = %v", got)
-	}
-}
-
-// TestBusConcurrentMixed hammers one bus from publishers, drainers, peekers
-// and re-subscribers at once; run under -race this proves the middleware is
-// safe for concurrent use by fleet workers sharing a bus.
-func TestBusConcurrentMixed(t *testing.T) {
-	b := NewBus()
-	topics := []TopicName{"t0", "t1", "t2"}
-	for _, topic := range topics {
-		for s := 0; s < 3; s++ {
-			if err := b.Subscribe(fmt.Sprintf("sub-%d", s), topic, 8); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				b.Publish(topics[i%len(topics)], w*1000+i)
-			}
-		}(w)
-	}
-	for s := 0; s < 3; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sub := fmt.Sprintf("sub-%d", s)
-			for i := 0; i < 500; i++ {
-				switch i % 3 {
-				case 0:
-					b.Drain(sub, topics[i%len(topics)])
-				case 1:
-					b.Latest(sub, topics[i%len(topics)])
-				case 2:
-					_ = b.Subscribe(sub, topics[i%len(topics)], 8)
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-}
-
 // TestStoreConcurrentReaders checks the read-only paths (interner lookups,
 // dense reads) are safe for any number of concurrent readers — what the
 // fleet engine relies on when runs share static topic metadata.
@@ -271,24 +167,5 @@ func BenchmarkStoreReadAlloc(b *testing.B) {
 		if _, err := s.Read(names); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkBusPublishOverflow measures the overflow path: with the ring this
-// is O(1) per publish regardless of capacity (the previous implementation
-// shifted the whole buffer with copy on every overflowing publish).
-func BenchmarkBusPublishOverflow(b *testing.B) {
-	bus := NewBus()
-	const capacity = 1024
-	if err := bus.Subscribe("n", "t", capacity); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < capacity; i++ {
-		bus.Publish("t", i) // fill: every further publish overflows
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bus.Publish("t", i)
 	}
 }

@@ -2,8 +2,7 @@
 // the SOTER programming model (Section II-B, III-A of the paper). A topic is
 // a (name, value) pair; nodes communicate by publishing on and subscribing to
 // message topics. Following the paper's simplified presentation, the Store
-// models the globally visible value of each topic; Bus additionally models
-// the per-subscriber local buffers of a real ROS-style middleware.
+// models the globally visible value of each topic.
 //
 // Topic names are interned: every Store assigns each declared topic a dense
 // TopicID at construction, so the per-firing hot path of the executor can
@@ -17,7 +16,6 @@ package pubsub
 import (
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // TopicName is the unique name e ∈ T of a topic.
@@ -248,107 +246,4 @@ func (s *Store) Names() []TopicName {
 	names := make([]TopicName, len(s.interner.names))
 	copy(names, s.interner.names)
 	return names
-}
-
-// Bus is a thread-safe publish-subscribe middleware with per-subscriber
-// buffers, modelling the local buffer each SOTER node keeps for every
-// subscribed topic. The publish operation adds the message into the
-// corresponding local buffer of all nodes that have subscribed to the topic.
-type Bus struct {
-	mu   sync.Mutex
-	subs map[TopicName]map[string]*buffer
-}
-
-// buffer is a fixed-capacity ring: head is the index of the oldest message
-// and n the number buffered. Publishing into a full ring overwrites the
-// oldest slot and advances head — an O(1) oldest-drop, where the previous
-// implementation shifted the whole backing slice on every overflow.
-type buffer struct {
-	ring []Value
-	head int
-	n    int
-}
-
-func (b *buffer) push(v Value) {
-	b.ring[(b.head+b.n)%len(b.ring)] = v
-	if b.n == len(b.ring) {
-		b.head = (b.head + 1) % len(b.ring) // full: dropped the oldest
-	} else {
-		b.n++
-	}
-}
-
-// NewBus creates an empty bus.
-func NewBus() *Bus {
-	return &Bus{subs: make(map[TopicName]map[string]*buffer)}
-}
-
-// Subscribe registers subscriber sub on the topic with a bounded local buffer
-// of the given capacity (oldest messages are dropped on overflow, matching
-// typical ROS queue semantics). Re-subscribing replaces the buffer.
-func (b *Bus) Subscribe(sub string, topic TopicName, capacity int) error {
-	if capacity <= 0 {
-		return fmt.Errorf("subscriber %q topic %q: capacity %d must be positive", sub, topic, capacity)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	m, ok := b.subs[topic]
-	if !ok {
-		m = make(map[string]*buffer)
-		b.subs[topic] = m
-	}
-	m[sub] = &buffer{ring: make([]Value, capacity)}
-	return nil
-}
-
-// Publish delivers the value to the local buffer of every subscriber of the
-// topic and returns the number of subscribers reached.
-func (b *Bus) Publish(topic TopicName, v Value) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, buf := range b.subs[topic] {
-		buf.push(v)
-		n++
-	}
-	return n
-}
-
-// Drain removes and returns all buffered messages for the subscriber on the
-// topic, oldest first.
-func (b *Bus) Drain(sub string, topic TopicName) []Value {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	m := b.subs[topic]
-	if m == nil {
-		return nil
-	}
-	buf := m[sub]
-	if buf == nil || buf.n == 0 {
-		return nil
-	}
-	out := make([]Value, buf.n)
-	for i := 0; i < buf.n; i++ {
-		j := (buf.head + i) % len(buf.ring)
-		out[i] = buf.ring[j]
-		buf.ring[j] = nil // release for GC
-	}
-	buf.head, buf.n = 0, 0
-	return out
-}
-
-// Latest returns the newest buffered message for the subscriber without
-// draining, and whether one exists.
-func (b *Bus) Latest(sub string, topic TopicName) (Value, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	m := b.subs[topic]
-	if m == nil {
-		return nil, false
-	}
-	buf := m[sub]
-	if buf == nil || buf.n == 0 {
-		return nil, false
-	}
-	return buf.ring[(buf.head+buf.n-1)%len(buf.ring)], true
 }

@@ -2,7 +2,6 @@ package pubsub
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -94,81 +93,5 @@ func TestValuationClone(t *testing.T) {
 	names := v.Names()
 	if !reflect.DeepEqual(names, []TopicName{"a", "b"}) {
 		t.Errorf("Names = %v", names)
-	}
-}
-
-func TestBusPublishSubscribe(t *testing.T) {
-	b := NewBus()
-	if err := b.Subscribe("n1", "topic", 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Subscribe("n2", "topic", 4); err != nil {
-		t.Fatal(err)
-	}
-	if n := b.Publish("topic", 42); n != 2 {
-		t.Errorf("Publish reached %d subscribers, want 2", n)
-	}
-	if n := b.Publish("other", 1); n != 0 {
-		t.Errorf("Publish to topic without subscribers reached %d", n)
-	}
-	got := b.Drain("n1", "topic")
-	if len(got) != 1 || got[0].(int) != 42 {
-		t.Errorf("Drain = %v", got)
-	}
-	if got := b.Drain("n1", "topic"); got != nil {
-		t.Errorf("second Drain = %v, want nil", got)
-	}
-	// n2 still has its own buffered copy.
-	if v, ok := b.Latest("n2", "topic"); !ok || v.(int) != 42 {
-		t.Errorf("Latest(n2) = %v, %v", v, ok)
-	}
-}
-
-func TestBusOverflowDropsOldest(t *testing.T) {
-	b := NewBus()
-	if err := b.Subscribe("n", "t", 2); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 5; i++ {
-		b.Publish("t", i)
-	}
-	got := b.Drain("n", "t")
-	if len(got) != 2 || got[0].(int) != 4 || got[1].(int) != 5 {
-		t.Errorf("Drain after overflow = %v, want [4 5]", got)
-	}
-}
-
-func TestBusSubscribeValidation(t *testing.T) {
-	b := NewBus()
-	if err := b.Subscribe("n", "t", 0); err == nil {
-		t.Error("expected error for zero capacity")
-	}
-	if _, ok := b.Latest("ghost", "t"); ok {
-		t.Error("Latest for unknown subscriber should report not-ok")
-	}
-	if got := b.Drain("ghost", "t"); got != nil {
-		t.Errorf("Drain unknown subscriber = %v", got)
-	}
-}
-
-func TestBusConcurrentPublish(t *testing.T) {
-	b := NewBus()
-	if err := b.Subscribe("n", "t", 1024); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				b.Publish("t", w*1000+i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	got := b.Drain("n", "t")
-	if len(got) != 800 {
-		t.Errorf("drained %d messages, want 800", len(got))
 	}
 }

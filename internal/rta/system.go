@@ -23,8 +23,6 @@ type System struct {
 	modules []*Module
 	plain   []*node.Node
 
-	acNodes map[string]string // DM name -> AC name (ACNodes)
-	scNodes map[string]string // DM name -> SC name (SCNodes)
 	// coordinated maps a module name to the modules forced to SC when it
 	// disengages (Section VII coordinated switching).
 	coordinated map[string][]string
@@ -42,10 +40,8 @@ var (
 // the composability conditions.
 func NewSystem(modules []*Module, plain []*node.Node) (*System, error) {
 	s := &System{
-		acNodes: make(map[string]string),
-		scNodes: make(map[string]string),
-		byName:  make(map[string]*node.Node),
-		modOf:   make(map[string]*Module),
+		byName: make(map[string]*node.Node),
+		modOf:  make(map[string]*Module),
 	}
 	outputOwner := make(map[pubsub.TopicName]string)
 
@@ -86,8 +82,6 @@ func NewSystem(modules []*Module, plain []*node.Node) (*System, error) {
 		if err := claimOutputs(m.Name(), m.Outputs()); err != nil {
 			return nil, err
 		}
-		s.acNodes[m.DM().Name()] = m.AC().Name()
-		s.scNodes[m.DM().Name()] = m.SC().Name()
 		s.modOf[m.DM().Name()] = m
 		s.modules = append(s.modules, m)
 	}
@@ -126,13 +120,6 @@ func (s *System) Modules() []*Module {
 	return out
 }
 
-// PlainNodes returns the unprotected nodes of the system.
-func (s *System) PlainNodes() []*node.Node {
-	out := make([]*node.Node, len(s.plain))
-	copy(out, s.plain)
-	return out
-}
-
 // Node returns the node with the given name.
 func (s *System) Node(name string) (*node.Node, bool) {
 	n, ok := s.byName[name]
@@ -167,12 +154,6 @@ func (s *System) ControllerOf(name string) (m *Module, isAC, ok bool) {
 	}
 	return nil, false, false
 }
-
-// ACNodes returns the map from DM node name to controlled AC node name.
-func (s *System) ACNodes() map[string]string { return copyMap(s.acNodes) }
-
-// SCNodes returns the map from DM node name to controlled SC node name.
-func (s *System) SCNodes() map[string]string { return copyMap(s.scNodes) }
 
 // Outputs returns the output topics OS of the system: the union of the
 // outputs of all nodes.
@@ -263,14 +244,6 @@ func (s *System) VerifyAll(certs map[string]Certificate) error {
 		}
 	}
 	return nil
-}
-
-func copyMap(m map[string]string) map[string]string {
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 func sortStrings(s []string) {

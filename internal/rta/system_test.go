@@ -47,13 +47,8 @@ func TestNewSystemComposition(t *testing.T) {
 		t.Errorf("NodeNames = %v", names)
 	}
 
-	ac := sys.ACNodes()
-	if ac["m1.dm"] != "m1.ac" || ac["m2.dm"] != "m2.ac" {
-		t.Errorf("ACNodes = %v", ac)
-	}
-	sc := sys.SCNodes()
-	if sc["m1.dm"] != "m1.sc" || sc["m2.dm"] != "m2.sc" {
-		t.Errorf("SCNodes = %v", sc)
+	if m, isAC, ok := sys.ControllerOf("m1.ac"); !ok || !isAC || m.Name() != "m1" {
+		t.Errorf("ControllerOf(m1.ac) = %v %v %v", m, isAC, ok)
 	}
 
 	if m, ok := sys.IsDM("m1.dm"); !ok || m.Name() != "m1" {

@@ -344,6 +344,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	if flusher != nil {
+		// Send the header now: a subscriber to a queued job must not wait
+		// for the job's first event to learn the stream is open.
+		flusher.Flush()
+	}
 	writeEvent := func(e obs.Event) bool {
 		line, err := obs.MarshalEvent(e)
 		if err != nil {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/rta"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/store"
 )
 
 // Status is a job's lifecycle state.
@@ -263,56 +262,19 @@ func (js JobSpec) resolve() (kind, error) {
 }
 
 // run implements kind: it sweeps the cells over the fleet engine with the
-// tiered result store wired into the per-mission reuse hook. Every cell goes
-// through the store's singleflight group: a miss elects this mission the fill
-// leader (it simulates and completes the fill in OnResult), while a
-// concurrent identical cell — in this job or any other — blocks on the leader
+// tiered result store attached. Every cell goes through the store's
+// singleflight group: a miss elects the mission the fill leader, while a
+// concurrent identical cell — in this job or any other — waits on the leader
 // and shares its bytes. Determinism makes the wait safe: whatever the leader
 // produces is exactly what the waiter's own simulation would have produced.
 // A failed mission fails the job; the report is kept either way.
 func (js JobSpec) run(ctx context.Context, e env) (any, error) {
-	missions := js.missions(e.fan)
-	// fills[i] is written by mission i's Reuse call and consumed by the same
-	// worker goroutine's OnResult call; distinct indices never share an
-	// element, so the slice needs no lock.
-	fills := make([]*store.Fill, len(missions))
 	var mu sync.Mutex // guards done and cached across workers
 	var done, cached int
-	rep := fleet.Run(ctx, missions, fleet.Options{
+	rep := fleet.Run(ctx, js.missions(e.fan), fleet.Options{
 		Workers: e.workers,
-		Reuse: func(i int, m fleet.Mission) (fleet.MissionResult, bool) {
-			val, fill := e.store.Acquire(ctx, js.keys[i])
-			if fill != nil {
-				// Miss, and this mission leads the fill: simulate, then
-				// Complete (or Abort) in OnResult below.
-				fills[i] = fill
-				return fleet.MissionResult{}, false
-			}
-			if val == nil {
-				// Cancelled while waiting: simulate without caching duties
-				// (the run is about to be cancelled too).
-				return fleet.MissionResult{}, false
-			}
-			p, err := store.DecodePayload(val)
-			if err != nil {
-				// A corrupt entry must not poison the job; fall back to
-				// simulating the cell.
-				return fleet.MissionResult{}, false
-			}
-			return fleet.MissionResult{Metrics: p.Metrics, Switches: p.Switches}, true
-		},
-		OnResult: func(i int, m fleet.Mission, res fleet.MissionResult) {
-			if fill := fills[i]; fill != nil {
-				fills[i] = nil
-				raw, err := store.Payload{Metrics: res.Metrics, Switches: res.Switches}.Encode()
-				if res.Err == nil && !res.Cached && err == nil {
-					fill.Complete(ctx, raw)
-				} else {
-					// Failed or cancelled: waiters wake, re-probe and elect
-					// a new leader rather than inheriting the failure.
-					fill.Abort()
-				}
-			}
+		Store:   e.store,
+		OnResult: func(_ int, _ fleet.Mission, res fleet.MissionResult) {
 			mu.Lock()
 			defer mu.Unlock()
 			done++
@@ -322,24 +284,19 @@ func (js JobSpec) run(ctx context.Context, e env) (any, error) {
 			e.progress(done, cached)
 		},
 	})
-	// Missions a cancelled batch never started got no OnResult; their leader
-	// slots must not strand waiters in other jobs.
-	for _, fill := range fills {
-		if fill != nil {
-			fill.Abort()
-		}
-	}
 	return rep, rep.FirstErr()
 }
 
-// missions expands the sweep into fleet missions, with the job's event
-// fan-out attached to every mission's observer list.
+// missions expands the sweep into fleet missions keyed by their cell
+// fingerprints, with the job's event fan-out attached to every mission's
+// observer list.
 func (js JobSpec) missions(fan *fanout) []fleet.Mission {
 	missions := make([]fleet.Mission, len(js.seeds))
 	for i, seed := range js.seeds {
 		missions[i] = fleet.Mission{
 			Name: fmt.Sprintf("%s/seed-%d", js.resolved.Name, seed),
 			Seed: seed,
+			Key:  js.keys[i],
 			Build: func() (sim.RunConfig, error) {
 				cfg, err := js.resolved.Build(seed)
 				if err != nil {

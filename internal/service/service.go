@@ -17,7 +17,7 @@
 //     disk tier (Config.StoreDir — a restarted server answers yesterday's
 //     sweeps without simulating) and an optional peer tier (Config.Peers —
 //     N servers form one logical cache over GET /store/{key}). A repeated
-//     cell is served through the fleet engine's Reuse hook, byte-identical
+//     cell is served through the fleet engine's store round-trip, byte-identical
 //     to a fresh run and orders of magnitude faster, and a singleflight
 //     group collapses concurrent identical fills so every fingerprint
 //     simulates at most once however many jobs want it; /stats exposes the

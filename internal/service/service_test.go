@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -233,6 +234,41 @@ func TestJobCancellationMidRun(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Error("event stream still open after cancellation")
+	}
+}
+
+// TestQueuedJobStreamOpensImmediately: subscribing to a job still queued
+// behind a long one gets its response header at once, not with the job's
+// first event. The client deadline bounds the check, and the blocking job is
+// cancelled so the server can shut down.
+func TestQueuedJobStreamOpensImmediately(t *testing.T) {
+	_, ts := newTestServer(t, Config{JobConcurrency: 1})
+	blocker := postJob(t, ts, `{"scenario":"surveillance-city","overrides":{"duration":"2s"},"seed_count":4000}`)
+	defer func() {
+		resp, err := http.Post(ts.URL+"/jobs/"+blocker.ID+"/cancel", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		waitTerminal(t, ts, blocker.ID)
+	}()
+	queued := postJob(t, ts, `{"scenario":"surveillance-city","overrides":{"duration":"2s"},"seeds":[1]}`)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/jobs/"+queued.ID+"/events", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("no response header for a queued job's stream: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET events = %d", resp.StatusCode)
+	}
+	var view JobView
+	getJSON(t, ts.URL+"/jobs/"+queued.ID, &view)
+	if view.Status != StatusQueued {
+		t.Errorf("job status = %s, want queued behind the blocker", view.Status)
 	}
 }
 

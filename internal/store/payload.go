@@ -12,9 +12,9 @@ import (
 // deterministic parts of a mission result. Name, wall time and cache markers
 // are identity that the consumer re-attaches on reuse; they never enter the
 // store, so the bytes under a fingerprint are the same no matter which
-// process, job or subsystem computed them. Both sweep jobs and deterministic
-// certification cells encode through this type, which is what lets them share
-// entries.
+// process, job or subsystem computed them. The fleet engine's mission runner
+// is the only encoder and decoder, and both sweep cells and deterministic
+// certification cells run through it, which is what lets them share entries.
 type Payload struct {
 	Metrics  sim.Metrics           `json:"metrics"`
 	Switches []soterruntime.Switch `json:"switches,omitempty"`

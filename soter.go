@@ -37,10 +37,9 @@
 //	})
 //	sys, _ := soter.NewSystem([]*soter.Module{mod}, nil)
 //
-//	rec := soter.NewRecorder(0) // bounded in-memory event tail
 //	exec, _ := soter.NewExecutor(sys, nil,
 //	    soter.WithInvariantChecking(),
-//	    soter.WithObservers(rec, soter.ObserverFunc(func(e soter.Event) {
+//	    soter.WithObservers(soter.ObserverFunc(func(e soter.Event) {
 //	        if sw, ok := e.(soter.ModeSwitchEvent); ok {
 //	            log.Printf("t=%v %s: %v -> %v", sw.T, sw.Module, sw.From, sw.To)
 //	        }
@@ -62,7 +61,6 @@
 package soter
 
 import (
-	"io"
 	"time"
 
 	"repro/internal/node"
@@ -99,8 +97,6 @@ type (
 	ModuleDecl = rta.Decl
 	// Module is a compiled RTA module with its generated decision module.
 	Module = rta.Module
-	// StatePredicate evaluates a predicate over monitored topics.
-	StatePredicate = rta.StatePredicate
 	// Policy is a pluggable DM switching policy ("policy proposes, module
 	// disposes": unsafe AC proposals are clamped to SC by the framework).
 	Policy = rta.Policy
@@ -110,12 +106,8 @@ type (
 	PolicyFactory = rta.PolicyFactory
 	// DecisionContext is what a policy observes at a DM sampling instant.
 	DecisionContext = rta.DecisionContext
-	// DMState is a decision module's local state (mode + policy state).
-	DMState = rta.DMState
 	// SwitchReason explains a DM decision (ttf-trip, recovery, clamped, ...).
 	SwitchReason = rta.SwitchReason
-	// Certificate discharges the semantic obligations (P2a), (P2b), (P3).
-	Certificate = rta.Certificate
 	// System is a composition of RTA modules and plain nodes.
 	System = rta.System
 	// Executor runs a system under the Figure 11 operational semantics.
@@ -137,95 +129,14 @@ type (
 type (
 	// Event is the typed union of everything observable during a run.
 	Event = obs.Event
-	// EventKind identifies an event variant; KindSet is a mask of kinds an
-	// Observer may narrow its subscription to (see Interested).
-	EventKind = obs.Kind
-	// KindSet is a bitmask of event kinds.
-	KindSet = obs.KindSet
 	// Observer consumes a run's event stream.
 	Observer = obs.Observer
 	// ObserverFunc adapts a function to Observer.
 	ObserverFunc = obs.ObserverFunc
-	// Interested lets an Observer narrow the kinds it receives.
-	Interested = obs.Interested
-	// Multi fans one event stream out to many observers.
-	Multi = obs.Multi
-	// Recorder is the bounded in-memory event sink.
-	Recorder = obs.Recorder
-	// JSONLWriter streams events as JSON Lines.
-	JSONLWriter = obs.JSONLWriter
-
-	// The concrete event types (aliased so public Observers can type-switch
-	// without importing internal packages).
-
-	// RunStartEvent opens a run's stream.
-	RunStartEvent = obs.RunStart
-	// RunEndEvent closes a run's stream with the final state.
-	RunEndEvent = obs.RunEnd
-	// NodeFiredEvent reports one discrete node firing (or a dropped one).
-	NodeFiredEvent = obs.NodeFired
-	// ModeSwitchEvent reports a DM mode change.
+	// ModeSwitchEvent reports a DM mode change (aliased so public Observers
+	// can type-switch without importing internal packages).
 	ModeSwitchEvent = obs.ModeSwitch
-	// InvariantViolationEvent reports a φInv monitor failure.
-	InvariantViolationEvent = obs.InvariantViolation
-	// TimeProgressEvent reports a discrete time progress.
-	TimeProgressEvent = obs.TimeProgress
-	// TrajectorySampleEvent is one physics sub-step of the trajectory.
-	TrajectorySampleEvent = obs.TrajectorySample
-	// BatterySampleEvent is a periodic battery reading.
-	BatterySampleEvent = obs.BatterySample
-	// CrashEvent reports the entry into a collision episode.
-	CrashEvent = obs.Crash
-	// LandedEvent reports an intentional touchdown.
-	LandedEvent = obs.Landed
-	// CampaignProgressEvent reports a falsification campaign's progress.
-	CampaignProgressEvent = obs.CampaignProgress
-	// CounterexampleFoundEvent reports one distinct falsification find.
-	CounterexampleFoundEvent = obs.CounterexampleFound
-	// CertifyProgressEvent reports a certification campaign's per-batch state.
-	CertifyProgressEvent = obs.CertifyProgress
 )
-
-// Event kinds, for KindSet subscriptions.
-const (
-	KindRunStart           = obs.KindRunStart
-	KindRunEnd             = obs.KindRunEnd
-	KindNodeFired          = obs.KindNodeFired
-	KindModeSwitch         = obs.KindModeSwitch
-	KindInvariantViolation = obs.KindInvariantViolation
-	KindTimeProgress       = obs.KindTimeProgress
-	KindTrajectorySample   = obs.KindTrajectorySample
-	KindBatterySample      = obs.KindBatterySample
-	KindCrash              = obs.KindCrash
-	KindLanded             = obs.KindLanded
-	KindCampaignProgress   = obs.KindCampaignProgress
-	KindCounterexample     = obs.KindCounterexample
-	KindCertifyProgress    = obs.KindCertifyProgress
-)
-
-// Kinds builds a KindSet from the listed kinds; AllKinds selects every kind.
-func Kinds(ks ...EventKind) KindSet { return obs.Kinds(ks...) }
-
-// AllKinds selects every event kind.
-const AllKinds = obs.AllKinds
-
-// NewRecorder builds a bounded in-memory event recorder (capacity ≤ 0 uses
-// the default bound).
-func NewRecorder(capacity int) *Recorder { return obs.NewRecorder(capacity) }
-
-// NewJSONLWriter builds an event sink streaming JSON Lines to w.
-func NewJSONLWriter(w io.Writer) *JSONLWriter { return obs.NewJSONLWriter(w) }
-
-// MarshalEvent encodes an event as one JSON object with a "kind"
-// discriminator; UnmarshalEvent decodes it back; ReadJSONL replays a whole
-// recorded stream.
-func MarshalEvent(e Event) ([]byte, error) { return obs.MarshalEvent(e) }
-
-// UnmarshalEvent decodes one MarshalEvent line into its concrete event.
-func UnmarshalEvent(line []byte) (Event, error) { return obs.UnmarshalEvent(line) }
-
-// ReadJSONL decodes a recorded JSONL stream back into events.
-func ReadJSONL(r io.Reader) ([]Event, error) { return obs.ReadJSONL(r) }
 
 // Modes.
 const (
@@ -236,6 +147,7 @@ const (
 )
 
 // Switch reasons, as carried by ModeSwitchEvent.Reason and Switch.Reason.
+// A policy's Decide reports the first four; the framework sets the last two.
 const (
 	// ReasonNone: the decision kept the current mode with nothing noteworthy
 	// to report (the zero value of the vocabulary).
@@ -253,10 +165,6 @@ const (
 	ReasonCoordinated = rta.ReasonCoordinated
 )
 
-// DefaultPolicyName names the built-in Figure 9 switching policy — the
-// default wherever a policy can be named but is not.
-const DefaultPolicyName = rta.DefaultPolicyName
-
 // RegisterPolicy adds a named switching-policy factory to the registry, so
 // scenarios, jobs and CLIs can select it by spec string ("name" or
 // "name:K"). Built-ins: soter-fig9 (the paper's Figure 9 rules, the
@@ -267,9 +175,6 @@ func RegisterPolicy(name string, f PolicyFactory) error { return rta.RegisterPol
 // ParsePolicy resolves a policy spec against the registry ("" selects the
 // default Figure 9 policy).
 func ParsePolicy(spec string) (Policy, error) { return rta.ParsePolicy(spec) }
-
-// PolicyNames returns the registered policy names, sorted.
-func PolicyNames() []string { return rta.PolicyNames() }
 
 // CanonicalPolicySpec normalizes a policy spec, making the default name and
 // defaulted parameters explicit ("" → "soter-fig9", "sticky-sc" →
@@ -291,9 +196,6 @@ func NewNode(name string, period time.Duration, inputs, outputs []TopicName, ste
 	return node.New(name, period, inputs, outputs, step, opts...)
 }
 
-// WithPhase offsets a node's first firing.
-func WithPhase(p time.Duration) NodeOption { return node.WithPhase(p) }
-
 // WithInit sets a node's initial-local-state constructor.
 func WithInit(f func() State) NodeOption { return node.WithInit(f) }
 
@@ -307,9 +209,6 @@ func NewRTAModule(d ModuleDecl) (*Module, error) { return rta.NewModule(d) }
 func NewSystem(modules []*Module, plain []*Node) (*System, error) {
 	return rta.NewSystem(modules, plain)
 }
-
-// Compose forms the union of two RTA systems.
-func Compose(a, b *System) (*System, error) { return rta.Compose(a, b) }
 
 // NewExecutor builds an executor for the system; envTopics declares
 // environment-input topics and their defaults.
@@ -332,8 +231,3 @@ func WithObservers(observers ...Observer) ExecutorOption {
 // a shim over WithObservers with an observer interested only in
 // ModeSwitchEvent.
 func WithSwitchHook(fn func(Switch)) ExecutorOption { return runtime.WithSwitchHook(fn) }
-
-// WithDropFilter installs a firing filter modelling best-effort scheduling.
-func WithDropFilter(drop func(ct time.Duration, nodeName string) bool) ExecutorOption {
-	return runtime.WithDropFilter(drop)
-}
