@@ -16,8 +16,9 @@
 //
 // -base pins campaign-wide falsify.Params in the JSON form of soter-serve's
 // falsify "base" field. With -strategy schedule[:N] the campaign model-checks
-// node interleavings (internal/explore); a slim base keeps that tree
-// tractable, e.g. -base '{"no_planner_module":true,"no_battery_module":true}'.
+// node interleavings of the base configuration (exhaustively, or N random
+// ones); a slim base keeps that tree tractable, e.g.
+// -base '{"no_planner_module":true,"no_battery_module":true}'.
 package main
 
 import (

@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/explore"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -129,9 +128,9 @@ func (c Counterexample) Rebuild() (scenario.Spec, error) {
 // first recomputes the canonical fingerprint and refuses to replay on a
 // mismatch — drift in spec semantics (a changed default, a reshaped
 // workspace) must surface as "regenerate or retire this entry", never as a
-// silently different run. Parameter-space counterexamples replay through the
-// closed-loop simulator; schedule counterexamples replay their exact
-// interleaving through the explore backend.
+// silently different run. Every counterexample replays as one closed-loop
+// run; a schedule counterexample's choice vector drives RunConfig.Order, so
+// its exact interleaving is re-executed.
 func (c Counterexample) Replay(ctx context.Context) (Verdict, error) {
 	spec, err := c.Rebuild()
 	if err != nil {
@@ -149,36 +148,20 @@ func (c Counterexample) Replay(ctx context.Context) (Verdict, error) {
 		return Verdict{}, fmt.Errorf("falsify: counterexample %s: canonical fingerprint drifted to %s — the spec semantics changed; regenerate the entry or retire it",
 			c.Fingerprint, want)
 	}
-	if len(c.Schedule) > 0 {
-		return c.replaySchedule(spec)
-	}
 	rc, err := spec.Build(c.Candidate.Seed)
 	if err != nil {
 		return Verdict{}, err
 	}
 	rc.Context = ctx
 	rc.Label = c.Name
+	if len(c.Schedule) > 0 {
+		rc.Order = (&schedule{prefix: c.Schedule}).order
+	}
 	res, err := sim.Run(rc)
 	if err != nil {
 		return Verdict{}, err
 	}
 	return verdictOf(res.Metrics), nil
-}
-
-// replaySchedule re-executes the recorded interleaving.
-func (c Counterexample) replaySchedule(spec scenario.Spec) (Verdict, error) {
-	v, err := explore.ReplaySchedule(explore.Config{
-		Build:   scheduleInstanceBuilder(spec, c.Candidate.Seed),
-		Horizon: spec.Duration,
-	}, c.Schedule)
-	if err != nil {
-		return Verdict{}, err
-	}
-	if v == nil {
-		return Verdict{}, nil
-	}
-	rep := convertExploreReport(&explore.Report{Violations: []explore.Violation{*v}})
-	return rep.Violations[0].Verdict, nil
 }
 
 // StillFalsifies reports whether a replayed verdict still qualifies under

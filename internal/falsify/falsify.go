@@ -10,9 +10,9 @@
 // switching policy — filtered for validity through Spec.Validate. Strategies
 // live behind a named registry mirroring rta.Policy's: "random" (seeded
 // uniform sampling), "guided" (hill-climb on the verdict's severity
-// objective), "schedule" (the internal/explore bounded-asynchrony
-// interleaving enumeration wrapped as one strategy, so the seed engine
-// survives as a backend rather than an island).
+// objective), "schedule" (bounded-asynchrony enumeration of node-firing
+// interleavings of the base configuration, each one an ordinary closed-loop
+// run).
 //
 // Campaigns are deterministic: given (strategy, seed, budget) the ranked
 // counterexample list is byte-identical at any worker count, because
@@ -115,13 +115,18 @@ type Outcome struct {
 	// mutation, build failure). Such candidates consume budget but never
 	// qualify.
 	Err error
+	// Schedule is the choice vector of a schedule-strategy run (nil for
+	// parameter-space candidates); ScheduleSeed is the random-interleaving
+	// seed it was sampled from.
+	Schedule     []int
+	ScheduleSeed int64
 }
 
 // Counterexample is one distinct falsifying execution, self-contained for
 // replay: base scenario name + Params delta + seed rebuild the exact Spec,
 // and Fingerprint pins its canonical identity (drift in the spec semantics
 // is detected, not silently replayed). Schedule counterexamples additionally
-// carry the explore choice vector.
+// carry the choice vector of their interleaving.
 type Counterexample struct {
 	// Scenario is the base scenario searched around.
 	Scenario string `json:"scenario"`
@@ -135,8 +140,8 @@ type Counterexample struct {
 	// for parameter-space finds, a (spec, choices) hash for schedule finds.
 	Fingerprint string `json:"fingerprint"`
 	// Name is the auto-registered regression scenario name
-	// ("falsified/<hash>"); empty for schedule counterexamples, which replay
-	// through the explore backend rather than the scenario registry.
+	// ("falsified/<hash>"); empty for schedule counterexamples, whose
+	// interleaving is not part of any scenario spec.
 	Name string `json:"name,omitempty"`
 	// Category classifies the violation: crash | invariant | clamp-storm.
 	Category string `json:"category"`
@@ -144,7 +149,8 @@ type Counterexample struct {
 	Severity float64 `json:"severity"`
 	// Verdict is the full oracle verdict the counterexample was filed with.
 	Verdict Verdict `json:"verdict"`
-	// Schedule is the explore choice vector (schedule strategy only); it
+	// Schedule is the choice vector (schedule strategy only): entry i picks
+	// the permutation of the nodes firing at the run's i-th instant, so it
 	// replays the exact interleaving. ScheduleSeed records the random
 	// interleaving seed it was sampled from (provenance only).
 	Schedule     []int `json:"schedule,omitempty"`
@@ -396,18 +402,24 @@ func (e *Engine) Evaluate(ctx context.Context, batch []Candidate) ([]Outcome, er
 	for i, res := range rep.Results {
 		out := &outs[i]
 		if out.Err == nil {
-			out.Verdict = verdictOf(res.Metrics)
-			if res.Err != nil {
-				out.Verdict.Err = res.Err.Error()
-			} else {
-				out.Severity = Severity(out.Verdict, e.margin)
-				out.Category = out.Verdict.Category(e.cfg.ClampStorm)
-			}
+			e.score(out, res.Metrics, res.Err)
 		}
 		e.account(out)
 	}
 	e.emitProgress()
 	return outs, nil
+}
+
+// score derives an evaluated run's verdict from its metrics; a run error
+// keeps the verdict from qualifying.
+func (e *Engine) score(out *Outcome, m sim.Metrics, runErr error) {
+	out.Verdict = verdictOf(m)
+	if runErr != nil {
+		out.Verdict.Err = runErr.Error()
+		return
+	}
+	out.Severity = Severity(out.Verdict, e.margin)
+	out.Category = out.Verdict.Category(e.cfg.ClampStorm)
 }
 
 // mission compiles a candidate into a keyless fleet mission. Candidates do
@@ -439,6 +451,9 @@ func (e *Engine) mission(out *Outcome) fleet.Mission {
 }
 
 // account folds one outcome into the campaign state, in candidate order.
+// Parameter-space finds are named (and optionally registered) as
+// "falsified/<hash>" scenarios; schedule finds carry their choice vector
+// instead.
 func (e *Engine) account(out *Outcome) {
 	e.executions++
 	if out.Err != nil || out.Verdict.Err != "" {
@@ -453,20 +468,24 @@ func (e *Engine) account(out *Outcome) {
 	}
 	e.seen[out.Fingerprint] = true
 	ce := Counterexample{
-		Scenario:    e.cfg.Scenario,
-		Candidate:   out.Candidate,
-		Strategy:    e.strategy.Name(),
-		Fingerprint: out.Fingerprint,
-		Name:        "falsified/" + out.Fingerprint[:12],
-		Category:    out.Category,
-		Severity:    out.Severity,
-		Verdict:     out.Verdict,
+		Scenario:     e.cfg.Scenario,
+		Candidate:    out.Candidate,
+		Strategy:     e.strategy.Name(),
+		Fingerprint:  out.Fingerprint,
+		Category:     out.Category,
+		Severity:     out.Severity,
+		Verdict:      out.Verdict,
+		Schedule:     out.Schedule,
+		ScheduleSeed: out.ScheduleSeed,
 	}
 	if pol, err := rta.CanonicalPolicySpec(out.Candidate.Params.Policy); err == nil {
 		ce.Policy = pol
 	}
-	if e.cfg.AutoRegister {
-		e.registerScenario(ce)
+	if out.Schedule == nil {
+		ce.Name = "falsified/" + out.Fingerprint[:12]
+		if e.cfg.AutoRegister {
+			e.registerScenario(ce)
+		}
 	}
 	e.found = append(e.found, ce)
 	e.emit(obs.CounterexampleFound{
@@ -493,50 +512,6 @@ func (e *Engine) registerScenario(ce Counterexample) {
 	spec.Description = fmt.Sprintf("auto-registered %s counterexample (severity %.1f) found by %s searching %s, seed %d",
 		ce.Category, ce.Severity, ce.Strategy, e.cfg.Scenario, ce.Candidate.Seed)
 	_ = scenario.Register(spec)
-}
-
-// ReportSchedules folds an explore report into the campaign — the accounting
-// entry point of the schedule strategy. Each explored schedule costs one
-// budget unit; violations become schedule counterexamples keyed by the
-// (spec, choice-vector) hash.
-func (e *Engine) ReportSchedules(rep *ScheduleReport) {
-	e.executions += rep.Schedules
-	for _, v := range rep.Violations {
-		fp := scheduleFingerprint(e.baseFP, v.Choices)
-		if e.seen[fp] {
-			continue
-		}
-		e.seen[fp] = true
-		verdict := v.Verdict
-		sev := Severity(verdict, e.margin)
-		if sev > e.best {
-			e.best = sev
-		}
-		ce := Counterexample{
-			Scenario:     e.cfg.Scenario,
-			Candidate:    Candidate{Params: e.baseParams, Seed: e.cfg.Seed},
-			Strategy:     e.strategy.Name(),
-			Fingerprint:  fp,
-			Category:     verdict.Category(e.cfg.ClampStorm),
-			Severity:     sev,
-			Verdict:      verdict,
-			Schedule:     slices.Clone(v.Choices),
-			ScheduleSeed: v.Seed,
-		}
-		if pol, err := rta.CanonicalPolicySpec(e.baseParams.Policy); err == nil {
-			ce.Policy = pol
-		}
-		e.found = append(e.found, ce)
-		e.emit(obs.CounterexampleFound{
-			T:           time.Duration(e.executions),
-			Strategy:    ce.Strategy,
-			Fingerprint: ce.Fingerprint,
-			Seed:        ce.Candidate.Seed,
-			Category:    ce.Category,
-			Severity:    ce.Severity,
-		})
-	}
-	e.emitProgress()
 }
 
 // Result assembles the deterministic campaign summary: counterexamples

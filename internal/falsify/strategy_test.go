@@ -69,3 +69,30 @@ func TestRegisterStrategyRejects(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseStrategy holds strategy-spec parsing, the submit-time decoder of
+// every campaign's "strategy" field, to its contract: it never panics, an
+// accepted spec's canonical name parses back to itself, and parsing is
+// deterministic (the same spec gives the same name or the same error).
+func FuzzParseStrategy(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseStrategy(spec)
+		again, againErr := ParseStrategy(spec)
+		if err != nil {
+			if againErr == nil || againErr.Error() != err.Error() {
+				t.Fatalf("ParseStrategy(%q) errors differ: %v, then %v", spec, err, againErr)
+			}
+			return
+		}
+		if againErr != nil || again.Name() != s.Name() {
+			t.Fatalf("ParseStrategy(%q) not deterministic: %q, then %v, %v", spec, s.Name(), again, againErr)
+		}
+		canon, err := ParseStrategy(s.Name())
+		if err != nil {
+			t.Fatalf("canonical name %q of %q does not parse: %v", s.Name(), spec, err)
+		}
+		if canon.Name() != s.Name() {
+			t.Fatalf("canonical name %q of %q reparses as %q", s.Name(), spec, canon.Name())
+		}
+	})
+}

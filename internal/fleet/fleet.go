@@ -23,9 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -360,21 +358,6 @@ func Seeds(base int64, n int) []int64 {
 		out[i] = base + int64(i)*101
 	}
 	return out
-}
-
-// SortedModuleNames returns the union of module names across the successful
-// results, sorted — a convenience for per-module reporting.
-func (r *Report) SortedModuleNames() []string {
-	seen := map[string]bool{}
-	for _, res := range r.Results {
-		if res.Err != nil {
-			continue
-		}
-		for name := range res.Metrics.Modules {
-			seen[name] = true
-		}
-	}
-	return slices.Sorted(maps.Keys(seen))
 }
 
 // ModuleStats sums a named module's switching statistics across the

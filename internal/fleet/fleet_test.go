@@ -111,10 +111,12 @@ func TestFleetAggregates(t *testing.T) {
 	if rep.Disengagements != wantDiseng {
 		t.Errorf("report disengagements = %d, switch logs say %d", rep.Disengagements, wantDiseng)
 	}
-	for _, name := range rep.SortedModuleNames() {
-		s := rep.ModuleStats(name)
-		if s.ACTime+s.SCTime == 0 {
-			t.Errorf("module %q accumulated no mode time", name)
+	for _, res := range rep.Results {
+		for name := range res.Metrics.Modules {
+			s := rep.ModuleStats(name)
+			if s.ACTime+s.SCTime == 0 {
+				t.Errorf("module %q accumulated no mode time", name)
+			}
 		}
 	}
 }

@@ -14,9 +14,9 @@
 //
 // The executor is deterministic: nodes firing at the same instant run in a
 // fixed order (DMs first, then the remaining nodes alphabetically) unless a
-// custom ScheduleOrder is installed — the systematic-testing engine in
-// internal/explore uses that hook to enumerate interleavings under bounded
-// asynchrony.
+// custom ScheduleOrder is installed — the falsifier's schedule strategy
+// sets one through sim.RunConfig.Order to enumerate and replay interleavings
+// under bounded asynchrony.
 package runtime
 
 import (

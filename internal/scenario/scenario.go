@@ -221,12 +221,6 @@ func (s Spec) workspace() *geom.Workspace {
 	return geom.CityWorkspace()
 }
 
-// StartPos resolves the Spec's effective initial position — Spec.Start, the
-// first fixed target, or the default take-off pad. Exported for engines that
-// build their own environment around a compiled stack (the falsification
-// layer's schedule strategy drives the explore backend directly).
-func (s Spec) StartPos() geom.Vec3 { return s.start() }
-
 // start resolves the initial position.
 func (s Spec) start() geom.Vec3 {
 	if s.Start != (geom.Vec3{}) {

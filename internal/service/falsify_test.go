@@ -174,6 +174,24 @@ func jsonInt(v int64) string {
 	return string(raw)
 }
 
+// TestFalsifyScheduleSeedsBoundedByBudget: a schedule campaign admitted as a
+// one-cell job runs one schedule, however many random seeds its strategy
+// spec names.
+func TestFalsifyScheduleSeedsBoundedByBudget(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	view, code := postFalsify(t, ts.URL, `{"scenario":"surveillance-city","strategy":"schedule:2000000000","budget":1,"duration":"200ms"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /falsify = %d", code)
+	}
+	done := waitTerminal(t, ts, view.ID)
+	if done.Status != StatusDone || done.FalsifyResult == nil {
+		t.Fatalf("job status = %s (err %q)", done.Status, done.Error)
+	}
+	if got := done.FalsifyResult.Executions; got != 1 {
+		t.Errorf("executions = %d, want 1", got)
+	}
+}
+
 // TestFalsifyValidation: bad campaign requests bounce with 400 before any
 // work queues.
 func TestFalsifyValidation(t *testing.T) {

@@ -106,6 +106,11 @@ type RunConfig struct {
 	// this many targets (0 = run to Duration) — used by the tour-timing
 	// experiment.
 	StopAfterVisits int
+	// Order, when non-nil, orders the nodes firing at each instant
+	// (runtime.WithScheduleOrder) — the hook the falsification layer's
+	// schedule strategy drives to explore and replay interleavings. Nil
+	// keeps the executor's default order.
+	Order runtime.ScheduleOrder
 }
 
 // Result bundles metrics with the optional trajectory and the executor's
@@ -350,6 +355,9 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	if cfg.JitterProb > 0 {
 		opts = append(opts, runtime.WithDropFilter(r.dropFilter))
+	}
+	if cfg.Order != nil {
+		opts = append(opts, runtime.WithScheduleOrder(cfg.Order))
 	}
 	exec, err := runtime.New(
 		cfg.Stack.System,
