@@ -37,7 +37,7 @@ func campaignDigests(t *testing.T) string {
 		if strings.Contains(spec.Name, "/") {
 			continue
 		}
-		for _, strat := range []string{"random", "guided:4"} {
+		for _, strat := range []string{"random", "guided:4", "schedule:2"} {
 			cfg := Config{Scenario: spec.Name, Strategy: strat, Seed: 7, Budget: campaignDigestBudget}
 			if spec.Duration > campaignDigestCap {
 				cfg.Duration = campaignDigestCap
@@ -57,8 +57,8 @@ func campaignDigests(t *testing.T) string {
 }
 
 // TestCampaignResultDigest holds every registry scenario's campaign results
-// byte-identical to the recorded ones under the random and guided
-// strategies.
+// byte-identical to the recorded ones under the random, guided and
+// schedule strategies.
 func TestCampaignResultDigest(t *testing.T) {
 	got := campaignDigests(t)
 	if *updateDigest {
