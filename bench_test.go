@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section V). Each experiment bench runs the corresponding workload from
-// internal/experiments and prints the paper-style rows once per `go test
-// -bench` invocation; ns/op measures the cost of regenerating the artifact.
+// (Section V). BenchmarkExperiments runs each experiments.Catalogue entry as
+// a sub-benchmark and prints the paper-style rows once per `go test -bench`
+// invocation; ns/op measures the cost of regenerating the artifact.
 // Micro-benchmarks at the bottom measure the framework's hot paths (DM
 // decisions, reachability checks, executor throughput); the planner
 // benchmarks live next to the planners in internal/plan.
@@ -38,175 +38,66 @@ func report(b *testing.B, key, text string) {
 	}
 }
 
-// BenchmarkFig5ThirdPartyController regenerates Figure 5 (right): the
-// unprotected PX4-style controller overshooting into the red regions on the
-// g1..g4 tour.
-func BenchmarkFig5ThirdPartyController(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5Right(experiments.Fig5Config{Seed: 1, Laps: 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig5r", res.Format())
-		if res.CollidingLaps == 0 {
+// BenchmarkExperiments regenerates every experiment in the catalogue at
+// full size with seed 1 — the paper-figure seeds and sizes — printing each
+// table once and holding each figure to its headline claim.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Catalogue() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, err := e.Run(context.Background(), 1, false, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				report(b, e.Name, out.Text)
+				if check := experimentChecks[e.Name]; check != nil {
+					check(b, out.Result)
+				}
+			}
+		})
+	}
+}
+
+// experimentChecks holds each figure's headline claim, keyed by catalogue
+// name, against the experiment's typed result.
+var experimentChecks = map[string]func(b *testing.B, result any){
+	"fig5r": func(b *testing.B, result any) {
+		if res := result.(experiments.Fig5RightResult); res.CollidingLaps == 0 {
 			b.Fatal("expected the unprotected third-party controller to collide")
 		}
-	}
-}
-
-// BenchmarkFig5LearnedController regenerates Figure 5 (left): the
-// data-driven controller on the figure-eight, some loops deviating
-// dangerously.
-func BenchmarkFig5LearnedController(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5Left(experiments.Fig5Config{Seed: 5, Laps: 12})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig5l", res.Format())
-		if res.UnsafeLoops == 0 || res.UnsafeLoops == res.Loops {
+	},
+	"fig5l": func(b *testing.B, result any) {
+		if res := result.(experiments.Fig5LeftResult); res.UnsafeLoops == 0 || res.UnsafeLoops == res.Loops {
 			b.Fatalf("expected a mix of safe and unsafe loops, got %d/%d", res.UnsafeLoops, res.Loops)
 		}
-	}
-}
-
-// BenchmarkFig6RTAProtectedPrimitive regenerates the Figure 6 behaviour: one
-// RTA-protected transfer with a faulty AC — switch to SC, recover, switch
-// back, arrive safely.
-func BenchmarkFig6RTAProtectedPrimitive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(experiments.Fig6Config{Seed: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig6", res.Format())
-		if res.Crashed || !res.Reached || res.Disengagements == 0 {
+	},
+	"fig6": func(b *testing.B, result any) {
+		if res := result.(experiments.Fig6Result); res.Crashed || !res.Reached || res.Disengagements == 0 {
 			b.Fatalf("unexpected fig6 outcome: %+v", res)
 		}
-	}
-}
-
-// BenchmarkFig10Regions regenerates the Figure 10 regions of operation and
-// the Figure 12b yellow/green region statistics (grid BRS).
-func BenchmarkFig10Regions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(experiments.Fig10Config{Seed: 3, Samples: 4000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig10", res.Format())
-	}
-}
-
-// BenchmarkFig12aTimingComparison regenerates the Figure 12a timing numbers:
-// AC-only (fast, collides) vs RTA (middle) vs SC-only (slow, safe).
-func BenchmarkFig12aTimingComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig12a(experiments.Fig12aConfig{Seed: 4, Tours: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig12a", res.Format())
-	}
-}
-
-// BenchmarkFig12bSurveillance regenerates Figure 12b: the RTA-protected
-// surveillance mission with SC take-overs at the N points.
-func BenchmarkFig12bSurveillance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig12b(experiments.Fig12bConfig{Seed: 7, Duration: 2 * time.Minute, Faults: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig12b", res.Format())
-		if res.Crashed {
+	},
+	"fig12b": func(b *testing.B, result any) {
+		if result.(experiments.Fig12bResult).Crashed {
 			b.Fatal("RTA-protected surveillance mission crashed")
 		}
-	}
-}
-
-// BenchmarkFig12cBatterySafety regenerates Figure 12c: the battery DM lands
-// the drone before the charge runs out.
-func BenchmarkFig12cBatterySafety(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig12c(experiments.Fig12cConfig{Seed: 11})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig12c", res.Format())
-		if res.Crashed || !res.Landed {
+	},
+	"fig12c": func(b *testing.B, result any) {
+		if res := result.(experiments.Fig12cResult); res.Crashed || !res.Landed {
 			b.Fatalf("battery safety failed: %+v", res)
 		}
-	}
-}
-
-// BenchmarkSec5cSafePlanner regenerates the Section V-C planner comparison.
-func BenchmarkSec5cSafePlanner(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Sec5c(experiments.Sec5cConfig{Seed: 3, Queries: 40, ClosedLoop: time.Minute})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "sec5c", res.Format())
-		if res.BuggyColliding == 0 || res.CertColliding != 0 || res.ClosedCrashed {
+	},
+	"sec5c": func(b *testing.B, result any) {
+		if res := result.(experiments.Sec5cResult); res.BuggyColliding == 0 || res.CertColliding != 0 || res.ClosedCrashed {
 			b.Fatalf("unexpected sec5c outcome: %+v", res)
 		}
-	}
-}
-
-// BenchmarkSec5dEndurance regenerates the Section V-D endurance study
-// (scaled hours): disengagements, crashes under best-effort scheduling vs an
-// RTOS, AC-control fraction.
-func BenchmarkSec5dEndurance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Sec5d(experiments.Sec5dConfig{Seed: 13, SimHours: 0.5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "sec5d", res.Format())
-	}
-}
-
-// BenchmarkAblationDelta regenerates the Remark 3.3 ablation: Δ and
-// hysteresis vs AC usage and switching.
-func BenchmarkAblationDelta(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationDelta(experiments.AblationConfig{Seed: 6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "abl1", res.Format())
-	}
-}
-
-// BenchmarkAblationNoReturn regenerates the two-way vs one-way switching
-// ablation (the paper's extension over classic Simplex).
-func BenchmarkAblationNoReturn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationReturn(experiments.AblationConfig{Seed: 6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "abl2", res.Format())
-	}
-}
-
-// BenchmarkAblationPolicy regenerates the switching-policy grid opened by
-// the rta.Policy redesign: every registered policy family on the faulted
-// mission, all crash-free by the framework clamp.
-func BenchmarkAblationPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationPolicy(experiments.AblationConfig{Seed: 6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
+	},
+	"abl-policy": func(b *testing.B, result any) {
+		for _, row := range result.(experiments.AblationPolicyResult).Rows {
 			if row.Crashed {
 				b.Fatalf("policy %s crashed — the framework clamp must keep every policy safe", row.Policy)
 			}
 		}
-		report(b, "abl3", res.Format())
-	}
+	},
 }
 
 // BenchmarkFleetScaling measures batch-simulation throughput of the fleet

@@ -1,9 +1,10 @@
 // Command soter-bench regenerates every table and figure of the paper's
-// evaluation (Section V) as text tables — the same experiments the
-// bench_test.go harness runs, addressable individually. Each experiment's
-// internal scenario sweeps are dispatched through the fleet engine
-// (internal/fleet) bounded at -workers, so sweep-heavy experiments saturate
-// the available cores while reports still print in order as they finish.
+// evaluation (Section V) as text tables: the experiments.Catalogue entries,
+// which the bench_test.go harness also runs, addressable individually. Each
+// experiment's internal scenario sweeps are dispatched through the fleet
+// engine (internal/fleet) bounded at -workers, so sweep-heavy experiments
+// saturate the available cores while reports still print in order as they
+// finish.
 // The extra "scenarios" experiment sweeps the whole declarative workload
 // registry (internal/scenario) through the fleet scenario-grid builder.
 //
@@ -61,251 +62,8 @@ import (
 
 	"repro/internal/certify"
 	"repro/internal/experiments"
-	"repro/internal/fleet"
 	"repro/internal/rta"
-	"repro/internal/scenario"
 )
-
-// outcome is one experiment's printable table plus the headline numbers the
-// -json feed reports.
-type outcome struct {
-	text       string
-	crashes    int
-	acFraction float64 // -1 when the experiment has no AC/SC layer
-	// policy is the switching policy the experiment ran ("" = the default
-	// soter-fig9; "grid" for sweeps spanning several policies).
-	policy string
-}
-
-type experiment struct {
-	name string
-	run  func(ctx context.Context, seed int64, quick bool, workers int) (outcome, error)
-}
-
-func catalogue() []experiment {
-	return []experiment{
-		{"fig5r", func(ctx context.Context, seed int64, quick bool, _ int) (outcome, error) {
-			laps := 10
-			if quick {
-				laps = 5
-			}
-			res, err := experiments.Fig5Right(experiments.Fig5Config{Seed: seed, Laps: laps, Context: ctx})
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{res.Format(), res.CollidingLaps, -1, ""}, nil
-		}},
-		{"fig5l", func(ctx context.Context, seed int64, quick bool, workers int) (outcome, error) {
-			laps := 12
-			if quick {
-				laps = 6
-			}
-			res, err := experiments.Fig5Left(experiments.Fig5Config{Seed: seed + 4, Laps: laps, Workers: workers, Context: ctx})
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{res.Format(), res.UnsafeLoops, -1, ""}, nil
-		}},
-		{"fig6", func(ctx context.Context, seed int64, _ bool, _ int) (outcome, error) {
-			res, err := experiments.Fig6(experiments.Fig6Config{Seed: seed + 1, Context: ctx})
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{res.Format(), boolCount(res.Crashed), -1, ""}, nil
-		}},
-		{"fig10", func(_ context.Context, seed int64, quick bool, _ int) (outcome, error) {
-			samples := 4000
-			if quick {
-				samples = 1000
-			}
-			res, err := experiments.Fig10(experiments.Fig10Config{Seed: seed + 2, Samples: samples})
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{res.Format(), 0, -1, ""}, nil
-		}},
-		{"fig12a", func(ctx context.Context, seed int64, quick bool, _ int) (outcome, error) {
-			tours := 2
-			if quick {
-				tours = 1
-			}
-			res, err := experiments.Fig12a(experiments.Fig12aConfig{Seed: seed + 3, Tours: tours, Context: ctx})
-			if err != nil {
-				return outcome{}, err
-			}
-			out := outcome{text: res.Format(), acFraction: -1}
-			for _, row := range res.Rows {
-				out.crashes += row.Collisions
-				if row.Mode == "rta" {
-					out.acFraction = row.ACFraction
-				}
-			}
-			return out, nil
-		}},
-		{"fig12b", func(ctx context.Context, seed int64, quick bool, _ int) (outcome, error) {
-			d := 2 * time.Minute
-			if quick {
-				d = 45 * time.Second
-			}
-			res, err := experiments.Fig12b(experiments.Fig12bConfig{Seed: seed + 6, Duration: d, Faults: true, Context: ctx})
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{res.Format(), boolCount(res.Crashed), res.ACFraction, ""}, nil
-		}},
-		{"fig12b-fleet", func(ctx context.Context, seed int64, quick bool, workers int) (outcome, error) {
-			cfg := experiments.Fig12bFleetConfig{
-				BaseSeed: seed + 6, Missions: 8, Duration: time.Minute,
-				Faults: true, Workers: workers, Context: ctx,
-			}
-			if quick {
-				cfg.Missions = 4
-				cfg.Duration = 30 * time.Second
-			}
-			res, err := experiments.Fig12bFleet(cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{res.Format(), res.Crashes, res.MeanACFraction, ""}, nil
-		}},
-		{"fig12c", func(ctx context.Context, seed int64, _ bool, _ int) (outcome, error) {
-			res, err := experiments.Fig12c(experiments.Fig12cConfig{Seed: seed + 10, Context: ctx})
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{res.Format(), boolCount(res.Crashed), -1, ""}, nil
-		}},
-		{"sec5c", func(ctx context.Context, seed int64, quick bool, _ int) (outcome, error) {
-			cfg := experiments.Sec5cConfig{Seed: seed + 2, Queries: 40, ClosedLoop: time.Minute, Context: ctx}
-			if quick {
-				cfg.Queries = 15
-				cfg.ClosedLoop = 0
-			}
-			res, err := experiments.Sec5c(cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{res.Format(), boolCount(res.ClosedCrashed), res.PlannerACFrac, ""}, nil
-		}},
-		{"sec5d", func(ctx context.Context, seed int64, quick bool, workers int) (outcome, error) {
-			cfg := experiments.Sec5dConfig{Seed: seed + 12, SimHours: 0.5, Workers: workers, Context: ctx}
-			if quick {
-				cfg.SimHours = 0.1
-				cfg.SegmentMinutes = 3
-			}
-			res, err := experiments.Sec5d(cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-			out := outcome{text: res.Format(), acFraction: -1}
-			for _, row := range res.Rows {
-				out.crashes += row.Crashes
-			}
-			if len(res.Rows) > 0 {
-				out.acFraction = res.Rows[0].ACFraction
-			}
-			return out, nil
-		}},
-		{"abl-delta", func(ctx context.Context, seed int64, quick bool, workers int) (outcome, error) {
-			cfg := experiments.AblationConfig{Seed: seed + 5, Workers: workers, Context: ctx}
-			if quick {
-				cfg.Duration = 40 * time.Second
-			}
-			res, err := experiments.AblationDelta(cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-			out := outcome{text: res.Format(), acFraction: -1}
-			for _, row := range res.Rows {
-				out.crashes += boolCount(row.Crashed)
-				// Report the paper-default grid point (Δ=100ms, hysteresis 2).
-				if row.Delta == 100*time.Millisecond && row.Hysteresis == 2.0 {
-					out.acFraction = row.ACFraction
-				}
-			}
-			return out, nil
-		}},
-		{"abl-policy", func(ctx context.Context, seed int64, quick bool, workers int) (outcome, error) {
-			cfg := experiments.AblationConfig{Seed: seed + 5, Workers: workers, Context: ctx}
-			if quick {
-				cfg.Duration = 40 * time.Second
-			}
-			res, err := experiments.AblationPolicy(cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-			out := outcome{text: res.Format(), acFraction: -1, policy: "grid"}
-			for _, row := range res.Rows {
-				out.crashes += boolCount(row.Crashed)
-				// Report the paper-default policy's AC fraction as the headline.
-				if row.Policy == rta.DefaultPolicyName {
-					out.acFraction = row.ACFraction
-				}
-			}
-			return out, nil
-		}},
-		{"abl-return", func(ctx context.Context, seed int64, quick bool, workers int) (outcome, error) {
-			cfg := experiments.AblationConfig{Seed: seed + 5, Workers: workers, Context: ctx}
-			if quick {
-				cfg.Duration = 40 * time.Second
-			}
-			res, err := experiments.AblationReturn(cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-			out := outcome{text: res.Format(), acFraction: -1}
-			for _, row := range res.Rows {
-				out.crashes += boolCount(row.Crashed)
-			}
-			if len(res.Rows) > 0 {
-				out.acFraction = res.Rows[0].ACFraction
-			}
-			return out, nil
-		}},
-		{"scenarios", func(ctx context.Context, seed int64, quick bool, workers int) (outcome, error) {
-			cfg := fleet.GridConfig{
-				Specs:    scenario.All(),
-				Seeds:    fleet.Seeds(seed, 3),
-				Duration: 30 * time.Second,
-			}
-			if quick {
-				cfg.Seeds = fleet.Seeds(seed, 2)
-				cfg.Duration = 10 * time.Second
-			}
-			rep := fleet.Run(ctx, fleet.ScenarioGrid(cfg), fleet.Options{Workers: workers})
-			if err := rep.FirstErr(); err != nil {
-				return outcome{}, err
-			}
-			out := outcome{text: formatScenarioSweep(rep), crashes: rep.Crashes, acFraction: -1}
-			if s := rep.ModuleStats("safe-motion-primitive"); s.ACTime+s.SCTime > 0 {
-				out.acFraction = s.ACFraction()
-			}
-			return out, nil
-		}},
-	}
-}
-
-// formatScenarioSweep appends per-mission verdict lines to the fleet summary.
-func formatScenarioSweep(rep *fleet.Report) string {
-	text := "Scenario registry sweep (every registered workload x seeds)\n" + rep.Format()
-	for _, res := range rep.Results {
-		if res.Err != nil {
-			text += fmt.Sprintf("  %-44s ERROR: %v\n", res.Name, res.Err)
-			continue
-		}
-		m := res.Metrics
-		text += fmt.Sprintf("  %-44s crashed=%-5v landed=%-5v AC→SC=%-3d targets=%d\n",
-			res.Name, m.Crashed, m.Landed, res.Disengagements(), m.TargetsVisited)
-	}
-	return text
-}
-
-func boolCount(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
 
 func main() {
 	log.SetFlags(0)
@@ -392,21 +150,18 @@ func run() error {
 		return runCertify(ctx, *certifyScenario, *certifyPolicies, cell, *jsonOut)
 	}
 
-	cat := catalogue()
-	byName := make(map[string]experiment, len(cat))
+	cat := experiments.Catalogue()
+	byName := make(map[string]experiments.Experiment, len(cat))
 	var names []string
 	for _, e := range cat {
-		byName[e.name] = e
-		names = append(names, e.name)
+		byName[e.Name] = e
+		names = append(names, e.Name)
 	}
-	slices.Sort(names)
-
 	selected := flag.Args()
 	if len(selected) == 0 {
-		for _, e := range cat {
-			selected = append(selected, e.name)
-		}
+		selected = slices.Clone(names)
 	}
+	slices.Sort(names)
 	for _, name := range selected {
 		if _, ok := byName[name]; !ok {
 			return fmt.Errorf("unknown experiment %q (have: %v)", name, names)
@@ -422,7 +177,7 @@ func run() error {
 	completed := 0
 	for _, name := range selected {
 		expStart := time.Now()
-		out, err := byName[name].run(ctx, *seed, *quick, *workers)
+		out, err := byName[name].Run(ctx, *seed, *quick, *workers)
 		if err != nil {
 			// Interruption is graceful: everything completed so far has
 			// already printed — report the partial coverage and stop.
@@ -436,11 +191,11 @@ func run() error {
 		completed++
 		wall := time.Since(expStart)
 		if *jsonOut {
-			policy := out.policy
+			policy := out.Policy
 			if policy == "" {
 				// Mirror the ac_fraction sentinel: an experiment with no
 				// AC/SC switching layer ran no switching policy either.
-				if out.acFraction < 0 {
+				if out.ACFraction < 0 {
 					policy = "n/a"
 				} else {
 					policy = rta.DefaultPolicyName
@@ -452,12 +207,12 @@ func run() error {
 				WallMS     float64 `json:"wall_ms"`
 				Crashes    int     `json:"crashes"`
 				ACFraction float64 `json:"ac_fraction"`
-			}{name, policy, float64(wall.Microseconds()) / 1000, out.crashes, out.acFraction}); err != nil {
+			}{name, policy, float64(wall.Microseconds()) / 1000, out.Crashes, out.ACFraction}); err != nil {
 				return err
 			}
 			continue
 		}
-		fmt.Printf("%s\n[%s took %v]\n\n", out.text, name, wall.Round(time.Millisecond))
+		fmt.Printf("%s\n[%s took %v]\n\n", out.Text, name, wall.Round(time.Millisecond))
 	}
 	if !*jsonOut {
 		fmt.Printf("[%d experiments took %v total]\n", len(selected), time.Since(start).Round(time.Millisecond))

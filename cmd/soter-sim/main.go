@@ -30,10 +30,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -199,7 +201,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rcfg.RecordTrajectory = *csvPath != ""
 	rcfg.Label = spec.Name
 
 	// SIGINT/SIGTERM cancel the run between executor slices; the partial
@@ -208,6 +209,10 @@ func run() error {
 	defer stop()
 	rcfg.Context = ctx
 
+	traj := &trajectoryCSV{}
+	if *csvPath != "" {
+		rcfg.Observers = append(rcfg.Observers, traj)
+	}
 	var trace *obs.JSONLWriter
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -244,10 +249,10 @@ func run() error {
 		fmt.Printf("trace: event stream written to %s\n", *tracePath)
 	}
 	if *csvPath != "" {
-		if err := writeCSV(*csvPath, res); err != nil {
+		if err := traj.writeFile(*csvPath); err != nil {
 			return fmt.Errorf("write csv: %w", err)
 		}
-		fmt.Printf("trajectory: %d samples written to %s\n", len(res.Trajectory), *csvPath)
+		fmt.Printf("trajectory: %d samples written to %s\n", len(traj.rows), *csvPath)
 	}
 	if res.Metrics.Crashed {
 		return fmt.Errorf("CRASH at t=%v pos=%v", res.Metrics.CrashTime, res.Metrics.CrashPos)
@@ -295,25 +300,81 @@ func printMetrics(res *sim.Result) {
 	}
 }
 
-func writeCSV(path string, res *sim.Result) error {
+// csvGrid is the trajectory CSV's sampling period.
+const csvGrid = 100 * time.Millisecond
+
+// trajectoryCSV keeps the rows of the trajectory CSV from the run's event
+// stream: the trajectory sample on every 100 ms grid point, the sample at
+// which a crash or touchdown happens, and the final sample of a run whose
+// deadline falls between grid points.
+type trajectoryCSV struct {
+	rows []obs.TrajectorySample
+	last obs.TrajectorySample
+}
+
+// Interests implements obs.Interested.
+func (c *trajectoryCSV) Interests() obs.KindSet {
+	return obs.Kinds(obs.KindTrajectorySample, obs.KindCrash, obs.KindLanded, obs.KindRunEnd)
+}
+
+// OnEvent implements obs.Observer.
+func (c *trajectoryCSV) OnEvent(e obs.Event) {
+	switch e := e.(type) {
+	case obs.TrajectorySample:
+		c.OnTrajectorySample(e)
+	case obs.Crash:
+		c.keep(c.last)
+	case obs.Landed:
+		// The touchdown sample precedes the landing; the row shows the
+		// landed state.
+		c.last.Pos, c.last.Vel = e.Pos, geom.Zero
+		c.keep(c.last)
+	case obs.RunEnd:
+		if c.last.T == e.T {
+			c.keep(c.last)
+		}
+	}
+}
+
+// OnTrajectorySample implements obs.TrajectoryObserver.
+func (c *trajectoryCSV) OnTrajectorySample(s obs.TrajectorySample) {
+	c.last = s
+	if s.T%csvGrid == 0 {
+		c.keep(s)
+	}
+}
+
+// keep appends s as a row, or replaces the last row if it is at s.T.
+func (c *trajectoryCSV) keep(s obs.TrajectorySample) {
+	if n := len(c.rows); n > 0 && c.rows[n-1].T == s.T {
+		c.rows[n-1] = s
+		return
+	}
+	c.rows = append(c.rows, s)
+}
+
+func (c *trajectoryCSV) writeFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if _, err := f.WriteString("t_s,x,y,z,vx,vy,vz,mode\n"); err != nil {
+	if err := c.write(f); err != nil {
+		f.Close()
 		return err
 	}
-	for _, p := range res.Trajectory {
-		row := strconv.FormatFloat(p.T.Seconds(), 'f', 3, 64) + "," +
+	return f.Close()
+}
+
+func (c *trajectoryCSV) write(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	bw.WriteString("t_s,x,y,z,vx,vy,vz,mode\n")
+	for _, p := range c.rows {
+		bw.WriteString(strconv.FormatFloat(p.T.Seconds(), 'f', 3, 64) + "," +
 			coord(p.Pos.X) + "," + coord(p.Pos.Y) + "," + coord(p.Pos.Z) + "," +
 			coord(p.Vel.X) + "," + coord(p.Vel.Y) + "," + coord(p.Vel.Z) + "," +
-			p.Mode.String() + "\n"
-		if _, err := f.WriteString(row); err != nil {
-			return err
-		}
+			p.Mode.String() + "\n")
 	}
-	return nil
+	return bw.Flush()
 }
 
 func coord(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }

@@ -51,7 +51,6 @@ func run(seed int64, duration time.Duration, withFaults bool) error {
 	if err != nil {
 		return fmt.Errorf("build scenario: %w", err)
 	}
-	rcfg.RecordTrajectory = true
 
 	// Ctrl-C cancels the mission cleanly; the metrics accumulated so far
 	// still print below.

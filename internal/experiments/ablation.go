@@ -17,8 +17,6 @@ type AblationConfig struct {
 	// Workers bounds the fleet worker pool the configuration grid is
 	// dispatched across (0 = GOMAXPROCS).
 	Workers int
-	// Context, when non-nil, cancels the sweep.
-	Context context.Context
 }
 
 // DeltaRow is one (Δ, hysteresis) configuration.
@@ -77,7 +75,7 @@ func ablationSpec(duration time.Duration) scenario.Spec {
 // AblationDelta runs the sweep: the 12-point (Δ, hysteresis) grid is a
 // scenario-grid batch — one base spec, one override per grid point — every
 // grid point an isolated mission.
-func AblationDelta(cfg AblationConfig) (AblationDeltaResult, error) {
+func AblationDelta(ctx context.Context, cfg AblationConfig) (AblationDeltaResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 80 * time.Second
 	}
@@ -105,7 +103,7 @@ func AblationDelta(cfg AblationConfig) (AblationDeltaResult, error) {
 		Overrides: overrides,
 		Seeds:     []int64{cfg.Seed},
 	})
-	rep := fleet.Run(runCtx(cfg.Context), missions, fleet.Options{Workers: cfg.Workers})
+	rep := fleet.Run(ctx, missions, fleet.Options{Workers: cfg.Workers})
 	if err := rep.FirstErr(); err != nil {
 		return AblationDeltaResult{}, fmt.Errorf("ablation: %w", err)
 	}
@@ -157,7 +155,7 @@ func (r AblationReturnResult) Format() string {
 
 // AblationReturn runs the comparison, both switching policies simulating
 // concurrently as a two-override scenario-grid batch.
-func AblationReturn(cfg AblationConfig) (AblationReturnResult, error) {
+func AblationReturn(ctx context.Context, cfg AblationConfig) (AblationReturnResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 80 * time.Second
 	}
@@ -181,7 +179,7 @@ func AblationReturn(cfg AblationConfig) (AblationReturnResult, error) {
 		Overrides: overrides,
 		Seeds:     []int64{cfg.Seed},
 	})
-	rep := fleet.Run(runCtx(cfg.Context), missions, fleet.Options{Workers: cfg.Workers})
+	rep := fleet.Run(ctx, missions, fleet.Options{Workers: cfg.Workers})
 	if err := rep.FirstErr(); err != nil {
 		return AblationReturnResult{}, fmt.Errorf("ablation return: %w", err)
 	}

@@ -1,28 +1,18 @@
 // Package experiments implements the reproduction of every figure and table
-// in the paper's evaluation (Section V), shared by the bench_test.go harness
-// at the repository root and the cmd/soter-bench tool. Each experiment is a
-// pure function from a seeded configuration to a result value whose Format
-// method prints the rows/series the paper reports; `go test -bench .
-// -benchtime 1x` regenerates all of them.
+// in the paper's evaluation (Section V). Each experiment is a pure function
+// from a seeded configuration to a result value whose Format method prints
+// the rows/series the paper reports; the ones that simulate take the
+// cancellation context as their first argument. Catalogue is
+// the one list of them: cmd/soter-bench and the bench_test.go harness at the
+// repository root both range over it, and `go test -bench . -benchtime 1x`
+// regenerates all of them.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
 )
-
-// runCtx resolves an experiment config's optional cancellation context (nil
-// means run to completion). Every experiment threads it into its simulation
-// runs and fleet sweeps, so cmd/soter-bench's -timeout and SIGINT handling
-// cancel whole experiments cleanly.
-func runCtx(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background() //soter:ctx-ok documented shim: nil config context means run to completion
-	}
-	return ctx
-}
 
 // table is a tiny fixed-width text-table builder used by all Format methods.
 type table struct {

@@ -14,7 +14,7 @@ import (
 // absolute numbers. The full-size runs live in bench_test.go.
 
 func TestFig5RightShape(t *testing.T) {
-	res, err := Fig5Right(Fig5Config{Seed: 1, Laps: 6})
+	res, err := Fig5Right(t.Context(), Fig5Config{Seed: 1, Laps: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestFig5RightShape(t *testing.T) {
 }
 
 func TestFig5LeftShape(t *testing.T) {
-	res, err := Fig5Left(Fig5Config{Seed: 5, Laps: 8})
+	res, err := Fig5Left(t.Context(), Fig5Config{Seed: 5, Laps: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestFig5LeftShape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res, err := Fig6(Fig6Config{Seed: 2})
+	res, err := Fig6(t.Context(), Fig6Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig12aShape(t *testing.T) {
-	res, err := Fig12a(Fig12aConfig{Seed: 4, Tours: 1})
+	res, err := Fig12a(t.Context(), Fig12aConfig{Seed: 4, Tours: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFig12aShape(t *testing.T) {
 }
 
 func TestFig12bShape(t *testing.T) {
-	res, err := Fig12b(Fig12bConfig{Seed: 7, Duration: 45 * time.Second, Faults: true})
+	res, err := Fig12b(t.Context(), Fig12bConfig{Seed: 7, Duration: 45 * time.Second, Faults: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFig12bShape(t *testing.T) {
 }
 
 func TestFig12bFleetShape(t *testing.T) {
-	res, err := Fig12bFleet(Fig12bFleetConfig{
+	res, err := Fig12bFleet(t.Context(), Fig12bFleetConfig{
 		BaseSeed: 7, Missions: 3, Duration: 30 * time.Second, Faults: true, Workers: 2,
 	})
 	if err != nil {
@@ -151,7 +151,7 @@ func TestFig12bFleetShape(t *testing.T) {
 }
 
 func TestFig12cShape(t *testing.T) {
-	res, err := Fig12c(Fig12cConfig{Seed: 11})
+	res, err := Fig12c(t.Context(), Fig12cConfig{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestFig12cShape(t *testing.T) {
 }
 
 func TestSec5cShape(t *testing.T) {
-	res, err := Sec5c(Sec5cConfig{Seed: 3, Queries: 15})
+	res, err := Sec5c(t.Context(), Sec5cConfig{Seed: 3, Queries: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSec5cShape(t *testing.T) {
 }
 
 func TestSec5dShape(t *testing.T) {
-	res, err := Sec5d(Sec5dConfig{Seed: 13, SimHours: 0.1, SegmentMinutes: 3})
+	res, err := Sec5d(t.Context(), Sec5dConfig{Seed: 13, SimHours: 0.1, SegmentMinutes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestSec5dShape(t *testing.T) {
 }
 
 func TestAblationReturnShape(t *testing.T) {
-	res, err := AblationReturn(AblationConfig{Seed: 6, Duration: 45 * time.Second})
+	res, err := AblationReturn(t.Context(), AblationConfig{Seed: 6, Duration: 45 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,6 @@ type Fig12aConfig struct {
 	Seed int64
 	// Tours is the number of g1..g4 tours to average over.
 	Tours int
-	// Context, when non-nil, cancels the experiment's runs.
-	Context context.Context
 }
 
 // Fig12aRow is one configuration of the comparison.
@@ -54,7 +52,7 @@ func (r Fig12aResult) Format() string {
 // blocks; the aggressive controller's own corner overshoot is the hazard,
 // exactly as in the paper's timing comparison) with the protection mode as
 // the only override.
-func Fig12a(cfg Fig12aConfig) (Fig12aResult, error) {
+func Fig12a(ctx context.Context, cfg Fig12aConfig) (Fig12aResult, error) {
 	if cfg.Tours <= 0 {
 		cfg.Tours = 2
 	}
@@ -71,7 +69,7 @@ func Fig12a(cfg Fig12aConfig) (Fig12aResult, error) {
 		}
 		rcfg.KeepFlyingAfterCrash = true // score collisions, finish the tour
 		rcfg.StopAfterVisits = cfg.Tours * len(base.Targets)
-		rcfg.Context = runCtx(cfg.Context)
+		rcfg.Context = ctx
 		out, err := sim.Run(rcfg)
 		if err != nil {
 			return Fig12aResult{}, fmt.Errorf("fig12a %v: %w", mode, err)

@@ -18,8 +18,6 @@ type Fig12bConfig struct {
 	// Faults injects the AC misbehaviour that produces the N1/N2 recovery
 	// events of the figure.
 	Faults bool
-	// Context, when non-nil, cancels the run.
-	Context context.Context
 }
 
 // Fig12bResult reproduces Figure 12b: during the surveillance mission the SC
@@ -71,7 +69,7 @@ func fig12bSpec(duration time.Duration, faults bool) scenario.Spec {
 }
 
 // Fig12b runs the surveillance mission.
-func Fig12b(cfg Fig12bConfig) (Fig12bResult, error) {
+func Fig12b(ctx context.Context, cfg Fig12bConfig) (Fig12bResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 2 * time.Minute
 	}
@@ -79,7 +77,7 @@ func Fig12b(cfg Fig12bConfig) (Fig12bResult, error) {
 	if err != nil {
 		return Fig12bResult{}, fmt.Errorf("fig12b: %w", err)
 	}
-	rcfg.Context = runCtx(cfg.Context)
+	rcfg.Context = ctx
 	out, err := sim.Run(rcfg)
 	if err != nil {
 		return Fig12bResult{}, fmt.Errorf("fig12b: %w", err)
@@ -110,8 +108,6 @@ type Fig12cConfig struct {
 	Seed          int64
 	InitialCharge float64
 	DrainMultiple float64
-	// Context, when non-nil, cancels the run.
-	Context context.Context
 }
 
 // Fig12cResult reproduces Figure 12c: the battery falls below the safety
@@ -141,7 +137,7 @@ func (r Fig12cResult) Format() string {
 }
 
 // Fig12c runs the battery-safety experiment.
-func Fig12c(cfg Fig12cConfig) (Fig12cResult, error) {
+func Fig12c(ctx context.Context, cfg Fig12cConfig) (Fig12cResult, error) {
 	spec := scenario.MustGet("battery-stress").With(scenario.Override{Apply: func(sp *scenario.Spec) {
 		if cfg.InitialCharge > 0 {
 			sp.InitialBattery = cfg.InitialCharge
@@ -154,7 +150,7 @@ func Fig12c(cfg Fig12cConfig) (Fig12cResult, error) {
 	if err != nil {
 		return Fig12cResult{}, fmt.Errorf("fig12c: %w", err)
 	}
-	rcfg.Context = runCtx(cfg.Context)
+	rcfg.Context = ctx
 	out, err := sim.Run(rcfg)
 	if err != nil {
 		return Fig12cResult{}, fmt.Errorf("fig12c: %w", err)
@@ -191,8 +187,6 @@ type Fig12bFleetConfig struct {
 	Faults   bool
 	// Workers bounds the fleet worker pool (0 = GOMAXPROCS).
 	Workers int
-	// Context, when non-nil, cancels the sweep.
-	Context context.Context
 }
 
 // Fig12bFleetResult aggregates the sweep.
@@ -224,7 +218,7 @@ func (r Fig12bFleetResult) Format() string {
 }
 
 // Fig12bFleet runs the sweep.
-func Fig12bFleet(cfg Fig12bFleetConfig) (Fig12bFleetResult, error) {
+func Fig12bFleet(ctx context.Context, cfg Fig12bFleetConfig) (Fig12bFleetResult, error) {
 	if cfg.Missions <= 0 {
 		cfg.Missions = 8
 	}
@@ -235,7 +229,7 @@ func Fig12bFleet(cfg Fig12bFleetConfig) (Fig12bFleetResult, error) {
 		Specs: []scenario.Spec{fig12bSpec(cfg.Duration, cfg.Faults)},
 		Seeds: fleet.Seeds(cfg.BaseSeed, cfg.Missions),
 	})
-	rep := fleet.Run(runCtx(cfg.Context), missions, fleet.Options{Workers: cfg.Workers})
+	rep := fleet.Run(ctx, missions, fleet.Options{Workers: cfg.Workers})
 	if err := rep.FirstErr(); err != nil {
 		return Fig12bFleetResult{}, fmt.Errorf("fig12b fleet: %w", err)
 	}

@@ -24,8 +24,6 @@ type Fig5Config struct {
 	// Workers bounds the fleet worker pool the independent loops of the
 	// figure-eight sweep are dispatched across (0 = GOMAXPROCS).
 	Workers int
-	// Context, when non-nil, cancels the sweep.
-	Context context.Context
 }
 
 // Fig5RightResult reports the PX4-style third-party controller experiment:
@@ -116,11 +114,10 @@ func overshootBeyond(p geom.Vec3, tour []geom.Vec3) float64 {
 
 // Fig5Right runs the third-party-controller experiment. A cancelled context
 // returns the laps completed so far together with the context's error.
-func Fig5Right(cfg Fig5Config) (Fig5RightResult, error) {
+func Fig5Right(ctx context.Context, cfg Fig5Config) (Fig5RightResult, error) {
 	if cfg.Laps <= 0 {
 		cfg.Laps = 10
 	}
-	ctx := runCtx(cfg.Context)
 	ws, tour := fig5Workspace()
 	params := plant.DefaultParams()
 	ac := controller.NewAggressive(controller.Limits{MaxAccel: params.MaxAccel, MaxVel: params.MaxVel})
@@ -169,7 +166,7 @@ type fig5Loop struct {
 // stream, so the loop sweep is an independent scenario set and is dispatched
 // through the fleet engine's worker pool. A cancelled context returns the
 // loops completed so far together with the context's error.
-func Fig5Left(cfg Fig5Config) (Fig5LeftResult, error) {
+func Fig5Left(ctx context.Context, cfg Fig5Config) (Fig5LeftResult, error) {
 	if cfg.Laps <= 0 {
 		cfg.Laps = 12
 	}
@@ -205,7 +202,7 @@ func Fig5Left(cfg Fig5Config) (Fig5LeftResult, error) {
 		centers[i] = center.Add(geom.V((rng.Float64()*2-1)*4, (rng.Float64()*2-1)*4, 0))
 	}
 
-	loops, err := fleet.Map(runCtx(cfg.Context), cfg.Workers, cfg.Laps, func(ctx context.Context, loop int) (fig5Loop, error) {
+	loops, err := fleet.Map(ctx, cfg.Workers, cfg.Laps, func(ctx context.Context, loop int) (fig5Loop, error) {
 		if err := ctx.Err(); err != nil {
 			return fig5Loop{}, err
 		}

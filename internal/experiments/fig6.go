@@ -17,8 +17,6 @@ import (
 // transfer.
 type Fig6Config struct {
 	Seed int64
-	// Context, when non-nil, cancels the run.
-	Context context.Context
 }
 
 // Fig6Result reproduces the behaviour of Figures 6 and 12a's inset: during a
@@ -51,7 +49,7 @@ func (r Fig6Result) Format() string {
 }
 
 // Fig6 runs the transfer.
-func Fig6(cfg Fig6Config) (Fig6Result, error) {
+func Fig6(ctx context.Context, cfg Fig6Config) (Fig6Result, error) {
 	ws, _ := fig5Workspace()
 	start := geom.V(5, 5, 2)
 	goal := geom.V(25, 5, 2)
@@ -82,7 +80,7 @@ func Fig6(cfg Fig6Config) (Fig6Result, error) {
 		Initial:         plant.State{Pos: start, Battery: 1},
 		Duration:        60 * time.Second,
 		Seed:            cfg.Seed,
-		Context:         runCtx(cfg.Context),
+		Context:         ctx,
 		CheckInvariants: true,
 		StopAfterVisits: 1,
 	})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -68,7 +69,7 @@ func ablationPolicies() []string {
 
 // AblationPolicy runs the sweep as a scenario-grid batch: one base spec, one
 // override per policy, every cell an isolated mission.
-func AblationPolicy(cfg AblationConfig) (AblationPolicyResult, error) {
+func AblationPolicy(ctx context.Context, cfg AblationConfig) (AblationPolicyResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 80 * time.Second
 	}
@@ -86,7 +87,7 @@ func AblationPolicy(cfg AblationConfig) (AblationPolicyResult, error) {
 		Overrides: overrides,
 		Seeds:     []int64{cfg.Seed},
 	})
-	rep := fleet.Run(runCtx(cfg.Context), missions, fleet.Options{Workers: cfg.Workers})
+	rep := fleet.Run(ctx, missions, fleet.Options{Workers: cfg.Workers})
 	if err := rep.FirstErr(); err != nil {
 		return AblationPolicyResult{}, fmt.Errorf("ablation policy: %w", err)
 	}

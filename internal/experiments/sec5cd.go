@@ -22,8 +22,6 @@ type Sec5cConfig struct {
 	// ClosedLoop additionally runs the full stack with the buggy planner
 	// under RTA protection.
 	ClosedLoop time.Duration
-	// Context, when non-nil, cancels the closed-loop run.
-	Context context.Context
 }
 
 // Sec5cResult reproduces Section V-C: the buggy third-party RRT* emits
@@ -58,7 +56,7 @@ func (r Sec5cResult) Format() string {
 }
 
 // Sec5c runs the planner experiment.
-func Sec5c(cfg Sec5cConfig) (Sec5cResult, error) {
+func Sec5c(ctx context.Context, cfg Sec5cConfig) (Sec5cResult, error) {
 	if cfg.Queries <= 0 {
 		cfg.Queries = 40
 	}
@@ -117,7 +115,7 @@ func Sec5c(cfg Sec5cConfig) (Sec5cResult, error) {
 		if err != nil {
 			return Sec5cResult{}, fmt.Errorf("sec5c closed loop: %w", err)
 		}
-		rcfg.Context = runCtx(cfg.Context)
+		rcfg.Context = ctx
 		out, err := sim.Run(rcfg)
 		if err != nil {
 			return Sec5cResult{}, fmt.Errorf("sec5c closed loop: %w", err)
@@ -146,8 +144,6 @@ type Sec5dConfig struct {
 	// Workers bounds the fleet worker pool the segments are dispatched
 	// across (0 = GOMAXPROCS).
 	Workers int
-	// Context, when non-nil, cancels the endurance sweep.
-	Context context.Context
 }
 
 // Sec5dRow is one scheduling configuration of the endurance study.
@@ -189,7 +185,7 @@ func (r Sec5dResult) Format() string {
 // best-effort (burst outage) scheduling. The independent mission segments of
 // each scheduling configuration are dispatched through the fleet engine, so
 // the scaled hours simulate in parallel.
-func Sec5d(cfg Sec5dConfig) (Sec5dResult, error) {
+func Sec5d(ctx context.Context, cfg Sec5dConfig) (Sec5dResult, error) {
 	if cfg.SimHours <= 0 {
 		cfg.SimHours = 0.5
 	}
@@ -223,7 +219,7 @@ func Sec5d(cfg Sec5dConfig) (Sec5dResult, error) {
 			Seeds:    fleet.Seeds(cfg.Seed, segments),
 			Duration: time.Duration(cfg.SegmentMinutes) * time.Minute,
 		})
-		rep := fleet.Run(runCtx(cfg.Context), missions, fleet.Options{Workers: cfg.Workers})
+		rep := fleet.Run(ctx, missions, fleet.Options{Workers: cfg.Workers})
 		if err := rep.FirstErr(); err != nil {
 			return Sec5dResult{}, fmt.Errorf("sec5d: %w", err)
 		}

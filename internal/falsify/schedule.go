@@ -27,7 +27,7 @@ import (
 // (6!) are explored.
 const maxBranching = 720
 
-// scheduleStrategy is registered as "schedule" (exhaustive lexicographic DFS
+// scheduleStrategy is the strategy table's "schedule" (exhaustive lexicographic DFS
 // over choice vectors) / "schedule:N" (one random interleaving per seed
 // CampaignSeed, …, CampaignSeed+N-1).
 type scheduleStrategy struct{ seeds int }

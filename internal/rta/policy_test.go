@@ -275,3 +275,30 @@ func TestDefaultPolicyMatchesLegacyFig9(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParsePolicy holds policy-spec parsing, the decoder of every scenario's
+// and job's "policy" field, to its contract: it never panics, an accepted
+// spec's canonical name parses back to itself, and parsing is deterministic
+// (the same spec gives the same name or the same error).
+func FuzzParsePolicy(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePolicy(spec)
+		again, againErr := ParsePolicy(spec)
+		if err != nil {
+			if againErr == nil || againErr.Error() != err.Error() {
+				t.Fatalf("ParsePolicy(%q) errors differ: %v, then %v", spec, err, againErr)
+			}
+			return
+		}
+		if againErr != nil || again.Name() != p.Name() {
+			t.Fatalf("ParsePolicy(%q) not deterministic: %q, then %v, %v", spec, p.Name(), again, againErr)
+		}
+		canon, err := ParsePolicy(p.Name())
+		if err != nil {
+			t.Fatalf("canonical name %q of %q does not parse: %v", p.Name(), spec, err)
+		}
+		if canon.Name() != p.Name() {
+			t.Fatalf("canonical name %q of %q reparses as %q", p.Name(), spec, canon.Name())
+		}
+	})
+}

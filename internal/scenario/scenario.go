@@ -187,6 +187,12 @@ func (s Spec) Validate() error {
 	if s.DrainMultiple < 0 {
 		return fmt.Errorf("scenario %q: drain multiple %v must be non-negative", s.Name, s.DrainMultiple)
 	}
+	if s.Hysteresis > 0 && s.Hysteresis < 1 {
+		return fmt.Errorf("scenario %q: hysteresis %v must be >= 1 (zero selects the default)", s.Name, s.Hysteresis)
+	}
+	if s.MotionDelta < 0 {
+		return fmt.Errorf("scenario %q: motion delta %v must not be negative", s.Name, s.MotionDelta)
+	}
 	if s.JitterProb < 0 || s.JitterProb > 1 {
 		return fmt.Errorf("scenario %q: jitter probability %v outside [0, 1]", s.Name, s.JitterProb)
 	}

@@ -149,14 +149,24 @@ func (o Overrides) apply(s scenario.Spec) (scenario.Spec, error) {
 	if o.JitterSCOnly != nil {
 		s.JitterSCOnly = *o.JitterSCOnly
 	}
-	if o.InitialBattery != nil {
-		s.InitialBattery = *o.InitialBattery
-	}
-	if o.DrainMultiple != nil {
-		s.DrainMultiple = *o.DrainMultiple
-	}
-	if o.Hysteresis != nil {
-		s.Hysteresis = *o.Hysteresis
+	// The spec reads zero as "the default", so an explicit non-positive
+	// value would silently run something else: refuse it.
+	for _, f := range []struct {
+		name string
+		v    *float64
+		dst  *float64
+	}{
+		{"initial_battery", o.InitialBattery, &s.InitialBattery},
+		{"drain_multiple", o.DrainMultiple, &s.DrainMultiple},
+		{"hysteresis", o.Hysteresis, &s.Hysteresis},
+	} {
+		if f.v == nil {
+			continue
+		}
+		if *f.v <= 0 {
+			return s, fmt.Errorf("%s %v must be positive", f.name, *f.v)
+		}
+		*f.dst = *f.v
 	}
 	if o.MotionDelta != 0 {
 		s.MotionDelta = time.Duration(o.MotionDelta)

@@ -300,6 +300,33 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestOverrideRangeRejected: an out-of-range override the spec layer would
+// read as "use the default" (or silently clamp) is refused at submit with a
+// 400 naming the field, instead of running something else under the default
+// spelling's cache key.
+func TestOverrideRangeRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ path, field, body string }{
+		{"/jobs", "initial_battery", `{"scenario":"battery-stress","overrides":{"initial_battery":0}}`},
+		{"/jobs", "drain_multiple", `{"scenario":"battery-stress","overrides":{"drain_multiple":0}}`},
+		{"/jobs", "hysteresis", `{"scenario":"surveillance-city","overrides":{"hysteresis":0.5}}`},
+		{"/jobs", "motion delta", `{"scenario":"surveillance-city","overrides":{"motion_delta":"-1s"}}`},
+		{"/certify", "hysteresis", `{"scenario":"surveillance-city","threshold":0.01,"overrides":{"hysteresis":0.5}}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		decodeErr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || decodeErr != nil || !strings.Contains(body.Error, tc.field) {
+			t.Errorf("POST %s %s: status %d, error %q (decode: %v), want 400 naming %q",
+				tc.path, tc.body, resp.StatusCode, body.Error, decodeErr, tc.field)
+		}
+	}
+}
+
 // TestAdmissionBounds: an oversized request is refused before any per-cell
 // work — a 2^40-seed sweep gets its 400 at once instead of being expanded
 // and fingerprinted — and an oversized body is refused with 413.

@@ -3,12 +3,14 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/controller"
 	"repro/internal/geom"
 	"repro/internal/mission"
+	"repro/internal/obs"
 )
 
 // TestRTASurvivesRandomFaultSchedules is failure-injection fuzzing of the
@@ -73,7 +75,7 @@ func TestRTASurvivesRandomFaultSchedules(t *testing.T) {
 // identical metrics and switch logs — the property the systematic-testing
 // engine's replay-based exploration relies on.
 func TestFullStackReplayDeterminism(t *testing.T) {
-	runOnce := func() *Result {
+	runOnce := func() (*Result, []obs.TrajectorySample) {
 		cfg := mission.DefaultStackConfig(21)
 		cfg.PlannerBugRate = 0.3
 		cfg.App = mission.AppConfig{Random: true}
@@ -82,33 +84,30 @@ func TestFullStackReplayDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var traj []obs.TrajectorySample
 		res, err := Run(RunConfig{
-			Stack:            st,
-			Initial:          initialAt(geom.V(3, 3, 2)),
-			Duration:         40 * time.Second,
-			Seed:             21,
-			JitterProb:       0.002,
-			JitterSCOnly:     true,
-			RecordTrajectory: true,
+			Stack:        st,
+			Initial:      initialAt(geom.V(3, 3, 2)),
+			Duration:     40 * time.Second,
+			Seed:         21,
+			JitterProb:   0.002,
+			JitterSCOnly: true,
+			Observers:    []obs.Observer{trajectoryInto(&traj)},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, traj
 	}
-	a, b := runOnce(), runOnce()
+	a, aTraj := runOnce()
+	b, bTraj := runOnce()
 	if !reflect.DeepEqual(a.Metrics, b.Metrics) {
 		t.Errorf("metrics diverged:\n%+v\n%+v", a.Metrics, b.Metrics)
 	}
 	if !reflect.DeepEqual(a.Switches, b.Switches) {
 		t.Errorf("switch logs diverged: %d vs %d entries", len(a.Switches), len(b.Switches))
 	}
-	if len(a.Trajectory) != len(b.Trajectory) {
-		t.Fatalf("trajectory lengths diverged: %d vs %d", len(a.Trajectory), len(b.Trajectory))
-	}
-	for i := range a.Trajectory {
-		if a.Trajectory[i] != b.Trajectory[i] {
-			t.Fatalf("trajectory diverged at sample %d", i)
-		}
+	if !slices.Equal(aTraj, bTraj) {
+		t.Errorf("trajectories diverged: %d vs %d samples", len(aTraj), len(bTraj))
 	}
 }

@@ -33,14 +33,6 @@ import (
 	"repro/internal/runtime"
 )
 
-// TrajectoryPoint is one sample of the flown trajectory.
-type TrajectoryPoint struct {
-	T    time.Duration
-	Pos  geom.Vec3
-	Vel  geom.Vec3
-	Mode rta.Mode // motion-primitive module mode (ModeAC when unprotected)
-}
-
 // ModuleStats aggregates per-module switching statistics. It lives in
 // internal/obs (the metrics are aggregated from the event stream) and is
 // re-exported here for the simulation-facing callers.
@@ -96,8 +88,6 @@ type RunConfig struct {
 	// run-slice control flow, so it is a cost knob the scenario layer leaves
 	// off unless a workload opts in (scenario.Spec.InvariantMonitor).
 	CheckInvariants bool
-	// RecordTrajectory enables trajectory sampling (costly for long runs).
-	RecordTrajectory bool
 	// KeepFlyingAfterCrash continues the run through collisions, counting
 	// episodes instead of stopping at the first (used by the unprotected
 	// baselines of Figure 12a).
@@ -113,12 +103,11 @@ type RunConfig struct {
 	Order runtime.ScheduleOrder
 }
 
-// Result bundles metrics with the optional trajectory and the executor's
-// switch log.
+// Result bundles metrics with the executor's switch log. The flown
+// trajectory is the run's obs.TrajectorySample stream.
 type Result struct {
-	Metrics    Metrics
-	Trajectory []TrajectoryPoint
-	Switches   []runtime.Switch
+	Metrics  Metrics
+	Switches []runtime.Switch
 }
 
 // environment integrates the plant between discrete events and publishes the
@@ -213,14 +202,11 @@ type runner struct {
 	landed      bool
 	inCollision bool
 	tracker     *modeTracker
-	traj        []TrajectoryPoint
 	rng         *rand.Rand
 	// outageUntil tracks per-node scheduling outages (jitter model).
 	outageUntil map[string]time.Duration
 	exec        *runtime.Executor
 	env         *environment
-	trajEvery   time.Duration
-	trajLast    time.Duration
 	batLast     time.Duration
 }
 
@@ -330,7 +316,6 @@ func Run(cfg RunConfig) (*Result, error) {
 		tracker:     tracker,
 		rng:         rand.New(rand.NewSource(cfg.Seed + 7)),
 		outageUntil: make(map[string]time.Duration),
-		trajEvery:   50 * time.Millisecond,
 	}
 	r.trajTyped = obs.TrajectoryObservers(r.byKind[obs.KindTrajectorySample])
 	env := &environment{
@@ -401,8 +386,13 @@ func Run(cfg RunConfig) (*Result, error) {
 			}
 			return nil, err
 		}
-		r.sampleTrajectory()
 		r.sampleBattery()
+		if stepUntil == deadline {
+			// Every firing up to the deadline has run. The executor's clock
+			// stops at the last of them, short of a deadline that falls
+			// between firing instants, so Now() alone never reaches it.
+			break
+		}
 	}
 
 	end := exec.Now()
@@ -420,12 +410,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	r.emit(endEv)
 
-	res := &Result{
-		Metrics:    sink.Metrics(),
-		Trajectory: r.traj,
-		Switches:   exec.Switches(),
-	}
-	return res, runErr
+	return &Result{Metrics: sink.Metrics(), Switches: exec.Switches()}, runErr
 }
 
 // cancelled reports whether err is the context's cancellation surfacing.
@@ -490,39 +475,16 @@ func (r *runner) dropFilter(ct time.Duration, name string) bool {
 	return false
 }
 
-func (r *runner) sampleTrajectory() {
-	if !r.cfg.RecordTrajectory {
-		return
-	}
-	now := r.exec.Now()
-	if now-r.trajLast < r.trajEvery && len(r.traj) > 0 {
-		return
-	}
-	r.trajLast = now
-	mode := rta.ModeAC
-	if pm := r.cfg.Stack.PrimitiveModule; pm != nil {
-		if m, err := r.exec.Mode(pm.Name()); err == nil {
-			mode = m
-		}
-	}
-	r.traj = append(r.traj, TrajectoryPoint{
-		T:    now,
-		Pos:  r.env.state.Pos,
-		Vel:  r.env.state.Vel,
-		Mode: mode,
-	})
-}
-
-// sampleBattery emits periodic obs.BatterySample events at the trajectory
-// cadence — free when nobody subscribed to them (the metrics sink takes the
-// final charge from RunEnd instead).
+// sampleBattery emits obs.BatterySample events at most every 50 ms — free
+// when nobody subscribed to them (the metrics sink takes the final charge
+// from RunEnd instead).
 func (r *runner) sampleBattery() {
 	list := r.byKind[obs.KindBatterySample]
 	if len(list) == 0 {
 		return
 	}
 	now := r.exec.Now()
-	if now-r.batLast < r.trajEvery && r.batLast > 0 {
+	if now-r.batLast < 50*time.Millisecond && r.batLast > 0 {
 		return
 	}
 	r.batLast = now

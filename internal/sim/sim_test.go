@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"repro/internal/controller"
 	"repro/internal/geom"
 	"repro/internal/mission"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/plant"
 )
@@ -205,31 +207,41 @@ func TestBatteryLandingUnderFastDrain(t *testing.T) {
 	}
 }
 
-// TestTrajectoryRecording: sampling produces a monotone, plausible trace.
+// TestTrajectoryRecording: the sample stream is a monotone trace with a
+// sample on every 100 ms grid point.
 func TestTrajectoryRecording(t *testing.T) {
-	cfg := mission.DefaultStackConfig(8)
-	cfg.App = mission.AppConfig{Points: squareTour()}
-	st, err := mission.Build(cfg)
-	if err != nil {
+	var traj []obs.TrajectorySample
+	if _, err := Run(observedRun(t, 8, trajectoryInto(&traj))); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(RunConfig{
-		Stack:            st,
-		Initial:          initialAt(geom.V(3, 3, 2)),
-		Duration:         10 * time.Second,
-		Seed:             8,
-		RecordTrajectory: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trajectory) < 50 {
-		t.Fatalf("trajectory has %d samples", len(res.Trajectory))
-	}
-	for i := 1; i < len(res.Trajectory); i++ {
-		if res.Trajectory[i].T < res.Trajectory[i-1].T {
+	grid := 0
+	for i, s := range traj {
+		if i > 0 && s.T < traj[i-1].T {
 			t.Fatal("trajectory time not monotone")
 		}
+		if s.T%(100*time.Millisecond) == 0 {
+			grid++
+		}
+	}
+	if grid != 80 {
+		t.Fatalf("trajectory has %d grid samples over 8s, want 80", grid)
+	}
+}
+
+// TestOffLatticeDurationTerminates: a Duration between firing instants ends
+// the run at the last firing before it instead of spinning forever.
+func TestOffLatticeDurationTerminates(t *testing.T) {
+	cfg := observedRun(t, 1)
+	cfg.Duration = 2050 * time.Millisecond
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
+	cfg.Context = ctx
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Metrics.Duration; d <= 2*time.Second || d > cfg.Duration {
+		t.Errorf("run ended at %v, want in (2s, %v]", d, cfg.Duration)
 	}
 }
 

@@ -25,12 +25,11 @@ func TestSmokeSurveillance(t *testing.T) {
 		t.Fatalf("build stack: %v", err)
 	}
 	res, err := Run(RunConfig{
-		Stack:            st,
-		Initial:          initialAt(geom.V(3, 3, 2)),
-		Duration:         60 * time.Second,
-		Seed:             1,
-		CheckInvariants:  true,
-		RecordTrajectory: true,
+		Stack:           st,
+		Initial:         initialAt(geom.V(3, 3, 2)),
+		Duration:        60 * time.Second,
+		Seed:            1,
+		CheckInvariants: true,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
