@@ -8,6 +8,7 @@ import (
 	"repro/internal/battery"
 	"repro/internal/geom"
 	"repro/internal/node"
+	"repro/internal/plan"
 	"repro/internal/pubsub"
 	"repro/internal/rta"
 )
@@ -16,6 +17,11 @@ import (
 type batteryFwdState struct {
 	seq      uint64
 	lastPlan string // fingerprint of the last forwarded plan
+	// src is the plan slice last forwarded and pub the boxed ActivePlan
+	// published for it. Published values are immutable, so while TopicPlan
+	// holds the same slice the node republishes pub as is.
+	src plan.Plan
+	pub pubsub.Value
 }
 
 // NewBatteryACNode builds the battery module's advanced controller: a node
@@ -33,13 +39,19 @@ func NewBatteryACNode(name string, period time.Duration) (*node.Node, error) {
 		if !havePlan {
 			return s, nil, nil
 		}
+		if len(p) == len(s.src) && &p[0] == &s.src[0] {
+			out[TopicActivePlan] = s.pub
+			return s, out, nil
+		}
 		next := *s
 		fp = appendFingerprint(fp[:0], p)
 		if string(fp) != s.lastPlan {
 			next.seq++
 			next.lastPlan = string(fp)
 		}
-		out[TopicActivePlan] = ActivePlan{Waypoints: p.Clone(), Landing: false, Seq: next.seq}
+		next.src = p
+		next.pub = ActivePlan{Waypoints: p.Clone(), Landing: false, Seq: next.seq}
+		out[TopicActivePlan] = next.pub
 		return &next, out, nil
 	}
 	return node.New(
@@ -59,6 +71,7 @@ type landerState struct {
 	site    geom.Vec3
 	seq     uint64
 	plan    []geom.Vec3
+	pub     pubsub.Value // the boxed landing plan, republished once engaged
 }
 
 // descentProfile builds a stepped landing plan: hold position laterally and
@@ -93,20 +106,23 @@ func NewBatteryLanderNode(name string, period time.Duration, landingZ float64) (
 		if !haveState {
 			return s, nil, nil
 		}
-		next := *s
-		if !next.engaged {
-			next.engaged = true
-			// Landing-plan sequence numbers live in their own range so they
-			// never collide with the AC's forwarded-plan sequence numbers.
-			next.seq = 1 << 62
-			next.site = geom.V(ds.Pos.X, ds.Pos.Y, landingZ)
-			next.plan = descentProfile(ds.Pos, next.site)
+		if s.engaged {
+			out[TopicActivePlan] = s.pub
+			return s, out, nil
 		}
-		out[TopicActivePlan] = ActivePlan{
+		next := *s
+		next.engaged = true
+		// Landing-plan sequence numbers live in their own range so they
+		// never collide with the AC's forwarded-plan sequence numbers.
+		next.seq = 1 << 62
+		next.site = geom.V(ds.Pos.X, ds.Pos.Y, landingZ)
+		next.plan = descentProfile(ds.Pos, next.site)
+		next.pub = ActivePlan{
 			Waypoints: next.plan,
 			Landing:   true,
 			Seq:       next.seq,
 		}
+		out[TopicActivePlan] = next.pub
 		return &next, out, nil
 	}
 	return node.New(

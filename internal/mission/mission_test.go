@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -121,6 +122,14 @@ func TestWaypointManagerWalksPlan(t *testing.T) {
 	wp = out[TopicWaypoint].(Waypoint)
 	if wp.Target != geom.V(5, 5, 1) || wp.From != geom.V(5, 0, 1) {
 		t.Errorf("advanced waypoint = %+v", wp)
+	}
+	// Short of wp2, the same plan keeps the same segment and state.
+	same, out := stepNode(t, wpm, st, pubsub.Valuation{
+		TopicActivePlan: planVal,
+		TopicDroneState: plant.State{Pos: geom.V(5, 2, 1), Battery: 1},
+	})
+	if out[TopicWaypoint].(Waypoint) != wp || same != st {
+		t.Errorf("no progress: waypoint %+v, state replaced: %v", out[TopicWaypoint], same != st)
 	}
 	// A replaced plan (new Seq) resets progress.
 	newPlan := ActivePlan{
@@ -329,6 +338,82 @@ func TestBatteryNodes(t *testing.T) {
 	}
 	if land2.Seq != land.Seq {
 		t.Error("landing plan sequence changed")
+	}
+}
+
+// TestBatteryACSeq pins the battery AC's plan sequence numbers. The same
+// plan slice keeps its seq and republishes an identical value; a fresh slice
+// with the same count and the same first and last waypoints at two decimals
+// keeps its seq too (the fingerprint's semantics); any other plan bumps seq
+// by exactly one — including a shorter slice of the same backing array and
+// a same-length plan with another last waypoint, which a forwarding fast
+// path keyed on too little would mistake for the previous plan.
+func TestBatteryACSeq(t *testing.T) {
+	acB, err := NewBatteryACNode("bac", 200*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := acB.InitState()
+	forward := func(p plan.Plan) ActivePlan {
+		t.Helper()
+		var out pubsub.Valuation
+		st, out = stepNode(t, acB, st, pubsub.Valuation{
+			TopicPlan:       p,
+			TopicDroneState: plant.State{Pos: geom.V(0, 0, 2), Battery: 1},
+		})
+		ap := out[TopicActivePlan].(ActivePlan)
+		if !reflect.DeepEqual(ap.Waypoints, p) || ap.Landing {
+			t.Errorf("forwarded %+v for plan %v", ap, p)
+		}
+		return ap
+	}
+	p := plan.Plan{geom.V(0, 0, 2), geom.V(2, 3, 2), geom.V(5, 5, 2)}
+	first := forward(p)
+	if first.Seq != 1 {
+		t.Fatalf("first plan seq = %d, want 1", first.Seq)
+	}
+	if same := forward(p); !reflect.DeepEqual(same, first) {
+		t.Errorf("same plan slice republished %+v, want %+v", same, first)
+	}
+	fresh := plan.Plan{geom.V(0.001, 0, 2), geom.V(4, 1, 2), geom.V(5, 5, 2.004)}
+	if ap := forward(fresh); ap.Seq != 1 {
+		t.Errorf("fresh slice with the same fingerprint: seq = %d, want 1", ap.Seq)
+	}
+	for i, next := range []plan.Plan{
+		fresh[:2], // same backing array, shorter
+		{geom.V(0.001, 0, 2), geom.V(4, 1, 2), geom.V(5, 6, 2)},
+		p,
+	} {
+		if ap := forward(next); ap.Seq != uint64(i+2) {
+			t.Errorf("changed plan %v: seq = %d, want %d", next, ap.Seq, i+2)
+		}
+	}
+}
+
+// TestBatteryACForwardAllocatesNothing: forwarding the plan slice the AC
+// forwarded last firing republishes its boxed value — no fingerprint, no
+// clone, no allocation.
+func TestBatteryACForwardAllocatesNothing(t *testing.T) {
+	acB, err := NewBatteryACNode("bac", 200*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := pubsub.Valuation{
+		TopicPlan:       plan.Plan{geom.V(0, 0, 2), geom.V(5, 5, 2)},
+		TopicDroneState: plant.State{Pos: geom.V(0, 0, 2), Battery: 1},
+	}
+	st, _ := stepNode(t, acB, acB.InitState(), in)
+	var stepErr error
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := acB.Step(st, in); err != nil {
+			stepErr = err
+		}
+	})
+	if stepErr != nil {
+		t.Fatal(stepErr)
+	}
+	if allocs != 0 {
+		t.Errorf("forwarding an unchanged plan allocates %.1f objects, want 0", allocs)
 	}
 }
 

@@ -11,13 +11,15 @@ import (
 	"repro/internal/rta"
 )
 
-// wpState is the waypoint manager's local state: the active plan and the
-// index of the waypoint currently being tracked.
+// wpState is the waypoint manager's local state: the active plan, the
+// index of the waypoint currently being tracked and the boxed Waypoint
+// published for them, republished as is while neither changes.
 type wpState struct {
 	seq     uint64
 	landing bool
 	plan    ActivePlan
 	idx     int
+	pub     pubsub.Value
 }
 
 // NewWaypointManagerNode builds the trusted glue node that walks the active
@@ -40,31 +42,39 @@ func NewWaypointManagerNode(name string, period time.Duration, tolerance float64
 			out[TopicWaypoint] = Waypoint{}
 			return s, out, nil
 		}
-		next := *s
+		next := s
 		if ap.Seq != s.seq || len(s.plan.Waypoints) == 0 {
-			next.seq = ap.Seq
-			next.landing = ap.Landing
-			next.plan = ap
-			next.idx = 0
+			next = &wpState{seq: ap.Seq, landing: ap.Landing, plan: ap}
 			if len(ap.Waypoints) > 1 {
 				next.idx = 1 // waypoint 0 is the start position
 			}
 		}
 		wps := next.plan.Waypoints
-		for next.idx < len(wps)-1 && ds.Pos.Dist(wps[next.idx]) <= tolerance {
-			next.idx++
+		idx := next.idx
+		for idx < len(wps)-1 && ds.Pos.Dist(wps[idx]) <= tolerance {
+			idx++
 		}
+		if next == s {
+			if idx == s.idx { // same plan, same waypoint
+				out[TopicWaypoint] = s.pub
+				return s, out, nil
+			}
+			cp := *s
+			next = &cp
+		}
+		next.idx = idx
 		from := wps[0]
-		if next.idx > 0 {
-			from = wps[next.idx-1]
+		if idx > 0 {
+			from = wps[idx-1]
 		}
-		out[TopicWaypoint] = Waypoint{
+		next.pub = Waypoint{
 			From:   from,
-			Target: wps[next.idx],
+			Target: wps[idx],
 			Land:   next.landing,
 			Valid:  true,
 		}
-		return &next, out, nil
+		out[TopicWaypoint] = next.pub
+		return next, out, nil
 	}
 	return node.New(
 		name,

@@ -103,6 +103,40 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
+// FuzzReadJSONL holds the trace decoder, the replay path of recorded event
+// streams, to its contract: it never panics, decoding is deterministic (the
+// same bytes give the same events and the same error), and every event it
+// accepts round-trips through MarshalEvent. The wire form is what
+// round-trips: a decoded RunStart may hold an empty non-nil Modules that
+// omitempty drops, so the check is that re-encoding is a fixpoint and that
+// the event decoded from an encoded line round-trips exactly.
+func FuzzReadJSONL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadJSONL(bytes.NewReader(data))
+		again, againErr := ReadJSONL(bytes.NewReader(data))
+		if fmt.Sprint(err) != fmt.Sprint(againErr) || !reflect.DeepEqual(events, again) {
+			t.Fatalf("ReadJSONL not deterministic: %v, %v then %v, %v", events, err, again, againErr)
+		}
+		for i, e := range events {
+			line, err := MarshalEvent(e)
+			if err != nil {
+				t.Fatalf("event %d (%#v) does not encode: %v", i, e, err)
+			}
+			back, err := UnmarshalEvent(line)
+			if err != nil {
+				t.Fatalf("event %d: encoded line %s does not decode: %v", i, line, err)
+			}
+			reline, err := MarshalEvent(back)
+			if err != nil || !bytes.Equal(reline, line) {
+				t.Fatalf("event %d: re-encoding is not a fixpoint:\n%s\n%s (%v)", i, line, reline, err)
+			}
+			if again, err := UnmarshalEvent(reline); err != nil || !reflect.DeepEqual(again, back) {
+				t.Fatalf("event %d: %#v round-trips to %#v (%v)", i, back, again, err)
+			}
+		}
+	})
+}
+
 // TestRecorderBound: the recorder keeps exactly the most recent cap events
 // in arrival order and counts evictions.
 func TestRecorderBound(t *testing.T) {

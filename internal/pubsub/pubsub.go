@@ -5,9 +5,10 @@
 // models the globally visible value of each topic.
 //
 // Topic names are interned: every Store assigns each declared topic a dense
-// TopicID at construction, so the per-firing hot path of the executor can
-// read and write values through slice indexing instead of allocating and
-// hashing map keys on every node firing. The Interner is immutable after
+// TopicID at construction. The executor resolves every node's inputs and
+// outputs to IDs once, then reads inputs with ReadInto and writes outputs
+// with SetID, so a node firing indexes slices instead of allocating and
+// hashing map keys for the store. The Interner is immutable after
 // construction and therefore safe to share between any number of concurrent
 // readers — the fleet engine relies on this when it runs many executors in
 // parallel.
@@ -207,29 +208,22 @@ func (s *Store) Read(names []TopicName) (Valuation, error) {
 	return out, nil
 }
 
-// ReadInto fills dst with the values of the given pre-resolved topic IDs,
-// clearing dst first. Refilling the same map with the same keys performs no
-// allocation, which is what the executor's per-firing input reads rely on.
+// ReadInto fills dst with the values of the given pre-resolved topic IDs.
+// Refilling the same map with the same keys performs no allocation, which is
+// what the executor's per-firing input reads rely on. Keys of dst outside
+// ids (say, one a node added to its input valuation) are removed: with
+// distinct ids, only such a key can leave len(dst) ≠ len(ids) once every ID
+// is assigned, so dst is cleared and refilled only then.
 func (s *Store) ReadInto(ids []TopicID, dst Valuation) {
-	clear(dst)
 	for _, id := range ids {
 		dst[s.interner.names[id]] = s.values[id]
 	}
-}
-
-// Write applies the output valuation to the store (Topics' = out ∪ Topics).
-// Undeclared names are rejected before any value is applied.
-func (s *Store) Write(out Valuation) error {
-	for n := range out {
-		if _, ok := s.interner.Lookup(n); !ok {
-			return fmt.Errorf("undeclared topic %q", n)
+	if len(dst) != len(ids) {
+		clear(dst)
+		for _, id := range ids {
+			dst[s.interner.names[id]] = s.values[id]
 		}
 	}
-	for n, v := range out {
-		id, _ := s.interner.Lookup(n)
-		s.values[id] = v
-	}
-	return nil
 }
 
 // Snapshot returns a copy of the full topic valuation.

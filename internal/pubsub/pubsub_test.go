@@ -57,20 +57,12 @@ func TestStoreReadWrite(t *testing.T) {
 	if _, err := s.Read([]TopicName{"a", "zzz"}); err == nil {
 		t.Error("expected error reading undeclared topic")
 	}
-	if err := s.Write(Valuation{"a": 10, "b": 20}); err != nil {
-		t.Fatal(err)
-	}
+	ids, _ := s.IDs([]TopicName{"a", "b"})
+	s.SetID(ids[0], 10)
+	s.SetID(ids[1], 20)
 	snap := s.Snapshot()
 	if !reflect.DeepEqual(snap, Valuation{"a": 10, "b": 20, "c": 3}) {
 		t.Errorf("Snapshot = %v", snap)
-	}
-	// Write with an undeclared topic must be rejected atomically: nothing
-	// else in the batch is applied.
-	if err := s.Write(Valuation{"c": 99, "zzz": 1}); err == nil {
-		t.Error("expected error writing undeclared topic")
-	}
-	if v, _ := s.Get("c"); v.(int) != 3 {
-		t.Errorf("partial write applied: c = %v", v)
 	}
 }
 

@@ -106,6 +106,9 @@ type nodeRec struct {
 	// same map with the same keys every firing performs no allocation.
 	inIDs []pubsub.TopicID
 	in    pubsub.Valuation
+	// outs are the node's declared outputs, sorted; outIDs their topic IDs.
+	outs   []pubsub.TopicName
+	outIDs []pubsub.TopicID
 	// local is the node's entry of L; oe its entry of OE (always true for
 	// plain nodes and DMs).
 	local node.State
@@ -259,14 +262,21 @@ func New(sys *rta.System, envTopics []pubsub.Topic, opts ...Option) (*Executor, 
 		if err != nil {
 			return nil, fmt.Errorf("node %q inputs: %w", name, err)
 		}
+		outs := n.Outputs()
+		outIDs, err := store.IDs(outs)
+		if err != nil {
+			return nil, fmt.Errorf("node %q outputs: %w", name, err)
+		}
 		recs[i] = nodeRec{
-			name:  name,
-			node:  n,
-			sched: sched,
-			inIDs: ids,
-			in:    make(pubsub.Valuation, len(ids)),
-			local: n.InitState(),
-			oe:    true,
+			name:   name,
+			node:   n,
+			sched:  sched,
+			inIDs:  ids,
+			in:     make(pubsub.Valuation, len(ids)),
+			outs:   outs,
+			outIDs: outIDs,
+			local:  n.InitState(),
+			oe:     true,
 		}
 		e.byName[name] = &recs[i]
 	}
@@ -481,16 +491,20 @@ func (e *Executor) fire(r *nodeRec) error {
 	}
 
 	// AC-OR-SC-STEP: the node steps; outputs are written only when enabled.
-	// Write copies the values into the store, so the node may reuse its
-	// output valuation at its next step.
+	// Step has already rejected any undeclared output, so no value of a
+	// failed firing reaches the store. The values are copied into the
+	// store by ID, so the node may reuse its output valuation at its next
+	// step.
 	next, out, err := r.node.Step(r.local, r.in)
 	if err != nil {
 		return err
 	}
 	r.local = next
-	if r.oe {
-		if err := e.cfg.topics.Write(out); err != nil {
-			return fmt.Errorf("node %q outputs: %w", r.name, err)
+	if r.oe && len(out) > 0 {
+		for i, topic := range r.outs {
+			if v, ok := out[topic]; ok {
+				e.cfg.topics.SetID(r.outIDs[i], v)
+			}
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -301,6 +302,133 @@ func TestPlainNodesAlwaysEnabled(t *testing.T) {
 	}
 	if exec.Steps() != 10 {
 		t.Errorf("steps = %d, want 10", exec.Steps())
+	}
+}
+
+// TestUndeclaredOutputRejected: a firing that publishes on a topic outside
+// the node's declared outputs makes Run fail with an error naming the node
+// and the topic, and no value of that firing reaches the store — not even
+// the declared output published alongside it. The rogue topic may be
+// unknown to the store or another node's declared output.
+func TestUndeclaredOutputRejected(t *testing.T) {
+	for _, rogue := range []pubsub.TopicName{"nowhere", "ticks"} {
+		t.Run(string(rogue), func(t *testing.T) {
+			bad, err := node.New("bad", 100*time.Millisecond, nil, []pubsub.TopicName{"mine"},
+				func(st node.State, _ pubsub.Valuation) (node.State, pubsub.Valuation, error) {
+					return st, pubsub.Valuation{"mine": "written", rogue: "rogue"}, nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cnt := counterNode(t, "cnt", 50*time.Millisecond, "ticks")
+			sys, err := rta.NewSystem(nil, []*node.Node{bad, cnt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec, err := New(sys, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// cnt publishes ticks = 1 at 50 ms; bad fires first at 100 ms.
+			err = exec.RunUntil(time.Second)
+			if err == nil {
+				t.Fatal("Run accepted an undeclared output")
+			}
+			if msg := err.Error(); !strings.Contains(msg, `"bad"`) || !strings.Contains(msg, `"`+string(rogue)+`"`) {
+				t.Errorf("error %q does not name the node and the topic", msg)
+			}
+			if v, _ := exec.Topics().Get("mine"); v != nil {
+				t.Errorf("declared output of the failed firing reached the store: mine = %v", v)
+			}
+			if v, _ := exec.Topics().Get("ticks"); v != 1 {
+				t.Errorf("ticks = %v, want 1", v)
+			}
+		})
+	}
+}
+
+// TestSteadyStateFiringAllocatesNothing: a firing of a node that republishes
+// a pre-boxed value — input read, step, output check and write by topic ID
+// — allocates nothing.
+func TestSteadyStateFiringAllocatesNothing(t *testing.T) {
+	val := pubsub.Value([3]float64{1, 2, 3})
+	out := make(pubsub.Valuation, 1)
+	rep, err := node.New("rep", 10*time.Millisecond, []pubsub.TopicName{"in"}, []pubsub.TopicName{"out"},
+		func(st node.State, _ pubsub.Valuation) (node.State, pubsub.Valuation, error) {
+			out["out"] = val
+			return st, out, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := rta.NewSystem(nil, []*node.Node{rep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := New(sys, []pubsub.Topic{{Name: "in", Default: 1.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stepErr error
+	step := func() { // one time progress, one firing
+		for range 2 {
+			if _, err := exec.Step(); err != nil {
+				stepErr = err
+			}
+		}
+	}
+	step()
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("steady-state firing allocates %.1f objects, want 0", allocs)
+	}
+	if stepErr != nil {
+		t.Fatal(stepErr)
+	}
+	if exec.Steps() != 202 {
+		t.Errorf("steps = %d, want 202", exec.Steps())
+	}
+	if v, _ := exec.Topics().Get("out"); v != val {
+		t.Errorf("out = %v, want %v", v, val)
+	}
+}
+
+// TestInputValuationMutationDoesNotLeak: the executor refills each node's
+// input valuation in place every firing; a node that deletes an input from
+// it, or adds a key, still sees exactly its inputs at its next firing.
+func TestInputValuationMutationDoesNotLeak(t *testing.T) {
+	var seen []pubsub.Valuation
+	mut, err := node.New("mut", 10*time.Millisecond, []pubsub.TopicName{"a", "b"}, nil,
+		func(st node.State, in pubsub.Valuation) (node.State, pubsub.Valuation, error) {
+			seen = append(seen, in.Clone())
+			if len(seen)%2 == 1 {
+				delete(in, "a")
+			} else {
+				delete(in, "b")
+				in["junk"] = true
+			}
+			return st, nil, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := rta.NewSystem(nil, []*node.Node{mut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := New(sys, []pubsub.Topic{{Name: "a", Default: 1}, {Name: "b", Default: 2}, {Name: "junk"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exec.RunUntil(50 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 5 {
+		t.Fatalf("fired %d times, want 5", len(seen))
+	}
+	for i, in := range seen {
+		if !reflect.DeepEqual(in, pubsub.Valuation{"a": 1, "b": 2}) {
+			t.Errorf("firing %d saw %v", i+1, in)
+		}
 	}
 }
 

@@ -11,10 +11,12 @@ import (
 // missionAllocBound caps the heap allocations of one planner-off mission
 // (build plus run): corner-hazard-tour, 5 s, soter-fig9. With boxed
 // NodeFired events, per-firing output maps and per-search A* arrays a
-// mission made ~4.9k; the unboxed, node-owned hot path makes ~2.3k.
-// Reboxing NodeFired alone adds ~0.9k, a per-firing output map in the
-// motion primitives alone ~1k.
-const missionAllocBound = 2700
+// mission made ~4.9k; the unboxed, node-owned hot path made ~2.3k, and
+// republishing unchanged boxed values (battery AC and lander, waypoint
+// manager) makes ~1.8k. Reboxing NodeFired alone adds ~0.9k, a per-firing
+// output map in the motion primitives alone ~1k, reboxing the waypoint
+// manager's state and output ~0.4k.
+const missionAllocBound = 2100
 
 // TestMissionAllocations guards the hot path's allocation budget: reboxing
 // an event per firing or allocating an output valuation per node step
