@@ -14,8 +14,9 @@
 // non-retired entry still falsifies — the regression direction of the same
 // tool, suitable for CI.
 //
-// -base pins campaign-wide falsify.Params in the JSON form of soter-serve's
-// falsify "base" field. With -strategy schedule[:N] the campaign model-checks
+// -base pins a campaign-wide scenario.Delta in the JSON form of
+// soter-serve's falsify "base" field (unknown keys are refused, and so is a
+// non-positive value for a knob the Spec reads as "zero means default"). With -strategy schedule[:N] the campaign model-checks
 // node interleavings of the base configuration (exhaustively, or N random
 // ones); a slim base keeps that tree tractable, e.g.
 // -base '{"no_planner_module":true,"no_battery_module":true}'.
@@ -52,7 +53,7 @@ func run() error {
 		seed         = flag.Int64("seed", 1, "campaign seed (mutations and run seeds derive from it)")
 		budget       = flag.Int("budget", falsify.DefaultBudget, "execution budget (candidate runs)")
 		duration     = flag.Duration("duration", 0, "per-candidate mission horizon override (0 = scenario default)")
-		base         = flag.String("base", "", "campaign-wide Params pin as JSON (the soter-serve falsify \"base\" field)")
+		base         = flag.String("base", "", "campaign-wide scenario.Delta pin as JSON (the soter-serve falsify \"base\" field)")
 		policies     = flag.String("policies", "", "comma-separated policy mutation pool (default: every registered policy)")
 		clampStorm   = flag.Int("clamp-storm", 0, "clamp-storm threshold (0 = default, negative disables the category)")
 		maxCE        = flag.Int("max-counterexamples", 0, "bound on the ranked result list (0 = default)")

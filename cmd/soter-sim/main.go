@@ -5,7 +5,12 @@
 // style figures.
 //
 // Flags other than -scenario act as overrides: only the flags explicitly set
-// on the command line are applied on top of the selected scenario's Spec.
+// on the command line are applied on top of the selected scenario's Spec,
+// through the same scenario.Delta soter-serve and soter-falsify apply. A
+// knob the Spec reads as "zero means default" (-battery, -drain, -delta,
+// -hysteresis, -duration) must be positive when given; -protection, -ac,
+// -faults, -random-targets and -jitter's SC-only rule edit the Spec
+// directly.
 //
 // With -trace the full typed event stream of the run — node firings, mode
 // switches, time progress, trajectory and battery samples, crashes,
@@ -68,15 +73,15 @@ func run() error {
 		list         = flag.Bool("list-scenarios", false, "print the scenario catalog and exit")
 		seed         = flag.Int64("seed", 1, "simulation seed")
 		duration     = flag.Duration("duration", 2*time.Minute, "mission duration")
-		protection   = flag.String("protection", "rta", "motion layer: rta | ac-only | sc-only")
-		acKind       = flag.String("ac", "aggressive", "advanced controller: aggressive | learned")
+		protection   = flag.String("protection", mission.ProtectRTA.String(), "motion layer: "+names(mission.ProtectRTA, mission.ProtectSCOnly))
+		acKind       = flag.String("ac", mission.ACAggressive.String(), "advanced controller: "+names(mission.ACAggressive, mission.ACLearned))
 		faults       = flag.Bool("faults", false, "inject periodic full-thrust faults into the AC")
-		plannerBug   = flag.String("planner-bug", "none", "RRT* defect: none | skip-edge-check | unchecked-shortcut | stale-obstacles")
+		plannerBug   = flag.String("planner-bug", plan.BugNone.String(), "RRT* defect: "+names(plan.BugNone, plan.BugStaleObstacles))
 		random       = flag.Bool("random-targets", false, "draw random surveillance targets (Section V-D style)")
 		battery      = flag.Float64("battery", 1.0, "initial battery charge fraction")
 		drainX       = flag.Float64("drain", 1.0, "battery drain multiplier")
 		jitter       = flag.Float64("jitter", 0, "per-firing probability of a scheduling outage (SC/DM nodes)")
-		delta        = flag.Duration("delta", 100*time.Millisecond, "motion-primitive DM period Δ")
+		motionDelta  = flag.Duration("delta", 100*time.Millisecond, "motion-primitive DM period Δ")
 		hysteresis   = flag.Float64("hysteresis", 2.0, "φsafer horizon multiplier")
 		policy       = flag.String("policy", "soter-fig9", "switching policy spec: "+strings.Join(rta.PolicyNames(), " | ")+" (optionally name:K)")
 		csvPath      = flag.String("csv", "", "write the flown trajectory to this CSV file")
@@ -93,47 +98,49 @@ func run() error {
 		return fmt.Errorf("unknown scenario %q (have: %s)", *scenarioName, strings.Join(scenario.Names(), ", "))
 	}
 
-	// Apply only the flags the user actually set as Spec overrides.
+	// Apply only the flags the user actually set: the scenario knobs as one
+	// scenario.Delta (which refuses a non-positive -battery, -drain, -delta,
+	// -hysteresis or -duration rather than silently running the default),
+	// then the edits a Delta does not spell.
+	var delta scenario.Delta
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["duration"] {
-		spec.Duration = *duration
+	flag.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		switch f.Name {
+		case "duration":
+			delta.Duration = duration
+		case "planner-bug":
+			delta.PlannerBug = *plannerBug
+		case "battery":
+			delta.InitialBattery = battery
+		case "drain":
+			delta.DrainMultiple = drainX
+		case "delta":
+			delta.MotionDelta = motionDelta
+		case "hysteresis":
+			delta.Hysteresis = hysteresis
+		case "policy":
+			delta.Policy = *policy
+		case "jitter":
+			delta.JitterProb = jitter
+		}
+	})
+	spec, err := delta.Apply(spec)
+	if err != nil {
+		return err
 	}
 	if set["protection"] {
-		switch *protection {
-		case "rta":
-			spec.Protection = mission.ProtectRTA
-		case "ac-only":
-			spec.Protection = mission.ProtectACOnly
-		case "sc-only":
-			spec.Protection = mission.ProtectSCOnly
-		default:
-			return fmt.Errorf("unknown -protection %q", *protection)
+		if spec.Protection, err = mission.ParseProtection(*protection); err != nil {
+			return err
 		}
 	}
 	if set["ac"] {
-		switch *acKind {
-		case "aggressive":
-			spec.AC = mission.ACAggressive
-		case "learned":
-			spec.AC = mission.ACLearned
-		default:
-			return fmt.Errorf("unknown -ac %q", *acKind)
+		if spec.AC, err = mission.ParseACKind(*acKind); err != nil {
+			return err
 		}
 	}
-	if set["planner-bug"] {
-		switch *plannerBug {
-		case "none":
-			spec.PlannerBug, spec.PlannerBugRate = plan.BugNone, 0
-		case "skip-edge-check":
-			spec.PlannerBug = plan.BugSkipEdgeCheck
-		case "unchecked-shortcut":
-			spec.PlannerBug = plan.BugUncheckedShortcut
-		case "stale-obstacles":
-			spec.PlannerBug = plan.BugStaleObstacles
-		default:
-			return fmt.Errorf("unknown -planner-bug %q", *plannerBug)
-		}
+	if set["jitter"] {
+		spec.JitterSCOnly = true
 	}
 	if set["faults"] {
 		if *faults {
@@ -158,43 +165,6 @@ func run() error {
 				geom.V(3, 3, 2), geom.V(46, 3, 2.5), geom.V(46, 46, 2), geom.V(3, 46, 2.5),
 			}
 		}
-	}
-	// The Spec layer treats zero as "use the default", so an explicit zero
-	// here would be silently ignored — reject it instead.
-	if set["battery"] {
-		if *battery <= 0 || *battery > 1 {
-			return fmt.Errorf("-battery %v outside (0, 1]", *battery)
-		}
-		spec.InitialBattery = *battery
-	}
-	if set["drain"] {
-		if *drainX <= 0 {
-			return fmt.Errorf("-drain %v must be positive", *drainX)
-		}
-		spec.DrainMultiple = *drainX
-	}
-	if set["jitter"] {
-		spec.JitterProb = *jitter
-		spec.JitterSCOnly = true
-	}
-	if set["delta"] {
-		if *delta <= 0 {
-			return fmt.Errorf("-delta %v must be positive", *delta)
-		}
-		spec.MotionDelta = *delta
-	}
-	if set["hysteresis"] {
-		if *hysteresis < 1 {
-			// mission.Build silently clamps sub-1 values to the default.
-			return fmt.Errorf("-hysteresis %v must be >= 1", *hysteresis)
-		}
-		spec.Hysteresis = *hysteresis
-	}
-	if set["policy"] {
-		if _, err := rta.ParsePolicy(*policy); err != nil {
-			return err
-		}
-		spec.SwitchPolicy = *policy
 	}
 
 	rcfg, err := spec.Build(*seed)
@@ -229,7 +199,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("SOTER simulator — scenario=%s protection=%s ac=%s Δ=%v policy=%s planner-bug=%v jitter=%.4f\n",
-		spec.Name, rcfg.Stack.Config.Protection, acName(rcfg.Stack.Config.AC),
+		spec.Name, rcfg.Stack.Config.Protection, rcfg.Stack.Config.AC,
 		rcfg.Stack.Config.MotionDelta, policyName, spec.PlannerBug, spec.JitterProb)
 
 	res, err := sim.Run(rcfg)
@@ -260,11 +230,16 @@ func run() error {
 	return nil
 }
 
-func acName(k mission.ACKind) string {
-	if k == mission.ACLearned {
-		return "learned"
+// names joins the names of the enum values first..last for a flag's usage.
+func names[E interface {
+	~int
+	fmt.Stringer
+}](first, last E) string {
+	var out []string
+	for v := first; v <= last; v++ {
+		out = append(out, v.String())
 	}
-	return "aggressive"
+	return strings.Join(out, " | ")
 }
 
 func printCatalog() {

@@ -17,8 +17,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/store"
-
-	"repro/internal/falsify"
 )
 
 // Verdict is a certification campaign's terminal answer to "is this cell's
@@ -54,11 +52,11 @@ const (
 type Config struct {
 	// Scenario names the base scenario (scenario registry). Required.
 	Scenario string
-	// Overrides is the spec delta defining the cell — the same declarative
-	// Params falsification candidates carry, so a falsified cell can be fed
-	// straight back into certification. Its Policy field selects the
+	// Overrides is the spec delta defining the cell — the same
+	// scenario.Delta falsification candidates carry, so a falsified cell can
+	// be fed straight back into certification. Its Policy field selects the
 	// switching policy under test.
-	Overrides falsify.Params
+	Overrides scenario.Delta
 	// Threshold is the crash-probability bound being tested ("crash
 	// probability < Threshold"). Required, in (0, 1).
 	Threshold float64
@@ -223,7 +221,7 @@ func newCampaign(cfg Config) (*campaign, error) {
 	}
 	overrides := cfg.Overrides
 	if cfg.Duration > 0 {
-		overrides.Duration = cfg.Duration
+		overrides.Duration = &cfg.Duration
 	}
 	spec, err := overrides.Apply(base)
 	if err != nil {

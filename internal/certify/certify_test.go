@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/falsify"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -337,6 +336,6 @@ func TestMatrix(t *testing.T) {
 }
 
 // overridePolicy builds the Overrides delta selecting a policy.
-func overridePolicy(pol string) falsify.Params {
-	return falsify.Params{Policy: pol}
+func overridePolicy(pol string) scenario.Delta {
+	return scenario.Delta{Policy: pol}
 }

@@ -145,15 +145,6 @@ func (c *Safe) ClosedLoopStep() reach.SCStepFunc {
 	}
 }
 
-// ClosedLoopStepToward is like ClosedLoopStep but recovering toward a fixed
-// target, for liveness experiments.
-func (c *Safe) ClosedLoopStepToward(target geom.Vec3) reach.SCStepFunc {
-	return func(pos, vel geom.Vec3) (geom.Vec3, geom.Vec3) {
-		u := c.Control(0, pos, vel, target)
-		return c.integrate(pos, vel, u)
-	}
-}
-
 func (c *Safe) integrate(pos, vel, u geom.Vec3) (geom.Vec3, geom.Vec3) {
 	h := c.period.Seconds()
 	b := c.analyzer.Bounds()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/mission"
 	"repro/internal/rta"
 	"repro/internal/scenario"
 )
@@ -74,7 +75,7 @@ func Catalogue() []Experiment {
 			out := Outcome{Text: res.Format(), ACFraction: -1, Result: res}
 			for _, row := range res.Rows {
 				out.Crashes += row.Collisions
-				if row.Mode == "rta" {
+				if row.Mode == mission.ProtectRTA.String() {
 					out.ACFraction = row.ACFraction
 				}
 			}

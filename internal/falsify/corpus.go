@@ -106,7 +106,7 @@ func (e CorpusEntry) Replay(ctx context.Context) (v Verdict, skipped bool, err e
 }
 
 // Rebuild resolves the counterexample back into the concrete Spec it was
-// found on: registry base + Params delta, φInv monitor forced on (the
+// found on: registry base + spec delta, φInv monitor forced on (the
 // campaign instrument is part of the counterexample's identity).
 func (c Counterexample) Rebuild() (scenario.Spec, error) {
 	base, ok := scenario.Get(c.Scenario)

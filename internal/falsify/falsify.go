@@ -5,9 +5,10 @@
 // executions that break the RTA story: crashes, φInv violations, and
 // clamp-storms (configurations that survive on the framework clamp alone).
 //
-// The search space is the Params delta over scenario.Override knobs —
-// fault/planner-bug/jitter profiles, Δ/hysteresis, workspace family,
-// switching policy — filtered for validity through Spec.Validate. Strategies
+// The search space is scenario.Delta, the declarative spec edit every
+// external surface shares — fault/planner-bug/jitter profiles,
+// Δ/hysteresis, workspace family, switching policy — filtered for validity
+// through Spec.Validate; the mutation operators live here. Strategies
 // live behind a named registry mirroring rta.Policy's: "random" (seeded
 // uniform sampling), "guided" (hill-climb on the verdict's severity
 // objective), "schedule" (bounded-asynchrony enumeration of node-firing
@@ -75,9 +76,9 @@ type Config struct {
 	// Duration overrides the per-candidate mission horizon; zero keeps each
 	// candidate spec's own duration.
 	Duration time.Duration
-	// Base is a Params delta applied to the base scenario before searching —
+	// Base is a spec delta applied to the base scenario before searching —
 	// the campaign-wide pin ("always under this fault profile").
-	Base Params
+	Base scenario.Delta
 	// Policies is the pool the policy mutation draws from; nil defaults to
 	// every registered policy name.
 	Policies []string
@@ -96,11 +97,11 @@ type Config struct {
 	Observers []obs.Observer
 }
 
-// Candidate is one point of the search space: a fully-merged Params delta
+// Candidate is one point of the search space: a fully-merged spec delta
 // (campaign base ⊕ mutations) plus the run seed.
 type Candidate struct {
-	Params Params `json:"params,omitzero"`
-	Seed   int64  `json:"seed"`
+	Params scenario.Delta `json:"params,omitzero"`
+	Seed   int64          `json:"seed"`
 }
 
 // Outcome is the evaluated verdict of one candidate.
@@ -123,7 +124,7 @@ type Outcome struct {
 }
 
 // Counterexample is one distinct falsifying execution, self-contained for
-// replay: base scenario name + Params delta + seed rebuild the exact Spec,
+// replay: base scenario name + spec delta + seed rebuild the exact Spec,
 // and Fingerprint pins its canonical identity (drift in the spec semantics
 // is detected, not silently replayed). Schedule counterexamples additionally
 // carry the choice vector of their interleaving.
@@ -208,7 +209,7 @@ func (c Config) Validate() error {
 type Engine struct {
 	cfg        Config
 	base       scenario.Spec
-	baseParams Params
+	baseParams scenario.Delta
 	baseFP     string
 	strategy   Strategy
 	rng        *rand.Rand
@@ -249,11 +250,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	baseParams := cfg.Base
 	if cfg.Duration > 0 {
-		baseParams.Duration = cfg.Duration
+		baseParams.Duration = &cfg.Duration
 	}
 	base, err := baseParams.Apply(base)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("falsify: base: %w", err)
 	}
 	// The φInv monitor is the campaign's instrument: without it the
 	// invariant category is structurally empty, so every candidate runs
@@ -302,9 +303,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 // override applied, φInv monitor forced on). The copy is the caller's.
 func (e *Engine) Base() scenario.Spec { return e.base.With(scenario.Override{}) }
 
-// BaseParams returns the fully-resolved campaign-wide Params pin.
-func (e *Engine) BaseParams() Params { return e.baseParams }
-
 // CampaignSeed returns the campaign's seed.
 func (e *Engine) CampaignSeed() int64 { return e.cfg.Seed }
 
@@ -317,16 +315,12 @@ func (e *Engine) Remaining() int { return e.cfg.Budget - e.executions }
 // Policies returns the policy mutation pool.
 func (e *Engine) Policies() []string { return slices.Clone(e.cfg.Policies) }
 
-// RNG exposes the campaign RNG. Strategies must draw from it only between
-// Evaluate calls (single-threaded), never inside evaluation callbacks.
-func (e *Engine) RNG() *rand.Rand { return e.rng }
-
 // NewSeed draws a fresh run seed from the campaign RNG.
 func (e *Engine) NewSeed() int64 { return 1 + e.rng.Int63n(1_000_000_000) }
 
 // candidateValid reports whether the candidate's spec passes the scenario
 // layer's own consistency rules — the validity filter of the search space.
-func (e *Engine) candidateValid(p Params) bool {
+func (e *Engine) candidateValid(p scenario.Delta) bool {
 	spec, err := p.Apply(e.base)
 	if err != nil {
 		return false
@@ -335,7 +329,7 @@ func (e *Engine) candidateValid(p Params) bool {
 }
 
 // mutate applies the idx-th applicable operator to a copy of p.
-func (e *Engine) applyMutator(p Params, m mutator) Params {
+func (e *Engine) applyMutator(p scenario.Delta, m mutator) scenario.Delta {
 	out := p
 	m.apply(&out, e.cfg.Policies, e.rng)
 	return out
@@ -344,7 +338,7 @@ func (e *Engine) applyMutator(p Params, m mutator) Params {
 // Mutate returns p with one random mutation operator applied, retrying
 // operators whose result the scenario layer rejects; after a bounded number
 // of invalid draws it returns p unchanged (the RNG advances either way).
-func (e *Engine) Mutate(p Params) Params {
+func (e *Engine) Mutate(p scenario.Delta) scenario.Delta {
 	for try := 0; try < 8; try++ {
 		m := mutators[e.rng.Intn(len(mutators))]
 		if m.ok != nil && !m.ok(e.base) {

@@ -205,7 +205,7 @@ func TestConfigValidate(t *testing.T) {
 		"bad strategy arg": {Scenario: base, Strategy: "random:3"},
 		"negative budget":  {Scenario: base, Budget: -1},
 		"bad policy pool":  {Scenario: base, Policies: []string{"not-a-policy"}},
-		"bad base params":  {Scenario: base, Base: Params{PlannerBug: "not-a-bug"}},
+		"bad base params":  {Scenario: base, Base: scenario.Delta{PlannerBug: "not-a-bug"}},
 	}
 	for name, cfg := range cases {
 		if err := cfg.Validate(); err == nil {

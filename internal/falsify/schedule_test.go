@@ -14,6 +14,7 @@ import (
 	"repro/internal/pubsub"
 	"repro/internal/rta"
 	"repro/internal/runtime"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -97,7 +98,7 @@ func TestScheduleStrategyDeterministicSpend(t *testing.T) {
 		Budget:   4,
 		Duration: 500 * time.Millisecond,
 		// Fewer modules, tractable branching — the usual schedule-strategy base.
-		Base: Params{NoPlannerModule: &off, NoBatteryModule: &off},
+		Base: scenario.Delta{NoPlannerModule: &off, NoBatteryModule: &off},
 	}
 	var want []byte
 	for i := 0; i < 2; i++ {

@@ -38,9 +38,6 @@ func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// NormSq returns the squared Euclidean length of v.
-func (v Vec3) NormSq() float64 { return v.Dot(v) }
-
 // Dist returns the Euclidean distance between v and w.
 func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Norm() }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -514,6 +515,42 @@ func TestProtectionModeString(t *testing.T) {
 	if ProtectRTA.String() != "rta" || ProtectACOnly.String() != "ac-only" ||
 		ProtectSCOnly.String() != "sc-only" || ProtectionMode(9).String() == "" {
 		t.Error("ProtectionMode.String wrong")
+	}
+}
+
+// TestEnumParseRoundTrip: ParseProtection and ParseACKind invert String for
+// every value, and an unknown name (the zero value's, too) is refused with
+// the valid names listed.
+func TestEnumParseRoundTrip(t *testing.T) {
+	for m := ProtectRTA; int(m) < len(protectionNames); m++ {
+		if got, err := ParseProtection(m.String()); got != m || err != nil {
+			t.Errorf("ParseProtection(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for k := ACAggressive; int(k) < len(acNames); k++ {
+		if got, err := ParseACKind(k.String()); got != k || err != nil {
+			t.Errorf("ParseACKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, tc := range []struct {
+		parse func(string) error
+		names []string
+	}{
+		{func(s string) error { _, err := ParseProtection(s); return err }, protectionNames[1:]},
+		{func(s string) error { _, err := ParseACKind(s); return err }, acNames[1:]},
+	} {
+		for _, bad := range []string{"", "nope", "RTA"} {
+			err := tc.parse(bad)
+			if err == nil {
+				t.Errorf("unknown name %q accepted", bad)
+				continue
+			}
+			for _, name := range tc.names {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("error %q does not list %q", err, name)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package mission
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/battery"
@@ -28,18 +29,23 @@ const (
 	ProtectSCOnly
 )
 
+// protectionNames spells each ProtectionMode; String and ParseProtection
+// are its only readers.
+var protectionNames = [...]string{
+	ProtectRTA:    "rta",
+	ProtectACOnly: "ac-only",
+	ProtectSCOnly: "sc-only",
+}
+
 // String implements fmt.Stringer.
 func (m ProtectionMode) String() string {
-	switch m {
-	case ProtectRTA:
-		return "rta"
-	case ProtectACOnly:
-		return "ac-only"
-	case ProtectSCOnly:
-		return "sc-only"
-	default:
-		return fmt.Sprintf("ProtectionMode(%d)", int(m))
-	}
+	return enumName(protectionNames[:], int(m), "ProtectionMode")
+}
+
+// ParseProtection is the inverse of ProtectionMode.String.
+func ParseProtection(name string) (ProtectionMode, error) {
+	i, err := parseEnum(protectionNames[:], name, "protection")
+	return ProtectionMode(i), err
 }
 
 // ACKind selects the untrusted advanced motion primitive.
@@ -52,6 +58,39 @@ const (
 	// ACLearned is the data-driven primitive (Figure 5 left).
 	ACLearned
 )
+
+// acNames spells each ACKind; String and ParseACKind are its only readers.
+var acNames = [...]string{
+	ACAggressive: "aggressive",
+	ACLearned:    "learned",
+}
+
+// String implements fmt.Stringer.
+func (k ACKind) String() string { return enumName(acNames[:], int(k), "ACKind") }
+
+// ParseACKind is the inverse of ACKind.String.
+func ParseACKind(name string) (ACKind, error) {
+	i, err := parseEnum(acNames[:], name, "ac")
+	return ACKind(i), err
+}
+
+// enumName looks v up in a names table whose zero slot is unnamed.
+func enumName(names []string, v int, typ string) string {
+	if v > 0 && v < len(names) {
+		return names[v]
+	}
+	return fmt.Sprintf("%s(%d)", typ, v)
+}
+
+// parseEnum finds name in a names table whose zero slot is unnamed.
+func parseEnum(names []string, name, what string) (int, error) {
+	for i, n := range names {
+		if i > 0 && n == name {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown %s %q (want %s)", what, name, strings.Join(names[1:], " | "))
+}
 
 // StackConfig configures the full RTA-protected surveillance stack of
 // Figure 8 (or its unprotected baselines).

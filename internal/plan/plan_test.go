@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -284,5 +285,24 @@ func TestRRTStarConfigValidation(t *testing.T) {
 func TestBugString(t *testing.T) {
 	if BugNone.String() != "none" || Bug(99).String() != "Bug(99)" {
 		t.Error("Bug.String wrong")
+	}
+}
+
+// TestParseBugRoundTrip: ParseBug inverts Bug.String for every bug, and an
+// unknown name is refused with the valid names listed.
+func TestParseBugRoundTrip(t *testing.T) {
+	for b := range Bug(len(bugNames)) {
+		if got, err := ParseBug(b.String()); got != b || err != nil {
+			t.Errorf("ParseBug(%q) = %v, %v; want %v", b.String(), got, err, b)
+		}
+	}
+	_, err := ParseBug("Bug(99)")
+	if err == nil {
+		t.Fatal("unknown bug name accepted")
+	}
+	for _, name := range bugNames {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"strings"
 
 	"repro/internal/geom"
 )
@@ -31,20 +32,30 @@ const (
 	BugStaleObstacles
 )
 
+// bugNames spells each Bug; String and ParseBug are its only readers.
+var bugNames = [...]string{
+	BugNone:              "none",
+	BugSkipEdgeCheck:     "skip-edge-check",
+	BugUncheckedShortcut: "unchecked-shortcut",
+	BugStaleObstacles:    "stale-obstacles",
+}
+
 // String implements fmt.Stringer.
 func (b Bug) String() string {
-	switch b {
-	case BugNone:
-		return "none"
-	case BugSkipEdgeCheck:
-		return "skip-edge-check"
-	case BugUncheckedShortcut:
-		return "unchecked-shortcut"
-	case BugStaleObstacles:
-		return "stale-obstacles"
-	default:
-		return fmt.Sprintf("Bug(%d)", int(b))
+	if b >= 0 && int(b) < len(bugNames) {
+		return bugNames[b]
 	}
+	return fmt.Sprintf("Bug(%d)", int(b))
+}
+
+// ParseBug is the inverse of Bug.String.
+func ParseBug(name string) (Bug, error) {
+	for b, n := range bugNames {
+		if n == name {
+			return Bug(b), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown planner bug %q (want %s)", name, strings.Join(bugNames[:], " | "))
 }
 
 // RRTStarConfig configures the sampling-based planner.

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"repro/internal/certify"
-	"repro/internal/falsify"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 )
 
 // CertifyJobSpec is a certification request — the third job type the server
@@ -20,9 +20,9 @@ type CertifyJobSpec struct {
 	// Scenario names the base scenario of the certified cell.
 	Scenario string `json:"scenario"`
 	// Overrides is the declarative spec delta defining the cell — the same
-	// Params form falsification counterexamples carry, so a falsified cell
-	// pastes straight into a certification request.
-	Overrides falsify.Params `json:"overrides,omitzero"`
+	// scenario.Delta falsification counterexamples carry, so a falsified
+	// cell pastes straight into a certification request.
+	Overrides scenario.Delta `json:"overrides,omitzero"`
 	// Threshold is the crash-probability bound under test, in (0,1). Required.
 	Threshold float64 `json:"threshold"`
 	// Confidence is the two-sided confidence level; zero defaults to

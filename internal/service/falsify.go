@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/falsify"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 )
 
 // FalsifyJobSpec is a falsification-campaign request — the second job type
@@ -26,8 +27,8 @@ type FalsifyJobSpec struct {
 	Budget int `json:"budget,omitempty"`
 	// Duration overrides the per-candidate mission horizon.
 	Duration Duration `json:"duration,omitempty"`
-	// Base is the campaign-wide Params pin applied before searching.
-	Base falsify.Params `json:"base,omitzero"`
+	// Base is the campaign-wide spec delta applied before searching.
+	Base scenario.Delta `json:"base,omitzero"`
 	// Policies restricts the policy mutation pool; empty means every
 	// registered policy.
 	Policies []string `json:"policies,omitempty"`

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/mission"
-	"repro/internal/plan"
 	"repro/internal/rta"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -66,22 +65,31 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	}
 }
 
+// present returns d as a Delta knob: nil when zero, the wire form's "absent".
+func (d Duration) present() *time.Duration {
+	if d == 0 {
+		return nil
+	}
+	v := time.Duration(d)
+	return &v
+}
+
 // Overrides is the declarative override set a job may apply on top of its
-// base scenario — the JSON-friendly mirror of the knobs scenario.Override
-// closures tweak. Pointer fields distinguish "not overridden" from an
-// explicit zero. The overridden spec (not the override set) is what gets
-// canonically hashed, so two jobs reaching the same effective spec share
-// cache entries regardless of how they spelled it.
+// base scenario: /jobs' wire form of a scenario.Delta (duration and motion
+// delta as Go duration strings) plus three /jobs-only knobs. Pointer fields
+// distinguish "not overridden" from an explicit zero. The overridden spec
+// (not the override set) is what gets canonically hashed, so two jobs
+// reaching the same effective spec share cache entries regardless of how
+// they spelled it.
 type Overrides struct {
 	// Duration replaces the mission length.
 	Duration Duration `json:"duration,omitempty"`
-	// Protection selects the motion layer: "rta", "ac-only" or "sc-only".
+	// Protection selects the motion layer by its mission.ProtectionMode name.
 	Protection string `json:"protection,omitempty"`
-	// AC selects the untrusted motion primitive: "aggressive" or "learned".
+	// AC selects the untrusted motion primitive by its mission.ACKind name.
 	AC string `json:"ac,omitempty"`
-	// PlannerBug injects an RRT* defect: "none", "skip-edge-check",
-	// "unchecked-shortcut" or "stale-obstacles"; PlannerBugRate sets its
-	// trigger probability.
+	// PlannerBug injects an RRT* defect by its plan.Bug name; PlannerBugRate
+	// sets its trigger probability.
 	PlannerBug     string   `json:"planner_bug,omitempty"`
 	PlannerBugRate *float64 `json:"planner_bug_rate,omitempty"`
 	// JitterProb enables best-effort-scheduling outages; JitterSCOnly
@@ -102,78 +110,34 @@ type Overrides struct {
 	InvariantMonitor *bool `json:"invariant_monitor,omitempty"`
 }
 
-// apply returns the spec with the overrides folded in.
+// apply returns the spec with the overrides folded in: the knobs shared with
+// /certify and /falsify through scenario.Delta, then the three /jobs-only
+// ones through their enums' parsers.
 func (o Overrides) apply(s scenario.Spec) (scenario.Spec, error) {
-	if o.Duration != 0 {
-		s.Duration = time.Duration(o.Duration)
+	s, err := scenario.Delta{
+		Policy:         o.Policy,
+		PlannerBug:     o.PlannerBug,
+		PlannerBugRate: o.PlannerBugRate,
+		JitterProb:     o.JitterProb,
+		JitterSCOnly:   o.JitterSCOnly,
+		InitialBattery: o.InitialBattery,
+		DrainMultiple:  o.DrainMultiple,
+		Hysteresis:     o.Hysteresis,
+		MotionDelta:    o.MotionDelta.present(),
+		Duration:       o.Duration.present(),
+	}.Apply(s)
+	if err != nil {
+		return s, err
 	}
-	switch o.Protection {
-	case "":
-	case "rta":
-		s.Protection = mission.ProtectRTA
-	case "ac-only":
-		s.Protection = mission.ProtectACOnly
-	case "sc-only":
-		s.Protection = mission.ProtectSCOnly
-	default:
-		return s, fmt.Errorf("unknown protection %q (want rta | ac-only | sc-only)", o.Protection)
-	}
-	switch o.AC {
-	case "":
-	case "aggressive":
-		s.AC = mission.ACAggressive
-	case "learned":
-		s.AC = mission.ACLearned
-	default:
-		return s, fmt.Errorf("unknown ac %q (want aggressive | learned)", o.AC)
-	}
-	switch o.PlannerBug {
-	case "":
-	case "none":
-		s.PlannerBug, s.PlannerBugRate = plan.BugNone, 0
-	case "skip-edge-check":
-		s.PlannerBug = plan.BugSkipEdgeCheck
-	case "unchecked-shortcut":
-		s.PlannerBug = plan.BugUncheckedShortcut
-	case "stale-obstacles":
-		s.PlannerBug = plan.BugStaleObstacles
-	default:
-		return s, fmt.Errorf("unknown planner_bug %q", o.PlannerBug)
-	}
-	if o.PlannerBugRate != nil {
-		s.PlannerBugRate = *o.PlannerBugRate
-	}
-	if o.JitterProb != nil {
-		s.JitterProb = *o.JitterProb
-	}
-	if o.JitterSCOnly != nil {
-		s.JitterSCOnly = *o.JitterSCOnly
-	}
-	// The spec reads zero as "the default", so an explicit non-positive
-	// value would silently run something else: refuse it.
-	for _, f := range []struct {
-		name string
-		v    *float64
-		dst  *float64
-	}{
-		{"initial_battery", o.InitialBattery, &s.InitialBattery},
-		{"drain_multiple", o.DrainMultiple, &s.DrainMultiple},
-		{"hysteresis", o.Hysteresis, &s.Hysteresis},
-	} {
-		if f.v == nil {
-			continue
+	if o.Protection != "" {
+		if s.Protection, err = mission.ParseProtection(o.Protection); err != nil {
+			return s, err
 		}
-		if *f.v <= 0 {
-			return s, fmt.Errorf("%s %v must be positive", f.name, *f.v)
+	}
+	if o.AC != "" {
+		if s.AC, err = mission.ParseACKind(o.AC); err != nil {
+			return s, err
 		}
-		*f.dst = *f.v
-	}
-	if o.MotionDelta != 0 {
-		s.MotionDelta = time.Duration(o.MotionDelta)
-	}
-	if o.Policy != "" {
-		// Validated (against the policy registry) by Spec.Validate in resolve.
-		s.SwitchPolicy = o.Policy
 	}
 	if o.InvariantMonitor != nil {
 		s.InvariantMonitor = *o.InvariantMonitor

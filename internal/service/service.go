@@ -29,7 +29,7 @@
 //     same wire format as soter-sim -trace — with a bounded replay ring so
 //     late subscribers still see the whole stream.
 //
-// Server is transport-agnostic (Submit/Job/Cancel/Stats are plain methods);
+// Server is transport-agnostic (Submit/Job/Stats are plain methods);
 // Handler adapts it to HTTP. cmd/soter-serve is the binary.
 package service
 
@@ -353,18 +353,6 @@ func (s *Server) Jobs() []*Job {
 		out = append(out, s.jobs[id])
 	}
 	return out
-}
-
-// Cancel cancels the job: a queued job is marked cancelled before it starts,
-// a running job has its context cancelled (partial results are kept). It
-// reports whether the job exists.
-func (s *Server) Cancel(id string) bool {
-	j, ok := s.Job(id)
-	if !ok {
-		return false
-	}
-	j.requestCancel()
-	return true
 }
 
 // Stats snapshots the store counters and job tallies.

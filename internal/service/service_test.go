@@ -312,6 +312,14 @@ func TestOverrideRangeRejected(t *testing.T) {
 		{"/jobs", "hysteresis", `{"scenario":"surveillance-city","overrides":{"hysteresis":0.5}}`},
 		{"/jobs", "motion delta", `{"scenario":"surveillance-city","overrides":{"motion_delta":"-1s"}}`},
 		{"/certify", "hysteresis", `{"scenario":"surveillance-city","threshold":0.01,"overrides":{"hysteresis":0.5}}`},
+		// /certify overrides and /falsify base are a scenario.Delta: an
+		// explicit non-positive "zero means default" knob is refused too.
+		{"/certify", "initial_battery", `{"scenario":"battery-stress","threshold":0.01,"overrides":{"initial_battery":0}}`},
+		{"/certify", "initial_battery", `{"scenario":"battery-stress","threshold":0.01,"overrides":{"initial_battery":-1}}`},
+		{"/certify", "drain_multiple", `{"scenario":"battery-stress","threshold":0.01,"overrides":{"drain_multiple":-3}}`},
+		{"/certify", "motion_delta_ns", `{"scenario":"surveillance-city","threshold":0.01,"overrides":{"motion_delta_ns":-5}}`},
+		{"/falsify", "initial_battery", `{"scenario":"surveillance-city","base":{"initial_battery":-1}}`},
+		{"/falsify", "hysteresis", `{"scenario":"surveillance-city","base":{"hysteresis":-2}}`},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
