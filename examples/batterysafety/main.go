@@ -65,7 +65,7 @@ func run(seed int64, charge float64) error {
 	for _, sw := range res.Switches {
 		if sw.Module == "battery-safety" && sw.To == rta.ModeSC {
 			fmt.Printf("t=%-8v battery DM detected low charge → certified lander engaged\n",
-				sw.Time.Round(10*time.Millisecond))
+				sw.T.Round(10*time.Millisecond))
 		}
 	}
 	fmt.Printf("\noutcome: landed=%v at t=%v  crashed=%v  battery at end=%.1f%%\n",

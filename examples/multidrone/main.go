@@ -101,7 +101,7 @@ func run() error {
 		return nil
 	})
 
-	var coordinated []soter.Switch
+	var coordinated []soter.ModeSwitchEvent
 	exec, err := soter.NewExecutor(sys,
 		[]soter.Topic{
 			{Name: rigA.stateT, Default: rigA.state},
@@ -109,11 +109,11 @@ func run() error {
 		},
 		soter.WithInvariantChecking(),
 		soter.WithEnvironment(env),
-		soter.WithSwitchHook(func(sw soter.Switch) {
-			if sw.Coordinated {
+		soter.WithObservers(soter.ObserverFunc(func(e soter.Event) {
+			if sw, ok := e.(soter.ModeSwitchEvent); ok && sw.Coordinated {
 				coordinated = append(coordinated, sw)
 			}
-		}),
+		})),
 	)
 	if err != nil {
 		return err
@@ -138,7 +138,7 @@ func run() error {
 			break
 		}
 		fmt.Printf("  %d: t=%v %s forced %v→%v by drone-a's disengagement\n",
-			i+1, sw.Time.Round(10*time.Millisecond), sw.Module, sw.From, sw.To)
+			i+1, sw.T.Round(10*time.Millisecond), sw.Module, sw.From, sw.To)
 	}
 	if len(coordinated) == 0 {
 		return fmt.Errorf("expected at least one coordinated demotion")

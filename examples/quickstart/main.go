@@ -188,7 +188,7 @@ func run() error {
 	})
 
 	// Consume the typed event stream: collect the mode switches through an
-	// Observer (the old WithSwitchHook is a shim over exactly this).
+	// Observer.
 	var switches []soter.ModeSwitchEvent
 	onEvent := soter.ObserverFunc(func(e soter.Event) {
 		if sw, ok := e.(soter.ModeSwitchEvent); ok {

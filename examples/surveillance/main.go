@@ -90,7 +90,7 @@ func run(seed int64, duration time.Duration, withFaults bool) error {
 	for _, sw := range res.Switches {
 		if sw.Module == "safe-motion-primitive" && sw.To == rta.ModeSC {
 			n++
-			fmt.Printf("  N%d at t=%-8v", n, sw.Time.Round(10*time.Millisecond))
+			fmt.Printf("  N%d at t=%-8v", n, sw.T.Round(10*time.Millisecond))
 			if n%3 == 0 {
 				fmt.Println()
 			}

@@ -197,7 +197,7 @@ func formatScenarioSweep(rep *fleet.Report) string {
 		}
 		m := res.Metrics
 		text += fmt.Sprintf("  %-44s crashed=%-5v landed=%-5v AC→SC=%-3d targets=%d\n",
-			res.Name, m.Crashed, m.Landed, res.Disengagements(), m.TargetsVisited)
+			res.Name, m.Crashed, m.Landed, m.TotalDisengagements(), m.TargetsVisited)
 	}
 	return text
 }

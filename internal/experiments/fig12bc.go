@@ -97,7 +97,7 @@ func Fig12b(ctx context.Context, cfg Fig12bConfig) (Fig12bResult, error) {
 	}
 	for _, sw := range out.Switches {
 		if sw.Module == "safe-motion-primitive" && sw.To == rta.ModeSC {
-			res.RecoveryTimes = append(res.RecoveryTimes, sw.Time)
+			res.RecoveryTimes = append(res.RecoveryTimes, sw.T)
 		}
 	}
 	return res, nil
@@ -167,7 +167,7 @@ func Fig12c(ctx context.Context, cfg Fig12cConfig) (Fig12cResult, error) {
 	}
 	for _, sw := range out.Switches {
 		if sw.Module == "battery-safety" && sw.To == rta.ModeSC {
-			res.EngageTime = sw.Time
+			res.EngageTime = sw.T
 			break
 		}
 	}

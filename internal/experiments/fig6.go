@@ -100,7 +100,7 @@ func Fig6(ctx context.Context, cfg Fig6Config) (Fig6Result, error) {
 	}
 	for _, sw := range out.Switches {
 		if sw.Module == "safe-motion-primitive" && sw.To == rta.ModeSC {
-			res.SwitchTimes = append(res.SwitchTimes, sw.Time)
+			res.SwitchTimes = append(res.SwitchTimes, sw.T)
 		}
 	}
 	return res, nil

@@ -28,8 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/rta"
-	soterruntime "repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -92,25 +90,12 @@ type MissionResult struct {
 	Seed int64
 	// Metrics is the zero value when Err is non-nil.
 	Metrics sim.Metrics
-	// Switches is the run's full DM switch log (AC→SC and back).
-	Switches []soterruntime.Switch
 	// Wall is the wall-clock time this mission took inside its worker.
 	Wall time.Duration
 	// Cached marks a result served from Options.Store instead of a fresh
 	// simulation.
 	Cached bool
 	Err    error
-}
-
-// Disengagements counts the AC→SC switches of the run.
-func (r MissionResult) Disengagements() int {
-	n := 0
-	for _, sw := range r.Switches {
-		if sw.To == rta.ModeSC {
-			n++
-		}
-	}
-	return n
 }
 
 // Report aggregates a batch run.
@@ -237,6 +222,10 @@ func runOne(ctx context.Context, m Mission, st *store.Tiered) (res MissionResult
 	start := time.Now()                             //soter:nondet-ok MissionResult.Wall measures real elapsed time; it never feeds simulated state
 	defer func() { res.Wall = time.Since(start) }() //soter:nondet-ok measurement-only: reporting wall time of the mission
 	var fill *store.Fill
+	// repair marks a stored entry that failed to decode: a clean fresh
+	// result overwrites it, so no tier keeps serving it — to this process
+	// or, through GET /store/{key}, to its peers.
+	repair := false
 	if st != nil && m.Key != "" {
 		var val []byte
 		if val, fill = st.Acquire(ctx, m.Key); fill != nil {
@@ -245,9 +234,13 @@ func runOne(ctx context.Context, m Mission, st *store.Tiered) (res MissionResult
 			// unencodable result — it wakes the waiters to re-probe and
 			// elect a new leader rather than inherit the failure.
 			defer fill.Abort()
-		} else if p, err := store.DecodePayload(val); err == nil {
-			res.Metrics, res.Switches, res.Cached = p.Metrics, p.Switches, true
-			return res
+		} else if val != nil {
+			p, err := store.DecodePayload(val)
+			if err == nil {
+				res.Metrics, res.Cached = p.Metrics, true
+				return res
+			}
+			repair = true
 		}
 		// Otherwise a corrupt entry, or a wait cancelled mid-flight:
 		// simulate without a fill (the key's slot is not ours to end).
@@ -273,12 +266,15 @@ func runOne(ctx context.Context, m Mission, st *store.Tiered) (res MissionResult
 	if out != nil {
 		// A cancelled run still reports its consistent partial metrics.
 		res.Metrics = out.Metrics
-		res.Switches = out.Switches
 	}
 	res.Err = err
-	if fill != nil && err == nil {
-		if raw, err := (store.Payload{Metrics: res.Metrics, Switches: res.Switches}).Encode(); err == nil {
-			fill.Complete(ctx, raw)
+	if (fill != nil || repair) && err == nil {
+		if raw, err := (store.Payload{Metrics: res.Metrics}).Encode(); err == nil {
+			if fill != nil {
+				fill.Complete(ctx, raw)
+			} else {
+				st.Put(ctx, m.Key, raw)
+			}
 		}
 	}
 	return res

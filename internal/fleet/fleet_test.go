@@ -86,14 +86,11 @@ func TestFleetDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(a.Metrics, b.Metrics) {
 			t.Errorf("mission %d metrics diverge between 1 and 4 workers:\n%+v\nvs\n%+v", i, a.Metrics, b.Metrics)
 		}
-		if !reflect.DeepEqual(a.Switches, b.Switches) {
-			t.Errorf("mission %d switch logs diverge", i)
-		}
 	}
 }
 
 // TestFleetAggregates checks the report's switch accounting against the
-// per-result logs.
+// per-result metrics.
 func TestFleetAggregates(t *testing.T) {
 	missions := SeedSweep("agg", Seeds(7, 3), func(seed int64) (sim.RunConfig, error) {
 		cfg, err := surveillanceMission(seed)
@@ -106,10 +103,10 @@ func TestFleetAggregates(t *testing.T) {
 	}
 	wantDiseng := 0
 	for _, res := range rep.Results {
-		wantDiseng += res.Disengagements()
+		wantDiseng += res.Metrics.TotalDisengagements()
 	}
 	if rep.Disengagements != wantDiseng {
-		t.Errorf("report disengagements = %d, switch logs say %d", rep.Disengagements, wantDiseng)
+		t.Errorf("report disengagements = %d, results say %d", rep.Disengagements, wantDiseng)
 	}
 	for _, res := range rep.Results {
 		for name := range res.Metrics.Modules {
@@ -387,7 +384,7 @@ func TestReuseAndOnResultHooks(t *testing.T) {
 	}
 	for i := range again.Results {
 		a, b := rep.Results[i], again.Results[i]
-		if !b.Cached || !reflect.DeepEqual(a.Metrics, b.Metrics) || !reflect.DeepEqual(a.Switches, b.Switches) {
+		if !b.Cached || !reflect.DeepEqual(a.Metrics, b.Metrics) {
 			t.Errorf("mission %d: stored rerun diverges (cached=%v)", i, b.Cached)
 		}
 	}
@@ -395,8 +392,8 @@ func TestReuseAndOnResultHooks(t *testing.T) {
 
 // TestStoreFillProtocol: a mission leads its key's fill only for a clean
 // result — a failed mission aborts the fill, a corrupt entry is simulated
-// around without a fill, and keyless missions never touch the store. No
-// fill outlives its batch.
+// around without a fill and then overwritten with the clean result, and
+// keyless missions never touch the store. No fill outlives its batch.
 func TestStoreFillProtocol(t *testing.T) {
 	var built atomic.Int32
 	missions := keyedSweep("b0", 3, &built)
@@ -419,6 +416,15 @@ func TestStoreFillProtocol(t *testing.T) {
 	}
 	if s.Memory.Hits+s.Memory.Misses != 2 {
 		t.Errorf("store probed %d times, want 2 (keyless mission bypasses it)", s.Memory.Hits+s.Memory.Misses)
+	}
+	// The repaired entry now serves the fresh verdict.
+	again := Run(context.Background(), missions[1:2], Options{Workers: 1, Store: st})
+	if r := again.Results[0]; r.Err != nil || !r.Cached || !reflect.DeepEqual(r.Metrics, rep.Results[1].Metrics) {
+		t.Errorf("rerun of the corrupt key: cached=%v err=%v, metrics match %v; want a cached hit of the fresh verdict",
+			r.Cached, r.Err, reflect.DeepEqual(r.Metrics, rep.Results[1].Metrics))
+	}
+	if built.Load() != 2 {
+		t.Errorf("rerun built a stack (%d builds in total, want 2)", built.Load())
 	}
 }
 

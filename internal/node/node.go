@@ -10,7 +10,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/calendar"
 	"repro/internal/pubsub"
 )
 
@@ -41,13 +40,50 @@ type StepFunc func(st State, in pubsub.Valuation) (State, pubsub.Valuation, erro
 // InitFunc produces the initial local state l0 of a node.
 type InitFunc func() State
 
+// Schedule is the time-table C(N) of one node: the node fires at phase,
+// phase+period, phase+2*period, ... A system's calendar is the union of its
+// nodes' time-tables; the executor advances the current time ct to its
+// earliest pending entry (rule DISCRETE-TIME-PROGRESS-STEP in Figure 11).
+type Schedule struct {
+	Period time.Duration
+	Phase  time.Duration
+}
+
+// Validate checks the schedule is well formed.
+func (s Schedule) Validate() error {
+	if s.Period <= 0 {
+		return fmt.Errorf("period %v must be positive", s.Period)
+	}
+	if s.Phase < 0 {
+		return fmt.Errorf("phase %v must be non-negative", s.Phase)
+	}
+	return nil
+}
+
+// FiresAt reports whether the schedule has an entry exactly at time t.
+func (s Schedule) FiresAt(t time.Duration) bool {
+	if t < s.Phase {
+		return false
+	}
+	return (t-s.Phase)%s.Period == 0
+}
+
+// NextAfter returns the earliest firing time strictly greater than t.
+func (s Schedule) NextAfter(t time.Duration) time.Duration {
+	if t < s.Phase {
+		return s.Phase
+	}
+	k := (t - s.Phase) / s.Period
+	return s.Phase + (k+1)*s.Period
+}
+
 // Node is an immutable node declaration. Construct one with New; the zero
 // value is not valid.
 type Node struct {
 	name    string
 	inputs  []pubsub.TopicName
 	outputs []pubsub.TopicName
-	sched   calendar.Schedule
+	sched   Schedule
 	init    InitFunc
 	step    StepFunc
 }
@@ -87,7 +123,7 @@ func New(name string, period time.Duration, inputs, outputs []pubsub.TopicName, 
 	for _, opt := range opts {
 		opt(&o)
 	}
-	sched := calendar.Schedule{Period: period, Phase: o.phase}
+	sched := Schedule{Period: period, Phase: o.phase}
 	if err := sched.Validate(); err != nil {
 		return nil, fmt.Errorf("node %q: %w", name, err)
 	}
@@ -122,16 +158,6 @@ func New(name string, period time.Duration, inputs, outputs []pubsub.TopicName, 
 	}, nil
 }
 
-// MustNew is New for statically known-good declarations; it panics on error.
-// Reserve it for tests and package-internal constants.
-func MustNew(name string, period time.Duration, inputs, outputs []pubsub.TopicName, step StepFunc, opts ...Option) *Node {
-	n, err := New(name, period, inputs, outputs, step, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // Name returns the unique node name N.
 func (n *Node) Name() string { return n.name }
 
@@ -145,7 +171,7 @@ func (n *Node) Outputs() []pubsub.TopicName { return copyTopics(n.outputs) }
 func (n *Node) Period() time.Duration { return n.sched.Period }
 
 // Schedule returns the node's time-table C(N).
-func (n *Node) Schedule() calendar.Schedule { return n.sched }
+func (n *Node) Schedule() Schedule { return n.sched }
 
 // InitState returns a fresh initial local state l0.
 func (n *Node) InitState() State { return n.init() }
@@ -175,13 +201,9 @@ func (n *Node) Step(st State, in pubsub.Valuation) (State, pubsub.Valuation, err
 	return next, out, nil
 }
 
-// SubscribesTo reports whether topic is one of the node's inputs.
-func (n *Node) SubscribesTo(topic pubsub.TopicName) bool {
-	return containsTopic(n.inputs, topic)
-}
-
 func (n *Node) publishes(topic pubsub.TopicName) bool {
-	return containsTopic(n.outputs, topic)
+	_, found := slices.BinarySearch(n.outputs, topic)
+	return found
 }
 
 // SameOutputs reports whether two nodes publish exactly the same set of
@@ -217,9 +239,4 @@ func copyTopics(ts []pubsub.TopicName) []pubsub.TopicName {
 	out := make([]pubsub.TopicName, len(ts))
 	copy(out, ts)
 	return out
-}
-
-func containsTopic(sorted []pubsub.TopicName, t pubsub.TopicName) bool {
-	_, found := slices.BinarySearch(sorted, t)
-	return found
 }

@@ -68,9 +68,6 @@ func TestNodeAccessors(t *testing.T) {
 	if got := n.Inputs()[0]; got != "aa" {
 		t.Error("Inputs not copied")
 	}
-	if !n.SubscribesTo("aa") || n.SubscribesTo("out") {
-		t.Error("SubscribesTo wrong")
-	}
 }
 
 func TestNodeStepValidatesOutputs(t *testing.T) {
@@ -120,7 +117,7 @@ func TestNodeStatefulStep(t *testing.T) {
 
 func TestSameOutputs(t *testing.T) {
 	mk := func(outs ...pubsub.TopicName) *Node {
-		return MustNew("n"+string(outs[0]), time.Second, nil, outs, passthrough)
+		return mustNew(t, "n"+string(outs[0]), time.Second, nil, outs, passthrough)
 	}
 	if !SameOutputs(mk("a", "b"), mk("b", "a")) {
 		t.Error("same sets in different order should match")
@@ -134,17 +131,18 @@ func TestSameOutputs(t *testing.T) {
 }
 
 func TestDefaultInitStateIsNil(t *testing.T) {
-	n := MustNew("n", time.Second, nil, nil, passthrough)
+	n := mustNew(t, "n", time.Second, nil, nil, passthrough)
 	if n.InitState() != nil {
 		t.Errorf("default init state = %v", n.InitState())
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew should panic on invalid declaration")
-		}
-	}()
-	MustNew("", time.Second, nil, nil, passthrough)
+// mustNew is New for declarations a test knows to be valid.
+func mustNew(t *testing.T, name string, period time.Duration, inputs, outputs []pubsub.TopicName, step StepFunc, opts ...Option) *Node {
+	t.Helper()
+	n, err := New(name, period, inputs, outputs, step, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

@@ -226,15 +226,6 @@ func (s *Store) ReadInto(ids []TopicID, dst Valuation) {
 	}
 }
 
-// Snapshot returns a copy of the full topic valuation.
-func (s *Store) Snapshot() Valuation {
-	out := make(Valuation, len(s.values))
-	for id, v := range s.values {
-		out[s.interner.names[id]] = v
-	}
-	return out
-}
-
 // Names returns the sorted names of all declared topics.
 func (s *Store) Names() []TopicName {
 	names := make([]TopicName, len(s.interner.names))

@@ -60,9 +60,12 @@ func TestStoreReadWrite(t *testing.T) {
 	ids, _ := s.IDs([]TopicName{"a", "b"})
 	s.SetID(ids[0], 10)
 	s.SetID(ids[1], 20)
-	snap := s.Snapshot()
-	if !reflect.DeepEqual(snap, Valuation{"a": 10, "b": 20, "c": 3}) {
-		t.Errorf("Snapshot = %v", snap)
+	all, err := s.Read(s.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(all, Valuation{"a": 10, "b": 20, "c": 3}) {
+		t.Errorf("after SetID, Read = %v", all)
 	}
 }
 

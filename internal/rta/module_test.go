@@ -3,6 +3,7 @@ package rta
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -59,7 +60,7 @@ func TestNewModuleWellFormed(t *testing.T) {
 		t.Errorf("DM phase = %v, want 10ms", got)
 	}
 	// The DM subscribes to the controllers' inputs (Idm ⊇ I(ac) ∪ I(sc)).
-	if !m.DM().SubscribesTo("state") {
+	if !slices.Contains(m.DM().Inputs(), "state") {
 		t.Error("DM must subscribe to the controllers' inputs")
 	}
 	if len(m.DM().Outputs()) != 0 {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/calendar"
 	"repro/internal/node"
 	"repro/internal/pubsub"
 )
@@ -21,7 +20,6 @@ import (
 // the system satisfies the conjunction of the module invariants.
 type System struct {
 	modules []*Module
-	plain   []*node.Node
 
 	// coordinated maps a module name to the modules forced to SC when it
 	// disengages (Section VII coordinated switching).
@@ -95,22 +93,9 @@ func NewSystem(modules []*Module, plain []*node.Node) (*System, error) {
 		if err := claimOutputs(n.Name(), n.Outputs()); err != nil {
 			return nil, err
 		}
-		s.plain = append(s.plain, n)
 	}
 	sortStrings(s.order)
 	return s, nil
-}
-
-// Compose forms the union of two RTA systems (S1 ∪ S2), re-checking
-// composability across the union.
-func Compose(a, b *System) (*System, error) {
-	mods := make([]*Module, 0, len(a.modules)+len(b.modules))
-	mods = append(mods, a.modules...)
-	mods = append(mods, b.modules...)
-	plain := make([]*node.Node, 0, len(a.plain)+len(b.plain))
-	plain = append(plain, a.plain...)
-	plain = append(plain, b.plain...)
-	return NewSystem(mods, plain)
 }
 
 // Modules returns the modules of the system.
@@ -216,17 +201,6 @@ func (s *System) Topics() []pubsub.TopicName {
 	}
 	sortTopics(out)
 	return out
-}
-
-// Calendar builds the merged time-table CS of the system.
-func (s *System) Calendar() (*calendar.Calendar, error) {
-	cal := calendar.New()
-	for _, name := range s.order {
-		if err := cal.Add(name, s.byName[name].Schedule()); err != nil {
-			return nil, fmt.Errorf("system calendar: %w", err)
-		}
-	}
-	return cal, nil
 }
 
 // VerifyAll discharges the semantic obligations of every module with the

@@ -126,50 +126,6 @@ func TestNewSystemRejectsOverlap(t *testing.T) {
 	})
 }
 
-func TestCompose(t *testing.T) {
-	s1, err := NewSystem([]*Module{mkModule(t, "m1", "a")}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewSystem([]*Module{mkModule(t, "m2", "b")}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := Compose(s1, s2)
-	if err != nil {
-		t.Fatalf("Compose: %v", err)
-	}
-	if len(u.Modules()) != 2 {
-		t.Errorf("composed modules = %d", len(u.Modules()))
-	}
-	// Composition re-checks composability (Theorem 4.1 requires output
-	// disjointness).
-	s3, err := NewSystem([]*Module{mkModule(t, "m3", "a")}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compose(s1, s3); !errors.Is(err, ErrNotComposable) {
-		t.Errorf("Compose overlap error = %v", err)
-	}
-}
-
-func TestSystemCalendar(t *testing.T) {
-	sys, err := NewSystem([]*Module{mkModule(t, "m", "a")}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal, err := sys.Calendar()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal.Len() != 3 {
-		t.Errorf("calendar has %d entries, want 3", cal.Len())
-	}
-	if s, ok := cal.Schedule("m.dm"); !ok || s.Period != 100*time.Millisecond {
-		t.Errorf("DM schedule = %v %v", s, ok)
-	}
-}
-
 func TestVerifyAll(t *testing.T) {
 	m1 := mkModule(t, "m1", "a")
 	m2 := mkModule(t, "m2", "b")

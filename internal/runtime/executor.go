@@ -3,7 +3,7 @@
 // (L, OE, ct, FN, Topics); the executor repeatedly applies:
 //
 //   - DISCRETE-TIME-PROGRESS-STEP: when FN = ∅, advance ct to the earliest
-//     calendar entry and set FN to the nodes firing then;
+//     entry of the nodes' time-tables and set FN to the nodes firing then;
 //   - ENVIRONMENT-INPUT: environment hooks may update input topics at any
 //     time; the executor invokes them at every time progress;
 //   - DM-STEP: a firing decision module reads the monitored state, updates
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/calendar"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/pubsub"
@@ -52,20 +51,6 @@ func (f EnvironmentFunc) Advance(prev, now time.Duration, topics *pubsub.Store) 
 // receives the sorted firing set and returns the execution order (a
 // permutation; the executor validates it).
 type ScheduleOrder func(ct time.Duration, firing []string) []string
-
-// Switch records a decision-module mode change — a disengagement when
-// From = AC (the SC "takes over"), a re-engagement when From = SC.
-type Switch struct {
-	Time   time.Duration
-	Module string
-	From   rta.Mode
-	To     rta.Mode
-	// Reason explains the decision (ttf-trip, recovery, clamped, ...).
-	Reason rta.SwitchReason
-	// Coordinated marks a forced demotion through a coordinated-switching
-	// link rather than the module's own DM decision.
-	Coordinated bool
-}
 
 // InvariantViolationError reports that the Theorem 3.1 invariant φInv (or the
 // safety predicate φsafe) failed at a DM sampling instant.
@@ -95,7 +80,7 @@ type config struct {
 type nodeRec struct {
 	name  string
 	node  *node.Node
-	sched calendar.Schedule
+	sched node.Schedule
 	// mod is the module a DM decides for, nil for every other node; ac and
 	// sc are that module's controller records, whose output enables the DM
 	// flips.
@@ -146,26 +131,6 @@ func WithObservers(observers ...obs.Observer) Option {
 	return func(e *Executor) { e.observers = append(e.observers, observers...) }
 }
 
-// WithSwitchHook registers a callback invoked on every DM mode change. It is
-// a shim over the observer layer — equivalent to WithObservers with an
-// observer interested only in obs.ModeSwitch events.
-func WithSwitchHook(fn func(Switch)) Option {
-	return WithObservers(switchHook(fn))
-}
-
-// switchHook adapts a legacy switch callback to the observer layer.
-type switchHook func(Switch)
-
-// OnEvent implements obs.Observer.
-func (h switchHook) OnEvent(e obs.Event) {
-	if sw, ok := e.(obs.ModeSwitch); ok {
-		h(Switch{Time: sw.T, Module: sw.Module, From: sw.From, To: sw.To, Reason: sw.Reason, Coordinated: sw.Coordinated})
-	}
-}
-
-// Interests implements obs.Interested.
-func (h switchHook) Interests() obs.KindSet { return obs.Kinds(obs.KindModeSwitch) }
-
 // WithDropFilter installs a firing filter: before a node fires, drop(ct,
 // name) is consulted and, when true, the firing is skipped (the node misses
 // its deadline). This models best-effort OS scheduling; Section V-D traces
@@ -178,12 +143,14 @@ func WithDropFilter(drop func(ct time.Duration, nodeName string) bool) Option {
 // Executor runs an RTA system.
 type Executor struct {
 	sys *rta.System
-	cal *calendar.Calendar
 	cfg config
 
-	// byName indexes the node records; dms and rest are the records of the
-	// decision modules and of every other node, each in sorted name order —
-	// the default same-instant order walks them without lookups.
+	// recs are the node records in sorted name order — the system's
+	// calendar: the next instant and the name-sorted firing set are read
+	// off their schedules. byName indexes them; dms and rest are the records
+	// of the decision modules and of every other node, each in sorted name
+	// order — the default same-instant order walks them without lookups.
+	recs   []nodeRec
 	byName map[string]*nodeRec
 	dms    []*nodeRec
 	rest   []*nodeRec
@@ -207,9 +174,6 @@ type Executor struct {
 	// fully consumed before the next time progress (Step only advances time
 	// when FN is empty), so the backing array can be recycled per instant.
 	fnBuf []*nodeRec
-
-	switches []Switch
-	steps    uint64
 }
 
 // New creates an executor for the system with the given extra environment
@@ -219,11 +183,6 @@ func New(sys *rta.System, envTopics []pubsub.Topic, opts ...Option) (*Executor, 
 	if sys == nil {
 		return nil, errors.New("nil system")
 	}
-	cal, err := sys.Calendar()
-	if err != nil {
-		return nil, err
-	}
-
 	declared := make(map[pubsub.TopicName]bool, len(envTopics))
 	topics := make([]pubsub.Topic, 0, len(envTopics))
 	for _, t := range envTopics {
@@ -244,20 +203,19 @@ func New(sys *rta.System, envTopics []pubsub.Topic, opts ...Option) (*Executor, 
 		return nil, fmt.Errorf("topic store: %w", err)
 	}
 
-	e := &Executor{
-		sys:    sys,
-		cal:    cal,
-		cfg:    config{topics: store},
-		byName: make(map[string]*nodeRec),
-	}
 	// Initial configuration: L0 = init states (mode = SC for DMs); OE0
 	// enables every SC and disables every AC; ct0 = 0; FN0 = ∅. The records
-	// follow the calendar's sorted name order.
-	names := cal.Names()
-	recs := make([]nodeRec, len(names))
+	// follow the system's sorted node names.
+	names := sys.NodeNames()
+	e := &Executor{
+		sys:    sys,
+		cfg:    config{topics: store},
+		recs:   make([]nodeRec, len(names)),
+		byName: make(map[string]*nodeRec, len(names)),
+	}
+	recs := e.recs
 	for i, name := range names {
 		n, _ := sys.Node(name)
-		sched, _ := cal.Schedule(name)
 		ids, err := store.IDs(n.Inputs())
 		if err != nil {
 			return nil, fmt.Errorf("node %q inputs: %w", name, err)
@@ -270,7 +228,7 @@ func New(sys *rta.System, envTopics []pubsub.Topic, opts ...Option) (*Executor, 
 		recs[i] = nodeRec{
 			name:   name,
 			node:   n,
-			sched:  sched,
+			sched:  n.Schedule(),
 			inIDs:  ids,
 			in:     make(pubsub.Valuation, len(ids)),
 			outs:   outs,
@@ -326,16 +284,6 @@ func (e *Executor) OutputEnabled(nodeName string) bool {
 	return !ok || r.oe
 }
 
-// Switches returns all recorded mode switches so far.
-func (e *Executor) Switches() []Switch {
-	out := make([]Switch, len(e.switches))
-	copy(out, e.switches)
-	return out
-}
-
-// Steps returns the number of discrete node firings executed.
-func (e *Executor) Steps() uint64 { return e.steps }
-
 // LocalState returns the local state of a node (for inspection by tests and
 // the systematic-testing engine).
 func (e *Executor) LocalState(nodeName string) (node.State, bool) {
@@ -348,7 +296,7 @@ func (e *Executor) LocalState(nodeName string) (node.State, bool) {
 
 // Step applies one transition of the operational semantics: a time progress
 // when FN is empty, otherwise the firing of the next node in FN. It returns
-// false when the calendar is empty (no further transitions exist).
+// false when the system has no nodes (no further transitions exist).
 func (e *Executor) Step() (bool, error) {
 	if len(e.cfg.fn) == 0 {
 		return e.timeProgress()
@@ -394,7 +342,7 @@ func (e *Executor) Run(ctx context.Context, deadline time.Duration) error {
 				return ctx.Err()
 			default:
 			}
-			next, ok := e.cal.PeekNext(e.cfg.ct)
+			next, ok := e.nextInstant()
 			if !ok || next > deadline {
 				return nil
 			}
@@ -416,7 +364,7 @@ func (e *Executor) RunUntil(deadline time.Duration) error {
 // timeProgress implements DISCRETE-TIME-PROGRESS-STEP plus the environment
 // hook.
 func (e *Executor) timeProgress() (bool, error) {
-	next, ok := e.cal.PeekNext(e.cfg.ct)
+	next, ok := e.nextInstant()
 	if !ok {
 		return false, nil
 	}
@@ -437,6 +385,20 @@ func (e *Executor) timeProgress() (bool, error) {
 	return true, nil
 }
 
+// nextInstant returns the earliest time strictly after ct at which any
+// node fires (rules dt2, dt3); ok is false when the system has no nodes. It
+// does not materialize the firing set, so Run's deadline check is
+// allocation-free.
+func (e *Executor) nextInstant() (next time.Duration, ok bool) {
+	for i := range e.recs {
+		t := e.recs[i].sched.NextAfter(e.cfg.ct)
+		if i == 0 || t < next {
+			next = t
+		}
+	}
+	return next, len(e.recs) > 0
+}
+
 // orderFiring computes the instant's firing sequence: decision modules
 // first (so OE reflects the freshest mode before controllers publish), then
 // the rest, both alphabetically — unless a custom order is installed. The
@@ -445,7 +407,13 @@ func (e *Executor) timeProgress() (bool, error) {
 // systematic-testing engine records schedules).
 func (e *Executor) orderFiring(ct time.Duration) []*nodeRec {
 	if e.order != nil {
-		firing := e.cal.FiringAt(ct)
+		// FN' = {n | (n, ct) ∈ CS} of rule dt3, in sorted name order.
+		var firing []string
+		for i := range e.recs {
+			if e.recs[i].sched.FiresAt(ct) {
+				firing = append(firing, e.recs[i].name)
+			}
+		}
 		ordered := e.order(ct, firing)
 		if !validPermutation(firing, ordered) {
 			// An invalid permutation from a custom scheduler falls back to
@@ -463,7 +431,7 @@ func (e *Executor) orderFiring(ct time.Duration) []*nodeRec {
 }
 
 // appendDefaultOrder appends the records firing at ct to dst, DMs first,
-// each class in sorted name order — the calendar's firing set, partitioned.
+// each class in sorted name order — the instant's firing set, partitioned.
 func (e *Executor) appendDefaultOrder(ct time.Duration, dst []*nodeRec) []*nodeRec {
 	for _, class := range [2][]*nodeRec{e.dms, e.rest} {
 		for _, r := range class {
@@ -477,7 +445,6 @@ func (e *Executor) appendDefaultOrder(ct time.Duration, dst []*nodeRec) []*nodeR
 
 // fire executes DM-STEP or AC-OR-SC-STEP for the node.
 func (e *Executor) fire(r *nodeRec) error {
-	e.steps++
 	if len(e.byKind[obs.KindNodeFired]) > 0 {
 		e.emitFired(obs.NodeFired{T: e.cfg.ct, Node: r.name, DM: r.mod != nil})
 	}
@@ -532,7 +499,7 @@ func (e *Executor) fireDM(r *nodeRec) error {
 	r.sc.oe = !enAC
 
 	if mode != prev.Mode {
-		e.recordSwitch(Switch{Time: e.cfg.ct, Module: m.Name(), From: prev.Mode, To: mode, Reason: dm.Reason})
+		e.emitSwitch(obs.ModeSwitch{T: e.cfg.ct, Module: m.Name(), From: prev.Mode, To: mode, Reason: dm.Reason})
 		// Coordinated switching (Section VII): a disengagement demotes the
 		// coordinated partner modules to SC immediately.
 		if mode == rta.ModeSC {
@@ -550,16 +517,16 @@ func (e *Executor) fireDM(r *nodeRec) error {
 	return nil
 }
 
-// recordSwitch appends to the switch log and emits the obs.ModeSwitch event.
-func (e *Executor) recordSwitch(sw Switch) {
-	e.switches = append(e.switches, sw)
+// emitSwitch delivers a mode change to the ModeSwitch observers — the run's
+// only record of its switches.
+func (e *Executor) emitSwitch(sw obs.ModeSwitch) {
 	if list := e.byKind[obs.KindModeSwitch]; len(list) > 0 {
-		obs.Emit(list, obs.ModeSwitch{T: sw.Time, Module: sw.Module, From: sw.From, To: sw.To, Reason: sw.Reason, Coordinated: sw.Coordinated})
+		obs.Emit(list, sw)
 	}
 }
 
 // forceCoordinated demotes every module coordinated with the trigger to SC
-// mode, updating their DM state and output enables and recording the forced
+// mode, updating their DM state and output enables and emitting the forced
 // switches. The partner's policy state is preserved — its next own decision
 // sees Mode = SC and (by the policy contract) treats the demotion like any
 // other entry into SC mode.
@@ -572,8 +539,8 @@ func (e *Executor) forceCoordinated(trigger *rta.Module) {
 		}
 		dm.local = rta.DMState{Mode: rta.ModeSC, Reason: rta.ReasonCoordinated, Policy: prev.Policy}
 		dm.ac.oe, dm.sc.oe = false, true
-		e.recordSwitch(Switch{
-			Time:        e.cfg.ct,
+		e.emitSwitch(obs.ModeSwitch{
+			T:           e.cfg.ct,
 			Module:      partner.Name(),
 			From:        prev.Mode,
 			To:          rta.ModeSC,

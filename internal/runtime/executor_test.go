@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +96,16 @@ func newTestExec(t *testing.T, m *rta.Module, opts ...Option) *Executor {
 	return exec
 }
 
+// recordSwitches attaches an observer that appends the run's ModeSwitch
+// events to log.
+func recordSwitches(log *[]obs.ModeSwitch) Option {
+	return WithObservers(obs.ObserverFunc(func(e obs.Event) {
+		if sw, ok := e.(obs.ModeSwitch); ok {
+			*log = append(*log, sw)
+		}
+	}))
+}
+
 func TestInitialConfiguration(t *testing.T) {
 	m := testModule(t, 100*time.Millisecond)
 	exec := newTestExec(t, m)
@@ -116,7 +127,8 @@ func TestInitialConfiguration(t *testing.T) {
 
 func TestOutputGating(t *testing.T) {
 	m := testModule(t, 100*time.Millisecond)
-	exec := newTestExec(t, m)
+	var sw []obs.ModeSwitch
+	exec := newTestExec(t, m, recordSwitches(&sw))
 	// At t=100ms: DM fires first (mode stays SC since calm=false), then both
 	// controllers fire; only SC's output lands on the topic.
 	if err := exec.RunUntil(100 * time.Millisecond); err != nil {
@@ -149,28 +161,12 @@ func TestOutputGating(t *testing.T) {
 	if v, _ := exec.Topics().Get("who"); v != "SC" {
 		t.Errorf("who after danger = %v, want SC", v)
 	}
-	// Switches were recorded in order.
-	sw := exec.Switches()
+	// Switches were emitted in order, at the DM ticks that decided them.
 	if len(sw) != 2 || sw[0].To != rta.ModeAC || sw[1].To != rta.ModeSC {
-		t.Errorf("switches = %v", sw)
+		t.Fatalf("switches = %v", sw)
 	}
-}
-
-func TestSwitchHook(t *testing.T) {
-	m := testModule(t, 100*time.Millisecond)
-	var got []Switch
-	exec := newTestExec(t, m, WithSwitchHook(func(s Switch) { got = append(got, s) }))
-	if err := exec.Topics().Set("calm", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.RunUntil(150 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Module != "tm" || got[0].From != rta.ModeSC || got[0].To != rta.ModeAC {
-		t.Errorf("hook switches = %v", got)
-	}
-	if got[0].Time != 100*time.Millisecond {
-		t.Errorf("switch time = %v", got[0].Time)
+	if sw[0].Module != "tm" || sw[0].From != rta.ModeSC || sw[0].T != 200*time.Millisecond || sw[1].T != 300*time.Millisecond {
+		t.Errorf("switches = %+v", sw)
 	}
 }
 
@@ -283,7 +279,12 @@ func TestPlainNodesAlwaysEnabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := New(sys, nil)
+	fired := 0
+	exec, err := New(sys, nil, WithObservers(obs.ObserverFunc(func(e obs.Event) {
+		if _, ok := e.(obs.NodeFired); ok {
+			fired++
+		}
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,8 +301,8 @@ func TestPlainNodesAlwaysEnabled(t *testing.T) {
 	if ev.(int) != 5 {
 		t.Errorf("echoed = %v, want 5", ev)
 	}
-	if exec.Steps() != 10 {
-		t.Errorf("steps = %d, want 10", exec.Steps())
+	if fired != 10 {
+		t.Errorf("firings = %d, want 10", fired)
 	}
 }
 
@@ -353,8 +354,10 @@ func TestUndeclaredOutputRejected(t *testing.T) {
 func TestSteadyStateFiringAllocatesNothing(t *testing.T) {
 	val := pubsub.Value([3]float64{1, 2, 3})
 	out := make(pubsub.Valuation, 1)
+	steps := 0
 	rep, err := node.New("rep", 10*time.Millisecond, []pubsub.TopicName{"in"}, []pubsub.TopicName{"out"},
 		func(st node.State, _ pubsub.Valuation) (node.State, pubsub.Valuation, error) {
+			steps++
 			out["out"] = val
 			return st, out, nil
 		})
@@ -384,8 +387,8 @@ func TestSteadyStateFiringAllocatesNothing(t *testing.T) {
 	if stepErr != nil {
 		t.Fatal(stepErr)
 	}
-	if exec.Steps() != 202 {
-		t.Errorf("steps = %d, want 202", exec.Steps())
+	if steps != 202 {
+		t.Errorf("steps = %d, want 202", steps)
 	}
 	if v, _ := exec.Topics().Get("out"); v != val {
 		t.Errorf("out = %v, want %v", v, val)
@@ -537,10 +540,11 @@ func TestCoordinatedSwitching(t *testing.T) {
 		t.Error("unknown module accepted")
 	}
 
+	var switches []obs.ModeSwitch
 	exec, err := New(sys, []pubsub.Topic{
 		{Name: "a/danger", Default: false}, {Name: "a/calm", Default: true},
 		{Name: "b/danger", Default: false}, {Name: "b/calm", Default: true},
-	})
+	}, recordSwitches(&switches))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,16 +577,8 @@ func TestCoordinatedSwitching(t *testing.T) {
 	if !exec.OutputEnabled("B.sc") || exec.OutputEnabled("B.ac") {
 		t.Error("coordinated demotion did not flip B's output enables")
 	}
-	var forced *Switch
-	for i := range exec.Switches() {
-		sw := exec.Switches()[i]
-		if sw.Module == "B" && sw.Coordinated {
-			forced = &sw
-			break
-		}
-	}
-	if forced == nil {
-		t.Fatal("no coordinated switch recorded for B")
+	if !slices.ContainsFunc(switches, func(sw obs.ModeSwitch) bool { return sw.Module == "B" && sw.Coordinated }) {
+		t.Fatal("no coordinated switch emitted for B")
 	}
 	// B re-engages through its own DM once calm again.
 	if err := exec.Topics().Set("b/calm", true); err != nil {
@@ -620,7 +616,7 @@ func TestRunHonoursContext(t *testing.T) {
 
 // TestExecutorEventStream: the executor emits TimeProgress per instant,
 // NodeFired per firing (DMs flagged, drops flagged), and ModeSwitch events
-// identical to the switch log — in a deterministic order.
+// at every mode change — in a deterministic order.
 func TestExecutorEventStream(t *testing.T) {
 	m := testModule(t, 100*time.Millisecond)
 	rec := obs.NewRecorder(0)
@@ -644,7 +640,7 @@ func TestExecutorEventStream(t *testing.T) {
 	}
 
 	var progresses, fired, dmFired, dropped int
-	var switches []Switch
+	var switches []obs.ModeSwitch
 	for _, e := range rec.Events() {
 		switch ev := e.(type) {
 		case obs.TimeProgress:
@@ -662,7 +658,7 @@ func TestExecutorEventStream(t *testing.T) {
 				dmFired++
 			}
 		case obs.ModeSwitch:
-			switches = append(switches, Switch{Time: ev.T, Module: ev.Module, From: ev.From, To: ev.To, Reason: ev.Reason, Coordinated: ev.Coordinated})
+			switches = append(switches, ev)
 		}
 	}
 	// 5 instants (100..500ms), each firing DM + both controllers; one SC
@@ -679,47 +675,9 @@ func TestExecutorEventStream(t *testing.T) {
 	if fired != 5*3-1 {
 		t.Errorf("executed firings = %d, want %d", fired, 5*3-1)
 	}
-	if !reflect.DeepEqual(switches, exec.Switches()) {
-		t.Errorf("ModeSwitch events %v diverge from switch log %v", switches, exec.Switches())
-	}
-	if uint64(fired) != exec.Steps() {
-		t.Errorf("NodeFired events %d != Steps() %d", fired, exec.Steps())
-	}
-}
-
-// TestSwitchHookIsObserverShim: the legacy hook and a ModeSwitch observer
-// see the identical switch sequence.
-func TestSwitchHookIsObserverShim(t *testing.T) {
-	m := testModule(t, 100*time.Millisecond)
-	var hooked, observed []Switch
-	exec := newTestExec(t, m,
-		WithSwitchHook(func(sw Switch) { hooked = append(hooked, sw) }),
-		WithObservers(obs.ObserverFunc(func(e obs.Event) {
-			if sw, ok := e.(obs.ModeSwitch); ok {
-				observed = append(observed, Switch{Time: sw.T, Module: sw.Module, From: sw.From, To: sw.To, Reason: sw.Reason, Coordinated: sw.Coordinated})
-			}
-		})),
-	)
-	if err := exec.Topics().Set("calm", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.RunUntil(300 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.Topics().Set("danger", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.RunUntil(600 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if len(hooked) == 0 {
-		t.Fatal("no switches recorded; the comparison is vacuous")
-	}
-	if !reflect.DeepEqual(hooked, observed) {
-		t.Errorf("hook saw %v, observer saw %v", hooked, observed)
-	}
-	if !reflect.DeepEqual(hooked, exec.Switches()) {
-		t.Errorf("hook saw %v, switch log says %v", hooked, exec.Switches())
+	want := []obs.ModeSwitch{{T: 100 * time.Millisecond, Module: "tm", From: rta.ModeSC, To: rta.ModeAC, Reason: rta.ReasonRecovery}}
+	if !reflect.DeepEqual(switches, want) {
+		t.Errorf("ModeSwitch events %+v, want %+v", switches, want)
 	}
 }
 
@@ -748,5 +706,167 @@ func TestInvariantViolationEvent(t *testing.T) {
 	}
 	if events[0].T != iv.Time || events[0].Module != iv.Module || events[0].Mode != iv.Mode {
 		t.Errorf("event %+v diverges from error %+v", events[0], iv)
+	}
+}
+
+// idleNode is a plain node on the given time-table that reads and publishes
+// nothing.
+func idleNode(t *testing.T, name string, period, phase time.Duration) *node.Node {
+	t.Helper()
+	n, err := node.New(name, period, nil, nil,
+		func(st node.State, _ pubsub.Valuation) (node.State, pubsub.Valuation, error) {
+			return st, nil, nil
+		}, node.WithPhase(phase))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// firingSets runs the system for n time progresses and returns, per
+// instant, its time and the name-sorted firing set handed to the
+// ScheduleOrder hook.
+func firingSets(t *testing.T, sys *rta.System, n int) ([]time.Duration, [][]string) {
+	t.Helper()
+	var times []time.Duration
+	var sets [][]string
+	exec, err := New(sys, nil, WithScheduleOrder(func(ct time.Duration, firing []string) []string {
+		times = append(times, ct)
+		sets = append(sets, firing)
+		return firing
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(times) < n {
+		if ok, err := exec.Step(); err != nil || !ok {
+			t.Fatalf("Step = %v, %v at t=%v", ok, err, exec.Now())
+		}
+	}
+	return times, sets
+}
+
+// TestNextInstant: time progresses to the earliest entry of any node's
+// time-table, and the ScheduleOrder hook receives the nodes firing then in
+// sorted name order.
+func TestNextInstant(t *testing.T) {
+	sys, err := rta.NewSystem(nil, []*node.Node{
+		idleNode(t, "slow", 100*time.Millisecond, 0),
+		idleNode(t, "fast", 20*time.Millisecond, 0),
+		idleNode(t, "offset", 100*time.Millisecond, 10*time.Millisecond),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	times, sets := firingSets(t, sys, 6)
+	wantTimes := []time.Duration{10, 20, 40, 60, 80, 100}
+	for i := range wantTimes {
+		wantTimes[i] *= time.Millisecond
+	}
+	wantSets := [][]string{{"offset"}, {"fast"}, {"fast"}, {"fast"}, {"fast"}, {"fast", "slow"}}
+	if !reflect.DeepEqual(times, wantTimes) || !reflect.DeepEqual(sets, wantSets) {
+		t.Errorf("instants %v firing %v, want %v %v", times, sets, wantTimes, wantSets)
+	}
+}
+
+// TestEmptySystemHasNoNextInstant: with no nodes there is no transition.
+func TestEmptySystemHasNoNextInstant(t *testing.T) {
+	sys, err := rta.NewSystem(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := New(sys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := exec.Step(); ok || err != nil {
+		t.Errorf("Step = %v, %v; want no transition", ok, err)
+	}
+	if err := exec.RunUntil(time.Second); err != nil || exec.Now() != 0 {
+		t.Errorf("RunUntil = %v at t=%v; want nil at 0", err, exec.Now())
+	}
+}
+
+// TestFiringSetConsistency: over 200 instants, time strictly advances to
+// the earliest NextAfter of the nodes' schedules; the firing set handed to
+// the ScheduleOrder hook is exactly the nodes whose schedule fires then; and
+// the default order fires the same set (DMs first, then the rest, each
+// sorted) at the same instants.
+func TestFiringSetConsistency(t *testing.T) {
+	nodes := []*node.Node{
+		idleNode(t, "a", 30*time.Millisecond, 0),
+		idleNode(t, "b", 70*time.Millisecond, 10*time.Millisecond),
+		idleNode(t, "c", 110*time.Millisecond, 0),
+	}
+	m := testModule(t, 50*time.Millisecond)
+	sys, err := rta.NewSystem([]*rta.Module{m}, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := sys.NodeNames()
+	const instants = 200
+	times, sets := firingSets(t, sys, instants)
+
+	ct := time.Duration(0)
+	for i, next := range times {
+		var want []string
+		earliest := time.Duration(-1)
+		for _, name := range names {
+			n, _ := sys.Node(name)
+			if at := n.Schedule().NextAfter(ct); earliest < 0 || at < earliest {
+				earliest = at
+			}
+			if n.Schedule().FiresAt(next) {
+				want = append(want, name)
+			}
+		}
+		if next != earliest {
+			t.Fatalf("instant %d: time progressed %v -> %v, earliest entry is %v", i, ct, next, earliest)
+		}
+		if !reflect.DeepEqual(sets[i], want) {
+			t.Fatalf("firing set at %v = %v, want %v", next, sets[i], want)
+		}
+		ct = next
+	}
+
+	// The default order: record which nodes fired at each instant.
+	byInstant := map[time.Duration][]string{}
+	var order []time.Duration
+	exec, err := New(sys, []pubsub.Topic{
+		{Name: "danger", Default: false},
+		{Name: "calm", Default: false},
+		{Name: "crashed", Default: false},
+	}, WithObservers(obs.ObserverFunc(func(e obs.Event) {
+		switch ev := e.(type) {
+		case obs.TimeProgress:
+			order = append(order, ev.T)
+		case obs.NodeFired:
+			byInstant[ev.T] = append(byInstant[ev.T], ev.Node)
+		}
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exec.RunUntil(times[instants-1]); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(order, times) {
+		t.Fatalf("default order progressed through %d instants, custom order through %d", len(order), len(times))
+	}
+	for i, at := range times {
+		got := byInstant[at]
+		dms := 0
+		for dms < len(got) {
+			if _, isDM := sys.IsDM(got[dms]); !isDM {
+				break
+			}
+			dms++
+		}
+		if !slices.IsSorted(got[:dms]) || !slices.IsSorted(got[dms:]) {
+			t.Fatalf("default order at %v = %v, want DMs then the rest, each sorted", at, got)
+		}
+		if sorted := slices.Sorted(slices.Values(got)); !reflect.DeepEqual(sorted, sets[i]) {
+			t.Fatalf("default order fired %v at %v, firing set is %v", got, at, sets[i])
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rta"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -25,6 +26,26 @@ const resultDigestFile = "testdata/registry_results.digest"
 // digestCap caps mission durations so the whole registry × policy × seed
 // grid stays cheap enough for every test run.
 const digestCap = 20 * time.Second
+
+// switchLine is one switch as the digest prints it: the field names the
+// digest was recorded with, so the pinned text does not depend on the event
+// type's field naming.
+type switchLine struct {
+	Time        time.Duration
+	Module      string
+	From, To    rta.Mode
+	Reason      rta.SwitchReason
+	Coordinated bool
+}
+
+// switchLines formats a run's ModeSwitch events for the digest.
+func switchLines(switches []obs.ModeSwitch) []switchLine {
+	var out []switchLine
+	for _, sw := range switches {
+		out = append(out, switchLine{Time: sw.T, Module: sw.Module, From: sw.From, To: sw.To, Reason: sw.Reason, Coordinated: sw.Coordinated})
+	}
+	return out
+}
 
 func resultDigests(t testing.TB) string {
 	var b strings.Builder
@@ -45,7 +66,7 @@ func resultDigests(t testing.TB) string {
 					t.Fatalf("%s %s seed %d: %v", spec.Name, pol, seed, err)
 				}
 				m, p := res.Metrics, res.Metrics.CrashPos
-				fmt.Fprintf(h, "seed=%d crash=%v,%v,%v %+v\n%+v\n", seed, p.X, p.Y, p.Z, m, res.Switches)
+				fmt.Fprintf(h, "seed=%d crash=%v,%v,%v %+v\n%+v\n", seed, p.X, p.Y, p.Z, m, switchLines(res.Switches))
 			}
 			fmt.Fprintf(&b, "%s %s %x\n", spec.Name, pol, h.Sum(nil))
 		}

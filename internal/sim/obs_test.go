@@ -35,9 +35,10 @@ func observedRun(t *testing.T, seed int64, observers ...obs.Observer) RunConfig 
 	}
 }
 
-// TestModeSwitchEventsMatchSwitchLog: the obs.ModeSwitch stream is exactly
-// the executor's switch log — same order, same payloads. This is the
-// acceptance contract tying -trace files to Executor.Switches().
+// TestModeSwitchEventsMatchSwitchLog: Result.Switches is exactly the run's
+// obs.ModeSwitch stream as a caller's observer sees it — same order, same
+// payloads. This is the acceptance contract tying -trace files to the
+// switch log the experiments read.
 func TestModeSwitchEventsMatchSwitchLog(t *testing.T) {
 	rec := obs.NewRecorder(0)
 	res, err := Run(observedRun(t, 11, rec))
@@ -57,9 +58,8 @@ func TestModeSwitchEventsMatchSwitchLog(t *testing.T) {
 		t.Fatal("run produced no switches; the comparison is vacuous")
 	}
 	for i, sw := range res.Switches {
-		want := obs.ModeSwitch{T: sw.Time, Module: sw.Module, From: sw.From, To: sw.To, Reason: sw.Reason, Coordinated: sw.Coordinated}
-		if fromEvents[i] != want {
-			t.Errorf("event %d = %+v, switch log says %+v", i, fromEvents[i], want)
+		if fromEvents[i] != sw {
+			t.Errorf("event %d = %+v, switch log says %+v", i, fromEvents[i], sw)
 		}
 	}
 }

@@ -103,11 +103,12 @@ type RunConfig struct {
 	Order runtime.ScheduleOrder
 }
 
-// Result bundles metrics with the executor's switch log. The flown
-// trajectory is the run's obs.TrajectorySample stream.
+// Result bundles metrics with the run's switch log — its obs.ModeSwitch
+// events, in stream order. The flown trajectory is the run's
+// obs.TrajectorySample stream.
 type Result struct {
 	Metrics  Metrics
-	Switches []runtime.Switch
+	Switches []obs.ModeSwitch
 }
 
 // environment integrates the plant between discrete events and publishes the
@@ -165,12 +166,13 @@ func (e *environment) Advance(prev, now time.Duration, topics *pubsub.Store) err
 	return nil
 }
 
-// modeTracker caches the motion-primitive module's current mode from the
-// switch stream, so per-sub-step trajectory samples carry it without
-// querying the executor on the hot path.
+// modeTracker logs the run's switch stream and caches the motion-primitive
+// module's current mode from it, so per-sub-step trajectory samples carry
+// it without querying the executor on the hot path.
 type modeTracker struct {
-	module string
-	mode   rta.Mode
+	module   string
+	mode     rta.Mode
+	switches []obs.ModeSwitch
 }
 
 // Interests implements obs.Interested.
@@ -178,7 +180,12 @@ func (t *modeTracker) Interests() obs.KindSet { return obs.Kinds(obs.KindModeSwi
 
 // OnEvent implements obs.Observer.
 func (t *modeTracker) OnEvent(e obs.Event) {
-	if sw, ok := e.(obs.ModeSwitch); ok && sw.Module == t.module {
+	sw, ok := e.(obs.ModeSwitch)
+	if !ok {
+		return
+	}
+	t.switches = append(t.switches, sw)
+	if sw.Module == t.module {
 		t.mode = sw.To
 	}
 }
@@ -410,7 +417,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	r.emit(endEv)
 
-	return &Result{Metrics: sink.Metrics(), Switches: exec.Switches()}, runErr
+	return &Result{Metrics: sink.Metrics(), Switches: tracker.switches}, runErr
 }
 
 // cancelled reports whether err is the context's cancellation surfacing.

@@ -2,9 +2,9 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
-	soterruntime "repro/internal/runtime"
 	"repro/internal/sim"
 )
 
@@ -16,8 +16,7 @@ import (
 // is the only encoder and decoder, and both sweep cells and deterministic
 // certification cells run through it, which is what lets them share entries.
 type Payload struct {
-	Metrics  sim.Metrics           `json:"metrics"`
-	Switches []soterruntime.Switch `json:"switches,omitempty"`
+	Metrics sim.Metrics `json:"metrics"`
 }
 
 // Encode renders the payload as canonical JSON bytes for storage.
@@ -31,11 +30,20 @@ func (p Payload) Encode() ([]byte, error) {
 
 // DecodePayload parses stored bytes back into a Payload. An error means the
 // entry is unusable and the caller should recompute; with checksummed tiers
-// this indicates an encoding-era bug, not bit rot.
+// this indicates an encoding-era bug, not bit rot. Unknown fields are
+// ignored, so entries that still carry the switch log older encoders stored
+// beside the metrics decode to the same Metrics. An entry that parses but
+// carries no metrics object (null, {}, {"metrics":null}) is an error:
+// serving it would report zero Metrics as a verdict.
 func DecodePayload(raw []byte) (Payload, error) {
-	var p Payload
-	if err := json.Unmarshal(raw, &p); err != nil {
+	var wire struct {
+		Metrics *sim.Metrics `json:"metrics"`
+	}
+	if err := json.Unmarshal(raw, &wire); err != nil {
 		return Payload{}, fmt.Errorf("store: decode payload: %w", err)
 	}
-	return p, nil
+	if wire.Metrics == nil {
+		return Payload{}, errors.New("store: decode payload: no metrics object")
+	}
+	return Payload{Metrics: *wire.Metrics}, nil
 }

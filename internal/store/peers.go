@@ -185,8 +185,8 @@ func (p *Peers) Get(ctx context.Context, key string) ([]byte, bool) {
 }
 
 // fetch performs one GET /store/{key} against one peer. found is false on a
-// clean 404; any other failure — transport error, bad status, checksum
-// mismatch, oversized body — is an error that backs the peer off.
+// clean 404; any other failure — transport error, bad status, a missing or
+// mismatched checksum, oversized body — is an error that backs the peer off.
 func (p *Peers) fetch(ctx context.Context, pr *peer, key string) (val []byte, found bool, err error) {
 	ctx, cancel := context.WithTimeout(ctx, p.timeout)
 	defer cancel()
@@ -214,7 +214,11 @@ func (p *Peers) fetch(ctx context.Context, pr *peer, key string) (val []byte, fo
 	if len(body) > maxPeerEntry {
 		return nil, false, fmt.Errorf("peer %s: entry exceeds %d bytes", pr.base, maxPeerEntry)
 	}
-	if sum := resp.Header.Get(SumHeader); sum != "" && sum != Sum(body) {
+	sum := resp.Header.Get(SumHeader)
+	if sum == "" {
+		return nil, false, fmt.Errorf("peer %s: no %s header for %s", pr.base, SumHeader, key)
+	}
+	if sum != Sum(body) {
 		return nil, false, fmt.Errorf("peer %s: checksum mismatch for %s", pr.base, key)
 	}
 	return body, true, nil

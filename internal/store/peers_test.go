@@ -100,6 +100,34 @@ func TestPeersChecksumRejected(t *testing.T) {
 	}
 }
 
+// TestPeersMissingChecksumRejected: a 200 response without an X-Soter-Sum
+// header is an error — every soter-serve sends one, so its absence means the
+// body cannot be vouched for — and the lookup is a miss that leaves the
+// local tiers empty.
+func TestPeersMissingChecksumRejected(t *testing.T) {
+	key := fmt.Sprintf("%032x", 8)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"metrics":{}}`))
+	}))
+	defer ts.Close()
+
+	p, err := NewPeers(PeersConfig{Peers: []string{ts.URL}, Client: ts.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewTiered(Options{Peers: p})
+	defer st.Close()
+	if val, ok := st.Get(context.Background(), key); ok {
+		t.Fatalf("unchecksummed peer response was accepted: %q", val)
+	}
+	if _, ok := st.GetLocal(context.Background(), key); ok {
+		t.Error("unchecksummed peer response reached the local tiers")
+	}
+	if s := p.Stats(); s.Errors != 1 || s.Hits != 0 {
+		t.Errorf("stats = %+v, want the missing header counted as an error", s)
+	}
+}
+
 // TestPeersDownDegradesToMiss: an unreachable peer backs off and the lookup
 // degrades to a miss; within the backoff window the peer is not re-probed.
 func TestPeersDownDegradesToMiss(t *testing.T) {

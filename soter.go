@@ -118,8 +118,6 @@ type (
 	Environment = runtime.Environment
 	// EnvironmentFunc adapts a function to Environment.
 	EnvironmentFunc = runtime.EnvironmentFunc
-	// Switch records a DM mode change.
-	Switch = runtime.Switch
 	// InvariantViolationError reports a φInv monitor failure.
 	InvariantViolationError = runtime.InvariantViolationError
 )
@@ -146,7 +144,7 @@ const (
 	ModeAC = rta.ModeAC
 )
 
-// Switch reasons, as carried by ModeSwitchEvent.Reason and Switch.Reason.
+// Switch reasons, as carried by ModeSwitchEvent.Reason.
 // A policy's Decide reports the first four; the framework sets the last two.
 const (
 	// ReasonNone: the decision kept the current mode with nothing noteworthy
@@ -226,8 +224,3 @@ func WithInvariantChecking() ExecutorOption { return runtime.WithInvariantChecki
 func WithObservers(observers ...Observer) ExecutorOption {
 	return runtime.WithObservers(observers...)
 }
-
-// WithSwitchHook registers a callback invoked on every DM mode change. It is
-// a shim over WithObservers with an observer interested only in
-// ModeSwitchEvent.
-func WithSwitchHook(fn func(Switch)) ExecutorOption { return runtime.WithSwitchHook(fn) }

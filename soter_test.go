@@ -274,8 +274,8 @@ func TestPublicWellFormednessErrors(t *testing.T) {
 
 // TestSwitchTelemetry: the paper's "programmable switching" is observable:
 // the rover run records both the disengagement and the re-engagement... the
-// rover parks at the wall, so here we check the hook fires with correct
-// metadata on the first AC engagement.
+// rover parks at the wall, so here we check a ModeSwitchEvent observer sees
+// the correct metadata on the first AC engagement.
 func TestSwitchTelemetry(t *testing.T) {
 	mod := buildRoverModule(t, "SafeRover", "rover")
 	sys, err := soter.NewSystem([]*soter.Module{mod}, nil)
@@ -283,11 +283,15 @@ func TestSwitchTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rover{x: 10}
-	var switches []soter.Switch
+	var switches []soter.ModeSwitchEvent
 	exec, err := soter.NewExecutor(sys,
 		[]soter.Topic{{Name: "rover/state", Default: r}},
 		soter.WithEnvironment(roverEnv(&r, "rover/state", "rover/cmd")),
-		soter.WithSwitchHook(func(sw soter.Switch) { switches = append(switches, sw) }),
+		soter.WithObservers(soter.ObserverFunc(func(e soter.Event) {
+			if sw, ok := e.(soter.ModeSwitchEvent); ok {
+				switches = append(switches, sw)
+			}
+		})),
 	)
 	if err != nil {
 		t.Fatal(err)
