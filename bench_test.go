@@ -1,22 +1,18 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section V). BenchmarkExperiments runs each experiments.Catalogue entry as
-// a sub-benchmark and prints the paper-style rows once per `go test -bench`
-// invocation; ns/op measures the cost of regenerating the artifact.
-// Micro-benchmarks at the bottom measure the framework's hot paths (DM
-// decisions, reachability checks, executor throughput); the planner
-// benchmarks live next to the planners in internal/plan.
+// Benchmarks of the framework: fleet batch throughput and the hot paths (DM
+// decisions, reachability checks, executor throughput). The benchmark that
+// regenerates every table and figure of the paper's evaluation (Section V),
+// BenchmarkExperiments, lives beside the experiments in internal/experiments;
+// the planner benchmarks live next to the planners in internal/plan.
 package soter_test
 
 import (
 	"context"
 	"fmt"
 	goruntime "runtime"
-	"sync"
 	"testing"
 	"time"
 
 	soter "repro"
-	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/geom"
 	"repro/internal/mission"
@@ -26,79 +22,6 @@ import (
 	"repro/internal/rta"
 	"repro/internal/sim"
 )
-
-// printOnce prints each experiment table a single time even when the bench
-// harness loops.
-var printOnce sync.Map
-
-func report(b *testing.B, key, text string) {
-	b.Helper()
-	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
-		fmt.Printf("\n%s\n", text)
-	}
-}
-
-// BenchmarkExperiments regenerates every experiment in the catalogue at
-// full size with seed 1 — the paper-figure seeds and sizes — printing each
-// table once and holding each figure to its headline claim.
-func BenchmarkExperiments(b *testing.B) {
-	for _, e := range experiments.Catalogue() {
-		b.Run(e.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := e.Run(context.Background(), 1, false, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				report(b, e.Name, out.Text)
-				if check := experimentChecks[e.Name]; check != nil {
-					check(b, out.Result)
-				}
-			}
-		})
-	}
-}
-
-// experimentChecks holds each figure's headline claim, keyed by catalogue
-// name, against the experiment's typed result.
-var experimentChecks = map[string]func(b *testing.B, result any){
-	"fig5r": func(b *testing.B, result any) {
-		if res := result.(experiments.Fig5RightResult); res.CollidingLaps == 0 {
-			b.Fatal("expected the unprotected third-party controller to collide")
-		}
-	},
-	"fig5l": func(b *testing.B, result any) {
-		if res := result.(experiments.Fig5LeftResult); res.UnsafeLoops == 0 || res.UnsafeLoops == res.Loops {
-			b.Fatalf("expected a mix of safe and unsafe loops, got %d/%d", res.UnsafeLoops, res.Loops)
-		}
-	},
-	"fig6": func(b *testing.B, result any) {
-		if res := result.(experiments.Fig6Result); res.Crashed || !res.Reached || res.Disengagements == 0 {
-			b.Fatalf("unexpected fig6 outcome: %+v", res)
-		}
-	},
-	"fig12b": func(b *testing.B, result any) {
-		if result.(experiments.Fig12bResult).Crashed {
-			b.Fatal("RTA-protected surveillance mission crashed")
-		}
-	},
-	"fig12c": func(b *testing.B, result any) {
-		if res := result.(experiments.Fig12cResult); res.Crashed || !res.Landed {
-			b.Fatalf("battery safety failed: %+v", res)
-		}
-	},
-	"sec5c": func(b *testing.B, result any) {
-		if res := result.(experiments.Sec5cResult); res.BuggyColliding == 0 || res.CertColliding != 0 || res.ClosedCrashed {
-			b.Fatalf("unexpected sec5c outcome: %+v", res)
-		}
-	},
-	"abl-policy": func(b *testing.B, result any) {
-		for _, row := range result.(experiments.AblationPolicyResult).Rows {
-			if row.Crashed {
-				b.Fatalf("policy %s crashed — the framework clamp must keep every policy safe", row.Policy)
-			}
-		}
-	},
-}
 
 // BenchmarkFleetScaling measures batch-simulation throughput of the fleet
 // engine at 1, 4 and GOMAXPROCS workers on a fixed batch of independent

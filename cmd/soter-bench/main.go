@@ -1,6 +1,6 @@
 // Command soter-bench regenerates every table and figure of the paper's
 // evaluation (Section V) as text tables: the experiments.Catalogue entries,
-// which the bench_test.go harness also runs, addressable individually. Each
+// which BenchmarkExperiments also runs, addressable individually. Each
 // experiment's internal scenario sweeps are dispatched through the fleet
 // engine (internal/fleet) bounded at -workers, so sweep-heavy experiments
 // saturate the available cores while reports still print in order as they

@@ -89,14 +89,36 @@ func TestLearnedDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// badCellFraction samples the fraction of corrupted cells of c inside the
+// box: cells whose gains are the corrupted kind (hard acceleration, near-zero
+// damping).
+func badCellFraction(c *Learned, bounds geom.AABB) float64 {
+	total, bad := 0, 0
+	for x := bounds.Min.X; x < bounds.Max.X; x += c.cellSize {
+		for y := bounds.Min.Y; y < bounds.Max.Y; y += c.cellSize {
+			for z := bounds.Min.Z; z < bounds.Max.Z; z += c.cellSize {
+				kp, kd := c.gains(geom.V(x, y, z))
+				total++
+				if kd < 0.5 && kp > 3 {
+					bad++
+				}
+			}
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(bad) / float64(total)
+}
+
 func TestLearnedBadCellFraction(t *testing.T) {
 	box := geom.Box(geom.V(0, 0, 0), geom.V(60, 60, 12))
 	clean := NewLearned(testLimits(), 0, 7)
-	if frac := clean.BadCellFraction(box); frac != 0 {
+	if frac := badCellFraction(clean, box); frac != 0 {
 		t.Errorf("badFraction 0 produced %.2f corrupted cells", frac)
 	}
 	dirty := NewLearned(testLimits(), 0.3, 7)
-	frac := dirty.BadCellFraction(box)
+	frac := badCellFraction(dirty, box)
 	if frac < 0.1 || frac > 0.5 {
 		t.Errorf("badFraction 0.3 produced %.2f corrupted cells, want ≈0.3", frac)
 	}
@@ -130,12 +152,6 @@ func TestFaultWindows(t *testing.T) {
 	cleanNear := inner.Control(0, pos, vel, near)
 	if got := faulty.Control(7500*time.Millisecond, pos, vel, near); math.Abs(got.X-(cleanNear.X+0.5)) > 1e-9 {
 		t.Errorf("bias: %v, clean %v", got, cleanNear)
-	}
-	if _, active := faulty.ActiveFault(1500 * time.Millisecond); !active {
-		t.Error("ActiveFault missed the window")
-	}
-	if _, active := faulty.ActiveFault(10 * time.Second); active {
-		t.Error("ActiveFault outside windows")
 	}
 }
 

@@ -94,13 +94,3 @@ func (c *Faulty) Control(t time.Duration, pos, vel, target geom.Vec3) geom.Vec3 
 	}
 	return c.limits.clampAccel(u)
 }
-
-// ActiveFault returns the first fault active at t, if any.
-func (c *Faulty) ActiveFault(t time.Duration) (Fault, bool) {
-	for _, f := range c.faults {
-		if f.Active(t) {
-			return f, true
-		}
-	}
-	return Fault{}, false
-}

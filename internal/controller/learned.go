@@ -72,24 +72,3 @@ func (c *Learned) gains(pos geom.Vec3) (kp, kd float64) {
 	kd = 2.2 + rng.Float64()*0.4
 	return kp, kd
 }
-
-// BadCellFraction empirically samples the fraction of corrupted cells inside
-// the box, for tests and workload reporting.
-func (c *Learned) BadCellFraction(bounds geom.AABB) float64 {
-	total, bad := 0, 0
-	for x := bounds.Min.X; x < bounds.Max.X; x += c.cellSize {
-		for y := bounds.Min.Y; y < bounds.Max.Y; y += c.cellSize {
-			for z := bounds.Min.Z; z < bounds.Max.Z; z += c.cellSize {
-				kp, kd := c.gains(geom.V(x, y, z))
-				total++
-				if kd < 0.5 && kp > 3 {
-					bad++
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(bad) / float64(total)
-}

@@ -10,15 +10,6 @@ import (
 	"repro/internal/scenario"
 )
 
-// AblationConfig parameterises the design-choice ablations of Remark 3.3.
-type AblationConfig struct {
-	Seed     int64
-	Duration time.Duration
-	// Workers bounds the fleet worker pool the configuration grid is
-	// dispatched across (0 = GOMAXPROCS).
-	Workers int
-}
-
 // DeltaRow is one (Δ, hysteresis) configuration.
 type DeltaRow struct {
 	Delta          time.Duration
@@ -52,10 +43,15 @@ func (r AblationDeltaResult) Format() string {
 	return t.String()
 }
 
-// ablationSpec declares the faulted surveillance mission both ablations
+// ablationSpec declares the faulted surveillance mission all three ablations
 // sweep over: the city tour under heavy periodic AC faulting, so the
-// switching policy under study is exercised many times per run.
-func ablationSpec(duration time.Duration) scenario.Spec {
+// switching policy under study is exercised many times per run. It flies
+// 80 s, 40 s in quick mode.
+func ablationSpec(quick bool) scenario.Spec {
+	duration := 80 * time.Second
+	if quick {
+		duration = 40 * time.Second
+	}
 	return scenario.Spec{
 		Name: "ablation",
 		Targets: []geom.Vec3{
@@ -72,13 +68,21 @@ func ablationSpec(duration time.Duration) scenario.Spec {
 	}
 }
 
-// AblationDelta runs the sweep: the 12-point (Δ, hysteresis) grid is a
+// ablationRun runs one ablation grid: the ablation mission under each
+// override, all at catalogue seed + 5, bounded at workers.
+func ablationRun(ctx context.Context, seed int64, quick bool, workers int, overrides []scenario.Override) *fleet.Report {
+	return fleet.Run(ctx, fleet.ScenarioGrid(fleet.GridConfig{
+		Specs:     []scenario.Spec{ablationSpec(quick)},
+		Overrides: overrides,
+		Seeds:     []int64{seed + 5},
+	}), fleet.Options{Workers: workers})
+}
+
+// ablationDelta runs the sweep: the 12-point (Δ, hysteresis) grid is a
 // scenario-grid batch — one base spec, one override per grid point — every
-// grid point an isolated mission.
-func AblationDelta(ctx context.Context, cfg AblationConfig) (AblationDeltaResult, error) {
-	if cfg.Duration <= 0 {
-		cfg.Duration = 80 * time.Second
-	}
+// grid point an isolated mission. The outcome's AC fraction is the
+// paper-default grid point's (Δ=100ms, hysteresis 2).
+func ablationDelta(ctx context.Context, seed int64, quick bool, workers int) (Outcome, error) {
 	type gridPoint struct {
 		delta time.Duration
 		hyst  float64
@@ -98,26 +102,27 @@ func AblationDelta(ctx context.Context, cfg AblationConfig) (AblationDeltaResult
 			})
 		}
 	}
-	missions := fleet.ScenarioGrid(fleet.GridConfig{
-		Specs:     []scenario.Spec{ablationSpec(cfg.Duration)},
-		Overrides: overrides,
-		Seeds:     []int64{cfg.Seed},
-	})
-	rep := fleet.Run(ctx, missions, fleet.Options{Workers: cfg.Workers})
+	rep := ablationRun(ctx, seed, quick, workers, overrides)
 	if err := rep.FirstErr(); err != nil {
-		return AblationDeltaResult{}, fmt.Errorf("ablation: %w", err)
+		return Outcome{}, fmt.Errorf("ablation: %w", err)
 	}
 	var res AblationDeltaResult
-	for i, out := range rep.Results {
-		m := out.Metrics
+	out := Outcome{ACFraction: -1}
+	for i, r := range rep.Results {
+		m := r.Metrics
 		row := DeltaRow{Delta: grid[i].delta, Hysteresis: grid[i].hyst, Crashed: m.Crashed, Targets: m.TargetsVisited}
 		if s, ok := m.Modules["safe-motion-primitive"]; ok {
 			row.Disengagements = s.Disengagements
 			row.ACFraction = s.ACFraction()
 		}
 		res.Rows = append(res.Rows, row)
+		out.Crashes += boolCount(row.Crashed)
+		if row.Delta == 100*time.Millisecond && row.Hysteresis == 2.0 {
+			out.ACFraction = row.ACFraction
+		}
 	}
-	return res, nil
+	out.Text, out.Result = res.Format(), res
+	return out, nil
 }
 
 // ReturnRow is one switching-policy configuration.
@@ -153,12 +158,10 @@ func (r AblationReturnResult) Format() string {
 	return t.String()
 }
 
-// AblationReturn runs the comparison, both switching policies simulating
-// concurrently as a two-override scenario-grid batch.
-func AblationReturn(ctx context.Context, cfg AblationConfig) (AblationReturnResult, error) {
-	if cfg.Duration <= 0 {
-		cfg.Duration = 80 * time.Second
-	}
+// ablationReturn runs the comparison, both switching policies simulating
+// concurrently as a two-override scenario-grid batch. The outcome's AC
+// fraction is the two-way row's.
+func ablationReturn(ctx context.Context, seed int64, quick bool, workers int) (Outcome, error) {
 	policies := []struct {
 		name   string
 		oneWay bool
@@ -174,24 +177,22 @@ func AblationReturn(ctx context.Context, cfg AblationConfig) (AblationReturnResu
 			Apply: func(sp *scenario.Spec) { sp.OneWaySwitching = pol.oneWay },
 		}
 	}
-	missions := fleet.ScenarioGrid(fleet.GridConfig{
-		Specs:     []scenario.Spec{ablationSpec(cfg.Duration)},
-		Overrides: overrides,
-		Seeds:     []int64{cfg.Seed},
-	})
-	rep := fleet.Run(ctx, missions, fleet.Options{Workers: cfg.Workers})
+	rep := ablationRun(ctx, seed, quick, workers, overrides)
 	if err := rep.FirstErr(); err != nil {
-		return AblationReturnResult{}, fmt.Errorf("ablation return: %w", err)
+		return Outcome{}, fmt.Errorf("ablation return: %w", err)
 	}
 	var res AblationReturnResult
-	for i, out := range rep.Results {
-		m := out.Metrics
+	out := Outcome{}
+	for i, r := range rep.Results {
+		m := r.Metrics
 		row := ReturnRow{Policy: policies[i].name, Crashed: m.Crashed, Targets: m.TargetsVisited, Distance: m.DistanceFlown}
 		if s, ok := m.Modules["safe-motion-primitive"]; ok {
 			row.ACFraction = s.ACFraction()
 			row.Disengagements = s.Disengagements
 		}
 		res.Rows = append(res.Rows, row)
+		out.Crashes += boolCount(row.Crashed)
 	}
-	return res, nil
+	out.Text, out.ACFraction, out.Result = res.Format(), res.Rows[0].ACFraction, res
+	return out, nil
 }

@@ -1,11 +1,12 @@
 // Package experiments implements the reproduction of every figure and table
-// in the paper's evaluation (Section V). Each experiment is a pure function
-// from a seeded configuration to a result value whose Format method prints
-// the rows/series the paper reports; the ones that simulate take the
-// cancellation context as their first argument. Catalogue is
-// the one list of them: cmd/soter-bench and the bench_test.go harness at the
-// repository root both range over it, and `go test -bench . -benchtime 1x`
-// regenerates all of them.
+// in the paper's evaluation (Section V). Each experiment is a function of
+// (ctx, seed, quick, workers) that sizes itself once, runs, and returns an
+// Outcome carrying a result value whose Format method prints the
+// rows/series the paper reports. Catalogue is the one list of them:
+// cmd/soter-bench ranges over it, TestCatalogueClaims holds every entry to
+// its claim-table row in quick mode, and BenchmarkExperiments (`go test
+// -bench Experiments -benchtime 1x`) regenerates all of them at full size
+// against the same table.
 package experiments
 
 import (
@@ -49,4 +50,11 @@ func fmtDur(d time.Duration) string {
 
 func fmtPct(f float64) string {
 	return fmt.Sprintf("%.1f%%", 100*f)
+}
+
+func boolCount(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
@@ -9,12 +10,6 @@ import (
 	"repro/internal/plant"
 	"repro/internal/reach"
 )
-
-// Fig10Config parameterises the regions-of-operation study.
-type Fig10Config struct {
-	Seed    int64
-	Samples int
-}
 
 // Fig10Result reports the regions of operation of Figure 10 (fractions of
 // sampled kinematic states per region) and cross-validates the analytic
@@ -44,29 +39,32 @@ func (r Fig10Result) Format() string {
 	return t.String()
 }
 
-// Fig10 samples the state space and classifies the regions.
-func Fig10(cfg Fig10Config) (Fig10Result, error) {
-	if cfg.Samples <= 0 {
-		cfg.Samples = 4000
+// fig10 samples the state space and classifies the regions: 4000 samples,
+// 1000 in quick mode, at catalogue seed + 2.
+func fig10(_ context.Context, seed int64, quick bool, _ int) (Outcome, error) {
+	samples := 4000
+	if quick {
+		samples = 1000
 	}
+	seed += 2
 	ws := geom.CityWorkspace()
 	params := plant.DefaultParams()
 	aws, err := mission.AnalysisWorkspace(ws)
 	if err != nil {
-		return Fig10Result{}, err
+		return Outcome{}, err
 	}
 	bounds := reach.Bounds{MaxAccel: params.MaxAccel, MaxVel: params.MaxVel, BrakeDecel: 0.8 * params.MaxAccel}
 	const delta = 100 * time.Millisecond
 	an, err := reach.NewAnalyzer(aws, bounds, 0.45, delta, 2.0)
 	if err != nil {
-		return Fig10Result{}, err
+		return Outcome{}, err
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	counts := make(map[reach.Region]int)
 	b := ws.Bounds()
 	size := b.Size()
-	for i := 0; i < cfg.Samples; i++ {
+	for i := 0; i < samples; i++ {
 		pos := geom.V(
 			b.Min.X+rng.Float64()*size.X,
 			b.Min.Y+rng.Float64()*size.Y,
@@ -79,20 +77,20 @@ func Fig10(cfg Fig10Config) (Fig10Result, error) {
 		)
 		counts[an.Classify(pos, vel)]++
 	}
-	res := Fig10Result{Samples: cfg.Samples, Fractions: make(map[reach.Region]float64)}
+	res := Fig10Result{Samples: samples, Fractions: make(map[reach.Region]float64)}
 	for reg, n := range counts {
-		res.Fractions[reg] = float64(n) / float64(cfg.Samples)
+		res.Fractions[reg] = float64(n) / float64(samples)
 	}
 
 	// Grid backward reachable set over the physical workspace, at a
 	// resolution fine enough to resolve the thin 2Δ escape band.
 	grid, err := geom.NewGrid(ws, 0.4, 0.45)
 	if err != nil {
-		return Fig10Result{}, err
+		return Outcome{}, err
 	}
 	brs, err := reach.NewBackwardReachSet(grid, bounds.MaxVel)
 	if err != nil {
-		return Fig10Result{}, err
+		return Outcome{}, err
 	}
 	res.GridEscapableFrac = brs.FractionEscapable(2 * delta)
 
@@ -101,7 +99,7 @@ func Fig10(cfg Fig10Config) (Fig10Result, error) {
 	// check to "time-to-unsafe > 2Δ at vmax". Both over-approximate
 	// differently, so we report agreement rather than require equality.
 	agree, total := 0, 0
-	for i := 0; i < cfg.Samples/2; i++ {
+	for i := 0; i < samples/2; i++ {
 		pos, ok := ws.RandomFreePoint(rng, 0.45, 128)
 		if !ok {
 			continue
@@ -116,5 +114,5 @@ func Fig10(cfg Fig10Config) (Fig10Result, error) {
 	if total > 0 {
 		res.Agreement = float64(agree) / float64(total)
 	}
-	return res, nil
+	return Outcome{Text: res.Format(), ACFraction: -1, Result: res}, nil
 }

@@ -10,13 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Fig12aConfig parameterises the timing-comparison experiment.
-type Fig12aConfig struct {
-	Seed int64
-	// Tours is the number of g1..g4 tours to average over.
-	Tours int
-}
-
 // Fig12aRow is one configuration of the comparison.
 type Fig12aRow struct {
 	Mode           string
@@ -47,15 +40,19 @@ func (r Fig12aResult) Format() string {
 	return t.String()
 }
 
-// Fig12a runs the three-way comparison: the registered corner-hazard-tour
+// fig12a runs the three-way comparison: the registered corner-hazard-tour
 // scenario (motion layer only, waypoints deliberately near the hazard
 // blocks; the aggressive controller's own corner overshoot is the hazard,
 // exactly as in the paper's timing comparison) with the protection mode as
-// the only override.
-func Fig12a(ctx context.Context, cfg Fig12aConfig) (Fig12aResult, error) {
-	if cfg.Tours <= 0 {
-		cfg.Tours = 2
+// the only override. Each row averages 2 g1..g4 tours, 1 in quick mode, at
+// catalogue seed + 3. The outcome's crashes are the collisions summed over
+// the rows, its AC fraction the RTA row's.
+func fig12a(ctx context.Context, seed int64, quick bool, _ int) (Outcome, error) {
+	tours := 2
+	if quick {
+		tours = 1
 	}
+	seed += 3
 	base := scenario.MustGet("corner-hazard-tour")
 	var res Fig12aResult
 	for _, mode := range []mission.ProtectionMode{
@@ -63,21 +60,21 @@ func Fig12a(ctx context.Context, cfg Fig12aConfig) (Fig12aResult, error) {
 	} {
 		mode := mode
 		spec := base.With(scenario.Override{Apply: func(sp *scenario.Spec) { sp.Protection = mode }})
-		rcfg, err := spec.Build(cfg.Seed)
+		rcfg, err := spec.Build(seed)
 		if err != nil {
-			return Fig12aResult{}, fmt.Errorf("fig12a %v: %w", mode, err)
+			return Outcome{}, fmt.Errorf("fig12a %v: %w", mode, err)
 		}
 		rcfg.KeepFlyingAfterCrash = true // score collisions, finish the tour
-		rcfg.StopAfterVisits = cfg.Tours * len(base.Targets)
+		rcfg.StopAfterVisits = tours * len(base.Targets)
 		rcfg.Context = ctx
 		out, err := sim.Run(rcfg)
 		if err != nil {
-			return Fig12aResult{}, fmt.Errorf("fig12a %v: %w", mode, err)
+			return Outcome{}, fmt.Errorf("fig12a %v: %w", mode, err)
 		}
 		m := out.Metrics
 		row := Fig12aRow{
 			Mode:       mode.String(),
-			TourTime:   m.Duration / time.Duration(cfg.Tours),
+			TourTime:   m.Duration / time.Duration(tours),
 			Collisions: m.Collisions,
 		}
 		if s, ok := m.Modules["safe-motion-primitive"]; ok {
@@ -88,5 +85,12 @@ func Fig12a(ctx context.Context, cfg Fig12aConfig) (Fig12aResult, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	out := Outcome{Text: res.Format(), ACFraction: -1, Result: res}
+	for _, row := range res.Rows {
+		out.Crashes += row.Collisions
+		if row.Mode == mission.ProtectRTA.String() {
+			out.ACFraction = row.ACFraction
+		}
+	}
+	return out, nil
 }

@@ -11,15 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Fig12bConfig parameterises the surveillance-mission experiment.
-type Fig12bConfig struct {
-	Seed     int64
-	Duration time.Duration
-	// Faults injects the AC misbehaviour that produces the N1/N2 recovery
-	// events of the figure.
-	Faults bool
-}
-
 // Fig12bResult reproduces Figure 12b: during the surveillance mission the SC
 // takes control at a handful of points (N1, N2), pushes the drone back into
 // φsafer (green) and returns control; the AC is in control for most of the
@@ -57,30 +48,30 @@ func (r Fig12bResult) Format() string {
 	return t.String()
 }
 
-// fig12bSpec declares the Figure 12b mission as an override of the
-// registered surveillance-city scenario.
-func fig12bSpec(duration time.Duration, faults bool) scenario.Spec {
+// fig12bSpec declares the Figure 12b mission as a duration override of the
+// registered surveillance-city scenario, whose injected AC faults produce
+// the N1/N2 recovery events of the figure.
+func fig12bSpec(duration time.Duration) scenario.Spec {
 	return scenario.MustGet("surveillance-city").With(scenario.Override{Apply: func(sp *scenario.Spec) {
 		sp.Duration = duration
-		if !faults {
-			sp.Faults = scenario.FaultProfile{}
-		}
 	}})
 }
 
-// Fig12b runs the surveillance mission.
-func Fig12b(ctx context.Context, cfg Fig12bConfig) (Fig12bResult, error) {
-	if cfg.Duration <= 0 {
-		cfg.Duration = 2 * time.Minute
+// fig12b runs the surveillance mission for 2 minutes, 45 s in quick mode, at
+// catalogue seed + 6.
+func fig12b(ctx context.Context, seed int64, quick bool, _ int) (Outcome, error) {
+	duration := 2 * time.Minute
+	if quick {
+		duration = 45 * time.Second
 	}
-	rcfg, err := fig12bSpec(cfg.Duration, cfg.Faults).Build(cfg.Seed)
+	rcfg, err := fig12bSpec(duration).Build(seed + 6)
 	if err != nil {
-		return Fig12bResult{}, fmt.Errorf("fig12b: %w", err)
+		return Outcome{}, fmt.Errorf("fig12b: %w", err)
 	}
 	rcfg.Context = ctx
 	out, err := sim.Run(rcfg)
 	if err != nil {
-		return Fig12bResult{}, fmt.Errorf("fig12b: %w", err)
+		return Outcome{}, fmt.Errorf("fig12b: %w", err)
 	}
 	m := out.Metrics
 	res := Fig12bResult{
@@ -100,14 +91,7 @@ func Fig12b(ctx context.Context, cfg Fig12bConfig) (Fig12bResult, error) {
 			res.RecoveryTimes = append(res.RecoveryTimes, sw.T)
 		}
 	}
-	return res, nil
-}
-
-// Fig12cConfig parameterises the battery-safety experiment.
-type Fig12cConfig struct {
-	Seed          int64
-	InitialCharge float64
-	DrainMultiple float64
+	return Outcome{Text: res.Format(), Crashes: boolCount(res.Crashed), ACFraction: res.ACFraction, Result: res}, nil
 }
 
 // Fig12cResult reproduces Figure 12c: the battery falls below the safety
@@ -136,24 +120,17 @@ func (r Fig12cResult) Format() string {
 	return t.String()
 }
 
-// Fig12c runs the battery-safety experiment.
-func Fig12c(ctx context.Context, cfg Fig12cConfig) (Fig12cResult, error) {
-	spec := scenario.MustGet("battery-stress").With(scenario.Override{Apply: func(sp *scenario.Spec) {
-		if cfg.InitialCharge > 0 {
-			sp.InitialBattery = cfg.InitialCharge
-		}
-		if cfg.DrainMultiple > 0 {
-			sp.DrainMultiple = cfg.DrainMultiple
-		}
-	}})
-	rcfg, err := spec.Build(cfg.Seed)
+// fig12c runs the battery-safety experiment: the registered battery-stress
+// scenario at catalogue seed + 10; it has one size.
+func fig12c(ctx context.Context, seed int64, _ bool, _ int) (Outcome, error) {
+	rcfg, err := scenario.MustGet("battery-stress").Build(seed + 10)
 	if err != nil {
-		return Fig12cResult{}, fmt.Errorf("fig12c: %w", err)
+		return Outcome{}, fmt.Errorf("fig12c: %w", err)
 	}
 	rcfg.Context = ctx
 	out, err := sim.Run(rcfg)
 	if err != nil {
-		return Fig12cResult{}, fmt.Errorf("fig12c: %w", err)
+		return Outcome{}, fmt.Errorf("fig12c: %w", err)
 	}
 	st := rcfg.Stack
 	m := out.Metrics
@@ -171,25 +148,14 @@ func Fig12c(ctx context.Context, cfg Fig12cConfig) (Fig12cResult, error) {
 			break
 		}
 	}
-	return res, nil
+	return Outcome{Text: res.Format(), Crashes: boolCount(res.Crashed), ACFraction: -1, Result: res}, nil
 }
 
-// Fig12bFleetConfig parameterises the multi-seed surveillance sweep: the
-// Figure 12b mission repeated across many seeds through the fleet engine.
-// The paper flies the mission once; the sweep turns its headline claim — SC
-// takes over at the N points and the drone never collides — into a
-// statistical statement across seeds.
-type Fig12bFleetConfig struct {
-	BaseSeed int64
-	// Missions is the number of seeded repetitions (default 8).
-	Missions int
-	Duration time.Duration
-	Faults   bool
-	// Workers bounds the fleet worker pool (0 = GOMAXPROCS).
-	Workers int
-}
-
-// Fig12bFleetResult aggregates the sweep.
+// Fig12bFleetResult aggregates the multi-seed surveillance sweep: the Figure
+// 12b mission repeated across seeds through the fleet engine. The paper flies
+// the mission once; the sweep turns its headline claim — SC takes over at
+// the N points and the drone never collides — into a statistical statement
+// across seeds.
 type Fig12bFleetResult struct {
 	Missions            int
 	Workers             int
@@ -217,21 +183,19 @@ func (r Fig12bFleetResult) Format() string {
 	return t.String()
 }
 
-// Fig12bFleet runs the sweep.
-func Fig12bFleet(ctx context.Context, cfg Fig12bFleetConfig) (Fig12bFleetResult, error) {
-	if cfg.Missions <= 0 {
-		cfg.Missions = 8
+// fig12bFleet runs the sweep: 8 one-minute missions, 4 of 30 s in quick
+// mode, seeded from catalogue seed + 6 and bounded at workers.
+func fig12bFleet(ctx context.Context, seed int64, quick bool, workers int) (Outcome, error) {
+	missions, duration := 8, time.Minute
+	if quick {
+		missions, duration = 4, 30*time.Second
 	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = time.Minute
-	}
-	missions := fleet.ScenarioGrid(fleet.GridConfig{
-		Specs: []scenario.Spec{fig12bSpec(cfg.Duration, cfg.Faults)},
-		Seeds: fleet.Seeds(cfg.BaseSeed, cfg.Missions),
-	})
-	rep := fleet.Run(ctx, missions, fleet.Options{Workers: cfg.Workers})
+	rep := fleet.Run(ctx, fleet.ScenarioGrid(fleet.GridConfig{
+		Specs: []scenario.Spec{fig12bSpec(duration)},
+		Seeds: fleet.Seeds(seed+6, missions),
+	}), fleet.Options{Workers: workers})
 	if err := rep.FirstErr(); err != nil {
-		return Fig12bFleetResult{}, fmt.Errorf("fig12b fleet: %w", err)
+		return Outcome{}, fmt.Errorf("fig12b fleet: %w", err)
 	}
 	res := Fig12bFleetResult{
 		Missions:            rep.Missions,
@@ -247,5 +211,5 @@ func Fig12bFleet(ctx context.Context, cfg Fig12bFleetConfig) (Fig12bFleetResult,
 		res.MeanACFraction = s.ACFraction()
 		res.MeanDisengagements = float64(s.Disengagements) / float64(rep.Missions)
 	}
-	return res, nil
+	return Outcome{Text: res.Format(), Crashes: res.Crashes, ACFraction: res.MeanACFraction, Result: res}, nil
 }

@@ -15,17 +15,6 @@ import (
 	"repro/internal/scenario"
 )
 
-// Fig5Config parameterises the Figure 5 experiments: unprotected third-party
-// and machine-learning controllers exhibiting unsafe maneuvers.
-type Fig5Config struct {
-	Seed int64
-	// Laps is the number of tour repetitions.
-	Laps int
-	// Workers bounds the fleet worker pool the independent loops of the
-	// figure-eight sweep are dispatched across (0 = GOMAXPROCS).
-	Workers int
-}
-
 // Fig5RightResult reports the PX4-style third-party controller experiment:
 // the drone repeatedly visits g1..g4; during high-speed maneuvers the
 // reduced control leads to overshoot and trajectories that collide with the
@@ -112,23 +101,25 @@ func overshootBeyond(p geom.Vec3, tour []geom.Vec3) float64 {
 	return box.Distance(geom.V(p.X, p.Y, box.Center().Z))
 }
 
-// Fig5Right runs the third-party-controller experiment. A cancelled context
-// returns the laps completed so far together with the context's error.
-func Fig5Right(ctx context.Context, cfg Fig5Config) (Fig5RightResult, error) {
-	if cfg.Laps <= 0 {
-		cfg.Laps = 10
+// fig5Right runs the third-party-controller experiment: 10 laps of the
+// tour, 5 in quick mode, at the catalogue seed. A cancelled context returns
+// the laps completed so far together with the context's error.
+func fig5Right(ctx context.Context, seed int64, quick bool, _ int) (Outcome, error) {
+	laps := 10
+	if quick {
+		laps = 5
 	}
 	ws, tour := fig5Workspace()
 	params := plant.DefaultParams()
 	ac := controller.NewAggressive(controller.Limits{MaxAccel: params.MaxAccel, MaxVel: params.MaxVel})
-	collided, overshoot, avgLap := trackTour(ctx, ac, ws, tour, cfg.Laps, cfg.Seed)
+	collided, overshoot, avgLap := trackTour(ctx, ac, ws, tour, laps, seed)
 	res := Fig5RightResult{Laps: len(collided), MaxOvershoot: overshoot, AvgLapTime: avgLap}
 	for _, c := range collided {
 		if c {
 			res.CollidingLaps++
 		}
 	}
-	return res, ctx.Err()
+	return Outcome{Text: res.Format(), Crashes: res.CollidingLaps, ACFraction: -1, Result: res}, ctx.Err()
 }
 
 // Fig5LeftResult reports the data-driven controller experiment: tracking a
@@ -161,15 +152,18 @@ type fig5Loop struct {
 	devCount int
 }
 
-// Fig5Left runs the learned-controller figure-eight experiment. Every loop
-// flies the eight at a different location with its own drone and noise
-// stream, so the loop sweep is an independent scenario set and is dispatched
-// through the fleet engine's worker pool. A cancelled context returns the
+// fig5Left runs the learned-controller figure-eight experiment: 12 loops,
+// 6 in quick mode, at catalogue seed + 4. Every loop flies the eight at a
+// different location with its own drone and noise stream, so the loop sweep
+// is an independent scenario set and is dispatched through the fleet
+// engine's worker pool, bounded at workers. A cancelled context returns the
 // loops completed so far together with the context's error.
-func Fig5Left(ctx context.Context, cfg Fig5Config) (Fig5LeftResult, error) {
-	if cfg.Laps <= 0 {
-		cfg.Laps = 12
+func fig5Left(ctx context.Context, seed int64, quick bool, workers int) (Outcome, error) {
+	laps := 12
+	if quick {
+		laps = 6
 	}
+	seed += 4
 	params := plant.DefaultParams()
 	// Realistic state estimation noise: loop-to-loop variation decides how
 	// deeply the trajectory cuts into the policy's mis-trained cells, so
@@ -179,7 +173,7 @@ func Fig5Left(ctx context.Context, cfg Fig5Config) (Fig5LeftResult, error) {
 	// The learned policy is stateless (its per-cell gains are derived by
 	// hashing the observed state), so one instance is safely shared by all
 	// loop workers.
-	learned := controller.NewLearned(limits, 0.18, cfg.Seed)
+	learned := controller.NewLearned(limits, 0.18, seed)
 
 	// Figure-eight reference: a Lissajous curve in the XY plane, paced so
 	// the reference speed stays well under the velocity cap.
@@ -195,14 +189,14 @@ func Fig5Left(ctx context.Context, cfg Fig5Config) (Fig5LeftResult, error) {
 	// policy's mis-trained state-space cells varies per loop. Centers are
 	// drawn sequentially so the scenario set does not depend on the worker
 	// count.
-	rng := rand.New(rand.NewSource(cfg.Seed + 42))
+	rng := rand.New(rand.NewSource(seed + 42))
 	center := geom.V(20, 20, 3)
-	centers := make([]geom.Vec3, cfg.Laps)
+	centers := make([]geom.Vec3, laps)
 	for i := range centers {
 		centers[i] = center.Add(geom.V((rng.Float64()*2-1)*4, (rng.Float64()*2-1)*4, 0))
 	}
 
-	loops, err := fleet.Map(ctx, cfg.Workers, cfg.Laps, func(ctx context.Context, loop int) (fig5Loop, error) {
+	loops, err := fleet.Map(ctx, workers, laps, func(ctx context.Context, loop int) (fig5Loop, error) {
 		if err := ctx.Err(); err != nil {
 			return fig5Loop{}, err
 		}
@@ -228,7 +222,7 @@ func Fig5Left(ctx context.Context, cfg Fig5Config) (Fig5LeftResult, error) {
 			return best
 		}
 		// A per-loop drone isolates the sensor-noise stream.
-		drone, err := plant.NewDrone(params, cfg.Seed+int64(loop)*131)
+		drone, err := plant.NewDrone(params, seed+int64(loop)*131)
 		if err != nil {
 			return fig5Loop{}, err
 		}
@@ -275,5 +269,5 @@ func Fig5Left(ctx context.Context, cfg Fig5Config) (Fig5LeftResult, error) {
 	if devCount > 0 {
 		res.AvgDeviation = devSum / float64(devCount)
 	}
-	return res, err
+	return Outcome{Text: res.Format(), Crashes: res.UnsafeLoops, ACFraction: -1, Result: res}, err
 }

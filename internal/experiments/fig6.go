@@ -13,12 +13,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Fig6Config parameterises the single RTA-protected motion-primitive
-// transfer.
-type Fig6Config struct {
-	Seed int64
-}
-
 // Fig6Result reproduces the behaviour of Figures 6 and 12a's inset: during a
 // single wi → wf transfer with a misbehaving AC, the DM detects imminent
 // danger, switches to SC (red dot), the SC recovers the drone into φsafer,
@@ -48,13 +42,14 @@ func (r Fig6Result) Format() string {
 	return t.String()
 }
 
-// Fig6 runs the transfer.
-func Fig6(ctx context.Context, cfg Fig6Config) (Fig6Result, error) {
+// fig6 runs the transfer at catalogue seed + 1; it has one size.
+func fig6(ctx context.Context, seed int64, _ bool, _ int) (Outcome, error) {
+	seed++
 	ws, _ := fig5Workspace()
 	start := geom.V(5, 5, 2)
 	goal := geom.V(25, 5, 2)
 
-	mcfg := mission.DefaultStackConfig(cfg.Seed)
+	mcfg := mission.DefaultStackConfig(seed)
 	mcfg.Workspace = ws
 	mcfg.WithPlannerModule = false
 	mcfg.WithBatteryModule = false
@@ -73,19 +68,19 @@ func Fig6(ctx context.Context, cfg Fig6Config) (Fig6Result, error) {
 	}}
 	st, err := mission.Build(mcfg)
 	if err != nil {
-		return Fig6Result{}, fmt.Errorf("fig6: %w", err)
+		return Outcome{}, fmt.Errorf("fig6: %w", err)
 	}
 	out, err := sim.Run(sim.RunConfig{
 		Stack:           st,
 		Initial:         plant.State{Pos: start, Battery: 1},
 		Duration:        60 * time.Second,
-		Seed:            cfg.Seed,
+		Seed:            seed,
 		Context:         ctx,
 		CheckInvariants: true,
 		StopAfterVisits: 1,
 	})
 	if err != nil {
-		return Fig6Result{}, fmt.Errorf("fig6: %w", err)
+		return Outcome{}, fmt.Errorf("fig6: %w", err)
 	}
 	m := out.Metrics
 	res := Fig6Result{
@@ -103,5 +98,5 @@ func Fig6(ctx context.Context, cfg Fig6Config) (Fig6Result, error) {
 			res.SwitchTimes = append(res.SwitchTimes, sw.T)
 		}
 	}
-	return res, nil
+	return Outcome{Text: res.Format(), Crashes: boolCount(res.Crashed), ACFraction: -1, Result: res}, nil
 }

@@ -3,9 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/rta"
 	"repro/internal/scenario"
 )
@@ -67,12 +65,10 @@ func ablationPolicies() []string {
 	}
 }
 
-// AblationPolicy runs the sweep as a scenario-grid batch: one base spec, one
-// override per policy, every cell an isolated mission.
-func AblationPolicy(ctx context.Context, cfg AblationConfig) (AblationPolicyResult, error) {
-	if cfg.Duration <= 0 {
-		cfg.Duration = 80 * time.Second
-	}
+// ablationPolicy runs the sweep as a scenario-grid batch: one base spec, one
+// override per policy, every cell an isolated mission. The outcome's AC
+// fraction is the paper-default policy's.
+func ablationPolicy(ctx context.Context, seed int64, quick bool, workers int) (Outcome, error) {
 	specs := ablationPolicies()
 	overrides := make([]scenario.Override, len(specs))
 	for i, pol := range specs {
@@ -82,18 +78,14 @@ func AblationPolicy(ctx context.Context, cfg AblationConfig) (AblationPolicyResu
 			Apply: func(sp *scenario.Spec) { sp.SwitchPolicy = pol },
 		}
 	}
-	missions := fleet.ScenarioGrid(fleet.GridConfig{
-		Specs:     []scenario.Spec{ablationSpec(cfg.Duration)},
-		Overrides: overrides,
-		Seeds:     []int64{cfg.Seed},
-	})
-	rep := fleet.Run(ctx, missions, fleet.Options{Workers: cfg.Workers})
+	rep := ablationRun(ctx, seed, quick, workers, overrides)
 	if err := rep.FirstErr(); err != nil {
-		return AblationPolicyResult{}, fmt.Errorf("ablation policy: %w", err)
+		return Outcome{}, fmt.Errorf("ablation policy: %w", err)
 	}
 	var res AblationPolicyResult
-	for i, out := range rep.Results {
-		m := out.Metrics
+	out := Outcome{ACFraction: -1, Policy: "grid"}
+	for i, r := range rep.Results {
+		m := r.Metrics
 		row := PolicyRow{Policy: specs[i], Crashed: m.Crashed, Targets: m.TargetsVisited, Distance: m.DistanceFlown}
 		if s, ok := m.Modules["safe-motion-primitive"]; ok {
 			row.ACFraction = s.ACFraction()
@@ -101,6 +93,11 @@ func AblationPolicy(ctx context.Context, cfg AblationConfig) (AblationPolicyResu
 			row.Clamped = s.Clamped
 		}
 		res.Rows = append(res.Rows, row)
+		out.Crashes += boolCount(row.Crashed)
+		if row.Policy == rta.DefaultPolicyName {
+			out.ACFraction = row.ACFraction
+		}
 	}
-	return res, nil
+	out.Text, out.Result = res.Format(), res
+	return out, nil
 }

@@ -13,17 +13,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Sec5cConfig parameterises the safe-motion-planner experiment.
-type Sec5cConfig struct {
-	Seed    int64
-	Queries int
-	Bug     plan.Bug
-	BugRate float64
-	// ClosedLoop additionally runs the full stack with the buggy planner
-	// under RTA protection.
-	ClosedLoop time.Duration
-}
-
 // Sec5cResult reproduces Section V-C: the buggy third-party RRT* emits
 // colliding motion plans; wrapped in an RTA module with the certified A*
 // planner as SC, the plan followed by the drone never violates φplan.
@@ -55,40 +44,46 @@ func (r Sec5cResult) Format() string {
 	return t.String()
 }
 
-// Sec5c runs the planner experiment.
-func Sec5c(ctx context.Context, cfg Sec5cConfig) (Sec5cResult, error) {
-	if cfg.Queries <= 0 {
-		cfg.Queries = 40
+// The RRT* defect Section V-C injects: edges skip their collision check at
+// this rate.
+const (
+	sec5cBug     = plan.BugSkipEdgeCheck
+	sec5cBugRate = 0.3
+)
+
+// sec5c runs the planner experiment at catalogue seed + 2: 40 open-loop
+// plan queries, then a one-minute closed loop of the full stack with the
+// buggy planner under RTA protection. Quick mode runs 15 queries and skips
+// the closed loop. The outcome's AC fraction is the planner module's.
+func sec5c(ctx context.Context, seed int64, quick bool, _ int) (Outcome, error) {
+	queries, closedLoop := 40, time.Minute
+	if quick {
+		queries, closedLoop = 15, 0
 	}
-	if cfg.Bug == plan.BugNone {
-		cfg.Bug = plan.BugSkipEdgeCheck
-	}
-	if cfg.BugRate == 0 {
-		cfg.BugRate = 0.3
-	}
+	seed += 2
 	ws := geom.CityWorkspace()
 	const margin = 0.45
 
-	rcfg := plan.DefaultRRTStarConfig(cfg.Seed)
+	rcfg := plan.DefaultRRTStarConfig(seed)
 	rcfg.Margin = margin
-	rcfg.Bug = cfg.Bug
-	rcfg.BugRate = cfg.BugRate
+	rcfg.Bug = sec5cBug
+	rcfg.BugRate = sec5cBugRate
 	buggy, err := plan.NewRRTStar(ws, rcfg)
 	if err != nil {
-		return Sec5cResult{}, err
+		return Outcome{}, err
 	}
 	astar, err := plan.NewAStar(ws, 1.0, margin)
 	if err != nil {
-		return Sec5cResult{}, err
+		return Outcome{}, err
 	}
 
-	res := Sec5cResult{Queries: cfg.Queries}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for i := 0; i < cfg.Queries; i++ {
+	res := Sec5cResult{Queries: queries}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < queries; i++ {
 		start, ok1 := ws.RandomFreePoint(rng, margin+0.6, 256)
 		goal, ok2 := ws.RandomFreePoint(rng, margin+0.6, 256)
 		if !ok1 || !ok2 {
-			return Sec5cResult{}, fmt.Errorf("sec5c: could not sample free query points")
+			return Outcome{}, fmt.Errorf("sec5c: could not sample free query points")
 		}
 		start.Z, goal.Z = clampF(start.Z, 1, 10), clampF(goal.Z, 1, 10)
 		if p, err := buggy.Plan(start, goal); err != nil {
@@ -98,27 +93,27 @@ func Sec5c(ctx context.Context, cfg Sec5cConfig) (Sec5cResult, error) {
 		}
 		p, err := astar.Plan(start, goal)
 		if err != nil {
-			return Sec5cResult{}, fmt.Errorf("sec5c: certified planner failed: %w", err)
+			return Outcome{}, fmt.Errorf("sec5c: certified planner failed: %w", err)
 		}
 		if plan.FirstUnsafeSegment(p, ws, margin) >= 0 {
 			res.CertColliding++
 		}
 	}
 
-	if cfg.ClosedLoop > 0 {
+	if closedLoop > 0 {
 		spec := scenario.MustGet("planner-bug-gauntlet").With(scenario.Override{Apply: func(sp *scenario.Spec) {
-			sp.PlannerBug = cfg.Bug
-			sp.PlannerBugRate = cfg.BugRate
-			sp.Duration = cfg.ClosedLoop
+			sp.PlannerBug = sec5cBug
+			sp.PlannerBugRate = sec5cBugRate
+			sp.Duration = closedLoop
 		}})
-		rcfg, err := spec.Build(cfg.Seed)
+		rcfg, err := spec.Build(seed)
 		if err != nil {
-			return Sec5cResult{}, fmt.Errorf("sec5c closed loop: %w", err)
+			return Outcome{}, fmt.Errorf("sec5c closed loop: %w", err)
 		}
 		rcfg.Context = ctx
 		out, err := sim.Run(rcfg)
 		if err != nil {
-			return Sec5cResult{}, fmt.Errorf("sec5c closed loop: %w", err)
+			return Outcome{}, fmt.Errorf("sec5c closed loop: %w", err)
 		}
 		res.ClosedLoopRan = true
 		res.ClosedCrashed = out.Metrics.Crashed
@@ -128,22 +123,7 @@ func Sec5c(ctx context.Context, cfg Sec5cConfig) (Sec5cResult, error) {
 			res.PlannerACFrac = s.ACFraction()
 		}
 	}
-	return res, nil
-}
-
-// Sec5dConfig parameterises the endurance experiment.
-type Sec5dConfig struct {
-	Seed int64
-	// SimHours is the total simulated flight time per configuration.
-	SimHours float64
-	// SegmentMinutes splits the total into independent missions.
-	SegmentMinutes int
-	// JitterProb is the per-firing outage-start probability in the
-	// best-effort-scheduling configuration.
-	JitterProb float64
-	// Workers bounds the fleet worker pool the segments are dispatched
-	// across (0 = GOMAXPROCS).
-	Workers int
+	return Outcome{Text: res.Format(), Crashes: boolCount(res.ClosedCrashed), ACFraction: res.PlannerACFrac, Result: res}, nil
 }
 
 // Sec5dRow is one scheduling configuration of the endurance study.
@@ -181,19 +161,22 @@ func (r Sec5dResult) Format() string {
 	return t.String()
 }
 
-// Sec5d runs the endurance study under RTOS-like (no jitter) and
-// best-effort (burst outage) scheduling. The independent mission segments of
-// each scheduling configuration are dispatched through the fleet engine, so
-// the scaled hours simulate in parallel.
-func Sec5d(ctx context.Context, cfg Sec5dConfig) (Sec5dResult, error) {
-	if cfg.SimHours <= 0 {
-		cfg.SimHours = 0.5
-	}
-	if cfg.SegmentMinutes <= 0 {
-		cfg.SegmentMinutes = 5
-	}
-	if cfg.JitterProb == 0 {
-		cfg.JitterProb = 0.006
+// sec5dJitterProb is the per-firing outage-start probability of the
+// best-effort-scheduling configuration.
+const sec5dJitterProb = 0.006
+
+// sec5d runs the endurance study under RTOS-like (no jitter) and
+// best-effort (burst outage) scheduling: 0.5 simulated hours per
+// configuration in 5-minute segments, 0.1 hours in 3-minute segments in quick
+// mode, seeded from catalogue seed + 12. The independent mission segments of
+// each scheduling configuration are dispatched through the fleet engine,
+// bounded at workers, so the scaled hours simulate in parallel. The outcome's
+// crashes are summed over both configurations, its AC fraction is the
+// best-effort row's.
+func sec5d(ctx context.Context, seed int64, quick bool, workers int) (Outcome, error) {
+	simHours, segmentMinutes := 0.5, 5
+	if quick {
+		simHours, segmentMinutes = 0.1, 3
 	}
 	// The endurance segments are the registered random-endurance scenario
 	// (randomly drawn targets, one sporadic AC failure per segment — the
@@ -204,11 +187,11 @@ func Sec5d(ctx context.Context, cfg Sec5dConfig) (Sec5dResult, error) {
 		name   string
 		jitter float64
 	}{
-		{"best-effort OS", cfg.JitterProb},
+		{"best-effort OS", sec5dJitterProb},
 		{"RTOS (no jitter)", 0},
 	} {
 		row := Sec5dRow{Scheduling: sched.name}
-		segments := int(cfg.SimHours*60.0/float64(cfg.SegmentMinutes) + 0.5)
+		segments := int(simHours*60.0/float64(segmentMinutes) + 0.5)
 		jitter := sched.jitter
 		missions := fleet.ScenarioGrid(fleet.GridConfig{
 			Specs: []scenario.Spec{scenario.MustGet("random-endurance")},
@@ -216,12 +199,12 @@ func Sec5d(ctx context.Context, cfg Sec5dConfig) (Sec5dResult, error) {
 				sp.JitterProb = jitter
 				sp.JitterSCOnly = true
 			}}},
-			Seeds:    fleet.Seeds(cfg.Seed, segments),
-			Duration: time.Duration(cfg.SegmentMinutes) * time.Minute,
+			Seeds:    fleet.Seeds(seed+12, segments),
+			Duration: time.Duration(segmentMinutes) * time.Minute,
 		})
-		rep := fleet.Run(ctx, missions, fleet.Options{Workers: cfg.Workers})
+		rep := fleet.Run(ctx, missions, fleet.Options{Workers: workers})
 		if err := rep.FirstErr(); err != nil {
-			return Sec5dResult{}, fmt.Errorf("sec5d: %w", err)
+			return Outcome{}, fmt.Errorf("sec5d: %w", err)
 		}
 		for _, out := range rep.Results {
 			m := out.Metrics
@@ -238,7 +221,11 @@ func Sec5d(ctx context.Context, cfg Sec5dConfig) (Sec5dResult, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	out := Outcome{Text: res.Format(), ACFraction: res.Rows[0].ACFraction, Result: res}
+	for _, row := range res.Rows {
+		out.Crashes += row.Crashes
+	}
+	return out, nil
 }
 
 func clampF(v, lo, hi float64) float64 {

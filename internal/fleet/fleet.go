@@ -273,7 +273,7 @@ func runOne(ctx context.Context, m Mission, st *store.Tiered) (res MissionResult
 			if fill != nil {
 				fill.Complete(ctx, raw)
 			} else {
-				st.Put(ctx, m.Key, raw)
+				st.Repair(ctx, m.Key, raw)
 			}
 		}
 	}

@@ -426,6 +426,9 @@ func TestStoreFillProtocol(t *testing.T) {
 	if built.Load() != 2 {
 		t.Errorf("rerun built a stack (%d builds in total, want 2)", built.Load())
 	}
+	if got := st.Stats().Repairs; got != 1 {
+		t.Errorf("store repairs = %d, want 1 (the corrupt entry, overwritten once)", got)
+	}
 }
 
 // TestMissionWallStamped: every result carries the wall time its worker

@@ -28,15 +28,6 @@ func (b AABB) Center() Vec3 { return b.Min.Add(b.Max).Scale(0.5) }
 // Size returns the extent of the box along each axis.
 func (b AABB) Size() Vec3 { return b.Max.Sub(b.Min) }
 
-// Volume returns the volume of the box. Degenerate boxes have zero volume.
-func (b AABB) Volume() float64 {
-	s := b.Size()
-	if s.X < 0 || s.Y < 0 || s.Z < 0 {
-		return 0
-	}
-	return s.X * s.Y * s.Z
-}
-
 // IsEmpty reports whether the box contains no points (Min > Max on some axis).
 func (b AABB) IsEmpty() bool {
 	return b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z

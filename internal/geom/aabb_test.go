@@ -124,8 +124,8 @@ func TestAABBUnionVolume(t *testing.T) {
 	if !vecAlmostEq(u.Min, V(0, 0, 0)) || !vecAlmostEq(u.Max, V(3, 4, 5)) {
 		t.Errorf("Union = %v", u)
 	}
-	if got := b.Volume(); !almostEq(got, 1*2*3) {
-		t.Errorf("Volume = %v", got)
+	if s := b.Size(); !almostEq(s.X*s.Y*s.Z, 1*2*3) {
+		t.Errorf("volume of %v = %v", b, s.X*s.Y*s.Z)
 	}
 	var empty AABB
 	empty.Min = V(1, 0, 0) // Min > Max on X
@@ -150,7 +150,7 @@ func TestSegmentMidpointProperty(t *testing.T) {
 	f := func(ax, ay, az, cx, cy, cz float64) bool {
 		a := V(math.Mod(ax, 10), math.Mod(ay, 10), math.Mod(az, 10))
 		c := V(math.Mod(cx, 10), math.Mod(cy, 10), math.Mod(cz, 10))
-		mid := a.Lerp(c, 0.5)
+		mid := a.Add(c).Scale(0.5)
 		if b.Contains(mid) {
 			return b.SegmentIntersects(a, c)
 		}

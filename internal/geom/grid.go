@@ -80,13 +80,6 @@ func (g *Grid) Occupied(c Cell) bool {
 	return g.occupied[g.index(c)]
 }
 
-// SetOccupied marks or clears a cell; out-of-grid cells are ignored.
-func (g *Grid) SetOccupied(c Cell, v bool) {
-	if g.InGrid(c) {
-		g.occupied[g.index(c)] = v
-	}
-}
-
 // CellCenter returns the world-space centre of the cell.
 func (g *Grid) CellCenter(c Cell) Vec3 {
 	return Vec3{
@@ -104,17 +97,6 @@ func (g *Grid) CellOf(p Vec3) Cell {
 		Y: int(math.Floor((p.Y - g.origin.Y) / g.res)),
 		Z: int(math.Floor((p.Z - g.origin.Z) / g.res)),
 	}
-}
-
-// Neighbors6 appends the 6-connected neighbours of c to dst and returns it.
-func (g *Grid) Neighbors6(c Cell, dst []Cell) []Cell {
-	for _, d := range [6]Cell{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
-		n := Cell{c.X + d.X, c.Y + d.Y, c.Z + d.Z}
-		if g.InGrid(n) {
-			dst = append(dst, n)
-		}
-	}
-	return dst
 }
 
 // Neighbors26 appends the 26-connected neighbours of c to dst and returns it.

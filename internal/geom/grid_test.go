@@ -71,15 +71,10 @@ func TestGridOutOfBounds(t *testing.T) {
 	if _, ok := g.Index(Cell{0, 0, 100}); ok {
 		t.Error("Index of invalid cell should fail")
 	}
-	g.SetOccupied(Cell{-1, 0, 0}, false) // must not panic
 }
 
 func TestGridNeighbors(t *testing.T) {
 	g, _ := testGrid(t, 1.0, 0)
-	n6 := g.Neighbors6(Cell{0, 0, 0}, nil)
-	if len(n6) != 3 {
-		t.Errorf("corner cell has %d 6-neighbors, want 3", len(n6))
-	}
 	n26 := g.Neighbors26(Cell{5, 5, 5}, nil)
 	if len(n26) != 26 {
 		t.Errorf("interior cell has %d 26-neighbors, want 26", len(n26))
@@ -96,7 +91,7 @@ func TestCellOfProperty(t *testing.T) {
 	g, ws := testGrid(t, 0.5, 0)
 	f := func(x, y, z float64) bool {
 		p := V(math.Mod(math.Abs(x), 19.9), math.Mod(math.Abs(y), 19.9), math.Mod(math.Abs(z), 9.9))
-		if !ws.InBounds(p) {
+		if !ws.Bounds().Contains(p) {
 			return true
 		}
 		c := g.CellOf(p)

@@ -72,11 +72,6 @@ func (v Vec3) ClampBox(lo, hi Vec3) Vec3 {
 	}
 }
 
-// Lerp linearly interpolates from v to w by t in [0,1].
-func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
-	return v.Add(w.Sub(v).Scale(t))
-}
-
 // Abs returns the component-wise absolute value of v.
 func (v Vec3) Abs() Vec3 {
 	return Vec3{math.Abs(v.X), math.Abs(v.Y), math.Abs(v.Z)}
@@ -90,18 +85,6 @@ func (v Vec3) Min(w Vec3) Vec3 {
 // Max returns the component-wise maximum of v and w.
 func (v Vec3) Max(w Vec3) Vec3 {
 	return Vec3{math.Max(v.X, w.X), math.Max(v.Y, w.Y), math.Max(v.Z, w.Z)}
-}
-
-// MaxComponent returns the largest component of v.
-func (v Vec3) MaxComponent() float64 {
-	return math.Max(v.X, math.Max(v.Y, v.Z))
-}
-
-// IsFinite reports whether all components are finite numbers.
-func (v Vec3) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
-		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
 }
 
 // String implements fmt.Stringer.

@@ -77,19 +77,6 @@ func TestVecClampBox(t *testing.T) {
 	}
 }
 
-func TestVecLerp(t *testing.T) {
-	a, b := V(0, 0, 0), V(10, -10, 4)
-	if got := a.Lerp(b, 0); !vecAlmostEq(got, a) {
-		t.Errorf("Lerp 0 = %v", got)
-	}
-	if got := a.Lerp(b, 1); !vecAlmostEq(got, b) {
-		t.Errorf("Lerp 1 = %v", got)
-	}
-	if got := a.Lerp(b, 0.5); !vecAlmostEq(got, V(5, -5, 2)) {
-		t.Errorf("Lerp 0.5 = %v", got)
-	}
-}
-
 func TestVecMinMaxAbs(t *testing.T) {
 	a, b := V(1, -2, 3), V(-1, 2, 3)
 	if got := a.Min(b); !vecAlmostEq(got, V(-1, -2, 3)) {
@@ -100,21 +87,6 @@ func TestVecMinMaxAbs(t *testing.T) {
 	}
 	if got := a.Abs(); !vecAlmostEq(got, V(1, 2, 3)) {
 		t.Errorf("Abs = %v", got)
-	}
-	if got := V(1, 7, 3).MaxComponent(); !almostEq(got, 7) {
-		t.Errorf("MaxComponent = %v", got)
-	}
-}
-
-func TestVecIsFinite(t *testing.T) {
-	if !V(1, 2, 3).IsFinite() {
-		t.Error("finite vector reported non-finite")
-	}
-	if (Vec3{X: math.NaN()}).IsFinite() {
-		t.Error("NaN vector reported finite")
-	}
-	if (Vec3{Y: math.Inf(1)}).IsFinite() {
-		t.Error("Inf vector reported finite")
 	}
 }
 

@@ -51,9 +51,6 @@ func (w *Workspace) ObstaclesView() []AABB { return w.obstacles }
 // NumObstacles returns the number of obstacles.
 func (w *Workspace) NumObstacles() int { return len(w.obstacles) }
 
-// InBounds reports whether p lies inside the workspace bounds.
-func (w *Workspace) InBounds(p Vec3) bool { return w.bounds.Contains(p) }
-
 // Free reports whether point p is inside the bounds and outside every
 // obstacle. This is the position-level φsafe of the paper's obstacle
 // avoidance property φobs.

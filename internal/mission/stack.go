@@ -92,6 +92,17 @@ func parseEnum(names []string, name, what string) (int, error) {
 	return 0, fmt.Errorf("unknown %s %q (want %s)", what, name, strings.Join(names[1:], " | "))
 }
 
+// The node periods of the stack, as in the paper's setup.
+const (
+	// primitivePeriod is the period of the AC/SC motion-primitive nodes
+	// and of the waypoint manager.
+	primitivePeriod = 20 * time.Millisecond
+	// plannerDelta is Δ of the planner module and the planner nodes' period.
+	plannerDelta = 500 * time.Millisecond
+	// batteryDelta is Δ of the battery-safety module.
+	batteryDelta = 2 * time.Second
+)
+
 // StackConfig configures the full RTA-protected surveillance stack of
 // Figure 8 (or its unprotected baselines).
 type StackConfig struct {
@@ -109,8 +120,6 @@ type StackConfig struct {
 	MotionDelta time.Duration
 	// Hysteresis scales the φsafer horizon (Remark 3.3 trade-off).
 	Hysteresis float64
-	// PrimitivePeriod is the period of the AC/SC motion-primitive nodes.
-	PrimitivePeriod time.Duration
 	// Protection selects RTA / AC-only / SC-only for the motion layer.
 	Protection ProtectionMode
 	// AC selects the untrusted motion primitive; ACFaults optionally
@@ -124,10 +133,8 @@ type StackConfig struct {
 	WithPlannerModule bool
 	PlannerBug        plan.Bug
 	PlannerBugRate    float64
-	PlannerDelta      time.Duration
 	// WithBatteryModule enables the battery-safety module (Section V-B).
 	WithBatteryModule bool
-	BatteryDelta      time.Duration
 	// OneWaySwitching disables the SC→AC return of the motion module — the
 	// classic Simplex baseline for the switching ablation.
 	OneWaySwitching bool
@@ -160,14 +167,11 @@ func DefaultStackConfig(seed int64) StackConfig {
 		Margin:             0.45,
 		MotionDelta:        100 * time.Millisecond,
 		Hysteresis:         2.0,
-		PrimitivePeriod:    20 * time.Millisecond,
 		Protection:         ProtectRTA,
 		AC:                 ACAggressive,
 		LearnedBadFraction: 0.12,
 		WithPlannerModule:  true,
-		PlannerDelta:       500 * time.Millisecond,
 		WithBatteryModule:  true,
-		BatteryDelta:       2 * time.Second,
 		Seed:               seed,
 	}
 }
@@ -225,9 +229,6 @@ func Build(cfg StackConfig) (*Stack, error) {
 	}
 	if cfg.Hysteresis < 1 {
 		cfg.Hysteresis = 2.0
-	}
-	if cfg.PrimitivePeriod <= 0 {
-		cfg.PrimitivePeriod = 20 * time.Millisecond
 	}
 	if cfg.Protection == 0 {
 		cfg.Protection = ProtectRTA
@@ -317,7 +318,7 @@ func Build(cfg StackConfig) (*Stack, error) {
 		acPlanner, err := NewPlannerNode(PlannerConfig{
 			Name:    "planner.ac",
 			Planner: rrt,
-			Period:  cfg.PlannerDelta,
+			Period:  plannerDelta,
 			// The untrusted planner redraws every period so a defective
 			// plan is transient rather than cached forever.
 			AlwaysReplan: cfg.PlannerBug != plan.BugNone,
@@ -325,14 +326,14 @@ func Build(cfg StackConfig) (*Stack, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
-		scPlanner, err := NewPlannerNode(PlannerConfig{Name: "planner.sc", Planner: astar, Period: cfg.PlannerDelta})
+		scPlanner, err := NewPlannerNode(PlannerConfig{Name: "planner.sc", Planner: astar, Period: plannerDelta})
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
 		pm, err := NewPlannerModule(PlannerModuleConfig{
 			AC:        acPlanner,
 			SC:        scPlanner,
-			Delta:     cfg.PlannerDelta,
+			Delta:     plannerDelta,
 			Workspace: cfg.Workspace,
 			Margin:    cfg.Margin,
 			MaxVel:    cfg.PlantParams.MaxVel,
@@ -345,7 +346,7 @@ func Build(cfg StackConfig) (*Stack, error) {
 	} else {
 		// Unprotected: the certified planner runs alone (keeps baselines
 		// focused on the motion layer).
-		p, err := NewPlannerNode(PlannerConfig{Name: "planner", Planner: astar, Period: plannerPeriod(cfg)})
+		p, err := NewPlannerNode(PlannerConfig{Name: "planner", Planner: astar, Period: plannerDelta})
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
@@ -354,12 +355,9 @@ func Build(cfg StackConfig) (*Stack, error) {
 
 	// --- Battery layer ------------------------------------------------------
 	if cfg.WithBatteryModule {
-		if cfg.BatteryDelta <= 0 {
-			cfg.BatteryDelta = 2 * time.Second
-		}
 		mon, err := battery.NewMonitor(battery.Config{
 			Params:    cfg.PlantParams,
-			Delta:     cfg.BatteryDelta,
+			Delta:     batteryDelta,
 			MaxHeight: cfg.Workspace.Bounds().Max.Z,
 		})
 		if err != nil {
@@ -389,7 +387,7 @@ func Build(cfg StackConfig) (*Stack, error) {
 	}
 
 	// --- Waypoint manager ----------------------------------------------------
-	wpm, err := NewWaypointManagerNode("wpmanager", cfg.PrimitivePeriod, 0.8)
+	wpm, err := NewWaypointManagerNode("wpmanager", primitivePeriod, 0.8)
 	if err != nil {
 		return nil, fmt.Errorf("stack: %w", err)
 	}
@@ -397,18 +395,18 @@ func Build(cfg StackConfig) (*Stack, error) {
 
 	// --- Motion primitive layer ----------------------------------------------
 	ac := buildAC(cfg, limits)
-	sc := controller.NewSafe(analyzer, limits, cfg.PrimitivePeriod)
+	sc := controller.NewSafe(analyzer, limits, primitivePeriod)
 	policy, err := rta.ParsePolicy(cfg.SwitchPolicy)
 	if err != nil {
 		return nil, fmt.Errorf("stack: switch policy: %w", err)
 	}
 	switch cfg.Protection {
 	case ProtectRTA:
-		acNode, err := NewPrimitiveNode("mpr.ac", cfg.PrimitivePeriod, ac)
+		acNode, err := NewPrimitiveNode("mpr.ac", primitivePeriod, ac)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
-		scNode, err := NewPrimitiveNode("mpr.sc", cfg.PrimitivePeriod, sc)
+		scNode, err := NewPrimitiveNode("mpr.sc", primitivePeriod, sc)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
@@ -419,13 +417,13 @@ func Build(cfg StackConfig) (*Stack, error) {
 		st.PrimitiveModule = pm
 		modules = append(modules, pm)
 	case ProtectACOnly:
-		n, err := NewPrimitiveNode("mpr", cfg.PrimitivePeriod, ac)
+		n, err := NewPrimitiveNode("mpr", primitivePeriod, ac)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
 		plain = append(plain, n)
 	case ProtectSCOnly:
-		n, err := NewPrimitiveNode("mpr", cfg.PrimitivePeriod, sc)
+		n, err := NewPrimitiveNode("mpr", primitivePeriod, sc)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
@@ -469,13 +467,6 @@ func rrtConfig(cfg StackConfig, planMargin float64) plan.RRTStarConfig {
 	return r
 }
 
-func plannerPeriod(cfg StackConfig) time.Duration {
-	if cfg.PlannerDelta > 0 {
-		return cfg.PlannerDelta
-	}
-	return 500 * time.Millisecond
-}
-
 // Certificates builds the per-module certificates discharging (P2a), (P2b),
 // (P3) for every module in the stack, keyed by module name — the input to
 // rta.System.VerifyAll.
@@ -486,11 +477,11 @@ func (st *Stack) Certificates(samples int) (map[string]rta.Certificate, error) {
 			MaxAccel: st.Config.PlantParams.MaxAccel,
 			MaxVel:   st.Config.PlantParams.MaxVel,
 		}
-		sc := controller.NewSafe(st.Analyzer, limits, st.Config.PrimitivePeriod)
+		sc := controller.NewSafe(st.Analyzer, limits, primitivePeriod)
 		cert, err := reach.NewCertificate(reach.CertConfig{
 			Analyzer: st.Analyzer,
 			SCStep:   sc.ClosedLoopStep(),
-			SCPeriod: st.Config.PrimitivePeriod,
+			SCPeriod: primitivePeriod,
 			Samples:  samples,
 			Seed:     st.Config.Seed,
 		})

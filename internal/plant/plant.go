@@ -172,11 +172,6 @@ func (d *Drone) Observe(s State) State {
 	return obs
 }
 
-// CanLand reports whether the drone is low and slow enough to touch down.
-func (d *Drone) CanLand(s State) bool {
-	return s.Pos.Z <= d.params.GroundZ && math.Abs(s.Vel.Z) < 0.5
-}
-
 // Land marks the drone as landed, zeroing its motion.
 func Land(s State) State {
 	s.Landed = true

@@ -202,19 +202,6 @@ func TestCrashed(t *testing.T) {
 	}
 }
 
-func TestCanLand(t *testing.T) {
-	d := mustDrone(t, DefaultParams(), 1)
-	if !d.CanLand(State{Pos: geom.V(1, 1, 0.4), Vel: geom.V(0.1, 0, -0.2)}) {
-		t.Error("low and slow should be landable")
-	}
-	if d.CanLand(State{Pos: geom.V(1, 1, 3)}) {
-		t.Error("high should not be landable")
-	}
-	if d.CanLand(State{Pos: geom.V(1, 1, 0.4), Vel: geom.V(0, 0, -2)}) {
-		t.Error("fast descent should not be landable")
-	}
-}
-
 // Property: the plant respects the advertised worst-case bounds — after any
 // step, |v| ≤ MaxVel and |a| ≤ MaxAccel per axis. This is the assumption the
 // DM's reachability analysis is sound against (Remark 3.2).

@@ -27,12 +27,13 @@ type CertConfig struct {
 	Samples int
 	// Seed makes the sampling reproducible.
 	Seed int64
-	// P2aHorizon is how long each (P2a) rollout runs.
-	P2aHorizon time.Duration
 	// P2bDeadline is the finite time T within which (P2b) requires the
 	// system to settle into φsafer (and stay for Δ).
 	P2bDeadline time.Duration
 }
+
+// p2aHorizon is how long each (P2a) rollout runs.
+const p2aHorizon = 20 * time.Second
 
 // Certificate discharges (P2a), (P2b) and (P3) for a motion RTA module by a
 // combination of construction arguments and rigorous sampling: φsafe and
@@ -57,9 +58,6 @@ func NewCertificate(cfg CertConfig) (*Certificate, error) {
 	}
 	if cfg.Samples <= 0 {
 		return nil, fmt.Errorf("samples %d must be positive", cfg.Samples)
-	}
-	if cfg.P2aHorizon <= 0 {
-		cfg.P2aHorizon = 20 * time.Second
 	}
 	if cfg.P2bDeadline <= 0 {
 		cfg.P2bDeadline = 30 * time.Second
@@ -95,7 +93,7 @@ func (c *Certificate) sampleSafeState(rng *rand.Rand) (geom.Vec3, geom.Vec3, boo
 // closed loop remains in φsafe.
 func (c *Certificate) CheckP2a() error {
 	rng := rand.New(rand.NewSource(c.cfg.Seed))
-	steps := int(c.cfg.P2aHorizon / c.cfg.SCPeriod)
+	steps := int(p2aHorizon / c.cfg.SCPeriod)
 	for i := 0; i < c.cfg.Samples; i++ {
 		pos, vel, ok := c.sampleSafeState(rng)
 		if !ok {

@@ -20,6 +20,13 @@ var StreamKinds = obs.Kinds(
 	obs.KindCertifyProgress,
 )
 
+// subscriberBuffer is the per-subscriber channel buffer of an HTTP event
+// stream, and the default for a non-positive Subscribe buffer. It absorbs
+// the bursts of progress events a job's workers emit while the client's
+// previous write is in flight; a subscriber that falls further behind has
+// events dropped rather than stalling the simulation goroutines.
+const subscriberBuffer = 256
+
 // fanout broadcasts a job's event stream to any number of HTTP subscribers —
 // the service-side instance of the obs dispatcher pattern (one stream, many
 // composable consumers), extended with the two things a network consumer
@@ -81,7 +88,7 @@ func (f *fanout) OnEvent(e obs.Event) {
 // both are taken under the same lock the emitters hold.
 func (f *fanout) Subscribe(mask obs.KindSet, buffer int) (replay []obs.Event, ch <-chan obs.Event, cancel func()) {
 	if buffer <= 0 {
-		buffer = 256
+		buffer = subscriberBuffer
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -338,7 +338,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	replay, live, cancel := j.Subscribe(mask, s.cfg.EventBuffer)
+	replay, live, cancel := j.Subscribe(mask, subscriberBuffer)
 	defer cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -90,8 +90,6 @@ type Config struct {
 	MaxJobs int
 	// EventRing is the per-job replay ring capacity (default 8192 events).
 	EventRing int
-	// EventBuffer is the per-subscriber channel buffer (default 256).
-	EventBuffer int
 }
 
 func (c Config) jobConcurrency() int {

@@ -92,7 +92,7 @@ func TestJSONLReplayReproducesMetrics(t *testing.T) {
 	if _, ok := events[len(events)-1].(obs.RunEnd); !ok {
 		t.Errorf("stream ends with %T, want RunEnd", events[len(events)-1])
 	}
-	replay := NewMetricsSink(cfg.Stack.Config.Workspace)
+	replay := obs.NewMetricsSink(cfg.Stack.Config.Workspace)
 	for _, e := range events {
 		replay.OnEvent(e)
 	}

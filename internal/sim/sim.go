@@ -42,12 +42,8 @@ type ModuleStats = obs.ModuleStats
 // obs.MetricsSink aggregating the run's event stream.
 type Metrics = obs.Metrics
 
-// MetricsSink aggregates an event stream into Metrics — re-exported so
-// callers replaying recorded streams need only this package.
-type MetricsSink = obs.MetricsSink
-
-// NewMetricsSink builds a sink measuring clearance against ws.
-func NewMetricsSink(ws *geom.Workspace) *MetricsSink { return obs.NewMetricsSink(ws) }
+// physicsStep is the plant integration sub-step.
+const physicsStep = 5 * time.Millisecond
 
 // RunConfig configures a closed-loop run.
 type RunConfig struct {
@@ -57,8 +53,6 @@ type RunConfig struct {
 	Initial plant.State
 	// Duration is how long to simulate.
 	Duration time.Duration
-	// PhysicsStep is the plant integration sub-step (default 5ms).
-	PhysicsStep time.Duration
 	// Seed drives sensor noise and scheduler jitter.
 	Seed int64
 	// Context, when non-nil, cancels the run between executor slices: Run
@@ -117,11 +111,10 @@ type environment struct {
 	drone   *plant.Drone
 	ws      *geom.Workspace
 	state   plant.State
-	step    time.Duration
 	run     *runner
 	groundZ float64
 	// Dense topic IDs, resolved once at run setup: Advance and observe run
-	// every physics sub-step (default 5 ms), so topic access goes through
+	// every physics sub-step (5 ms), so topic access goes through
 	// the store's slice-backed ID path instead of name lookups.
 	cmdID, stateID, wpID pubsub.TopicID
 }
@@ -147,7 +140,7 @@ func (e *environment) resolveTopics(topics *pubsub.Store) error {
 
 func (e *environment) Advance(prev, now time.Duration, topics *pubsub.Store) error {
 	for t := prev; t < now; {
-		dt := e.step
+		dt := physicsStep
 		if t+dt > now {
 			dt = now - t
 		}
@@ -285,9 +278,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("sim: duration %v must be positive", cfg.Duration)
 	}
-	if cfg.PhysicsStep <= 0 {
-		cfg.PhysicsStep = 5 * time.Millisecond
-	}
 	if cfg.Initial.Battery == 0 {
 		cfg.Initial.Battery = 1
 	}
@@ -329,7 +319,6 @@ func Run(cfg RunConfig) (*Result, error) {
 		drone:   drone,
 		ws:      ws,
 		state:   cfg.Initial,
-		step:    cfg.PhysicsStep,
 		run:     r,
 		groundZ: drone.Params().GroundZ,
 	}

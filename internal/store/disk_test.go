@@ -207,3 +207,24 @@ func TestDiskEvictionLRUByBytes(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 }
+
+// FuzzDiskEntry: the disk-tier framing never panics and is deterministic;
+// framing any payload and decoding it returns the payload; and every input
+// decodeEntry accepts is exactly the framing of what it returns, so an entry
+// file that is not byte-for-byte magic, checksum, newline, payload is
+// quarantined rather than served.
+func FuzzDiskEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if got, ok := decodeEntry(encodeEntry(raw)); !ok || !bytes.Equal(got, raw) {
+			t.Fatalf("framed payload %q decodes to %q, ok=%v", raw, got, ok)
+		}
+		val, ok := decodeEntry(raw)
+		again, okAgain := decodeEntry(raw)
+		if ok != okAgain || !bytes.Equal(val, again) {
+			t.Fatalf("nondeterministic decode of %q: %q, %v then %q, %v", raw, val, ok, again, okAgain)
+		}
+		if ok && !bytes.Equal(encodeEntry(val), raw) {
+			t.Fatalf("accepted entry %q re-encodes to %q", raw, encodeEntry(val))
+		}
+	})
+}

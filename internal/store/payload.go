@@ -33,8 +33,10 @@ func (p Payload) Encode() ([]byte, error) {
 // this indicates an encoding-era bug, not bit rot. Unknown fields are
 // ignored, so entries that still carry the switch log older encoders stored
 // beside the metrics decode to the same Metrics. An entry that parses but
-// carries no metrics object (null, {}, {"metrics":null}) is an error:
-// serving it would report zero Metrics as a verdict.
+// carries no metrics object (null, {}, {"metrics":null}), or metrics with a
+// non-positive Duration ({"metrics":{}}), is an error: every stored verdict
+// is a completed mission, which always simulated for some time, so serving
+// such an entry would report zero Metrics as a verdict.
 func DecodePayload(raw []byte) (Payload, error) {
 	var wire struct {
 		Metrics *sim.Metrics `json:"metrics"`
@@ -44,6 +46,9 @@ func DecodePayload(raw []byte) (Payload, error) {
 	}
 	if wire.Metrics == nil {
 		return Payload{}, errors.New("store: decode payload: no metrics object")
+	}
+	if wire.Metrics.Duration <= 0 {
+		return Payload{}, fmt.Errorf("store: decode payload: mission duration %v is not positive", wire.Metrics.Duration)
 	}
 	return Payload{Metrics: *wire.Metrics}, nil
 }

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// TestDecodePayloadTable: every accepted entry carries a metrics object;
-// anything else — degenerate JSON included — is an error, so the fleet
-// recomputes instead of serving zero Metrics as a verdict. Entries from
-// encoders that stored a switch log beside the metrics still decode.
+// TestDecodePayloadTable: every accepted entry carries a metrics object
+// with a positive mission duration; anything else — degenerate JSON and an
+// all-zero metrics object included — is an error, so the fleet recomputes
+// instead of serving zero Metrics as a verdict. Entries from encoders that
+// stored a switch log beside the metrics still decode.
 func TestDecodePayloadTable(t *testing.T) {
 	for _, tc := range []struct {
 		name, raw string
@@ -25,9 +26,10 @@ func TestDecodePayloadTable(t *testing.T) {
 		{"empty input", ``, false},
 		{"garbage", `not json`, false},
 		{"trailing data", `{"metrics":{}} {}`, false},
-		{"empty metrics", `{"metrics":{}}`, true},
+		{"empty metrics", `{"metrics":{}}`, false},
+		{"negative duration", `{"metrics":{"Duration":-1,"TargetsVisited":42}}`, false},
 		{"metrics", `{"metrics":{"Duration":5000000000,"TargetsVisited":42}}`, true},
-		{"metrics and switches", `{"metrics":{"TargetsVisited":42},"switches":[{"Time":1,"Module":"m","From":1,"To":2,"Reason":"recovery","Coordinated":false}]}`, true},
+		{"metrics and switches", `{"metrics":{"Duration":5000000000,"TargetsVisited":42},"switches":[{"Time":1,"Module":"m","From":1,"To":2,"Reason":"recovery","Coordinated":false}]}`, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := DecodePayload([]byte(tc.raw))

@@ -13,12 +13,13 @@ import (
 	"time"
 )
 
-// Peer-tier defaults.
+// Peer-tier bounds and defaults.
 const (
-	// DefaultPeerTimeout bounds one fetch attempt against one peer.
-	DefaultPeerTimeout = 2 * time.Second
-	// DefaultPeerProbes bounds how many peers one Get consults.
-	DefaultPeerProbes = 3
+	// peerTimeout bounds one fetch attempt against one peer.
+	peerTimeout = 2 * time.Second
+	// peerProbes bounds how many peers one Get consults, in rendezvous
+	// order.
+	peerProbes = 3
 	// DefaultPeerBackoff is the base cooldown after a peer fails; it doubles
 	// per consecutive failure up to maxPeerBackoff.
 	DefaultPeerBackoff = time.Second
@@ -37,11 +38,6 @@ type PeersConfig struct {
 	// "http://10.0.0.2:8080"). The local process itself must not be listed —
 	// its results are already in the local tiers.
 	Peers []string
-	// Timeout bounds each fetch attempt (DefaultPeerTimeout when zero).
-	Timeout time.Duration
-	// Probes bounds how many peers one lookup consults, in rendezvous order
-	// (DefaultPeerProbes when zero; capped at len(Peers)).
-	Probes int
 	// Backoff is the base cooldown after a failed peer (DefaultPeerBackoff
 	// when zero).
 	Backoff time.Duration
@@ -61,8 +57,6 @@ type PeersConfig struct {
 type Peers struct {
 	peers   []*peer
 	client  *http.Client
-	timeout time.Duration
-	probes  int
 	backoff time.Duration
 
 	mu     sync.Mutex
@@ -87,18 +81,10 @@ func NewPeers(cfg PeersConfig) (*Peers, error) {
 	}
 	p := &Peers{
 		client:  cfg.Client,
-		timeout: cfg.Timeout,
-		probes:  cfg.Probes,
 		backoff: cfg.Backoff,
 	}
 	if p.client == nil {
 		p.client = http.DefaultClient
-	}
-	if p.timeout <= 0 {
-		p.timeout = DefaultPeerTimeout
-	}
-	if p.probes <= 0 {
-		p.probes = DefaultPeerProbes
 	}
 	if p.backoff <= 0 {
 		p.backoff = DefaultPeerBackoff
@@ -151,9 +137,9 @@ func (p *Peers) rendezvous(key string) []*peer {
 	return out
 }
 
-// Get probes up to Probes peers in rendezvous order. Every failure backs the
-// peer off; every outcome degrades gracefully — the worst case is a miss and
-// a local simulation, never an error surfaced to the job.
+// Get probes up to peerProbes peers in rendezvous order. Every failure backs
+// the peer off; every outcome degrades gracefully — the worst case is a miss
+// and a local simulation, never an error surfaced to the job.
 func (p *Peers) Get(ctx context.Context, key string) ([]byte, bool) {
 	if !ValidKey(key) {
 		p.count(&p.misses)
@@ -161,7 +147,7 @@ func (p *Peers) Get(ctx context.Context, key string) ([]byte, bool) {
 	}
 	probes := 0
 	for _, pr := range p.rendezvous(key) {
-		if probes >= p.probes || ctx.Err() != nil {
+		if probes >= peerProbes || ctx.Err() != nil {
 			break
 		}
 		if pr.coolingDown() {
@@ -188,7 +174,7 @@ func (p *Peers) Get(ctx context.Context, key string) ([]byte, bool) {
 // clean 404; any other failure — transport error, bad status, a missing or
 // mismatched checksum, oversized body — is an error that backs the peer off.
 func (p *Peers) fetch(ctx context.Context, pr *peer, key string) (val []byte, found bool, err error) {
-	ctx, cancel := context.WithTimeout(ctx, p.timeout)
+	ctx, cancel := context.WithTimeout(ctx, peerTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, pr.base+"/store/"+key, nil)
 	if err != nil {

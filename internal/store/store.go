@@ -82,6 +82,10 @@ type Stats struct {
 	// Aborts counts fills abandoned (failed or cancelled simulations);
 	// waiters of an aborted fill retry and may lead their own.
 	Aborts int64 `json:"aborts,omitempty"`
+	// Repairs counts entries a tier served that failed to decode and were
+	// overwritten with a fresh result (see Repair) — bad bytes from disk or
+	// a peer.
+	Repairs int64 `json:"repairs,omitempty"`
 	// Inflight is the number of fills currently executing.
 	Inflight int `json:"inflight,omitempty"`
 }
@@ -134,6 +138,7 @@ type Tiered struct {
 	fills     int64
 	collapsed int64
 	aborts    int64
+	repairs   int64
 }
 
 // flight is one in-progress fill. done is closed exactly once, after val/ok
@@ -223,6 +228,16 @@ func (t *Tiered) Put(ctx context.Context, key string, val []byte) {
 	if ok {
 		fl.resolve(val, true)
 	}
+}
+
+// Repair is Put for a key whose stored entry failed to decode: val, a fresh
+// result, overwrites the entry in every local tier so none keeps serving it,
+// and the overwrite is counted in Stats.Repairs.
+func (t *Tiered) Repair(ctx context.Context, key string, val []byte) {
+	t.Put(ctx, key, val)
+	t.mu.Lock()
+	t.repairs++
+	t.mu.Unlock()
 }
 
 // putLocal fans val out to the local tiers.
@@ -331,6 +346,7 @@ func (t *Tiered) Stats() Stats {
 		Fills:     t.fills,
 		Collapsed: t.collapsed,
 		Aborts:    t.aborts,
+		Repairs:   t.repairs,
 		Inflight:  len(t.inflight),
 	}
 	t.mu.Unlock()

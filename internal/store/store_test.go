@@ -297,6 +297,7 @@ func TestAcquireConcurrentOneFillPerKey(t *testing.T) {
 
 func TestPayloadRoundTrip(t *testing.T) {
 	p := Payload{}
+	p.Metrics.Duration = 5 * time.Second // every completed mission has flown
 	p.Metrics.TargetsVisited = 42
 	raw, err := p.Encode()
 	if err != nil {
