@@ -2,6 +2,11 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,6 +41,20 @@ func TestCanonicalDeterministic(t *testing.T) {
 	}
 }
 
+// explicitDefaults spells each "zero means default" knob with its default
+// value. Each must fingerprint like the Spec that leaves the knob unset.
+var explicitDefaults = map[string]func(*Spec){
+	"initial-battery": func(s *Spec) { s.InitialBattery = 1 },
+	"drain-multiple":  func(s *Spec) { s.DrainMultiple = 1 },
+	"protection":      func(s *Spec) { s.Protection = mission.ProtectRTA },
+	"ac":              func(s *Spec) { s.AC = mission.ACAggressive },
+	"learned-bad":     func(s *Spec) { s.LearnedBadFraction = 0.12 },
+	"motion-delta":    func(s *Spec) { s.MotionDelta = 100 * time.Millisecond },
+	"hysteresis":      func(s *Spec) { s.Hysteresis = 2.0 },
+	"switch-policy":   func(s *Spec) { s.SwitchPolicy = "soter-fig9" },
+	"plan-margin":     func(s *Spec) { s.PlanMargin = 1.25 },
+}
+
 // TestCanonicalResolvesDefaults: a Spec that spells a default explicitly
 // denotes the same mission as one leaving the knob unset, so the two must
 // fingerprint identically — otherwise equivalent jobs would miss the result
@@ -46,17 +65,7 @@ func TestCanonicalResolvesDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, explicit := range map[string]func(*Spec){
-		"initial-battery": func(s *Spec) { s.InitialBattery = 1 },
-		"drain-multiple":  func(s *Spec) { s.DrainMultiple = 1 },
-		"protection":      func(s *Spec) { s.Protection = mission.ProtectRTA },
-		"ac":              func(s *Spec) { s.AC = mission.ACAggressive },
-		"learned-bad":     func(s *Spec) { s.LearnedBadFraction = 0.12 },
-		"motion-delta":    func(s *Spec) { s.MotionDelta = 100 * time.Millisecond },
-		"hysteresis":      func(s *Spec) { s.Hysteresis = 2.0 },
-		"switch-policy":   func(s *Spec) { s.SwitchPolicy = "soter-fig9" },
-		"plan-margin":     func(s *Spec) { s.PlanMargin = 1.25 },
-	} {
+	for name, explicit := range explicitDefaults {
 		got, err := base.With(Override{Apply: explicit}).Fingerprint(1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -64,6 +73,72 @@ func TestCanonicalResolvesDefaults(t *testing.T) {
 		if got != want {
 			t.Errorf("explicit default %s changed the fingerprint", name)
 		}
+	}
+}
+
+// fingerprintGoldenFile pins the fingerprints of a fixed set of Specs: the
+// result store answers a repeated cell by Spec.Fingerprint, so a change to
+// how a Spec is canonicalized must not move any of them.
+const fingerprintGoldenFile = "testdata/spec_fingerprints.golden"
+
+// goldenPolicySpellings are the policy specs the golden crosses with every
+// registry scenario, defaulted and explicit spellings alike.
+var goldenPolicySpellings = []string{"", "soter-fig9", "sticky-sc", "sticky-sc:10", "hysteresis:5", "always-ac", "always-sc"}
+
+// nonDefaultKnobs sets one knob of a Spec away from its default.
+var nonDefaultKnobs = map[string]func(*Spec){
+	"protection":      func(s *Spec) { s.Protection = mission.ProtectACOnly },
+	"ac":              func(s *Spec) { s.AC = mission.ACLearned },
+	"learned-bad":     func(s *Spec) { s.LearnedBadFraction = 0.3 },
+	"motion-delta":    func(s *Spec) { s.MotionDelta = 50 * time.Millisecond },
+	"hysteresis":      func(s *Spec) { s.Hysteresis = 3 },
+	"plan-margin":     func(s *Spec) { s.PlanMargin = 0.9 },
+	"drain-multiple":  func(s *Spec) { s.DrainMultiple = 2 },
+	"initial-battery": func(s *Spec) { s.InitialBattery = 0.5 },
+	"one-way":         func(s *Spec) { s.OneWaySwitching = true },
+}
+
+// specFingerprints lists "label seed fingerprint" for every registry
+// scenario × goldenPolicySpellings × seeds 1–2, then for surveillance-city
+// under each explicit default and each non-default knob at seed 1.
+func specFingerprints(t *testing.T) string {
+	var b strings.Builder
+	line := func(label string, s Spec, seed int64) {
+		fp, err := s.Fingerprint(seed)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		fmt.Fprintf(&b, "%s %d %s\n", label, seed, fp)
+	}
+	for _, spec := range All() {
+		for _, pol := range goldenPolicySpellings {
+			s := spec.With(Override{Apply: func(s *Spec) { s.SwitchPolicy = pol }})
+			for seed := int64(1); seed <= 2; seed++ {
+				line(fmt.Sprintf("%s policy=%q", spec.Name, pol), s, seed)
+			}
+		}
+	}
+	base := MustGet("surveillance-city")
+	for _, set := range []struct {
+		kind  string
+		knobs map[string]func(*Spec)
+	}{{"default", explicitDefaults}, {"knob", nonDefaultKnobs}} {
+		for _, name := range slices.Sorted(maps.Keys(set.knobs)) {
+			line(set.kind+"="+name, base.With(Override{Apply: set.knobs[name]}), 1)
+		}
+	}
+	return b.String()
+}
+
+// TestSpecFingerprintGolden holds the fingerprints of specFingerprints
+// byte-identical to the recorded ones.
+func TestSpecFingerprintGolden(t *testing.T) {
+	want, err := os.ReadFile(fingerprintGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := specFingerprints(t); got != string(want) {
+		t.Fatalf("spec fingerprints changed.\ngot:\n%swant:\n%s", got, want)
 	}
 }
 
