@@ -32,7 +32,7 @@ import (
 // missions/s metric is the batch throughput.
 func BenchmarkFleetScaling(b *testing.B) {
 	const batch = 8
-	missions := fleet.SeedSweep("scale", fleet.Seeds(1, batch), func(seed int64) (sim.RunConfig, error) {
+	build := func(seed int64) (sim.RunConfig, error) {
 		mcfg := mission.DefaultStackConfig(seed)
 		mcfg.App = mission.AppConfig{Points: []geom.Vec3{
 			geom.V(3, 3, 2), geom.V(46, 46, 2), geom.V(3, 46, 2.5),
@@ -48,7 +48,15 @@ func BenchmarkFleetScaling(b *testing.B) {
 			Seed:            seed,
 			CheckInvariants: true,
 		}, nil
-	})
+	}
+	var missions []fleet.Mission
+	for _, seed := range fleet.Seeds(1, batch) {
+		missions = append(missions, fleet.Mission{
+			Name:  fmt.Sprintf("scale/seed-%d", seed),
+			Seed:  seed,
+			Build: func() (sim.RunConfig, error) { return build(seed) },
+		})
+	}
 	workerCounts := []int{1, 4}
 	if p := goruntime.GOMAXPROCS(0); p != 1 && p != 4 {
 		workerCounts = append(workerCounts, p)

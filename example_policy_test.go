@@ -2,6 +2,7 @@ package soter_test
 
 import (
 	"fmt"
+	"time"
 
 	soter "repro"
 )
@@ -31,31 +32,53 @@ func (p countdown) Decide(st soter.PolicyState, ctx *soter.DecisionContext) (sot
 	return soter.ModeAC, 0, soter.ReasonRecovery
 }
 
-// ExampleRegisterPolicy registers a custom switching policy and resolves
-// specs against the registry. A registered policy is selectable everywhere a
-// policy can be named: ModuleDecl{Policy: p} when declaring a module
-// directly, scenario.Spec.SwitchPolicy in the workload registry, the
-// "policy" override of a soter-serve job, or soter-sim -policy.
-func ExampleRegisterPolicy() {
-	if err := soter.RegisterPolicy("countdown", func(param int) (soter.Policy, error) {
-		if param == 0 {
-			param = 4 // default wait
+// ExampleModuleDecl_policy runs an RTA module under a custom switching
+// policy, passed as ModuleDecl.Policy. The module starts in SC; countdown:3
+// holds it there for two DM decisions and hands control to the AC at the
+// third. The named policies that scenarios, jobs and CLIs select by spec
+// string form a fixed table of built-ins; ParsePolicy and
+// CanonicalPolicySpec resolve against it.
+func ExampleModuleDecl_policy() {
+	const period = 100 * time.Millisecond
+	command := func(u float64) soter.StepFunc {
+		return func(st soter.State, _ soter.Valuation) (soter.State, soter.Valuation, error) {
+			return st, soter.Valuation{"cmd": u}, nil
 		}
-		return countdown{wait: param}, nil
-	}); err != nil {
+	}
+	ac, _ := soter.NewNode("fast", period, nil, []soter.TopicName{"cmd"}, command(1))
+	sc, _ := soter.NewNode("brake", period, nil, []soter.TopicName{"cmd"}, command(0))
+	mod, err := soter.NewRTAModule(soter.ModuleDecl{
+		Name:      "motion",
+		AC:        ac,
+		SC:        sc,
+		Delta:     period,
+		TTF2Delta: func(soter.Valuation) bool { return false },
+		InSafer:   func(soter.Valuation) bool { return true },
+		Policy:    countdown{wait: 3},
+	})
+	if err != nil {
 		fmt.Println(err)
 		return
 	}
-
-	p, _ := soter.ParsePolicy("countdown:2")
-	fmt.Println(p.Name())
+	sys, _ := soter.NewSystem([]*soter.Module{mod}, nil)
+	exec, _ := soter.NewExecutor(sys, nil, soter.WithObservers(soter.ObserverFunc(func(e soter.Event) {
+		if sw, ok := e.(soter.ModeSwitchEvent); ok {
+			fmt.Printf("t=%v %s: %v -> %v (%s)\n", sw.T, sw.Module, sw.From, sw.To, sw.Reason)
+		}
+	})))
+	if err := exec.RunUntil(time.Second); err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println(mod.Policy().Name())
 
 	// Canonicalization makes defaults explicit, so every spelling of the
-	// same behaviour shares one result-cache entry.
+	// same built-in shares one result-cache entry.
 	canon, _ := soter.CanonicalPolicySpec("sticky-sc")
 	fmt.Println(canon)
 
 	// Output:
-	// countdown:2
+	// t=300ms motion: SC -> AC (recovery)
+	// countdown:3
 	// sticky-sc:10
 }

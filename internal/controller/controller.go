@@ -18,7 +18,6 @@
 package controller
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/geom"
@@ -65,11 +64,4 @@ func (c *PD) Control(_ time.Duration, pos, vel, target geom.Vec3) geom.Vec3 {
 // Figure 5 (right).
 func NewAggressive(l Limits) *PD {
 	return &PD{Kp: 3.2, Kd: 1.1, Limits: l}
-}
-
-// NewNominal builds a well-damped PD law used as a reference "reasonable"
-// controller in tests (critical damping: Kd = 2·sqrt(Kp)).
-func NewNominal(l Limits) *PD {
-	kp := 1.5
-	return &PD{Kp: kp, Kd: 2 * math.Sqrt(kp), Limits: l}
 }

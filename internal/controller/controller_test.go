@@ -10,10 +10,17 @@ import (
 	"repro/internal/reach"
 )
 
+// newNominal builds a well-damped PD law, the reference "reasonable"
+// controller of these tests (critical damping: Kd = 2·sqrt(Kp)).
+func newNominal(l Limits) *PD {
+	kp := 1.5
+	return &PD{Kp: kp, Kd: 2 * math.Sqrt(kp), Limits: l}
+}
+
 func testLimits() Limits { return Limits{MaxAccel: 5, MaxVel: 3} }
 
 func TestPDPointsTowardTarget(t *testing.T) {
-	pd := NewNominal(testLimits())
+	pd := newNominal(testLimits())
 	u := pd.Control(0, geom.V(0, 0, 0), geom.Vec3{}, geom.V(10, 0, 0))
 	if u.X <= 0 || u.Y != 0 || u.Z != 0 {
 		t.Errorf("control = %v, want +X", u)
@@ -60,7 +67,7 @@ func TestAggressiveOvershoots(t *testing.T) {
 		return worst
 	}
 	agg := overshoot(NewAggressive(testLimits()))
-	nom := overshoot(NewNominal(testLimits()))
+	nom := overshoot(newNominal(testLimits()))
 	if agg < 0.3 {
 		t.Errorf("aggressive overshoot = %.3f m, want noticeable (≥0.3)", agg)
 	}
@@ -125,7 +132,7 @@ func TestLearnedBadCellFraction(t *testing.T) {
 }
 
 func TestFaultWindows(t *testing.T) {
-	inner := NewNominal(testLimits())
+	inner := newNominal(testLimits())
 	faulty := WithFaults(inner, testLimits(), []Fault{
 		{Kind: FaultStuckZero, Start: time.Second, End: 2 * time.Second},
 		{Kind: FaultInvertAxis, Start: 3 * time.Second, End: 4 * time.Second},

@@ -229,6 +229,20 @@ func TestCatalogueClaims(t *testing.T) {
 	}
 }
 
+// TestFig5lClaimHoldsAcrossSeeds holds fig5l's row at catalogue seeds 1–8:
+// the mix of red and green loops is a property of the learned policy, not
+// of one lucky seed. fig5l flies one size, so quick mode covers both.
+func TestFig5lClaimHoldsAcrossSeeds(t *testing.T) {
+	check := claimFor(t, "fig5l")
+	for seed := int64(1); seed <= 8; seed++ {
+		out, err := fig5Left(t.Context(), seed, true, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) { check(t, out) })
+	}
+}
+
 // printOnce prints each experiment table a single time even when the bench
 // harness loops.
 var printOnce sync.Map

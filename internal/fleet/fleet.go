@@ -331,21 +331,6 @@ feed:
 	return results, errors.Join(errs...)
 }
 
-// SeedSweep builds a mission per seed from a shared builder — the common
-// shape of the experiment sweeps (same scenario, different randomness).
-func SeedSweep(name string, seeds []int64, build func(seed int64) (sim.RunConfig, error)) []Mission {
-	missions := make([]Mission, len(seeds))
-	for i, seed := range seeds {
-		seed := seed
-		missions[i] = Mission{
-			Name:  fmt.Sprintf("%s/seed-%d", name, seed),
-			Seed:  seed,
-			Build: func() (sim.RunConfig, error) { return build(seed) },
-		}
-	}
-	return missions
-}
-
 // Seeds returns n deterministic seeds derived from base, spaced so derived
 // per-run RNG streams do not trivially collide.
 func Seeds(base int64, n int) []int64 {

@@ -20,6 +20,19 @@ import (
 	"repro/internal/store"
 )
 
+// seedSweep builds a mission per seed from a shared builder.
+func seedSweep(name string, seeds []int64, build func(seed int64) (sim.RunConfig, error)) []Mission {
+	missions := make([]Mission, len(seeds))
+	for i, seed := range seeds {
+		missions[i] = Mission{
+			Name:  fmt.Sprintf("%s/seed-%d", name, seed),
+			Seed:  seed,
+			Build: func() (sim.RunConfig, error) { return build(seed) },
+		}
+	}
+	return missions
+}
+
 // surveillanceMission builds a short, fully isolated surveillance run.
 func surveillanceMission(seed int64) (sim.RunConfig, error) {
 	mcfg := mission.DefaultStackConfig(seed)
@@ -43,7 +56,7 @@ func surveillanceMission(seed int64) (sim.RunConfig, error) {
 // proves per-run isolation: each worker builds its own stack, store,
 // executor and RNG).
 func TestFleetSmoke(t *testing.T) {
-	missions := SeedSweep("smoke", Seeds(1, 6), surveillanceMission)
+	missions := seedSweep("smoke", Seeds(1, 6), surveillanceMission)
 	rep := Run(context.Background(), missions, Options{Workers: 4})
 	if err := rep.FirstErr(); err != nil {
 		t.Fatal(err)
@@ -74,7 +87,7 @@ func TestFleetSmoke(t *testing.T) {
 // worker count: per-run isolation means parallelism cannot change results.
 func TestFleetDeterministic(t *testing.T) {
 	run := func(workers int) []MissionResult {
-		rep := Run(context.Background(), SeedSweep("det", Seeds(42, 4), surveillanceMission), Options{Workers: workers})
+		rep := Run(context.Background(), seedSweep("det", Seeds(42, 4), surveillanceMission), Options{Workers: workers})
 		if err := rep.FirstErr(); err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +105,7 @@ func TestFleetDeterministic(t *testing.T) {
 // TestFleetAggregates checks the report's switch accounting against the
 // per-result metrics.
 func TestFleetAggregates(t *testing.T) {
-	missions := SeedSweep("agg", Seeds(7, 3), func(seed int64) (sim.RunConfig, error) {
+	missions := seedSweep("agg", Seeds(7, 3), func(seed int64) (sim.RunConfig, error) {
 		cfg, err := surveillanceMission(seed)
 		cfg.Duration = 8 * time.Second
 		return cfg, err
@@ -205,7 +218,7 @@ func TestMapEmpty(t *testing.T) {
 func TestRunCancelledBatchContract(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 64)
-	missions := SeedSweep("cancel", Seeds(1, 12), func(seed int64) (sim.RunConfig, error) {
+	missions := seedSweep("cancel", Seeds(1, 12), func(seed int64) (sim.RunConfig, error) {
 		started <- struct{}{}
 		cfg, err := surveillanceMission(seed)
 		cfg.Duration = time.Hour // far longer than the test; only cancellation ends it
@@ -262,7 +275,7 @@ func TestMapCancelledFeed(t *testing.T) {
 func TestFleetEventStreamsDeterministicAcrossWorkers(t *testing.T) {
 	streams := func(workers int) [][]byte {
 		recs := make([]*soterobs.Recorder, 4)
-		missions := SeedSweep("stream", Seeds(9, 4), surveillanceMission)
+		missions := seedSweep("stream", Seeds(9, 4), surveillanceMission)
 		for i := range missions {
 			i := i
 			build := missions[i].Build
@@ -303,10 +316,10 @@ func TestFleetEventStreamsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// keyedSweep is a SeedSweep whose missions carry distinct store keys and
+// keyedSweep is a seedSweep whose missions carry distinct store keys and
 // count their Build calls.
 func keyedSweep(name string, n int, built *atomic.Int32) []Mission {
-	missions := SeedSweep(name, Seeds(1, n), surveillanceMission)
+	missions := seedSweep(name, Seeds(1, n), surveillanceMission)
 	for i := range missions {
 		build := missions[i].Build
 		missions[i].Key = fmt.Sprintf("%s%08x", name, i)

@@ -43,7 +43,7 @@ func pooledSweepStreams(t *testing.T, workers int, fresh bool) ([][]byte, []Miss
 	t.Helper()
 	const n = 4
 	recs := make([]*soterobs.Recorder, n)
-	missions := SeedSweep("pool", Seeds(17, n), func(seed int64) (sim.RunConfig, error) {
+	missions := seedSweep("pool", Seeds(17, n), func(seed int64) (sim.RunConfig, error) {
 		return pooledOrFreshMission(seed, fresh)
 	})
 	for i := range missions {

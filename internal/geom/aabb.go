@@ -17,11 +17,6 @@ func Box(a, b Vec3) AABB {
 	return AABB{Min: a.Min(b), Max: a.Max(b)}
 }
 
-// BoxAt constructs an AABB centred at c with half-extents h.
-func BoxAt(c, h Vec3) AABB {
-	return AABB{Min: c.Sub(h), Max: c.Add(h)}
-}
-
 // Center returns the centre point of the box.
 func (b AABB) Center() Vec3 { return b.Min.Add(b.Max).Scale(0.5) }
 

@@ -11,14 +11,7 @@ func TestBoxNormalisesCorners(t *testing.T) {
 	if !vecAlmostEq(b.Min, V(1, -1, 0)) || !vecAlmostEq(b.Max, V(5, 2, 3)) {
 		t.Errorf("Box = %v", b)
 	}
-}
-
-func TestBoxAt(t *testing.T) {
-	b := BoxAt(V(1, 1, 1), V(0.5, 1, 2))
-	if !vecAlmostEq(b.Min, V(0.5, 0, -1)) || !vecAlmostEq(b.Max, V(1.5, 2, 3)) {
-		t.Errorf("BoxAt = %v", b)
-	}
-	if !vecAlmostEq(b.Center(), V(1, 1, 1)) {
+	if !vecAlmostEq(b.Center(), V(3, 0.5, 1.5)) {
 		t.Errorf("Center = %v", b.Center())
 	}
 }

@@ -8,12 +8,11 @@ import (
 // indexWorkspaces returns the full factory set, covering every obstacle
 // layout the scenarios use.
 func indexWorkspaces() []*Workspace {
-	return []*Workspace{
-		CityWorkspace(),
-		CanyonWorkspace(),
-		CornerHazardWorkspace(),
-		OpenWorkspace(Box(V(0, 0, 0), V(20, 20, 10))),
+	open, err := NewWorkspace(Box(V(0, 0, 0), V(20, 20, 10)), nil)
+	if err != nil {
+		panic(err)
 	}
+	return []*Workspace{CityWorkspace(), CanyonWorkspace(), CornerHazardWorkspace(), open}
 }
 
 // TestIndexMatchesLinearOnFactories sweeps a deterministic grid of points,
@@ -122,7 +121,7 @@ func FuzzIndexedQueryEquivalence(f *testing.F) {
 		for i := 0; i < n; i++ {
 			c := V(rng.Float64()*size.X, rng.Float64()*size.Y, rng.Float64()*size.Z)
 			h := V(0.2+rng.Float64()*6, 0.2+rng.Float64()*6, 0.2+rng.Float64()*4)
-			obstacles = append(obstacles, BoxAt(c, h))
+			obstacles = append(obstacles, AABB{Min: c.Sub(h), Max: c.Add(h)})
 		}
 		ws, err := NewWorkspace(bounds, obstacles)
 		if err != nil {

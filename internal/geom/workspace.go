@@ -276,17 +276,6 @@ func CornerHazardWorkspace() *Workspace {
 	return ws
 }
 
-// OpenWorkspace builds an obstacle-free box workspace, useful for unit tests
-// and for the Figure 5 (left) figure-eight experiment where danger is defined
-// by deviation from the reference loop rather than by obstacles.
-func OpenWorkspace(bounds AABB) *Workspace {
-	ws, err := NewWorkspace(bounds, nil)
-	if err != nil {
-		panic(err)
-	}
-	return ws
-}
-
 // RetreatDirection returns a unit vector pointing away from nearby obstacles
 // and workspace boundaries — an ascent direction of the clearance field at p.
 // It is used by the safe controller to actively recover into the φsafer

@@ -159,7 +159,7 @@ func TestBoxFreeSoundnessProperty(t *testing.T) {
 	f := func(cx, cy, cz, hx, hy, hz float64) bool {
 		c := V(3+math.Mod(math.Abs(cx), 14), 3+math.Mod(math.Abs(cy), 14), 1+math.Mod(math.Abs(cz), 8))
 		h := V(math.Mod(math.Abs(hx), 2), math.Mod(math.Abs(hy), 2), math.Mod(math.Abs(hz), 2))
-		box := BoxAt(c, h)
+		box := AABB{Min: c.Sub(h), Max: c.Add(h)}
 		if !ws.BoxFree(box, 0) {
 			return true
 		}

@@ -490,6 +490,27 @@ func TestBuildStackShapes(t *testing.T) {
 	})
 }
 
+// TestBuildRejectsUnsetKnobs: DefaultStackConfig is the only table of stack
+// defaults, so a knob left zero reaches Build as zero and is refused there
+// instead of silently running a default.
+func TestBuildRejectsUnsetKnobs(t *testing.T) {
+	for name, unset := range map[string]func(*StackConfig){
+		"motion-delta": func(c *StackConfig) { c.MotionDelta = 0 },
+		"hysteresis":   func(c *StackConfig) { c.Hysteresis = 0 },
+		"protection":   func(c *StackConfig) { c.Protection = 0 },
+		"ac":           func(c *StackConfig) { c.AC = 0 },
+		"plan-margin":  func(c *StackConfig) { c.PlanMargin = 0 },
+	} {
+		cfg := DefaultStackConfig(1)
+		cfg.App = AppConfig{Points: []geom.Vec3{geom.V(3, 3, 2)}}
+		cfg.FreshArtifacts = true
+		unset(&cfg)
+		if _, err := Build(cfg); err == nil {
+			t.Errorf("Build accepted an unset %s", name)
+		}
+	}
+}
+
 func TestStackCertificates(t *testing.T) {
 	cfg := DefaultStackConfig(2)
 	cfg.App = AppConfig{Points: []geom.Vec3{geom.V(3, 3, 2)}}

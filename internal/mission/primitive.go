@@ -142,7 +142,7 @@ func NewPrimitiveNode(name string, period time.Duration, ctrl controller.Control
 // Figure 9 rules. The policy only decides *when* to hand control between the
 // controllers — the safety clamp (any proposed AC is overridden to SC when
 // ttf2Δ fails) is enforced by the rta.Module regardless of policy, so φmpr
-// holds for every policy in the registry. oneWay is defined only for the
+// holds for every policy. oneWay is defined only for the
 // default policy: its latch gates the φsafer predicate, which the Figure 9
 // recovery consults but a custom policy may not (always-ac would re-engage
 // straight past it), so combining oneWay with a non-default policy is

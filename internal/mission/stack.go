@@ -104,17 +104,18 @@ const (
 )
 
 // StackConfig configures the full RTA-protected surveillance stack of
-// Figure 8 (or its unprotected baselines).
+// Figure 8 (or its unprotected baselines). DefaultStackConfig is the one
+// table of its defaults: Build takes every other field as given, so a
+// configuration starts from that table and changes what it needs.
 type StackConfig struct {
-	// Workspace is the obstacle map; defaults to geom.CityWorkspace().
+	// Workspace is the obstacle map; nil selects geom.CityWorkspace().
 	Workspace *geom.Workspace
 	// PlantParams are the drone's physical parameters.
 	PlantParams plant.Params
 	// Margin is the drone bounding radius used in all clearance checks.
 	Margin float64
-	// PlanMargin is the clearance planners aim for; zero defaults to
-	// Margin + 0.8 so reference paths stay out of the DM's switching band.
-	// Workloads whose waypoints intentionally hug obstacles set it lower.
+	// PlanMargin is the clearance planners aim for. Workloads whose
+	// waypoints intentionally hug obstacles set it below the default.
 	PlanMargin float64
 	// MotionDelta is Δ of the motion-primitive module.
 	MotionDelta time.Duration
@@ -139,7 +140,7 @@ type StackConfig struct {
 	// classic Simplex baseline for the switching ablation.
 	OneWaySwitching bool
 	// SwitchPolicy names the motion-primitive module's switching policy in
-	// the rta policy registry ("soter-fig9", "sticky-sc:25", "hysteresis",
+	// rta's policy table ("soter-fig9", "sticky-sc:25", "hysteresis",
 	// "always-ac", "always-sc"); empty selects the paper's Figure 9 rules.
 	// The planner and battery modules always run the default policy — the
 	// policy axis ablates the motion layer, the module the paper's switching
@@ -162,9 +163,16 @@ type StackConfig struct {
 // DefaultStackConfig returns the configuration used throughout the
 // evaluation, mirroring the paper's setup.
 func DefaultStackConfig(seed int64) StackConfig {
+	const margin = 0.45
 	return StackConfig{
-		PlantParams:        plant.DefaultParams(),
-		Margin:             0.45,
+		PlantParams: plant.DefaultParams(),
+		Margin:      margin,
+		// Planners aim for more clearance than the safety margin: a
+		// reference path that hugs obstacles at exactly the margin keeps the
+		// drone inside the DM's switching band, forcing needless
+		// disengagements. The safety checks (module predicates, φplan
+		// validation) still use Margin.
+		PlanMargin:         margin + 0.8,
 		MotionDelta:        100 * time.Millisecond,
 		Hysteresis:         2.0,
 		Protection:         ProtectRTA,
@@ -188,7 +196,7 @@ type Stack struct {
 	BatteryModule   *rta.Module
 	// AppNode gives metrics access to the surveillance progress.
 	AppNode *node.Node
-	// Config echoes the (defaulted) configuration.
+	// Config echoes the configuration.
 	Config StackConfig
 }
 
@@ -216,28 +224,19 @@ func LandingWorkspace(ws *geom.Workspace) (*geom.Workspace, error) {
 	return geom.NewWorkspace(b, ws.ObstaclesView())
 }
 
-// Build assembles the stack.
+// Build assembles the stack. It fills in no stack default but a nil
+// workspace: a value the components cannot use (Δ ≤ 0, hysteresis < 1, an
+// unknown protection mode or AC kind, a non-positive plan margin) is an
+// error.
 func Build(cfg StackConfig) (*Stack, error) {
 	if cfg.Workspace == nil {
 		cfg.Workspace = geom.CityWorkspace()
 	}
-	if cfg.Margin <= 0 {
-		cfg.Margin = 0.45
-	}
-	if cfg.MotionDelta <= 0 {
-		cfg.MotionDelta = 100 * time.Millisecond
-	}
-	if cfg.Hysteresis < 1 {
-		cfg.Hysteresis = 2.0
-	}
-	if cfg.Protection == 0 {
-		cfg.Protection = ProtectRTA
-	}
-	if cfg.AC == 0 {
-		cfg.AC = ACAggressive
-	}
 	if err := cfg.PlantParams.Validate(); err != nil {
 		return nil, fmt.Errorf("stack: %w", err)
+	}
+	if cfg.PlanMargin <= 0 {
+		return nil, fmt.Errorf("stack: plan margin %v must be positive", cfg.PlanMargin)
 	}
 
 	limits := controller.Limits{
@@ -251,28 +250,19 @@ func Build(cfg StackConfig) (*Stack, error) {
 		// fraction of a braking maneuver; see plant.Params.LagTau.
 		BrakeDecel: 0.8 * cfg.PlantParams.MaxAccel,
 	}
-	// Planners aim for more clearance than the safety margin: a reference
-	// path that hugs obstacles at exactly the margin keeps the drone inside
-	// the DM's switching band, forcing needless disengagements. The safety
-	// checks (module predicates, φplan validation) still use cfg.Margin.
-	planMargin := cfg.PlanMargin
-	if planMargin <= 0 {
-		planMargin = cfg.Margin + 0.8
-	}
-
 	// Seed-independent artifacts (derived workspaces, analyzers, the
 	// certified A* grid) are pure functions of geometry and safety
 	// parameters, so sweep missions share one pooled set instead of
 	// rebuilding per mission. On a hit the canonical workspace instance also
 	// replaces cfg.Workspace, so every mission reuses its query indexes.
-	key := artifactKeyFor(cfg.Workspace, bounds, cfg.Margin, cfg.Hysteresis, planMargin, cfg.MotionDelta)
+	key := artifactKeyFor(cfg.Workspace, bounds, cfg.Margin, cfg.Hysteresis, cfg.PlanMargin, cfg.MotionDelta)
 	var arts *artifacts
 	if !cfg.FreshArtifacts {
 		arts = sharedArtifacts.get(key, cfg.Workspace)
 	}
 	if arts == nil {
 		var err error
-		arts, err = buildArtifacts(cfg.Workspace, bounds, cfg.Margin, cfg.Hysteresis, planMargin, cfg.MotionDelta)
+		arts, err = buildArtifacts(cfg.Workspace, bounds, cfg.Margin, cfg.Hysteresis, cfg.PlanMargin, cfg.MotionDelta)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
@@ -307,11 +297,11 @@ func Build(cfg StackConfig) (*Stack, error) {
 	plain = append(plain, appNode)
 
 	// --- Motion planner layer ----------------------------------------------
-	astar := plan.NewAStarOnGrid(cfg.Workspace, arts.astarGrid, planMargin)
+	astar := plan.NewAStarOnGrid(cfg.Workspace, arts.astarGrid, cfg.PlanMargin)
 	if cfg.WithPlannerModule {
 		// The untrusted RRT* exists only as the module's AC: planner-off
 		// stacks never sample, so they never build one.
-		rrt, err := plan.NewRRTStar(cfg.Workspace, rrtConfig(cfg, planMargin))
+		rrt, err := plan.NewRRTStar(cfg.Workspace, rrtConfig(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
@@ -394,7 +384,10 @@ func Build(cfg StackConfig) (*Stack, error) {
 	plain = append(plain, wpm)
 
 	// --- Motion primitive layer ----------------------------------------------
-	ac := buildAC(cfg, limits)
+	ac, err := buildAC(cfg, limits)
+	if err != nil {
+		return nil, fmt.Errorf("stack: %w", err)
+	}
 	sc := controller.NewSafe(analyzer, limits, primitivePeriod)
 	policy, err := rta.ParsePolicy(cfg.SwitchPolicy)
 	if err != nil {
@@ -442,23 +435,25 @@ func Build(cfg StackConfig) (*Stack, error) {
 
 // buildAC constructs the configured untrusted advanced controller, with
 // fault injection when requested.
-func buildAC(cfg StackConfig, limits controller.Limits) controller.Controller {
+func buildAC(cfg StackConfig, limits controller.Limits) (controller.Controller, error) {
 	var ac controller.Controller
 	switch cfg.AC {
+	case ACAggressive:
+		ac = controller.NewAggressive(limits)
 	case ACLearned:
 		ac = controller.NewLearned(limits, cfg.LearnedBadFraction, cfg.Seed)
 	default:
-		ac = controller.NewAggressive(limits)
+		return nil, fmt.Errorf("unknown AC kind %v", cfg.AC)
 	}
 	if len(cfg.ACFaults) > 0 {
 		ac = controller.WithFaults(ac, limits, cfg.ACFaults)
 	}
-	return ac
+	return ac, nil
 }
 
-func rrtConfig(cfg StackConfig, planMargin float64) plan.RRTStarConfig {
+func rrtConfig(cfg StackConfig) plan.RRTStarConfig {
 	r := plan.DefaultRRTStarConfig(cfg.Seed)
-	r.Margin = planMargin
+	r.Margin = cfg.PlanMargin
 	r.Bug = cfg.PlannerBug
 	r.BugRate = cfg.PlannerBugRate
 	if r.BugRate == 0 && cfg.PlannerBug == plan.BugSkipEdgeCheck {

@@ -32,7 +32,10 @@ func TestNewBackwardReachSetValidation(t *testing.T) {
 	if _, err := NewBackwardReachSet(nil, 1); err == nil {
 		t.Error("nil grid accepted")
 	}
-	ws := geom.OpenWorkspace(geom.Box(geom.V(0, 0, 0), geom.V(5, 5, 5)))
+	ws, err := geom.NewWorkspace(geom.Box(geom.V(0, 0, 0), geom.V(5, 5, 5)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	grid, err := geom.NewGrid(ws, 1, 0)
 	if err != nil {
 		t.Fatal(err)

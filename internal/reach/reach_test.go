@@ -181,7 +181,10 @@ func testAnalyzer(t *testing.T) *Analyzer {
 }
 
 func TestNewAnalyzerValidation(t *testing.T) {
-	ws := geom.OpenWorkspace(geom.Box(geom.V(0, 0, 0), geom.V(10, 10, 10)))
+	ws, err := geom.NewWorkspace(geom.Box(geom.V(0, 0, 0), geom.V(10, 10, 10)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := NewAnalyzer(nil, testBounds(), 0.4, time.Second, 1); err == nil {
 		t.Error("nil workspace accepted")
 	}

@@ -12,6 +12,13 @@
 // P1b), hooks for discharging the semantic obligations (P2a, P2b, P3)
 // through a Certificate, the module invariant φInv of Theorem 3.1, and the
 // output-disjoint composition of modules into RTA systems (Theorem 4.1).
+//
+// The Figure 9 rules are one switching Policy among several. A fixed table
+// names the built-ins (soter-fig9, sticky-sc, hysteresis, always-ac,
+// always-sc) for ParsePolicy, so a policy spec means the same behaviour in
+// every process; an application's own policy is passed as Decl.Policy.
+// Whatever the policy, the module clamps an AC proposal to SC whenever
+// ttf2Δ fails, so Theorem 3.1 holds for every policy.
 package rta
 
 import (

@@ -12,10 +12,10 @@ package rta
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/pubsub"
@@ -269,13 +269,7 @@ func (alwaysSC) Decide(_ PolicyState, _ *DecisionContext) (Mode, PolicyState, Sw
 	return ModeSC, nil, ReasonNone
 }
 
-// --- Registry ---------------------------------------------------------------
-
-// PolicyFactory builds a policy instance from the integer parameter of a
-// policy spec ("name:K"). param is 0 when the spec had no parameter; the
-// factory substitutes its default. Factories for parameterless policies must
-// reject a non-zero param.
-type PolicyFactory func(param int) (Policy, error)
+// --- Policy table -----------------------------------------------------------
 
 // Built-in parameter defaults.
 const (
@@ -285,76 +279,47 @@ const (
 	DefaultHysteresisPeriods = 3
 )
 
-var policies = struct {
-	sync.RWMutex
-	factories map[string]PolicyFactory
-}{factories: make(map[string]PolicyFactory)}
-
-func init() {
-	mustRegister := func(name string, f PolicyFactory) {
-		if err := RegisterPolicy(name, f); err != nil {
-			panic(err)
-		}
-	}
-	noParam := func(name string, p Policy) PolicyFactory {
-		return func(param int) (Policy, error) {
-			if param != 0 {
-				return nil, fmt.Errorf("policy %q takes no parameter", name)
-			}
-			return p, nil
-		}
-	}
-	mustRegister(DefaultPolicyName, noParam(DefaultPolicyName, fig9{}))
-	mustRegister("always-ac", noParam("always-ac", alwaysAC{}))
-	mustRegister("always-sc", noParam("always-sc", alwaysSC{}))
-	mustRegister("sticky-sc", func(param int) (Policy, error) {
+// policies maps each policy name — the first component of a spec — to the
+// factory building it from the spec's integer parameter ("name:K"). The
+// parameter is 0 when the spec had none; factories substitute their default
+// or reject a parameter they do not take. The table is fixed, so a spec
+// names the same behaviour in every process — what lets a scenario
+// fingerprint hash it. A new built-in is a new entry here; an application's
+// own policy goes straight into Decl.Policy.
+var policies = map[string]func(param int) (Policy, error){
+	DefaultPolicyName: noParam(fig9{}),
+	"always-ac":       noParam(alwaysAC{}),
+	"always-sc":       noParam(alwaysSC{}),
+	"sticky-sc": func(param int) (Policy, error) {
 		if param == 0 {
 			param = DefaultStickyDwell
 		}
 		return stickySC{dwell: param}, nil
-	})
-	mustRegister("hysteresis", func(param int) (Policy, error) {
+	},
+	"hysteresis": func(param int) (Policy, error) {
 		if param == 0 {
 			param = DefaultHysteresisPeriods
 		}
 		return hysteresis{periods: param}, nil
-	})
+	},
 }
 
-// RegisterPolicy adds a named policy factory to the registry. Names are the
-// first component of a policy spec ("name" or "name:K") and must not contain
-// ':'. Registering over an existing name is an error.
-func RegisterPolicy(name string, f PolicyFactory) error {
-	if name == "" || strings.Contains(name, ":") {
-		return fmt.Errorf("invalid policy name %q", name)
+// noParam is the factory of a policy that takes no parameter.
+func noParam(p Policy) func(param int) (Policy, error) {
+	return func(param int) (Policy, error) {
+		if param != 0 {
+			return nil, fmt.Errorf("policy %q takes no parameter", p.Name())
+		}
+		return p, nil
 	}
-	if f == nil {
-		return fmt.Errorf("policy %q: nil factory", name)
-	}
-	policies.Lock()
-	defer policies.Unlock()
-	if _, dup := policies.factories[name]; dup {
-		return fmt.Errorf("policy %q already registered", name)
-	}
-	policies.factories[name] = f
-	return nil
 }
 
-// PolicyNames returns the registered policy names, sorted.
-func PolicyNames() []string {
-	policies.RLock()
-	defer policies.RUnlock()
-	out := make([]string, 0, len(policies.factories))
-	for name := range policies.factories {
-		out = append(out, name)
-	}
-	slices.Sort(out)
-	return out
-}
+// PolicyNames returns the policy names, sorted.
+func PolicyNames() []string { return slices.Sorted(maps.Keys(policies)) }
 
 // ParsePolicy resolves a policy spec — "name" or "name:K" with K a positive
-// integer parameter — against the registry. The empty spec resolves to the
-// default Figure 9 policy.
+// integer parameter — against the policy table. The empty spec resolves to
+// the default Figure 9 policy.
 func ParsePolicy(spec string) (Policy, error) {
 	name, param := spec, 0
 	if spec == "" {
@@ -369,20 +334,11 @@ func ParsePolicy(spec string) (Policy, error) {
 		}
 		param = n
 	}
-	policies.RLock()
-	f, ok := policies.factories[name]
-	policies.RUnlock()
+	f, ok := policies[name]
 	if !ok {
 		return nil, fmt.Errorf("unknown policy %q (have: %s)", name, strings.Join(PolicyNames(), ", "))
 	}
-	p, err := f(param)
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, fmt.Errorf("policy %q: factory returned nil", name)
-	}
-	return p, nil
+	return f(param)
 }
 
 // CanonicalPolicySpec normalizes a policy spec to its canonical form, with

@@ -2,6 +2,7 @@ package rta
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -185,8 +186,8 @@ func TestClampHoldsForAdversarialPolicies(t *testing.T) {
 	}
 }
 
-// TestPolicyRegistry exercises spec parsing, canonicalization and
-// registration edge cases.
+// TestPolicyRegistry exercises spec parsing and canonicalization edge cases
+// and pins the fixed table to the five built-ins.
 func TestPolicyRegistry(t *testing.T) {
 	for _, name := range []string{"soter-fig9", "sticky-sc", "hysteresis", "always-ac", "always-sc"} {
 		if _, err := ParsePolicy(name); err != nil {
@@ -221,17 +222,12 @@ func TestPolicyRegistry(t *testing.T) {
 		}
 	}
 
-	if err := RegisterPolicy("soter-fig9", func(int) (Policy, error) { return fig9{}, nil }); err == nil {
-		t.Error("duplicate registration succeeded")
-	}
-	if err := RegisterPolicy("bad:name", func(int) (Policy, error) { return fig9{}, nil }); err == nil {
-		t.Error("colon-bearing name registered")
-	}
-	if err := RegisterPolicy("nil-factory", nil); err == nil {
-		t.Error("nil factory registered")
+	want := []string{"always-ac", "always-sc", "hysteresis", "soter-fig9", "sticky-sc"}
+	if got := PolicyNames(); !slices.Equal(got, want) {
+		t.Errorf("PolicyNames() = %v, want %v", got, want)
 	}
 	if _, err := ParsePolicy("no-such-policy"); err == nil || !strings.Contains(err.Error(), "soter-fig9") {
-		t.Errorf("unknown-policy error should list the registry, got: %v", err)
+		t.Errorf("unknown-policy error should list the policy names, got: %v", err)
 	}
 }
 

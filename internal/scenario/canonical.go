@@ -11,7 +11,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mission"
 	"repro/internal/plan"
-	"repro/internal/rta"
 )
 
 // canonicalExcluded lists the Spec fields deliberately absent from the
@@ -58,82 +57,49 @@ type canonicalSpec struct {
 // Canonical returns a deterministic serialization of the mission the Spec
 // denotes: the same workload always yields byte-identical output, regardless
 // of how the Spec was assembled (registry lookup, overrides, hand-written
-// literal). It validates first, resolves the workspace factory and the
-// defaulted start position, and serializes the remaining declarative fields
-// in a fixed schema — which makes it a sound cache key for anything derived
-// deterministically from (Spec, seed), the property the serving layer's
-// result cache is built on.
+// literal). It reads the resolved Spec that Build compiles — the workspace
+// factory as concrete geometry, every "zero means default" knob as its
+// effective value, the policy spec in canonical form — so a Spec spelling a
+// default explicitly fingerprints like one leaving it unset, and "sticky-sc"
+// shares an entry with "sticky-sc:10". That makes it a sound cache key for
+// anything derived deterministically from (Spec, seed), the property the
+// serving layer's result cache is built on.
 func (s Spec) Canonical() ([]byte, error) {
-	if err := s.Validate(); err != nil {
+	r, err := s.resolve()
+	if err != nil {
 		return nil, err
 	}
-	ws := s.workspace()
-	// Every "zero means default" knob is resolved to the effective value the
-	// Build path would use (Spec.StackConfig, mission.DefaultStackConfig and
-	// mission.Build's clamping), so a Spec spelling a default explicitly
-	// fingerprints identically to one leaving it unset —
-	// TestCanonicalResolvesDefaults holds the two paths together.
-	c := canonicalSpec{
-		WorkspaceBounds:    ws.Bounds(),
-		WorkspaceObstacles: ws.ObstaclesView(),
-		Targets:            s.Targets,
-		RandomTargets:      s.RandomTargets,
-		Start:              s.start(),
-		InitialBattery:     defaultIfZero(s.InitialBattery, 1),
-		DrainMultiple:      defaultIfZero(s.DrainMultiple, 1),
-		Protection:         s.Protection,
-		AC:                 s.AC,
-		LearnedBadFraction: defaultIfZero(s.LearnedBadFraction, 0.12),
-		NoPlannerModule:    s.NoPlannerModule,
-		NoBatteryModule:    s.NoBatteryModule,
-		OneWaySwitching:    s.OneWaySwitching,
-		MotionDeltaNS:      s.MotionDelta,
-		Hysteresis:         s.Hysteresis,
-		PlanMargin:         s.PlanMargin,
+	cfg := r.stack
+	out, err := json.Marshal(canonicalSpec{
+		WorkspaceBounds:    cfg.Workspace.Bounds(),
+		WorkspaceObstacles: cfg.Workspace.ObstaclesView(),
+		Targets:            cfg.App.Points,
+		RandomTargets:      cfg.App.Random,
+		Start:              r.start,
+		InitialBattery:     r.battery,
+		DrainMultiple:      r.drain,
+		Protection:         cfg.Protection,
+		AC:                 cfg.AC,
+		LearnedBadFraction: cfg.LearnedBadFraction,
+		NoPlannerModule:    !cfg.WithPlannerModule,
+		NoBatteryModule:    !cfg.WithBatteryModule,
+		OneWaySwitching:    cfg.OneWaySwitching,
+		MotionDeltaNS:      cfg.MotionDelta,
+		Hysteresis:         cfg.Hysteresis,
+		SwitchPolicy:       cfg.SwitchPolicy,
+		PlanMargin:         cfg.PlanMargin,
 		Faults:             s.Faults,
-		PlannerBug:         s.PlannerBug,
-		PlannerBugRate:     s.PlannerBugRate,
+		PlannerBug:         cfg.PlannerBug,
+		PlannerBugRate:     cfg.PlannerBugRate,
 		JitterProb:         s.JitterProb,
 		JitterSCOnly:       s.JitterSCOnly,
 		DurationNS:         s.Duration,
 		InvariantMonitor:   s.InvariantMonitor,
-	}
-	if c.Protection == 0 {
-		c.Protection = mission.ProtectRTA
-	}
-	if c.AC == 0 {
-		c.AC = mission.ACAggressive
-	}
-	if c.MotionDeltaNS <= 0 {
-		c.MotionDeltaNS = 100 * time.Millisecond
-	}
-	if c.Hysteresis < 1 {
-		c.Hysteresis = 2.0 // mission.Build clamps sub-1 values to the default
-	}
-	if c.PlanMargin <= 0 {
-		c.PlanMargin = 0.45 + 0.8 // default margin + planner slack
-	}
-	// The policy spec is normalized so every spelling of the same switching
-	// behaviour — "", "soter-fig9", "sticky-sc" vs "sticky-sc:10" — shares
-	// one cache entry, while genuinely different policies never collide.
-	pol, err := rta.CanonicalPolicySpec(s.SwitchPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: canonicalize: %w", s.Name, err)
-	}
-	c.SwitchPolicy = pol
-	out, err := json.Marshal(c)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: canonicalize: %w", s.Name, err)
 	}
 	return out, nil
-}
-
-// defaultIfZero resolves a "zero means default" float knob.
-func defaultIfZero(v, def float64) float64 {
-	if v == 0 {
-		return def
-	}
-	return v
 }
 
 // Fingerprint hashes the canonical form of (Spec, seed) into a short stable

@@ -10,6 +10,12 @@
 // experiment sweeps and the fleet grid builder (fleet.ScenarioGrid) can run
 // any of them by name; registering a new workload is a ~30-line Spec instead
 // of a new package.
+//
+// A knob a Spec leaves zero takes its value from mission.DefaultStackConfig,
+// the one table of stack defaults; the switching policy names an entry of
+// rta's fixed policy table. Build and Canonical read the same resolved Spec,
+// so the fingerprint the result store keys on names exactly the mission
+// that runs.
 package scenario
 
 import (
@@ -112,9 +118,9 @@ type Spec struct {
 	// DrainMultiple scales both battery drain rates; zero defaults to 1.
 	DrainMultiple float64
 
-	// Protection selects RTA / AC-only / SC-only for the motion layer
-	// (zero = ProtectRTA); AC selects the untrusted motion primitive
-	// (zero = ACAggressive) and LearnedBadFraction its corruption level.
+	// Protection selects RTA / AC-only / SC-only for the motion layer; AC
+	// selects the untrusted motion primitive and LearnedBadFraction its
+	// corruption level. Zero keeps mission.DefaultStackConfig's value.
 	Protection         mission.ProtectionMode
 	AC                 mission.ACKind
 	LearnedBadFraction float64
@@ -129,14 +135,14 @@ type Spec struct {
 	MotionDelta time.Duration
 	Hysteresis  float64
 	// SwitchPolicy names the motion-primitive module's switching policy in
-	// the rta policy registry ("soter-fig9", "sticky-sc:25", "hysteresis:5",
+	// rta's policy table ("soter-fig9", "sticky-sc:25", "hysteresis:5",
 	// "always-ac", "always-sc"); empty selects the paper's Figure 9 rules.
 	// Safety is policy-independent (the module clamps unsafe AC proposals to
 	// SC), so the policy is a pure performance/conservatism axis — the
 	// sweepable ablation dimension of the Section V comparisons.
 	SwitchPolicy string
-	// PlanMargin is the clearance planners aim for; zero defaults to the
-	// safety margin + 0.8. Scenarios whose routes intentionally hug
+	// PlanMargin is the clearance planners aim for; zero keeps
+	// mission.DefaultStackConfig's. Scenarios whose routes intentionally hug
 	// obstacles (narrow passages, corner hazards) set it lower.
 	PlanMargin float64
 
@@ -238,26 +244,47 @@ func (s Spec) start() geom.Vec3 {
 	return defaultStart
 }
 
-// StackConfig compiles the Spec into the mission-stack configuration it
-// denotes, without building the stack. Build is the one-call path; this is
-// exposed for callers that want to tweak the stack further.
-func (s Spec) StackConfig(seed int64) (mission.StackConfig, error) {
+// resolved is the mission a Spec denotes, with every "zero means default"
+// knob replaced by the value that runs. StackConfig and Canonical both read
+// it, so a fingerprint names exactly the mission Build compiles.
+type resolved struct {
+	// stack is the stack configuration short of the seed and the fault
+	// windows, which depend on the seed. Its SwitchPolicy is canonical.
+	stack mission.StackConfig
+	// drain is the battery drain multiple already applied to
+	// stack.PlantParams.
+	drain float64
+	// start and battery are the initial position and charge.
+	start   geom.Vec3
+	battery float64
+}
+
+// resolve validates the Spec and resolves it: a knob the Spec leaves zero
+// takes its value from mission.DefaultStackConfig, the one table of stack
+// defaults.
+func (s Spec) resolve() (resolved, error) {
 	if err := s.Validate(); err != nil {
-		return mission.StackConfig{}, err
+		return resolved{}, err
 	}
-	ws := s.workspace()
-	params := plant.DefaultParams()
+	pol, err := rta.CanonicalPolicySpec(s.SwitchPolicy)
+	if err != nil {
+		return resolved{}, fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
+	r := resolved{stack: mission.DefaultStackConfig(0), drain: 1, start: s.start(), battery: 1}
+	cfg := &r.stack
+	cfg.Workspace = s.workspace()
 	if s.DrainMultiple > 0 {
-		params.IdleDrainPerSec *= s.DrainMultiple
-		params.AccelDrainPerSec *= s.DrainMultiple
+		r.drain = s.DrainMultiple
 	}
-	cfg := mission.DefaultStackConfig(seed)
-	cfg.Workspace = ws
-	cfg.PlantParams = params
+	cfg.PlantParams.IdleDrainPerSec *= r.drain
+	cfg.PlantParams.AccelDrainPerSec *= r.drain
+	if s.InitialBattery > 0 {
+		r.battery = s.InitialBattery
+	}
 	cfg.WithPlannerModule = !s.NoPlannerModule
 	cfg.WithBatteryModule = !s.NoBatteryModule
 	cfg.OneWaySwitching = s.OneWaySwitching
-	cfg.SwitchPolicy = s.SwitchPolicy
+	cfg.SwitchPolicy = pol
 	cfg.PlannerBug = s.PlannerBug
 	cfg.PlannerBugRate = s.PlannerBugRate
 	if s.Protection != 0 {
@@ -283,8 +310,27 @@ func (s Spec) StackConfig(seed int64) (mission.StackConfig, error) {
 	} else {
 		cfg.App = mission.AppConfig{Points: slices.Clone(s.Targets)}
 	}
+	return r, nil
+}
+
+// seeded completes a resolved stack configuration with the seed and the
+// fault windows the seed places.
+func (s Spec) seeded(r resolved, seed int64) mission.StackConfig {
+	cfg := r.stack
+	cfg.Seed = seed
 	cfg.ACFaults = s.Faults.windows(seed, s.Duration)
-	return cfg, nil
+	return cfg
+}
+
+// StackConfig compiles the Spec into the mission-stack configuration it
+// denotes, without building the stack. Build is the one-call path; this is
+// exposed for callers that want to tweak the stack further.
+func (s Spec) StackConfig(seed int64) (mission.StackConfig, error) {
+	r, err := s.resolve()
+	if err != nil {
+		return mission.StackConfig{}, err
+	}
+	return s.seeded(r, seed), nil
 }
 
 // Build compiles the Spec into a ready closed-loop run configuration: it
@@ -303,10 +349,11 @@ func (s Spec) Build(seed int64) (sim.RunConfig, error) {
 // Tweaked runs are NOT covered by the spec's canonical fingerprint; callers
 // own any caching of their variations.
 func (s Spec) BuildWith(seed int64, tweak func(*mission.StackConfig)) (sim.RunConfig, error) {
-	cfg, err := s.StackConfig(seed)
+	r, err := s.resolve()
 	if err != nil {
 		return sim.RunConfig{}, err
 	}
+	cfg := s.seeded(r, seed)
 	if tweak != nil {
 		tweak(&cfg)
 	}
@@ -314,13 +361,9 @@ func (s Spec) BuildWith(seed int64, tweak func(*mission.StackConfig)) (sim.RunCo
 	if err != nil {
 		return sim.RunConfig{}, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	battery := s.InitialBattery
-	if battery == 0 {
-		battery = 1
-	}
 	return sim.RunConfig{
 		Stack:           st,
-		Initial:         plant.State{Pos: s.start(), Battery: battery},
+		Initial:         plant.State{Pos: r.start, Battery: r.battery},
 		Duration:        s.Duration,
 		Seed:            seed,
 		JitterProb:      s.JitterProb,

@@ -103,7 +103,7 @@ type Overrides struct {
 	Hysteresis *float64 `json:"hysteresis,omitempty"`
 	// MotionDelta overrides the motion-primitive DM period Δ.
 	MotionDelta Duration `json:"motion_delta,omitempty"`
-	// Policy selects the motion module's switching policy by registry spec
+	// Policy selects the motion module's switching policy by spec
 	// ("soter-fig9", "sticky-sc:25", "hysteresis", "always-ac", "always-sc").
 	Policy string `json:"policy,omitempty"`
 	// InvariantMonitor toggles the runtime φInv monitor.
@@ -290,20 +290,12 @@ func (js JobSpec) view(v *JobView, result any) {
 	v.Report, _ = js.report(result).(*ReportView)
 }
 
-// report implements kind: the fleet report's wire form.
+// report implements kind: the fleet report's wire form, labelled with the
+// canonical switching-policy spec of the resolved scenario ("soter-fig9"
+// unless overridden). The spec was validated at submit against rta's fixed
+// policy table, so canonicalizing it cannot fail.
 func (js JobSpec) report(result any) any {
 	rep, _ := result.(*fleet.Report)
-	return reportView(rep, js.policyName())
-}
-
-// policyName is the canonical switching-policy spec of the resolved scenario
-// ("soter-fig9" unless overridden).
-func (js JobSpec) policyName() string {
-	name, err := rta.CanonicalPolicySpec(js.resolved.SwitchPolicy)
-	if err != nil {
-		// The spec was registry-validated at submit; an error here can only
-		// mean the policy was unregistered since — fall back to the raw spec.
-		return js.resolved.SwitchPolicy
-	}
-	return name
+	policy, _ := rta.CanonicalPolicySpec(js.resolved.SwitchPolicy)
+	return reportView(rep, policy)
 }

@@ -99,6 +99,3 @@ func (m *Memory) Stats() TierStats {
 		Evictions: m.evictions,
 	}
 }
-
-// Close implements Store; the memory tier holds no external resources.
-func (m *Memory) Close() error { return nil }

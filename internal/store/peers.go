@@ -244,17 +244,9 @@ func (p *Peers) count(c *int64) {
 	p.mu.Unlock()
 }
 
-// Put implements Store as a no-op: the peer tier is fetch-through only.
-// Results are durable where they were computed; replication happens lazily,
-// on read, and is safe because every copy of a key is byte-identical.
-func (p *Peers) Put(context.Context, string, []byte) {}
-
 // Stats returns a snapshot of the counters.
 func (p *Peers) Stats() TierStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return TierStats{Hits: p.hits, Misses: p.misses, Errors: p.errors}
 }
-
-// Close implements Store; the tier shares its HTTP client with the caller.
-func (p *Peers) Close() error { return nil }

@@ -8,12 +8,21 @@
 // bytes, and a remembered result is observationally indistinguishable from a
 // fresh simulation.
 //
-// The store composes three tiers behind one Store interface:
+// The store composes three concrete tiers, each an associative cache of
+// canonical result bytes keyed by mission fingerprints and safe for
+// concurrent use:
 //
 //	tier 0  Memory  in-process LRU — the hot set, zero IO
 //	tier 1  Disk    fingerprint-sharded files — survives restarts
 //	tier 2  Peers   rendezvous-ordered fetch-through from sibling
 //	                soter-serve processes over GET /store/{key}
+//
+// A tier's Get takes a context because it may do IO (disk) or RPC (peers),
+// and a tier that misses — for any reason, including cancellation or
+// corruption — returns false rather than an error: the caller can always
+// fall back to simulating. Peers is fetch-through only: results are durable
+// where they were computed, and replication happens lazily, on read, which
+// is safe because every copy of a key is byte-identical.
 //
 // Tiered walks them in order and promotes hits upward, so N processes with
 // disk tiers and each other as peers form one logical cache. In front of the
@@ -29,23 +38,6 @@ import (
 	"encoding/hex"
 	"sync"
 )
-
-// Store is the tier contract: an associative cache of canonical result bytes
-// keyed by mission fingerprints (scenario.Spec.Fingerprint(seed) hex
-// strings). Implementations are safe for concurrent use. Get and Put take a
-// context because a tier may do IO (disk) or RPC (peers); a tier that misses
-// — for any reason, including cancellation or corruption — returns false
-// rather than an error: the caller can always fall back to simulating.
-type Store interface {
-	// Get returns the bytes stored under key.
-	Get(ctx context.Context, key string) ([]byte, bool)
-	// Put stores val under key. Callers must not mutate val afterwards.
-	Put(ctx context.Context, key string, val []byte)
-	// Stats snapshots the tier's counters.
-	Stats() TierStats
-	// Close releases the tier's resources.
-	Close() error
-}
 
 // TierStats is one tier's counter snapshot. Fields that do not apply to a
 // tier (capacity for peers, bytes for memory) stay zero and are omitted on
@@ -362,7 +354,8 @@ func (t *Tiered) Stats() Stats {
 	return st
 }
 
-// Close aborts in-flight fills and closes every tier.
+// Close aborts in-flight fills and closes the disk tier, the only tier
+// holding external resources.
 func (t *Tiered) Close() error {
 	t.mu.Lock()
 	flights := make([]*flight, 0, len(t.inflight))
@@ -374,16 +367,8 @@ func (t *Tiered) Close() error {
 	for _, fl := range flights {
 		fl.resolve(nil, false)
 	}
-	err := t.memory.Close()
 	if t.disk != nil {
-		if derr := t.disk.Close(); err == nil {
-			err = derr
-		}
+		return t.disk.Close()
 	}
-	if t.peers != nil {
-		if perr := t.peers.Close(); err == nil {
-			err = perr
-		}
-	}
-	return err
+	return nil
 }

@@ -49,6 +49,13 @@
 //	defer cancel()
 //	_ = exec.Run(ctx, time.Minute) // cancellation-aware; RunUntil(d) = Run(context.Background(), d)
 //
+// A module runs the Figure 9 switching rules unless ModuleDecl.Policy
+// supplies another Policy; whatever a policy proposes, the module clamps AC
+// to SC whenever ttf2Δ fails. Scenarios, jobs and CLIs name policies by spec
+// string from a fixed table of built-ins (ParsePolicy), so a name means the
+// same behaviour in every process; an application's own policy needs no
+// name.
+//
 // The internal packages supply everything the paper's evaluation needs: the
 // drone plant, reachability analyses standing in for FaSTrack / the
 // Level-Set Toolbox, the RRT* and A* planners, the battery monitor, the
@@ -102,8 +109,6 @@ type (
 	Policy = rta.Policy
 	// PolicyState is a policy's private per-module state.
 	PolicyState = rta.PolicyState
-	// PolicyFactory builds a policy from the parameter of a "name:K" spec.
-	PolicyFactory = rta.PolicyFactory
 	// DecisionContext is what a policy observes at a DM sampling instant.
 	DecisionContext = rta.DecisionContext
 	// SwitchReason explains a DM decision (ttf-trip, recovery, clamped, ...).
@@ -163,15 +168,12 @@ const (
 	ReasonCoordinated = rta.ReasonCoordinated
 )
 
-// RegisterPolicy adds a named switching-policy factory to the registry, so
-// scenarios, jobs and CLIs can select it by spec string ("name" or
-// "name:K"). Built-ins: soter-fig9 (the paper's Figure 9 rules, the
-// default), sticky-sc (minimum SC dwell), hysteresis (recovery debounce),
-// always-ac and always-sc (ablation bounds).
-func RegisterPolicy(name string, f PolicyFactory) error { return rta.RegisterPolicy(name, f) }
-
-// ParsePolicy resolves a policy spec against the registry ("" selects the
-// default Figure 9 policy).
+// ParsePolicy resolves a policy spec ("name" or "name:K") against the fixed
+// table of built-in policies that scenarios, jobs and CLIs select from:
+// soter-fig9 (the paper's Figure 9 rules, the default, also selected by
+// ""), sticky-sc (minimum SC dwell), hysteresis (recovery debounce),
+// always-ac and always-sc (ablation bounds). An application's own Policy
+// needs no name: it goes straight into ModuleDecl.Policy.
 func ParsePolicy(spec string) (Policy, error) { return rta.ParsePolicy(spec) }
 
 // CanonicalPolicySpec normalizes a policy spec, making the default name and
