@@ -16,6 +16,24 @@ func TestBoxNormalisesCorners(t *testing.T) {
 	}
 }
 
+// boxAt constructs an AABB centred at c with half-extents h.
+func boxAt(c, h Vec3) AABB {
+	return AABB{Min: c.Sub(h), Max: c.Add(h)}
+}
+
+func TestBoxAt(t *testing.T) {
+	b := boxAt(V(1, 1, 1), V(0.5, 1, 2))
+	if !vecAlmostEq(b.Min, V(0.5, 0, -1)) || !vecAlmostEq(b.Max, V(1.5, 2, 3)) {
+		t.Errorf("boxAt = %v", b)
+	}
+	if !vecAlmostEq(b.Center(), V(1, 1, 1)) {
+		t.Errorf("Center = %v", b.Center())
+	}
+	if !vecAlmostEq(b.Size(), V(1, 2, 4)) {
+		t.Errorf("Size = %v", b.Size())
+	}
+}
+
 func TestAABBContains(t *testing.T) {
 	b := Box(V(0, 0, 0), V(10, 10, 10))
 	tests := []struct {
