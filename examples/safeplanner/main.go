@@ -37,10 +37,7 @@ func run(seed int64, queries int) error {
 	ws := geom.CityWorkspace()
 	const margin = 0.45
 
-	buggyCfg := plan.DefaultRRTStarConfig(seed)
-	buggyCfg.Margin = margin
-	buggyCfg.Bug = plan.BugSkipEdgeCheck
-	buggyCfg.BugRate = 0.3
+	buggyCfg := plan.RRTStarConfig{Margin: margin, Seed: seed, Bug: plan.BugSkipEdgeCheck, BugRate: plan.DefaultBugRate}
 	buggy, err := plan.NewRRTStar(ws, buggyCfg)
 	if err != nil {
 		return err
@@ -81,7 +78,7 @@ func run(seed int64, queries int) error {
 	// Closed loop: the buggy planner wrapped in the RTA module.
 	cfg := mission.DefaultStackConfig(seed)
 	cfg.PlannerBug = plan.BugSkipEdgeCheck
-	cfg.PlannerBugRate = 0.3
+	cfg.PlannerBugRate = plan.DefaultBugRate
 	cfg.App = mission.AppConfig{Random: true}
 	st, err := mission.Build(cfg)
 	if err != nil {

@@ -1,14 +1,16 @@
 // Package battery implements the battery-safety RTA components of
 // Section V-B. The module's state is the drone state augmented with the
 // battery charge bt; the safety property is φbat: the drone must never crash
-// because of low battery — φsafe := bt > 0, φsafer := bt > SaferThreshold
-// (85% in the paper). The switching condition is
+// because of low battery — φsafe := bt > 0, φsafer := bt > 85% (the paper's
+// threshold). The switching condition is
 //
 //	ttf2Δ(bt, φsafe) = bt − cost* < Tmax
 //
 // where Tmax is the maximum battery charge required to land (conservatively,
 // from the maximum attainable height) and cost* = max_u cost(u, 2Δ) is the
-// maximum discharge over 2Δ across all controls.
+// maximum discharge over 2Δ across all controls. The φsafer threshold, the
+// lander's guaranteed descent rate (1 m/s) and Tmax's safety factor (2) are
+// fixed; Config carries what varies between stacks.
 package battery
 
 import (
@@ -18,33 +20,36 @@ import (
 	"repro/internal/plant"
 )
 
+// The monitor's fixed parameters, as in the paper's setup.
+const (
+	// saferThreshold is the φsafer charge fraction.
+	saferThreshold = 0.85
+	// descentRate is the guaranteed descent speed (m/s) of the landing safe
+	// controller, used to bound the landing duration.
+	descentRate = 1.0
+	// safetyFactor multiplies the landing budget Tmax.
+	safetyFactor = 2.0
+)
+
 // Monitor evaluates the battery-safety predicates.
 type Monitor struct {
-	params plant.Params
-	delta  time.Duration
+	delta time.Duration
 	// tmax is the precomputed maximum landing budget Tmax.
 	tmax float64
 	// costStar is the precomputed cost* = max_u cost(u, 2Δ).
 	costStar float64
-	// saferThreshold is the φsafer charge fraction (0.85 in the paper).
-	saferThreshold float64
-	// descentRate is the guaranteed descent speed of the landing safe
-	// controller, used to bound the landing duration.
-	descentRate float64
-	// maxHeight is the highest altitude the drone can attain (the workspace
-	// ceiling); Tmax is computed for landing from this height, which is
-	// conservative but computable offline, exactly as in the paper.
-	maxHeight float64
 }
 
-// Config parameterises the monitor.
+// Config parameterises the monitor by what varies between stacks: the
+// plant, the DM period and the workspace ceiling. The φsafer threshold, the
+// lander's descent rate and Tmax's safety factor are fixed.
 type Config struct {
-	Params         plant.Params
-	Delta          time.Duration // Δ of the battery DM (larger than motion Δ)
-	SaferThreshold float64       // φsafer charge fraction, default 0.85
-	DescentRate    float64       // m/s guaranteed by the lander, default 1.0
-	MaxHeight      float64       // workspace ceiling in metres
-	SafetyFactor   float64       // multiplier on Tmax, default 2.0
+	Params plant.Params
+	Delta  time.Duration // Δ of the battery DM (larger than motion Δ)
+	// MaxHeight is the highest altitude the drone can attain (the workspace
+	// ceiling, in metres); Tmax is computed for landing from this height,
+	// which is conservative but computable offline, exactly as in the paper.
+	MaxHeight float64
 }
 
 // NewMonitor precomputes Tmax and cost* for the configuration.
@@ -58,38 +63,13 @@ func NewMonitor(cfg Config) (*Monitor, error) {
 	if cfg.MaxHeight <= 0 {
 		return nil, fmt.Errorf("battery monitor: MaxHeight = %v must be positive", cfg.MaxHeight)
 	}
-	if cfg.SaferThreshold == 0 {
-		cfg.SaferThreshold = 0.85
-	}
-	if cfg.SaferThreshold <= 0 || cfg.SaferThreshold >= 1 {
-		return nil, fmt.Errorf("battery monitor: SaferThreshold = %v must be in (0, 1)", cfg.SaferThreshold)
-	}
-	if cfg.DescentRate == 0 {
-		cfg.DescentRate = 1.0
-	}
-	if cfg.DescentRate <= 0 {
-		return nil, fmt.Errorf("battery monitor: DescentRate = %v must be positive", cfg.DescentRate)
-	}
-	if cfg.SafetyFactor == 0 {
-		cfg.SafetyFactor = 2.0
-	}
-	if cfg.SafetyFactor < 1 {
-		return nil, fmt.Errorf("battery monitor: SafetyFactor = %v must be ≥ 1", cfg.SafetyFactor)
-	}
-
-	m := &Monitor{
-		params:         cfg.Params,
-		delta:          cfg.Delta,
-		saferThreshold: cfg.SaferThreshold,
-		descentRate:    cfg.DescentRate,
-		maxHeight:      cfg.MaxHeight,
-	}
+	m := &Monitor{delta: cfg.Delta}
 	// Tmax: battery required to land from the maximum height at the
 	// guaranteed descent rate, with braking-level control effort, times the
 	// safety factor. Conservative and computed offline (Section V-B).
-	landingTime := time.Duration(cfg.MaxHeight / cfg.DescentRate * float64(time.Second))
+	landingTime := time.Duration(cfg.MaxHeight / descentRate * float64(time.Second))
 	worstLandingControl := cfg.Params.MaxAccel // pessimistic control effort while landing
-	m.tmax = cfg.SafetyFactor * (cfg.Params.IdleDrainPerSec + cfg.Params.AccelDrainPerSec*worstLandingControl) * landingTime.Seconds()
+	m.tmax = safetyFactor * (cfg.Params.IdleDrainPerSec + cfg.Params.AccelDrainPerSec*worstLandingControl) * landingTime.Seconds()
 	// cost* = max_u cost(u, 2Δ).
 	m.costStar = cfg.Params.MaxCost(2 * cfg.Delta)
 	return m, nil
@@ -105,7 +85,7 @@ func (m *Monitor) Tmax() float64 { return m.tmax }
 func (m *Monitor) CostStar() float64 { return m.costStar }
 
 // SaferThreshold returns the φsafer charge fraction.
-func (m *Monitor) SaferThreshold() float64 { return m.saferThreshold }
+func (m *Monitor) SaferThreshold() float64 { return saferThreshold }
 
 // Safe is φsafe := bt > 0 — the drone has not run out of charge. A landed
 // drone is also safe regardless of charge: φbat only forbids crashing
@@ -122,5 +102,5 @@ func (m *Monitor) TTF2Delta(bt float64) bool {
 
 // InSafer is bt ∈ φsafer := bt > SaferThreshold.
 func (m *Monitor) InSafer(bt float64) bool {
-	return bt > m.saferThreshold
+	return bt > saferThreshold
 }

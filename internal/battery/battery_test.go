@@ -42,9 +42,6 @@ func TestNewMonitorValidation(t *testing.T) {
 	}{
 		{"zero delta", func(c *Config) { c.Delta = 0 }},
 		{"zero height", func(c *Config) { c.MaxHeight = 0 }},
-		{"threshold ≥ 1", func(c *Config) { c.SaferThreshold = 1.5 }},
-		{"negative descent", func(c *Config) { c.DescentRate = -1 }},
-		{"safety factor < 1", func(c *Config) { c.SafetyFactor = 0.5 }},
 		{"bad params", func(c *Config) { c.Params.MaxAccel = 0 }},
 	}
 	for _, tt := range tests {
@@ -60,8 +57,6 @@ func TestNewMonitorValidation(t *testing.T) {
 
 func TestTmaxFormula(t *testing.T) {
 	cfg := testConfig()
-	cfg.DescentRate = 1.0
-	cfg.SafetyFactor = 2.0
 	m, err := NewMonitor(cfg)
 	if err != nil {
 		t.Fatal(err)

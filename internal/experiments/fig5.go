@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"time"
 
 	"repro/internal/controller"
-	"repro/internal/fleet"
 	"repro/internal/geom"
 	"repro/internal/plant"
 	"repro/internal/scenario"
@@ -153,13 +151,11 @@ type fig5Loop struct {
 }
 
 // fig5Left runs the learned-controller figure-eight experiment: 12 loops at
-// both sizes (the whole figure takes about 0.2 s), at catalogue seed + 4.
-// Every loop flies the eight at a different location with its own drone and
-// noise stream, so the loop sweep is an independent scenario set and is
-// dispatched through the fleet engine's worker pool, bounded at workers. A
-// cancelled context returns the loops completed so far together with the
-// context's error.
-func fig5Left(ctx context.Context, seed int64, _ bool, workers int) (Outcome, error) {
+// both sizes, at catalogue seed + 4. Every loop flies the eight at a
+// different location with its own drone and noise stream; the loops run in
+// order (the whole figure takes about 0.2 s). A cancelled context returns
+// the loops completed so far together with the context's error.
+func fig5Left(ctx context.Context, seed int64, _ bool, _ int) (Outcome, error) {
 	const laps = 12
 	seed += 4
 	params := plant.DefaultParams()
@@ -169,10 +165,10 @@ func fig5Left(ctx context.Context, seed int64, _ bool, workers int) (Outcome, er
 	params.SensorNoise = 0.12
 	limits := controller.Limits{MaxAccel: params.MaxAccel, MaxVel: params.MaxVel}
 	// The learned policy is stateless (its per-cell gains are derived by
-	// hashing the observed state), so one instance is safely shared by all
-	// loop workers. Figure 5 (left) shows most loops green and some red: at
-	// this corrupted-cell fraction about a third of the loops go red (36%
-	// over catalogue seeds 1–60).
+	// hashing the observed state), so one instance serves every loop.
+	// Figure 5 (left) shows most loops green and some red: at this
+	// corrupted-cell fraction about a third of the loops go red (36% over
+	// catalogue seeds 1–60).
 	learned := controller.NewLearned(limits, 0.08, seed)
 
 	// Figure-eight reference: a Lissajous curve in the XY plane, paced so
@@ -189,9 +185,7 @@ func fig5Left(ctx context.Context, seed int64, _ bool, workers int) (Outcome, er
 	// state-space cells decides its colour. Centers spread ±24 m, six of the
 	// policy's 4 m cells, so loops cross mostly different cells and each is
 	// an independent draw; loops within one cell of each other would share
-	// one verdict, and the seed alone would colour the whole figure. Centers
-	// are drawn sequentially so the scenario set does not depend on the
-	// worker count.
+	// one verdict, and the seed alone would colour the whole figure.
 	const spread = 24.0
 	rng := rand.New(rand.NewSource(seed + 42))
 	center := geom.V(40, 40, 3)
@@ -200,11 +194,12 @@ func fig5Left(ctx context.Context, seed int64, _ bool, workers int) (Outcome, er
 		centers[i] = center.Add(geom.V((rng.Float64()*2-1)*spread, (rng.Float64()*2-1)*spread, 0))
 	}
 
-	loops, err := fleet.Map(ctx, workers, laps, func(ctx context.Context, loop int) (fig5Loop, error) {
-		if err := ctx.Err(); err != nil {
-			return fig5Loop{}, err
+	var loops []fig5Loop
+	var err error
+	for loop, loopCenter := range centers {
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		loopCenter := centers[loop]
 		ref := func(t time.Duration) geom.Vec3 {
 			phase := 2 * math.Pi * float64(t) / float64(period)
 			return loopCenter.Add(geom.V(ax*math.Sin(phase), ay*math.Sin(2*phase), 0))
@@ -228,7 +223,7 @@ func fig5Left(ctx context.Context, seed int64, _ bool, workers int) (Outcome, er
 		// A per-loop drone isolates the sensor-noise stream.
 		drone, err := plant.NewDrone(params, seed+int64(loop)*131)
 		if err != nil {
-			return fig5Loop{}, err
+			return Outcome{}, err
 		}
 		state := plant.State{Pos: ref(0), Battery: 1}
 		var out fig5Loop
@@ -247,19 +242,13 @@ func fig5Left(ctx context.Context, seed int64, _ bool, workers int) (Outcome, er
 				out.max = dev
 			}
 		}
-		return out, nil
-	})
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		panic(err) // beyond cancellation, only NewDrone can fail, and only on invalid static params
+		loops = append(loops, out)
 	}
 
 	res := Fig5LeftResult{Threshold: 0.9}
 	var devSum float64
 	var devCount int
 	for _, l := range loops {
-		if l.devCount == 0 {
-			continue // loop never ran (cancelled sweep): don't score it as safe
-		}
 		res.Loops++
 		devSum += l.devSum
 		devCount += l.devCount

@@ -55,7 +55,7 @@ func fig6(ctx context.Context, seed int64, _ bool, _ int) (Outcome, error) {
 	mcfg.WithBatteryModule = false
 	// The goal sits close to the hazard block beyond it.
 	mcfg.PlanMargin = mcfg.Margin + 0.05
-	mcfg.App = mission.AppConfig{Points: []geom.Vec3{goal}, Workspace: ws}
+	mcfg.App = mission.AppConfig{Points: []geom.Vec3{goal}}
 	// A fault mid-transfer pushes the drone toward the hazard block beyond
 	// the goal.
 	// The fault fires on final approach, pushing the drone through the goal

@@ -48,7 +48,7 @@ func (r Sec5cResult) Format() string {
 // this rate.
 const (
 	sec5cBug     = plan.BugSkipEdgeCheck
-	sec5cBugRate = 0.3
+	sec5cBugRate = plan.DefaultBugRate
 )
 
 // sec5c runs the planner experiment at catalogue seed + 2: 40 open-loop
@@ -64,11 +64,7 @@ func sec5c(ctx context.Context, seed int64, quick bool, _ int) (Outcome, error) 
 	ws := geom.CityWorkspace()
 	const margin = 0.45
 
-	rcfg := plan.DefaultRRTStarConfig(seed)
-	rcfg.Margin = margin
-	rcfg.Bug = sec5cBug
-	rcfg.BugRate = sec5cBugRate
-	buggy, err := plan.NewRRTStar(ws, rcfg)
+	buggy, err := plan.NewRRTStar(ws, plan.RRTStarConfig{Margin: margin, Seed: seed, Bug: sec5cBug, BugRate: sec5cBugRate})
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -167,9 +167,10 @@ func Run(ctx context.Context, missions []Mission, opts Options) *Report {
 	start := time.Now() //soter:nondet-ok Report.Wall measures real elapsed time; it never feeds simulated state
 	ran := make([]bool, len(missions))
 	// Every worker-level error is carried inside its MissionResult, so the
-	// closure returns res.Err into Map's error slot too: the two channels
-	// must agree, and TestRunCancelledBatchContract holds them to it.
-	results, _ := Map(ctx, opts.Workers, len(missions), func(ctx context.Context, i int) (MissionResult, error) {
+	// closure returns res.Err into parallelMap's error slot too: the two
+	// channels must agree, and TestRunCancelledBatchContract holds them to
+	// it.
+	results, _ := parallelMap(ctx, opts.Workers, len(missions), func(ctx context.Context, i int) (MissionResult, error) {
 		ran[i] = true
 		res := runOne(ctx, missions[i], opts.Store)
 		if opts.OnResult != nil {
@@ -280,20 +281,20 @@ func runOne(ctx context.Context, m Mission, st *store.Tiered) (res MissionResult
 	return res
 }
 
-// Map runs fn(0..n-1) across a worker pool bounded at workers (≤0 defaults
-// to GOMAXPROCS) and collects the results in index order. The returned error
-// is the join (errors.Join, in index order) of every per-index error — no
-// worker-level error can be silently dropped. Cancelling the context stops
-// the feed: indices not yet handed to a worker fail with the context's
-// error; indices already in flight run fn to completion (fn receives the
-// context and is expected to honour it).
+// parallelMap is Run's worker pool: it runs fn(0..n-1) across workers
+// goroutines (≤0 defaults to GOMAXPROCS) and collects the results in index
+// order. The returned error is the join (errors.Join, in index order) of
+// every per-index error — no worker-level error can be silently dropped.
+// Cancelling the context stops the feed: indices not yet handed to a worker
+// fail with the context's error; indices already in flight run fn to
+// completion (fn receives the context and is expected to honour it).
 //
 // Index-ordered collection is what lets callers build worker-count-invariant
 // results on top: Run is built on it, and internal/certify and
 // internal/falsify fold each Run batch into their campaign state strictly in
 // index order, so a verdict never depends on which worker finished first.
-// Keep that property when changing Map.
-func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// Keep that property when changing parallelMap.
+func parallelMap[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}

@@ -158,7 +158,7 @@ func TestFleetFailuresIsolated(t *testing.T) {
 func TestMapOrderAndBound(t *testing.T) {
 	var inFlight, peak atomic.Int32
 	const workers, n = 3, 20
-	out, err := Map(context.Background(), workers, n, func(_ context.Context, i int) (int, error) {
+	out, err := parallelMap(context.Background(), workers, n, func(_ context.Context, i int) (int, error) {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -184,14 +184,14 @@ func TestMapOrderAndBound(t *testing.T) {
 }
 
 func TestMapJoinsEveryError(t *testing.T) {
-	_, err := Map(context.Background(), 4, 10, func(_ context.Context, i int) (int, error) {
+	_, err := parallelMap(context.Background(), 4, 10, func(_ context.Context, i int) (int, error) {
 		if i == 3 || i == 7 {
 			return 0, fmt.Errorf("fail-%d", i)
 		}
 		return i, nil
 	})
 	if err == nil {
-		t.Fatal("nil error from a failing Map")
+		t.Fatal("nil error from a failing parallelMap")
 	}
 	// The contract is errors.Join of every per-index error, in index order:
 	// no worker-level error can be silently dropped.
@@ -205,7 +205,7 @@ func TestMapJoinsEveryError(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map[int](context.Background(), 4, 0, func(_ context.Context, i int) (int, error) { return 0, nil })
+	out, err := parallelMap[int](context.Background(), 4, 0, func(_ context.Context, i int) (int, error) { return 0, nil })
 	if err != nil || out != nil {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
@@ -254,7 +254,7 @@ func TestRunCancelledBatchContract(t *testing.T) {
 func TestMapCancelledFeed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the feed starts
-	out, err := Map(ctx, 2, 8, func(ctx context.Context, i int) (int, error) {
+	out, err := parallelMap(ctx, 2, 8, func(ctx context.Context, i int) (int, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}

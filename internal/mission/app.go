@@ -17,13 +17,13 @@ type appState struct {
 	visits int
 	rng    *rand.Rand
 	random bool
-	ws     *geom.Workspace
-	margin float64
 }
 
-// AppConfig configures the surveillance application node, which implements
-// the application-layer protocol: every surveillance point must be visited
-// infinitely often (Section II-A).
+// AppConfig is the surveillance application's tour: a fixed list of points
+// or random targets. The application node implements the application-layer
+// protocol: every surveillance point must be visited infinitely often
+// (Section II-A). Build supplies the rest — the workspace and margin random
+// targets are drawn and validated with, and the seed that draws them.
 type AppConfig struct {
 	// Points is the fixed tour of surveillance locations. With Random set,
 	// Points seeds nothing and fresh random targets are drawn instead
@@ -31,30 +31,25 @@ type AppConfig struct {
 	Points []geom.Vec3
 	// Random draws each next target uniformly from the free space.
 	Random bool
-	// Workspace and Margin are used to draw and validate random targets.
-	Workspace *geom.Workspace
-	Margin    float64
-	// Tolerance is the arrival distance at which the next target is issued.
-	Tolerance float64
-	// Period is the node period.
-	Period time.Duration
-	// Seed drives random target generation.
-	Seed int64
 }
 
-// NewAppNode builds the surveillance application node. It subscribes to the
-// drone state and publishes the next target location for the drone.
-func NewAppNode(cfg AppConfig) (*node.Node, error) {
-	if cfg.Tolerance <= 0 {
-		cfg.Tolerance = 1.0
-	}
-	if cfg.Period <= 0 {
-		cfg.Period = 200 * time.Millisecond
-	}
+// The application node's fixed parameters.
+const (
+	// appPeriod is the application node's period.
+	appPeriod = 200 * time.Millisecond
+	// appTolerance is the arrival distance at which the next target is
+	// issued.
+	appTolerance = 1.0
+)
+
+// newAppNode builds the surveillance application node. It subscribes to the
+// drone state and publishes the next target location for the drone; random
+// targets are drawn from ws, clear of obstacles by margin, seeded by seed.
+func newAppNode(cfg AppConfig, ws *geom.Workspace, margin float64, seed int64) (*node.Node, error) {
 	if !cfg.Random && len(cfg.Points) == 0 {
 		return nil, fmt.Errorf("surveillance app: no points and Random not set")
 	}
-	if cfg.Random && cfg.Workspace == nil {
+	if cfg.Random && ws == nil {
 		return nil, fmt.Errorf("surveillance app: Random requires a workspace")
 	}
 
@@ -64,10 +59,8 @@ func NewAppNode(cfg AppConfig) (*node.Node, error) {
 	init := func() node.State {
 		return &appState{
 			points: points,
-			rng:    rand.New(rand.NewSource(cfg.Seed)),
+			rng:    rand.New(rand.NewSource(seed)),
 			random: cfg.Random,
-			ws:     cfg.Workspace,
-			margin: cfg.Margin,
 		}
 	}
 
@@ -80,11 +73,11 @@ func NewAppNode(cfg AppConfig) (*node.Node, error) {
 		ds, haveState := droneState(in)
 		next := *s // shallow copy; points slice is shared read-only
 		if s.random && len(next.points) == 0 {
-			p, found := cfg.Workspace.RandomFreePoint(s.rng, cfg.Margin+2.0, 512)
+			p, found := ws.RandomFreePoint(s.rng, margin+2.0, 512)
 			if !found {
 				return nil, nil, fmt.Errorf("surveillance app: no free random target")
 			}
-			p.Z = clampZ(p.Z, 1.0, cfg.Workspace.Bounds().Max.Z-1.0)
+			p.Z = clampZ(p.Z, 1.0, ws.Bounds().Max.Z-1.0)
 			next.points = []geom.Vec3{p}
 			next.idx = 0
 		}
@@ -92,14 +85,14 @@ func NewAppNode(cfg AppConfig) (*node.Node, error) {
 			return &next, nil, nil
 		}
 		target := next.points[next.idx%len(next.points)]
-		if haveState && !ds.Landed && ds.Pos.Dist(target) <= cfg.Tolerance {
+		if haveState && !ds.Landed && ds.Pos.Dist(target) <= appTolerance {
 			next.visits++
 			if s.random {
-				p, found := cfg.Workspace.RandomFreePoint(s.rng, cfg.Margin+2.0, 512)
+				p, found := ws.RandomFreePoint(s.rng, margin+2.0, 512)
 				if !found {
 					return nil, nil, fmt.Errorf("surveillance app: no free random target")
 				}
-				p.Z = clampZ(p.Z, 1.0, cfg.Workspace.Bounds().Max.Z-1.0)
+				p.Z = clampZ(p.Z, 1.0, ws.Bounds().Max.Z-1.0)
 				next.points = []geom.Vec3{p}
 				next.idx = 0
 				target = p
@@ -114,7 +107,7 @@ func NewAppNode(cfg AppConfig) (*node.Node, error) {
 
 	return node.New(
 		"surveillance",
-		cfg.Period,
+		appPeriod,
 		[]pubsub.TopicName{TopicDroneState},
 		[]pubsub.TopicName{TopicMissionTarget},
 		step,

@@ -174,7 +174,7 @@ func buildArtifacts(ws *geom.Workspace, b reach.Bounds, margin, hysteresis, plan
 	if err != nil {
 		return nil, err
 	}
-	lws, err := LandingWorkspace(ws)
+	lws, err := landingWorkspace(ws)
 	if err != nil {
 		return nil, err
 	}

@@ -24,10 +24,14 @@ type batteryFwdState struct {
 	pub pubsub.Value
 }
 
-// NewBatteryACNode builds the battery module's advanced controller: a node
+// batteryNodePeriod is the period of the battery module's AC and SC nodes
+// (and of the plan forwarder that stands in for the AC without the module).
+const batteryNodePeriod = 200 * time.Millisecond
+
+// batteryACNode builds the battery module's advanced controller: a node
 // that receives the current motion plan from the planner and simply forwards
 // it to the motion primitives (Section V-B).
-func NewBatteryACNode(name string, period time.Duration) (*node.Node, error) {
+func batteryACNode(name string) (*node.Node, error) {
 	out := make(pubsub.Valuation, 1) // refilled every firing (node.StepFunc)
 	var fp []byte                    // fingerprint scratch, likewise reused
 	step := func(st node.State, in pubsub.Valuation) (node.State, pubsub.Valuation, error) {
@@ -56,7 +60,7 @@ func NewBatteryACNode(name string, period time.Duration) (*node.Node, error) {
 	}
 	return node.New(
 		name,
-		period,
+		batteryNodePeriod,
 		[]pubsub.TopicName{TopicPlan, TopicDroneState},
 		[]pubsub.TopicName{TopicActivePlan},
 		step,
@@ -88,11 +92,11 @@ func descentProfile(from, site geom.Vec3) []geom.Vec3 {
 	return append(wps, site)
 }
 
-// NewBatteryLanderNode builds the battery module's certified safe
-// controller: a planner that safely lands the drone from its current
-// position (Section V-B). It publishes a landing plan: descend in place to
-// the landing altitude.
-func NewBatteryLanderNode(name string, period time.Duration, landingZ float64) (*node.Node, error) {
+// batteryLanderNode builds the battery module's certified safe controller:
+// a planner that safely lands the drone from its current position
+// (Section V-B). It publishes a landing plan: descend in place to the
+// landing altitude landingZ, the plant's touchdown altitude.
+func batteryLanderNode(name string, landingZ float64) (*node.Node, error) {
 	if landingZ <= 0 {
 		return nil, fmt.Errorf("battery lander: landingZ must be positive")
 	}
@@ -127,7 +131,7 @@ func NewBatteryLanderNode(name string, period time.Duration, landingZ float64) (
 	}
 	return node.New(
 		name,
-		period,
+		batteryNodePeriod,
 		[]pubsub.TopicName{TopicDroneState},
 		[]pubsub.TopicName{TopicActivePlan},
 		step,
@@ -135,13 +139,10 @@ func NewBatteryLanderNode(name string, period time.Duration, landingZ float64) (
 	)
 }
 
-// NewBatteryModule declares the battery-safety RTA module guaranteeing φbat
+// batteryModule declares the battery-safety RTA module guaranteeing φbat
 // with the predicates of the battery monitor: ttf2Δ(bt) = bt − cost* < Tmax,
 // φsafer = bt > 85%, φsafe = bt > 0 (or landed).
-func NewBatteryModule(ac, sc *node.Node, mon *battery.Monitor) (*rta.Module, error) {
-	if mon == nil {
-		return nil, fmt.Errorf("battery module: nil monitor")
-	}
+func batteryModule(ac, sc *node.Node, mon *battery.Monitor) (*rta.Module, error) {
 	return rta.NewModule(rta.Decl{
 		Name:      "battery-safety",
 		AC:        ac,

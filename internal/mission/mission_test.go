@@ -29,7 +29,7 @@ func stepNode(t *testing.T, n *node.Node, st node.State, in pubsub.Valuation) (n
 
 func TestAppNodeAdvancesOnArrival(t *testing.T) {
 	pts := []geom.Vec3{geom.V(1, 1, 1), geom.V(9, 9, 1)}
-	app, err := NewAppNode(AppConfig{Points: pts, Tolerance: 1})
+	app, err := newAppNode(AppConfig{Points: pts}, nil, 0.45, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestAppNodeAdvancesOnArrival(t *testing.T) {
 
 func TestAppNodeRandomTargets(t *testing.T) {
 	ws := geom.CityWorkspace()
-	app, err := NewAppNode(AppConfig{Random: true, Workspace: ws, Margin: 0.45, Seed: 3})
+	app, err := newAppNode(AppConfig{Random: true}, ws, 0.45, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,16 +88,16 @@ func TestAppNodeRandomTargets(t *testing.T) {
 }
 
 func TestAppNodeValidation(t *testing.T) {
-	if _, err := NewAppNode(AppConfig{}); err == nil {
+	if _, err := newAppNode(AppConfig{}, geom.CityWorkspace(), 0.45, 1); err == nil {
 		t.Error("app without points or Random accepted")
 	}
-	if _, err := NewAppNode(AppConfig{Random: true}); err == nil {
+	if _, err := newAppNode(AppConfig{Random: true}, nil, 0.45, 1); err == nil {
 		t.Error("random app without workspace accepted")
 	}
 }
 
 func TestWaypointManagerWalksPlan(t *testing.T) {
-	wpm, err := NewWaypointManagerNode("wpm", 20*time.Millisecond, 0.8)
+	wpm, err := waypointManagerNode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestWaypointManagerWalksPlan(t *testing.T) {
 }
 
 func TestWaypointManagerInvalidUntilPlan(t *testing.T) {
-	wpm, err := NewWaypointManagerNode("wpm", 20*time.Millisecond, 0.8)
+	wpm, err := waypointManagerNode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestPlannerNodeCachesUntilTargetMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	counting := &countingPlanner{inner: astar}
-	pn, err := NewPlannerNode(PlannerConfig{Name: "p", Planner: counting, Period: 500 * time.Millisecond})
+	pn, err := plannerNode("p", counting, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +211,7 @@ func (c *countingPlanner) Plan(start, goal geom.Vec3) (plan.Plan, error) {
 func TestPlannerModulePredicates(t *testing.T) {
 	ws := geom.CityWorkspace()
 	acN, scN := plannerPair(t, ws)
-	mod, err := NewPlannerModule(PlannerModuleConfig{
-		AC: acN, SC: scN,
-		Delta:     500 * time.Millisecond,
-		Workspace: ws,
-		Margin:    0.45,
-		MaxVel:    3,
-	})
+	mod, err := plannerModule(acN, scN, ws, 0.45, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +258,11 @@ func plannerPair(t *testing.T, ws *geom.Workspace) (ac, sc *node.Node) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acN, err := NewPlannerNode(PlannerConfig{Name: "planner.ac", Planner: astar, Period: 500 * time.Millisecond})
+	acN, err := plannerNode("planner.ac", astar, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scN, err := NewPlannerNode(PlannerConfig{Name: "planner.sc", Planner: astar, Period: 500 * time.Millisecond})
+	scN, err := plannerNode("planner.sc", astar, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +270,7 @@ func plannerPair(t *testing.T, ws *geom.Workspace) (ac, sc *node.Node) {
 }
 
 func TestBatteryNodes(t *testing.T) {
-	acB, err := NewBatteryACNode("bac", 200*time.Millisecond)
+	acB, err := batteryACNode("bac")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +300,7 @@ func TestBatteryNodes(t *testing.T) {
 		t.Error("new plan did not bump Seq")
 	}
 
-	lander, err := NewBatteryLanderNode("bsc", 200*time.Millisecond, 0.5)
+	lander, err := batteryLanderNode("bsc", 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +344,7 @@ func TestBatteryNodes(t *testing.T) {
 // a same-length plan with another last waypoint, which a forwarding fast
 // path keyed on too little would mistake for the previous plan.
 func TestBatteryACSeq(t *testing.T) {
-	acB, err := NewBatteryACNode("bac", 200*time.Millisecond)
+	acB, err := batteryACNode("bac")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +389,7 @@ func TestBatteryACSeq(t *testing.T) {
 // forwarded last firing republishes its boxed value — no fingerprint, no
 // clone, no allocation.
 func TestBatteryACForwardAllocatesNothing(t *testing.T) {
-	acB, err := NewBatteryACNode("bac", 200*time.Millisecond)
+	acB, err := batteryACNode("bac")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,9 +419,9 @@ func TestBatteryModulePredicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acB, _ := NewBatteryACNode("bac", 200*time.Millisecond)
-	scB, _ := NewBatteryLanderNode("bsc", 200*time.Millisecond, 0.5)
-	mod, err := NewBatteryModule(acB, scB, mon)
+	acB, _ := batteryACNode("bac")
+	scB, _ := batteryLanderNode("bsc", 0.5)
+	mod, err := batteryModule(acB, scB, mon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,6 +494,9 @@ func TestBuildRejectsUnsetKnobs(t *testing.T) {
 		"protection":   func(c *StackConfig) { c.Protection = 0 },
 		"ac":           func(c *StackConfig) { c.AC = 0 },
 		"plan-margin":  func(c *StackConfig) { c.PlanMargin = 0 },
+		"planner-bug-rate": func(c *StackConfig) {
+			c.PlannerBug, c.PlannerBugRate = plan.BugSkipEdgeCheck, 0
+		},
 	} {
 		cfg := DefaultStackConfig(1)
 		cfg.App = AppConfig{Points: []geom.Vec3{geom.V(3, 3, 2)}}

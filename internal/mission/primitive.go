@@ -22,14 +22,16 @@ type wpState struct {
 	pub     pubsub.Value
 }
 
-// NewWaypointManagerNode builds the trusted glue node that walks the active
-// plan: it publishes the current reference segment (previous waypoint →
-// current waypoint) and advances when the drone arrives. It resets to the
-// first waypoint whenever the active plan is replaced.
-func NewWaypointManagerNode(name string, period time.Duration, tolerance float64) (*node.Node, error) {
-	if tolerance <= 0 {
-		tolerance = 0.8
-	}
+// waypointTolerance is the arrival distance at which the waypoint manager
+// advances to the next waypoint.
+const waypointTolerance = 0.8
+
+// waypointManagerNode builds the trusted glue node "wpmanager" that walks
+// the active plan at primitivePeriod: it publishes the current reference
+// segment (previous waypoint → current waypoint) and advances when the drone
+// arrives. It resets to the first waypoint whenever the active plan is
+// replaced.
+func waypointManagerNode() (*node.Node, error) {
 	out := make(pubsub.Valuation, 1) // refilled every firing (node.StepFunc)
 	step := func(st node.State, in pubsub.Valuation) (node.State, pubsub.Valuation, error) {
 		s, ok := st.(*wpState)
@@ -51,7 +53,7 @@ func NewWaypointManagerNode(name string, period time.Duration, tolerance float64
 		}
 		wps := next.plan.Waypoints
 		idx := next.idx
-		for idx < len(wps)-1 && ds.Pos.Dist(wps[idx]) <= tolerance {
+		for idx < len(wps)-1 && ds.Pos.Dist(wps[idx]) <= waypointTolerance {
 			idx++
 		}
 		if next == s {
@@ -77,8 +79,8 @@ func NewWaypointManagerNode(name string, period time.Duration, tolerance float64
 		return next, out, nil
 	}
 	return node.New(
-		name,
-		period,
+		"wpmanager",
+		primitivePeriod,
 		[]pubsub.TopicName{TopicActivePlan, TopicDroneState},
 		[]pubsub.TopicName{TopicWaypoint},
 		step,
@@ -86,10 +88,11 @@ func NewWaypointManagerNode(name string, period time.Duration, tolerance float64
 	)
 }
 
-// NewPrimitiveNode wraps a controller as a motion-primitive node: it
-// subscribes to the drone state and current waypoint and publishes the
-// commanded acceleration, like the MotionPrimitive node of Figure 4.
-func NewPrimitiveNode(name string, period time.Duration, ctrl controller.Controller) (*node.Node, error) {
+// primitiveNode wraps a controller as a motion-primitive node with period
+// primitivePeriod: it subscribes to the drone state and current waypoint and
+// publishes the commanded acceleration, like the MotionPrimitive node of
+// Figure 4.
+func primitiveNode(name string, ctrl controller.Controller) (*node.Node, error) {
 	if ctrl == nil {
 		return nil, fmt.Errorf("primitive node %q: nil controller", name)
 	}
@@ -98,7 +101,7 @@ func NewPrimitiveNode(name string, period time.Duration, ctrl controller.Control
 	out := make(pubsub.Valuation, 1) // refilled every firing (node.StepFunc)
 	step := func(st node.State, in pubsub.Valuation) (node.State, pubsub.Valuation, error) {
 		t, _ := st.(time.Duration)
-		nextT := t + period
+		nextT := t + primitivePeriod
 		ds, haveState := droneState(in)
 		wp, haveWP := waypoint(in)
 		if !haveState || ds.Landed {
@@ -113,7 +116,7 @@ func NewPrimitiveNode(name string, period time.Duration, ctrl controller.Control
 	}
 	return node.New(
 		name,
-		period,
+		primitivePeriod,
 		[]pubsub.TopicName{TopicDroneState, TopicWaypoint},
 		[]pubsub.TopicName{TopicCmd},
 		step,
@@ -121,7 +124,7 @@ func NewPrimitiveNode(name string, period time.Duration, ctrl controller.Control
 	)
 }
 
-// NewPrimitiveModule declares the RTA-protected motion-primitive module of
+// primitiveModule declares the RTA-protected motion-primitive module of
 // Section V-A, guaranteeing φmpr via the analyzer's reachability predicates:
 // ttf2Δ = ¬(StopBox(s, 2Δ) free), φsafer = StopBox(s, h) free for the
 // hysteresis horizon h ≥ 2Δ, φsafe = BrakeBox(s) free.
@@ -131,8 +134,7 @@ func NewPrimitiveNode(name string, period time.Duration, ctrl controller.Control
 // While the active waypoint is a landing waypoint (the battery module's
 // certified lander is descending on purpose), the landing analyzer is used —
 // the paper's φobs concerns obstacles, and ground contact during landing is
-// owned by the battery-safety argument. landing may be nil to always
-// enforce the strict fence.
+// owned by the battery-safety argument.
 //
 // With oneWay set the module never returns control to the AC after a switch
 // — the classic Simplex behaviour the paper's two-way switching improves on
@@ -148,15 +150,9 @@ func NewPrimitiveNode(name string, period time.Duration, ctrl controller.Control
 // straight past it), so combining oneWay with a non-default policy is
 // rejected — the classic-Simplex baseline is an ablation of the Figure 9
 // return path specifically.
-func NewPrimitiveModule(ac, sc *node.Node, strict, landing *reach.Analyzer, oneWay bool, policy rta.Policy) (*rta.Module, error) {
-	if strict == nil {
-		return nil, fmt.Errorf("primitive module: nil analyzer")
-	}
+func primitiveModule(ac, sc *node.Node, strict, landing *reach.Analyzer, oneWay bool, policy rta.Policy) (*rta.Module, error) {
 	if oneWay && policy != nil && policy.Name() != rta.DefaultPolicyName {
 		return nil, fmt.Errorf("primitive module: one-way switching is defined for the default %s policy only, not %q", rta.DefaultPolicyName, policy.Name())
-	}
-	if landing == nil {
-		landing = strict
 	}
 	pick := func(v pubsub.Valuation) *reach.Analyzer {
 		if wp, ok := waypoint(v); ok && wp.Land {

@@ -147,8 +147,8 @@ type StackConfig struct {
 	// discussion is about. Safety is policy-independent: the module clamps
 	// any policy output to SC whenever ttf2Δ fails.
 	SwitchPolicy string
-	// App configures the surveillance application; its Workspace, Margin
-	// and Seed fields are filled in from this config when zero.
+	// App is the surveillance application's tour; Build hands the
+	// application this config's workspace, margin and seed.
 	App AppConfig
 	// Seed drives every stochastic component.
 	Seed int64
@@ -213,12 +213,12 @@ func AnalysisWorkspace(ws *geom.Workspace) (*geom.Workspace, error) {
 	return geom.NewWorkspace(b, ws.ObstaclesView())
 }
 
-// LandingWorkspace derives the workspace used by the motion module while a
+// landingWorkspace derives the workspace used by the motion module while a
 // landing plan is active: obstacles and side/top bounds are protected, but
 // the floor is lowered out of reach so the certified lander's intentional
 // descent is not fenced off. Ground contact during landing is owned by the
 // battery-safety argument and the touchdown logic.
-func LandingWorkspace(ws *geom.Workspace) (*geom.Workspace, error) {
+func landingWorkspace(ws *geom.Workspace) (*geom.Workspace, error) {
 	b := ws.Bounds()
 	b.Min.Z -= 8
 	return geom.NewWorkspace(b, ws.ObstaclesView())
@@ -226,8 +226,10 @@ func LandingWorkspace(ws *geom.Workspace) (*geom.Workspace, error) {
 
 // Build assembles the stack. It fills in no stack default but a nil
 // workspace: a value the components cannot use (Δ ≤ 0, hysteresis < 1, an
-// unknown protection mode or AC kind, a non-positive plan margin) is an
-// error.
+// unknown protection mode or AC kind, a non-positive plan margin, a zero
+// skip-edge-check rate) is an error. The components take no defaults of
+// their own: what does not vary between stacks is a constant of the
+// component, and Build passes the rest.
 func Build(cfg StackConfig) (*Stack, error) {
 	if cfg.Workspace == nil {
 		cfg.Workspace = geom.CityWorkspace()
@@ -279,17 +281,7 @@ func Build(cfg StackConfig) (*Stack, error) {
 	var plain []*node.Node
 
 	// --- Application layer -------------------------------------------------
-	app := cfg.App
-	if app.Workspace == nil {
-		app.Workspace = cfg.Workspace
-	}
-	if app.Margin == 0 {
-		app.Margin = cfg.Margin
-	}
-	if app.Seed == 0 {
-		app.Seed = cfg.Seed
-	}
-	appNode, err := NewAppNode(app)
+	appNode, err := newAppNode(cfg.App, cfg.Workspace, cfg.Margin, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("stack: %w", err)
 	}
@@ -299,35 +291,31 @@ func Build(cfg StackConfig) (*Stack, error) {
 	// --- Motion planner layer ----------------------------------------------
 	astar := plan.NewAStarOnGrid(cfg.Workspace, arts.astarGrid, cfg.PlanMargin)
 	if cfg.WithPlannerModule {
+		if cfg.PlannerBug == plan.BugSkipEdgeCheck && cfg.PlannerBugRate <= 0 {
+			return nil, fmt.Errorf("stack: planner bug %v needs a positive rate, not %v", cfg.PlannerBug, cfg.PlannerBugRate)
+		}
 		// The untrusted RRT* exists only as the module's AC: planner-off
 		// stacks never sample, so they never build one.
-		rrt, err := plan.NewRRTStar(cfg.Workspace, rrtConfig(cfg))
-		if err != nil {
-			return nil, fmt.Errorf("stack: %w", err)
-		}
-		acPlanner, err := NewPlannerNode(PlannerConfig{
-			Name:    "planner.ac",
-			Planner: rrt,
-			Period:  plannerDelta,
-			// The untrusted planner redraws every period so a defective
-			// plan is transient rather than cached forever.
-			AlwaysReplan: cfg.PlannerBug != plan.BugNone,
+		rrt, err := plan.NewRRTStar(cfg.Workspace, plan.RRTStarConfig{
+			Margin:  cfg.PlanMargin,
+			Seed:    cfg.Seed,
+			Bug:     cfg.PlannerBug,
+			BugRate: cfg.PlannerBugRate,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
-		scPlanner, err := NewPlannerNode(PlannerConfig{Name: "planner.sc", Planner: astar, Period: plannerDelta})
+		// The untrusted planner redraws every period so a defective plan is
+		// transient rather than cached forever.
+		acPlanner, err := plannerNode("planner.ac", rrt, cfg.PlannerBug != plan.BugNone)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
-		pm, err := NewPlannerModule(PlannerModuleConfig{
-			AC:        acPlanner,
-			SC:        scPlanner,
-			Delta:     plannerDelta,
-			Workspace: cfg.Workspace,
-			Margin:    cfg.Margin,
-			MaxVel:    cfg.PlantParams.MaxVel,
-		})
+		scPlanner, err := plannerNode("planner.sc", astar, false)
+		if err != nil {
+			return nil, fmt.Errorf("stack: %w", err)
+		}
+		pm, err := plannerModule(acPlanner, scPlanner, cfg.Workspace, cfg.Margin, cfg.PlantParams.MaxVel)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
@@ -336,7 +324,7 @@ func Build(cfg StackConfig) (*Stack, error) {
 	} else {
 		// Unprotected: the certified planner runs alone (keeps baselines
 		// focused on the motion layer).
-		p, err := NewPlannerNode(PlannerConfig{Name: "planner", Planner: astar, Period: plannerDelta})
+		p, err := plannerNode("planner", astar, false)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
@@ -354,22 +342,24 @@ func Build(cfg StackConfig) (*Stack, error) {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
 		st.Monitor = mon
-		acB, err := NewBatteryACNode("battery.ac", 200*time.Millisecond)
+		acB, err := batteryACNode("battery.ac")
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
-		scB, err := NewBatteryLanderNode("battery.sc", 200*time.Millisecond, 0.5)
+		// The lander descends to the altitude at which the plant touches
+		// down.
+		scB, err := batteryLanderNode("battery.sc", cfg.PlantParams.GroundZ)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
-		bm, err := NewBatteryModule(acB, scB, mon)
+		bm, err := batteryModule(acB, scB, mon)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
 		st.BatteryModule = bm
 		modules = append(modules, bm)
 	} else {
-		fwd, err := NewBatteryACNode("planfwd", 200*time.Millisecond)
+		fwd, err := batteryACNode("planfwd")
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
@@ -377,7 +367,7 @@ func Build(cfg StackConfig) (*Stack, error) {
 	}
 
 	// --- Waypoint manager ----------------------------------------------------
-	wpm, err := NewWaypointManagerNode("wpmanager", primitivePeriod, 0.8)
+	wpm, err := waypointManagerNode()
 	if err != nil {
 		return nil, fmt.Errorf("stack: %w", err)
 	}
@@ -395,28 +385,28 @@ func Build(cfg StackConfig) (*Stack, error) {
 	}
 	switch cfg.Protection {
 	case ProtectRTA:
-		acNode, err := NewPrimitiveNode("mpr.ac", primitivePeriod, ac)
+		acNode, err := primitiveNode("mpr.ac", ac)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
-		scNode, err := NewPrimitiveNode("mpr.sc", primitivePeriod, sc)
+		scNode, err := primitiveNode("mpr.sc", sc)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
-		pm, err := NewPrimitiveModule(acNode, scNode, analyzer, landingAnalyzer, cfg.OneWaySwitching, policy)
+		pm, err := primitiveModule(acNode, scNode, analyzer, landingAnalyzer, cfg.OneWaySwitching, policy)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
 		st.PrimitiveModule = pm
 		modules = append(modules, pm)
 	case ProtectACOnly:
-		n, err := NewPrimitiveNode("mpr", primitivePeriod, ac)
+		n, err := primitiveNode("mpr", ac)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
 		plain = append(plain, n)
 	case ProtectSCOnly:
-		n, err := NewPrimitiveNode("mpr", primitivePeriod, sc)
+		n, err := primitiveNode("mpr", sc)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
@@ -449,17 +439,6 @@ func buildAC(cfg StackConfig, limits controller.Limits) (controller.Controller, 
 		ac = controller.WithFaults(ac, limits, cfg.ACFaults)
 	}
 	return ac, nil
-}
-
-func rrtConfig(cfg StackConfig) plan.RRTStarConfig {
-	r := plan.DefaultRRTStarConfig(cfg.Seed)
-	r.Margin = cfg.PlanMargin
-	r.Bug = cfg.PlannerBug
-	r.BugRate = cfg.PlannerBugRate
-	if r.BugRate == 0 && cfg.PlannerBug == plan.BugSkipEdgeCheck {
-		r.BugRate = 0.3
-	}
-	return r
 }
 
 // Certificates builds the per-module certificates discharging (P2a), (P2b),

@@ -1,9 +1,14 @@
 // Package mission wires the drone surveillance software stack of Figure 8:
 // a surveillance application node, an RTA-protected motion planner (φplan),
 // a battery-safety RTA module (φbat) and an RTA-protected motion-primitive
-// module (φmpr), communicating over publish-subscribe topics. It provides
-// the node implementations, the module declarations with their predicates,
-// and stack builders used by the simulations, examples and benchmarks.
+// module (φmpr), communicating over publish-subscribe topics. Build
+// compiles a StackConfig into the stack used by the simulations, examples
+// and benchmarks. DefaultStackConfig is the one table
+// of stack defaults. The node implementations and module declarations with
+// their predicates are unexported and take no defaults of their own: what
+// never varies between stacks (node periods, tolerances, the lander's
+// altitude) is a constant or comes from the plant parameters, and Build
+// passes everything else.
 package mission
 
 import (

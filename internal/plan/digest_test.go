@@ -45,7 +45,7 @@ func planDigests(t testing.TB) string {
 			h := sha256.New()
 			var buf [8]byte
 			for seed := int64(1); seed <= 4; seed++ {
-				cfg := DefaultRRTStarConfig(seed)
+				cfg := RRTStarConfig{Margin: 0.6, Seed: seed}
 				cfg.Bug = bug
 				if bug == BugSkipEdgeCheck {
 					cfg.BugRate = 0.3

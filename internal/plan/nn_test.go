@@ -15,7 +15,7 @@ import (
 // cells).
 func TestNNGridMatchesLinear(t *testing.T) {
 	ws := geom.CityWorkspace()
-	r, err := NewRRTStar(ws, DefaultRRTStarConfig(11))
+	r, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.6, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestNNGridMatchesLinear(t *testing.T) {
 	size := bounds.Size()
 	rng := rand.New(rand.NewSource(23))
 	const n = 600
-	r.nn.reset(bounds, r.cfg.NeighborRadius, n)
+	r.nn.reset(bounds, rrtNeighborRadius, n)
 	var nodes []rrtNode
 	randPt := func(slack float64) geom.Vec3 {
 		return geom.V(
@@ -53,10 +53,10 @@ func TestNNGridMatchesLinear(t *testing.T) {
 // inserted in both orders so the lower index of a tie sits on either side of
 // a boundary. Queries sit on the nodes, half a cell off along one axis
 // (an exact tie whose far node's cell lower bound equals the tie distance),
-// at exactly NeighborRadius, and off the diagonals.
+// at exactly the rewiring radius, and off the diagonals.
 func TestNNGridBoundaryCases(t *testing.T) {
 	ws := geom.CityWorkspace()
-	rad := DefaultRRTStarConfig(3).NeighborRadius
+	rad := rrtNeighborRadius
 	// Grid lines of the 6 m grid over the 50×50×12 city, the faces, and
 	// points beyond them.
 	xs := []float64{-5, 0, 6, 12, 18, 48, 50, 60}
@@ -77,7 +77,7 @@ func TestNNGridBoundaryCases(t *testing.T) {
 			p.Add(geom.V(3, 3, 3)), p.Add(geom.V(-3, 3, -3)))
 	}
 	for _, descending := range []bool{false, true} {
-		r, err := NewRRTStar(ws, DefaultRRTStarConfig(3))
+		r, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.6, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestNNGridBoundaryCases(t *testing.T) {
 	// A node clamped into an edge cell from past the face is nearer than
 	// the query cell's own node, though the edge cell's in-bounds slab
 	// would put it beyond that node.
-	r, err := NewRRTStar(ws, DefaultRRTStarConfig(3))
+	r, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +117,12 @@ func TestNNGridBoundaryCases(t *testing.T) {
 }
 
 // FuzzNNGridMatchesLinear holds the grid queries to the linear references on
-// fuzzed point clouds. The first byte picks the grid cell (NeighborRadius);
-// every following 4-byte chunk (x, y, z, op) is a point on a 0.5 m lattice
-// reaching past the city bounds, so nodes and queries land exactly on cell
-// boundaries, on the workspace faces and in clamped edge cells. op bit 0
-// inserts the point as a node; bit 1 shifts the query by exactly
-// NeighborRadius along axis op>>2 % 3. Every chunk checks nearest and near
+// fuzzed point clouds. The first byte picks the grid cell, which is also
+// the radius near queries; every following 4-byte chunk (x, y, z, op) is a
+// point on a 0.5 m lattice reaching past the city bounds, so nodes and
+// queries land exactly on cell boundaries, on the workspace faces and in
+// clamped edge cells. op bit 0 inserts the point as a node; bit 1 shifts the
+// query by exactly that radius along axis op>>2 % 3. Every chunk checks nearest and near
 // (indices and distances) at its query point.
 func FuzzNNGridMatchesLinear(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 0, 12, 12, 12, 0, 24, 12, 6, 1, 12, 12, 12, 2})
@@ -134,15 +134,14 @@ func FuzzNNGridMatchesLinear(f *testing.F) {
 		if len(data) == 0 || len(data) > 1+4*64 {
 			t.Skip()
 		}
-		cfg := DefaultRRTStarConfig(1)
-		cfg.NeighborRadius = []float64{2.5, 4, 6, 13}[data[0]%4]
+		rad := []float64{2.5, 4, 6, 13}[data[0]%4]
 		ws := geom.CityWorkspace()
-		r, err := NewRRTStar(ws, cfg)
+		r, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.6, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		chunks := data[1:]
-		r.nn.reset(ws.Bounds(), cfg.NeighborRadius, len(chunks)/4+1)
+		r.nn.reset(ws.Bounds(), rad, len(chunks)/4+1)
 		var nodes []rrtNode
 		for ; len(chunks) >= 4; chunks = chunks[4:] {
 			p := geom.V(-6+float64(chunks[0]%128)*0.5, -6+float64(chunks[1]%128)*0.5, -3+float64(chunks[2]%64)*0.5)
@@ -157,7 +156,7 @@ func FuzzNNGridMatchesLinear(f *testing.F) {
 			q := p
 			if op&2 != 0 {
 				off := [3]float64{}
-				off[(op>>2)%3] = cfg.NeighborRadius
+				off[(op>>2)%3] = rad
 				q = q.Add(geom.V(off[0], off[1], off[2]))
 			}
 			checkNN(t, r, nodes, q)
@@ -165,14 +164,15 @@ func FuzzNNGridMatchesLinear(f *testing.F) {
 	})
 }
 
-// checkNN compares the grid queries against the linear references at q.
+// checkNN compares the grid queries against the linear references at q, at
+// the radius the grid was reset with.
 func checkNN(t *testing.T, r *RRTStar, nodes []rrtNode, q geom.Vec3) {
 	t.Helper()
 	if got, want := r.nearest(nodes, q), r.nearestLinear(nodes, q); got != want {
 		t.Fatalf("%d nodes: nearest(%v) = %d, linear = %d", len(nodes), q, got, want)
 	}
 	gotIdx, gotDist := r.near(nodes, q)
-	wantIdx, wantDist := r.nearLinear(nodes, q)
+	wantIdx, wantDist := nearLinear(nodes, q, r.nn.cell)
 	if len(gotIdx) != len(wantIdx) || len(gotDist) != len(gotIdx) {
 		t.Fatalf("%d nodes: near(%v) = %v %v, linear = %v %v", len(nodes), q, gotIdx, gotDist, wantIdx, wantDist)
 	}
@@ -190,12 +190,12 @@ func checkNN(t *testing.T, r *RRTStar, nodes []rrtNode, q geom.Vec3) {
 func TestRRTStarScratchReuseDeterministic(t *testing.T) {
 	ws := geom.CityWorkspace()
 	start, goal := geom.V(2, 2, 2), geom.V(46, 46, 9)
-	reused, err := NewRRTStar(ws, DefaultRRTStarConfig(7))
+	reused, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.6, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 3; trial++ {
-		fresh, err := NewRRTStar(ws, DefaultRRTStarConfig(7))
+		fresh, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.6, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func BenchmarkRRTStarPlan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := NewRRTStar(ws, DefaultRRTStarConfig(int64(i)))
+		r, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.6, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,6 +4,10 @@
 // injection the paper applied ("we injected bugs into the implementation of
 // RRT* such that in some cases the generated motion plan can collide with
 // obstacles") — and a certified grid A* planner used as the safe planner.
+//
+// RRTStarConfig carries only what varies between planners (clearance, seed,
+// injected bug and its rate); the sampler's tuning for the 50 m city
+// workspace is fixed, and DefaultBugRate is the Section V-C bug rate.
 package plan
 
 import (

@@ -179,9 +179,7 @@ func TestAStarStartNearObstacle(t *testing.T) {
 
 func TestRRTStarCorrectModeIsSafe(t *testing.T) {
 	ws := planWorkspace(t)
-	cfg := DefaultRRTStarConfig(3)
-	cfg.Margin = 0.4
-	r, err := NewRRTStar(ws, cfg)
+	r, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +213,7 @@ func TestRRTStarBugsProduceCollidingPlans(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, bug := range []Bug{BugSkipEdgeCheck, BugUncheckedShortcut, BugStaleObstacles} {
 		t.Run(bug.String(), func(t *testing.T) {
-			cfg := DefaultRRTStarConfig(6)
-			cfg.Margin = 0.4
-			cfg.Bug = bug
-			cfg.BugRate = 0.5
-			r, err := NewRRTStar(ws, cfg)
+			r, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.4, Seed: 6, Bug: bug, BugRate: 0.5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,9 +239,7 @@ func TestRRTStarBugsProduceCollidingPlans(t *testing.T) {
 func TestRRTStarDeterministicPerSeed(t *testing.T) {
 	ws := planWorkspace(t)
 	mk := func(seed int64) Plan {
-		cfg := DefaultRRTStarConfig(seed)
-		cfg.Margin = 0.4
-		r, err := NewRRTStar(ws, cfg)
+		r, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.4, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,20 +257,6 @@ func TestRRTStarDeterministicPerSeed(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("same seed, different plans at %d", i)
 		}
-	}
-}
-
-func TestRRTStarConfigValidation(t *testing.T) {
-	ws := planWorkspace(t)
-	bad := DefaultRRTStarConfig(1)
-	bad.MaxIters = 0
-	if _, err := NewRRTStar(ws, bad); err == nil {
-		t.Error("zero MaxIters accepted")
-	}
-	bad = DefaultRRTStarConfig(1)
-	bad.GoalTolerance = 0
-	if _, err := NewRRTStar(ws, bad); err == nil {
-		t.Error("zero GoalTolerance accepted")
 	}
 }
 

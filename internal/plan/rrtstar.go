@@ -58,18 +58,29 @@ func ParseBug(name string) (Bug, error) {
 	return 0, fmt.Errorf("unknown planner bug %q (want %s)", name, strings.Join(bugNames[:], " | "))
 }
 
-// RRTStarConfig configures the sampling-based planner.
+// DefaultBugRate is the per-decision activation probability of
+// BugSkipEdgeCheck that the Section V-C experiments inject (30% of draws),
+// and the rate a scenario that selects the bug without a rate runs.
+const DefaultBugRate = 0.3
+
+// The planner's tuning for the 50 m city workspace.
+const (
+	// rrtMaxIters bounds the number of samples per Plan call.
+	rrtMaxIters = 4000
+	// rrtStepSize is the steering extension length.
+	rrtStepSize = 3.0
+	// rrtNeighborRadius is the rewiring radius, and the NN grid's cell edge.
+	rrtNeighborRadius = 6.0
+	// rrtGoalBias is the probability of sampling the goal directly.
+	rrtGoalBias = 0.10
+	// rrtGoalTolerance is how close a node must get to the goal.
+	rrtGoalTolerance = 1.0
+)
+
+// RRTStarConfig holds what varies between planners: the clearance, the
+// seed and the injected defect. The sampler's tuning is the constants
+// above.
 type RRTStarConfig struct {
-	// MaxIters bounds the number of samples.
-	MaxIters int
-	// StepSize is the steering extension length.
-	StepSize float64
-	// NeighborRadius is the rewiring radius.
-	NeighborRadius float64
-	// GoalBias is the probability of sampling the goal directly.
-	GoalBias float64
-	// GoalTolerance is how close a node must get to the goal.
-	GoalTolerance float64
 	// Margin is the clearance used in collision checks.
 	Margin float64
 	// Seed drives the sampler.
@@ -79,20 +90,6 @@ type RRTStarConfig struct {
 	// BugRate is the per-decision activation probability for probabilistic
 	// bugs (BugSkipEdgeCheck).
 	BugRate float64
-}
-
-// DefaultRRTStarConfig returns a configuration tuned for the 50 m city
-// workspace.
-func DefaultRRTStarConfig(seed int64) RRTStarConfig {
-	return RRTStarConfig{
-		MaxIters:       4000,
-		StepSize:       3.0,
-		NeighborRadius: 6.0,
-		GoalBias:       0.10,
-		GoalTolerance:  1.0,
-		Margin:         0.6,
-		Seed:           seed,
-	}
 }
 
 // RRTStar is the third-party motion-planner stand-in (OMPL's RRT* [29]): an
@@ -117,12 +114,6 @@ var _ Planner = (*RRTStar)(nil)
 
 // NewRRTStar builds the planner.
 func NewRRTStar(ws *geom.Workspace, cfg RRTStarConfig) (*RRTStar, error) {
-	if cfg.MaxIters <= 0 || cfg.StepSize <= 0 || cfg.NeighborRadius <= 0 {
-		return nil, fmt.Errorf("rrtstar: MaxIters, StepSize, NeighborRadius must be positive")
-	}
-	if cfg.GoalTolerance <= 0 {
-		return nil, fmt.Errorf("rrtstar: GoalTolerance must be positive")
-	}
 	r := &RRTStar{
 		ws:  ws,
 		idx: ws.IndexFor(cfg.Margin),
@@ -156,20 +147,20 @@ type rrtNode struct {
 // collide — by design, to exercise the RTA protection.
 func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 	bounds := r.ws.Bounds()
-	maxNodes := r.cfg.MaxIters + 1 // the start plus one node per iteration
+	maxNodes := rrtMaxIters + 1 // the start plus one node per iteration
 	if cap(r.nodes) < maxNodes {
 		r.nodes = make([]rrtNode, 0, maxNodes)
 	}
 	nodes := append(r.nodes[:0], rrtNode{pos: start, parent: -1})
-	r.nn.reset(bounds, r.cfg.NeighborRadius, maxNodes)
+	r.nn.reset(bounds, rrtNeighborRadius, maxNodes)
 	r.nn.insert(0, start)
 	bestGoal := -1
 	bestCost := math.Inf(1)
 	size := bounds.Size()
 
-	for it := 0; it < r.cfg.MaxIters; it++ {
+	for it := 0; it < rrtMaxIters; it++ {
 		var sample geom.Vec3
-		if r.rng.Float64() < r.cfg.GoalBias {
+		if r.rng.Float64() < rrtGoalBias {
 			sample = goal
 		} else {
 			sample = geom.V(
@@ -209,7 +200,7 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 				nodes[n].cost = c
 			}
 		}
-		if d := newPos.Dist(goal); d <= r.cfg.GoalTolerance {
+		if d := newPos.Dist(goal); d <= rrtGoalTolerance {
 			if c := cost + d; c < bestCost {
 				bestCost = c
 				bestGoal = newIdx
@@ -218,7 +209,7 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 	}
 	r.nodes = nodes // keep the backing array for the next Plan call
 	if bestGoal < 0 {
-		return nil, fmt.Errorf("rrtstar %v → %v after %d iters: %w", start, goal, r.cfg.MaxIters, ErrNoPath)
+		return nil, fmt.Errorf("rrtstar %v → %v after %d iters: %w", start, goal, rrtMaxIters, ErrNoPath)
 	}
 
 	var rev []geom.Vec3
@@ -302,15 +293,15 @@ func (r *RRTStar) nearest(nodes []rrtNode, p geom.Vec3) int {
 	return best
 }
 
-// near returns the indices of all nodes within NeighborRadius of p in
-// ascending order, exactly as the reference linear scan returns them, and
-// alongside each index its distance nodes[i].pos.Dist(p). Hits are marked in
-// a bitmap over node indices, so the ascending order comes from a word scan
-// rather than a sort. Both slices are planner scratch, valid until the next
-// near call.
+// near returns the indices of all nodes within the grid's cell edge (the
+// rewiring radius) of p in ascending order, exactly as the reference linear
+// scan returns them, and alongside each index its distance
+// nodes[i].pos.Dist(p). Hits are marked in a bitmap over node indices, so
+// the ascending order comes from a word scan rather than a sort. Both slices
+// are planner scratch, valid until the next near call.
 func (r *RRTStar) near(nodes []rrtNode, p geom.Vec3) ([]int, []float64) {
 	g := &r.nn
-	rad := r.cfg.NeighborRadius
+	rad := g.cell
 	lox := g.axisOf(p.X-rad, g.origin.X, g.nx)
 	hix := g.axisOf(p.X+rad, g.origin.X, g.nx)
 	loy := g.axisOf(p.Y-rad, g.origin.Y, g.ny)
@@ -364,13 +355,13 @@ func (r *RRTStar) nearestLinear(nodes []rrtNode, p geom.Vec3) int {
 	return best
 }
 
-// nearLinear is the reference O(n) radius query kept as differential-test
-// ground truth for the grid implementation.
-func (r *RRTStar) nearLinear(nodes []rrtNode, p geom.Vec3) ([]int, []float64) {
+// nearLinear is the reference O(n) query for the nodes within rad of p, kept
+// as differential-test ground truth for the grid implementation.
+func nearLinear(nodes []rrtNode, p geom.Vec3, rad float64) ([]int, []float64) {
 	var idx []int
 	var dist []float64
 	for i, n := range nodes {
-		if d := n.pos.Dist(p); d <= r.cfg.NeighborRadius {
+		if d := n.pos.Dist(p); d <= rad {
 			idx = append(idx, i)
 			dist = append(dist, d)
 		}
@@ -473,10 +464,10 @@ func (g *nnGrid) insert(idx int, p geom.Vec3) {
 
 func (r *RRTStar) steer(from, to geom.Vec3) geom.Vec3 {
 	d := to.Sub(from)
-	if d.Norm() <= r.cfg.StepSize {
+	if d.Norm() <= rrtStepSize {
 		return to
 	}
-	return from.Add(d.Unit().Scale(r.cfg.StepSize))
+	return from.Add(d.Unit().Scale(rrtStepSize))
 }
 
 func (r *RRTStar) pointFree(p geom.Vec3) bool {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/mission"
+	"repro/internal/plan"
 )
 
 // TestCanonicalDeterministic: the canonical form is byte-identical across
@@ -73,6 +74,32 @@ func TestCanonicalResolvesDefaults(t *testing.T) {
 		if got != want {
 			t.Errorf("explicit default %s changed the fingerprint", name)
 		}
+	}
+}
+
+// TestCanonicalResolvesBugRate: a skip-edge-check Spec that leaves the bug
+// rate unset runs the default rate, so it must fingerprint like the Spec
+// that spells 0.3, and compile to the stack that runs it.
+func TestCanonicalResolvesBugRate(t *testing.T) {
+	unset := MustGet("surveillance-city").With(Override{Apply: func(s *Spec) { s.PlannerBug = plan.BugSkipEdgeCheck }})
+	spelled := unset.With(Override{Apply: func(s *Spec) { s.PlannerBugRate = 0.3 }})
+	got, err := unset.Fingerprint(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := spelled.Fingerprint(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("unset rate fingerprints %s, spelled 0.3 %s", got, want)
+	}
+	cfg, err := unset.StackConfig(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.PlannerBugRate != 0.3 {
+		t.Errorf("unset rate compiles to %v, want 0.3", cfg.PlannerBugRate)
 	}
 }
 

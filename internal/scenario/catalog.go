@@ -88,7 +88,7 @@ func init() {
 			"while plans hug obstacles; the planner RTA must keep φplan.",
 		RandomTargets:  true,
 		PlannerBug:     plan.BugSkipEdgeCheck,
-		PlannerBugRate: 0.3,
+		PlannerBugRate: plan.DefaultBugRate,
 		// Plan at the tight safety margin so defective plans actually reach
 		// the DM instead of being masked by planner slack.
 		PlanMargin: 0.5,

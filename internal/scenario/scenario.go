@@ -120,7 +120,8 @@ type Spec struct {
 
 	// Protection selects RTA / AC-only / SC-only for the motion layer; AC
 	// selects the untrusted motion primitive and LearnedBadFraction its
-	// corruption level. Zero keeps mission.DefaultStackConfig's value.
+	// corruption level, a fraction in [0, 1]. Zero keeps
+	// mission.DefaultStackConfig's value.
 	Protection         mission.ProtectionMode
 	AC                 mission.ACKind
 	LearnedBadFraction float64
@@ -149,7 +150,8 @@ type Spec struct {
 	// Faults injects periodic full-thrust windows into the AC.
 	Faults FaultProfile
 	// PlannerBug injects the selected defect into the RRT* AC planner at
-	// PlannerBugRate (Section V-C).
+	// PlannerBugRate (Section V-C); under BugSkipEdgeCheck a zero rate
+	// selects plan.DefaultBugRate.
 	PlannerBug     plan.Bug
 	PlannerBugRate float64
 	// JitterProb enables best-effort-scheduling outages (Section V-D);
@@ -204,6 +206,9 @@ func (s Spec) Validate() error {
 	}
 	if s.PlannerBugRate < 0 || s.PlannerBugRate > 1 {
 		return fmt.Errorf("scenario %q: planner bug rate %v outside [0, 1]", s.Name, s.PlannerBugRate)
+	}
+	if s.LearnedBadFraction < 0 || s.LearnedBadFraction > 1 {
+		return fmt.Errorf("scenario %q: learned bad fraction %v outside [0, 1]", s.Name, s.LearnedBadFraction)
 	}
 	if s.Faults.Active() && s.Faults.First < 0 {
 		return fmt.Errorf("scenario %q: fault profile First %v must be non-negative", s.Name, s.Faults.First)
@@ -287,6 +292,9 @@ func (s Spec) resolve() (resolved, error) {
 	cfg.SwitchPolicy = pol
 	cfg.PlannerBug = s.PlannerBug
 	cfg.PlannerBugRate = s.PlannerBugRate
+	if s.PlannerBug == plan.BugSkipEdgeCheck && s.PlannerBugRate == 0 {
+		cfg.PlannerBugRate = plan.DefaultBugRate
+	}
 	if s.Protection != 0 {
 		cfg.Protection = s.Protection
 	}

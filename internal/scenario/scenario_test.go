@@ -106,6 +106,8 @@ func TestValidateRejects(t *testing.T) {
 		{"negative drain", func(s *Spec) { s.DrainMultiple = -1 }},
 		{"jitter > 1", func(s *Spec) { s.JitterProb = 2 }},
 		{"bug rate > 1", func(s *Spec) { s.PlannerBugRate = 1.5 }},
+		{"negative learned bad fraction", func(s *Spec) { s.LearnedBadFraction = -0.1 }},
+		{"learned bad fraction > 1", func(s *Spec) { s.LearnedBadFraction = 1.5 }},
 		{"negative fault start", func(s *Spec) { s.Faults = FaultProfile{First: -time.Second, Len: time.Second} }},
 		{"unknown policy", func(s *Spec) { s.SwitchPolicy = "no-such-policy" }},
 		{"bad policy param", func(s *Spec) { s.SwitchPolicy = "sticky-sc:0" }},
