@@ -143,9 +143,11 @@ func run() error {
 			Batch:           *certifyBatch,
 			Seed:            *seed,
 			Workers:         *workers,
-			Duration:        *certifyDuration,
 			FaultActivation: *certifyActivation,
 			Boost:           *certifyBoost,
+		}
+		if *certifyDuration != 0 {
+			cell.Overrides.Duration = certifyDuration
 		}
 		return runCertify(ctx, *certifyScenario, *certifyPolicies, cell, *jsonOut)
 	}

@@ -80,7 +80,6 @@ func run() error {
 		Seed:               *seed,
 		Budget:             *budget,
 		Workers:            *workers,
-		Duration:           *duration,
 		ClampStorm:         *clampStorm,
 		MaxCounterexamples: *maxCE,
 		AutoRegister:       *register,
@@ -91,6 +90,10 @@ func run() error {
 		if err := dec.Decode(&cfg.Base); err != nil {
 			return fmt.Errorf("-base: %w", err)
 		}
+	}
+	// -duration wins over the -base delta's duration_ns.
+	if *duration != 0 {
+		cfg.Base.Duration = duration
 	}
 	if *policies != "" {
 		for _, p := range strings.Split(*policies, ",") {

@@ -93,11 +93,6 @@ func run() error {
 		printCatalog()
 		return nil
 	}
-	spec, ok := scenario.Get(*scenarioName)
-	if !ok {
-		return fmt.Errorf("unknown scenario %q (have: %s)", *scenarioName, strings.Join(scenario.Names(), ", "))
-	}
-
 	// Apply only the flags the user actually set: the scenario knobs as one
 	// scenario.Delta (which refuses a non-positive -battery, -drain, -delta,
 	// -hysteresis or -duration rather than silently running the default),
@@ -125,7 +120,7 @@ func run() error {
 			delta.JitterProb = jitter
 		}
 	})
-	spec, err := delta.Apply(spec)
+	spec, err := scenario.Resolve(*scenarioName, delta)
 	if err != nil {
 		return err
 	}

@@ -52,7 +52,7 @@ func run() error {
 	// hair like the surveillance stack's.
 	b := ws.Bounds()
 	b.Min.Z -= 0.25
-	aws, err := geom.NewWorkspace(b, ws.Obstacles())
+	aws, err := geom.NewWorkspace(b, ws.ObstaclesView())
 	if err != nil {
 		return err
 	}

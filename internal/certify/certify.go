@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"time"
 
 	"repro/internal/controller"
@@ -46,16 +45,18 @@ const (
 
 // Config is one certification cell plus the test to run against it: a
 // (scenario, overrides) pair, the crash-probability threshold and confidence
-// level, and the sequential-sweep knobs. The resulting verdict, estimate,
-// interval and seeds-consumed are a pure function of this struct — worker
-// count never changes them.
+// level, and the sequential-sweep knobs. The cell resolves through
+// scenario.Resolve, so every knob of the cell, the mission horizon included,
+// lives in Overrides and is refused there when out of range. The resulting
+// verdict, estimate, interval and seeds-consumed are a pure function of this
+// struct — worker count never changes them.
 type Config struct {
 	// Scenario names the base scenario (scenario registry). Required.
 	Scenario string
 	// Overrides is the spec delta defining the cell — the same
 	// scenario.Delta falsification candidates carry, so a falsified cell can
 	// be fed straight back into certification. Its Policy field selects the
-	// switching policy under test.
+	// switching policy under test and its Duration the mission horizon.
 	Overrides scenario.Delta
 	// Threshold is the crash-probability bound being tested ("crash
 	// probability < Threshold"). Required, in (0, 1).
@@ -76,8 +77,6 @@ type Config struct {
 	// Workers bounds concurrent evaluations; zero defaults to GOMAXPROCS.
 	// Worker count never changes certification results.
 	Workers int
-	// Duration overrides the cell's mission horizon; zero keeps the spec's.
-	Duration time.Duration
 	// FaultActivation is the nominal per-window fault-activation probability
 	// of the sporadic fault model: each window the spec's fault profile
 	// schedules fires independently with this probability. Zero or 1 keeps
@@ -188,12 +187,9 @@ type campaign struct {
 
 // newCampaign resolves and validates a cell configuration.
 func newCampaign(cfg Config) (*campaign, error) {
-	if cfg.Scenario == "" {
-		return nil, errors.New("certify: no scenario")
-	}
-	base, ok := scenario.Get(cfg.Scenario)
-	if !ok {
-		return nil, fmt.Errorf("certify: unknown scenario %q (have: %s)", cfg.Scenario, strings.Join(scenario.Names(), ", "))
+	spec, err := scenario.Resolve(cfg.Scenario, cfg.Overrides)
+	if err != nil {
+		return nil, fmt.Errorf("certify: %w", err)
 	}
 	if !(cfg.Threshold > 0 && cfg.Threshold < 1) {
 		return nil, fmt.Errorf("certify: threshold %v outside (0,1)", cfg.Threshold)
@@ -218,17 +214,6 @@ func newCampaign(cfg Config) (*campaign, error) {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	overrides := cfg.Overrides
-	if cfg.Duration > 0 {
-		overrides.Duration = &cfg.Duration
-	}
-	spec, err := overrides.Apply(base)
-	if err != nil {
-		return nil, fmt.Errorf("certify: %w", err)
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("certify: cell %w", err)
 	}
 	policy, err := rta.CanonicalPolicySpec(spec.SwitchPolicy)
 	if err != nil {

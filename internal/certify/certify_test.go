@@ -241,6 +241,7 @@ func TestCancellationPartialResult(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	planted := plantedScenario(t)
 	safe := safeScenario(t)
+	negative := -5 * time.Second
 	cases := []struct {
 		name string
 		cfg  Config
@@ -259,6 +260,7 @@ func TestConfigValidation(t *testing.T) {
 		{"boost without faults", Config{Scenario: safe, Threshold: 0.1, FaultActivation: 0.5, Boost: 1.5}, "fault profile"},
 		{"boost breaks continuity", Config{Scenario: planted, Threshold: 0.1, FaultActivation: 0.5, Boost: 2}, "below 1"},
 		{"bad policy", Config{Scenario: planted, Threshold: 0.1, Overrides: overridePolicy("nope")}, "policy"},
+		{"negative horizon", Config{Scenario: planted, Threshold: 0.1, Overrides: scenario.Delta{Duration: &negative}}, "duration"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

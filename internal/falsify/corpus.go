@@ -109,17 +109,9 @@ func (e CorpusEntry) Replay(ctx context.Context) (v Verdict, skipped bool, err e
 // found on: registry base + spec delta, φInv monitor forced on (the
 // campaign instrument is part of the counterexample's identity).
 func (c Counterexample) Rebuild() (scenario.Spec, error) {
-	base, ok := scenario.Get(c.Scenario)
-	if !ok {
-		return scenario.Spec{}, fmt.Errorf("falsify: counterexample %s: unknown base scenario %q", c.Fingerprint, c.Scenario)
-	}
-	spec, err := c.Candidate.Params.Apply(base)
+	spec, err := resolve(c.Scenario, c.Candidate.Params)
 	if err != nil {
-		return scenario.Spec{}, err
-	}
-	spec.InvariantMonitor = true
-	if err := spec.Validate(); err != nil {
-		return scenario.Spec{}, err
+		return scenario.Spec{}, fmt.Errorf("falsify: counterexample %s: %w", c.Fingerprint, err)
 	}
 	return spec, nil
 }

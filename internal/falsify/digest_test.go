@@ -40,7 +40,8 @@ func campaignDigests(t *testing.T) string {
 		for _, strat := range []string{"random", "guided:4", "schedule:2"} {
 			cfg := Config{Scenario: spec.Name, Strategy: strat, Seed: 7, Budget: campaignDigestBudget}
 			if spec.Duration > campaignDigestCap {
-				cfg.Duration = campaignDigestCap
+				horizon := campaignDigestCap
+				cfg.Base.Duration = &horizon
 			}
 			res, err := Campaign(context.Background(), cfg)
 			if err != nil {

@@ -30,7 +30,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -56,7 +55,10 @@ const (
 	DefaultMaxCounterexamples = 32
 )
 
-// Config configures a falsification campaign.
+// Config configures a falsification campaign. The campaign's base cell is
+// (Scenario, Base), resolved through scenario.Resolve: every knob of the
+// base, the mission horizon included, lives in Base and is refused there
+// when out of range.
 type Config struct {
 	// Scenario names the base scenario (scenario registry) the search
 	// explores around. Required.
@@ -73,11 +75,9 @@ type Config struct {
 	// Workers bounds concurrent candidate evaluations; zero defaults to
 	// GOMAXPROCS. Worker count never changes campaign results.
 	Workers int
-	// Duration overrides the per-candidate mission horizon; zero keeps each
-	// candidate spec's own duration.
-	Duration time.Duration
 	// Base is a spec delta applied to the base scenario before searching —
-	// the campaign-wide pin ("always under this fault profile").
+	// the campaign-wide pin ("always under this fault profile"). Its
+	// Duration sets the per-candidate mission horizon.
 	Base scenario.Delta
 	// Policies is the pool the policy mutation draws from; nil defaults to
 	// every registered policy name.
@@ -223,15 +223,26 @@ type Engine struct {
 	found      []Counterexample
 }
 
+// resolve turns a campaign cell (registry name + Delta) into the Spec its
+// candidates run on. The φInv monitor is the campaign's instrument: without
+// it the invariant category is structurally empty, so every candidate runs
+// checked. It is part of the candidate specs' canonical identity, which
+// keeps falsified/<hash> replays and corpus entries monitored too.
+func resolve(name string, d scenario.Delta) (scenario.Spec, error) {
+	s, err := scenario.Resolve(name, d)
+	if err != nil {
+		return scenario.Spec{}, err
+	}
+	s.InvariantMonitor = true
+	return s, nil
+}
+
 // NewEngine resolves and validates a campaign configuration. Strategies
 // normally receive an engine from Campaign rather than building one.
 func NewEngine(cfg Config) (*Engine, error) {
-	if cfg.Scenario == "" {
-		return nil, errors.New("falsify: no base scenario")
-	}
-	base, ok := scenario.Get(cfg.Scenario)
-	if !ok {
-		return nil, fmt.Errorf("falsify: unknown scenario %q (have: %s)", cfg.Scenario, strings.Join(scenario.Names(), ", "))
+	base, err := resolve(cfg.Scenario, cfg.Base)
+	if err != nil {
+		return nil, fmt.Errorf("falsify: base: %w", err)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -247,22 +258,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.MaxCounterexamples == 0 {
 		cfg.MaxCounterexamples = DefaultMaxCounterexamples
-	}
-	baseParams := cfg.Base
-	if cfg.Duration > 0 {
-		baseParams.Duration = &cfg.Duration
-	}
-	base, err := baseParams.Apply(base)
-	if err != nil {
-		return nil, fmt.Errorf("falsify: base: %w", err)
-	}
-	// The φInv monitor is the campaign's instrument: without it the
-	// invariant category is structurally empty, so every candidate runs
-	// checked. It is part of the candidate specs' canonical identity, which
-	// keeps falsified/<hash> replays monitored too.
-	base.InvariantMonitor = true
-	if err := base.Validate(); err != nil {
-		return nil, fmt.Errorf("falsify: base %w", err)
 	}
 	baseFP, err := base.Fingerprint(cfg.Seed)
 	if err != nil {
@@ -289,7 +284,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return &Engine{
 		cfg:        cfg,
 		base:       base,
-		baseParams: baseParams,
+		baseParams: cfg.Base,
 		baseFP:     baseFP,
 		strategy:   strat,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
@@ -299,21 +294,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Base returns the resolved base spec (campaign Base params and duration
-// override applied, φInv monitor forced on). The copy is the caller's.
+// Base returns the resolved base spec (campaign Base delta applied, φInv
+// monitor forced on). The copy is the caller's.
 func (e *Engine) Base() scenario.Spec { return e.base.With(scenario.Override{}) }
 
 // CampaignSeed returns the campaign's seed.
 func (e *Engine) CampaignSeed() int64 { return e.cfg.Seed }
 
-// Budget returns the total execution budget.
-func (e *Engine) Budget() int { return e.cfg.Budget }
-
 // Remaining returns the unspent execution budget.
 func (e *Engine) Remaining() int { return e.cfg.Budget - e.executions }
-
-// Policies returns the policy mutation pool.
-func (e *Engine) Policies() []string { return slices.Clone(e.cfg.Policies) }
 
 // NewSeed draws a fresh run seed from the campaign RNG.
 func (e *Engine) NewSeed() int64 { return 1 + e.rng.Int63n(1_000_000_000) }

@@ -96,9 +96,9 @@ func TestPlantedBugFoundByMultipleStrategies(t *testing.T) {
 			}
 
 			// The find auto-registered as a named regression scenario...
-			reg, ok := scenario.Get(ce.Name)
-			if !ok {
-				t.Fatalf("counterexample %s not registered as scenario %q", ce.Fingerprint, ce.Name)
+			reg, err := scenario.Resolve(ce.Name, scenario.Delta{})
+			if err != nil {
+				t.Fatalf("counterexample %s not registered as scenario %q: %v", ce.Fingerprint, ce.Name, err)
 			}
 			if !reg.InvariantMonitor {
 				t.Error("registered counterexample scenario lost the φInv monitor")
@@ -198,6 +198,7 @@ func TestCampaignRankingAndBound(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	base := plantedScenario(t)
+	negative := -5 * time.Second
 	cases := map[string]Config{
 		"missing scenario": {},
 		"unknown scenario": {Scenario: "no-such-scenario"},
@@ -206,6 +207,7 @@ func TestConfigValidate(t *testing.T) {
 		"negative budget":  {Scenario: base, Budget: -1},
 		"bad policy pool":  {Scenario: base, Policies: []string{"not-a-policy"}},
 		"bad base params":  {Scenario: base, Base: scenario.Delta{PlannerBug: "not-a-bug"}},
+		"negative horizon": {Scenario: base, Base: scenario.Delta{Duration: &negative}},
 	}
 	for name, cfg := range cases {
 		if err := cfg.Validate(); err == nil {

@@ -91,14 +91,14 @@ func TestScheduleFingerprintDistinguishesVectors(t *testing.T) {
 func TestScheduleStrategyDeterministicSpend(t *testing.T) {
 	base := plantedScenario(t)
 	off := true
+	horizon := 500 * time.Millisecond
 	cfg := Config{
 		Scenario: base,
 		Strategy: "schedule",
 		Seed:     1,
 		Budget:   4,
-		Duration: 500 * time.Millisecond,
 		// Fewer modules, tractable branching — the usual schedule-strategy base.
-		Base: scenario.Delta{NoPlannerModule: &off, NoBatteryModule: &off},
+		Base: scenario.Delta{NoPlannerModule: &off, NoBatteryModule: &off, Duration: &horizon},
 	}
 	var want []byte
 	for i := 0; i < 2; i++ {
@@ -127,11 +127,12 @@ func TestScheduleStrategyDeterministicSpend(t *testing.T) {
 // Random mode draws its seeds lazily: a huge seed count with a budget of
 // one runs one schedule, without materialising the seed list first.
 func TestScheduleSeedsBoundedByBudget(t *testing.T) {
+	horizon := 200 * time.Millisecond
 	res, err := Campaign(context.Background(), Config{
 		Scenario: plantedScenario(t),
 		Strategy: "schedule:2000000000",
 		Budget:   1,
-		Duration: 200 * time.Millisecond,
+		Base:     scenario.Delta{Duration: &horizon},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -156,35 +155,51 @@ func (r *Report) Format() string {
 	return b.String()
 }
 
-// Run simulates the missions across the worker pool and aggregates the
-// verdicts. Individual mission failures do not abort the batch; they are
+// Run simulates the missions across opts.Workers goroutines and aggregates
+// the verdicts. Individual mission failures do not abort the batch; they are
 // recorded in the results and surfaced through FirstErr. Cancelling the
 // context stops the batch cleanly: in-flight missions are cancelled (their
 // partial metrics are kept), missions never started are marked with the
 // context's error, and the Report stays internally consistent — a cancelled
 // batch can never masquerade as a clean one.
+//
+// Results are collected in mission order, whichever worker finished first:
+// internal/certify and internal/falsify fold each Run batch into their
+// campaign state strictly in that order, which is what keeps their verdicts
+// worker-count invariant. Keep that property when changing the pool.
 func Run(ctx context.Context, missions []Mission, opts Options) *Report {
 	start := time.Now() //soter:nondet-ok Report.Wall measures real elapsed time; it never feeds simulated state
-	ran := make([]bool, len(missions))
-	// Every worker-level error is carried inside its MissionResult, so the
-	// closure returns res.Err into parallelMap's error slot too: the two
-	// channels must agree, and TestRunCancelledBatchContract holds them to
-	// it.
-	results, _ := parallelMap(ctx, opts.Workers, len(missions), func(ctx context.Context, i int) (MissionResult, error) {
-		ran[i] = true
-		res := runOne(ctx, missions[i], opts.Store)
-		if opts.OnResult != nil {
-			opts.OnResult(i, missions[i], res)
-		}
-		return res, res.Err
-	})
-	// Missions the cancelled batch never started have no result; mark them
-	// explicitly rather than leaving zero-value "successes".
-	for i := range results {
-		if !ran[i] {
-			results[i] = MissionResult{Name: missions[i].Name, Seed: missions[i].Seed, Err: ctx.Err()}
+	results := make([]MissionResult, len(missions))
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for range min(opts.workers(), len(missions)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				results[i] = runOne(ctx, missions[i], opts.Store)
+				if opts.OnResult != nil {
+					opts.OnResult(i, missions[i], results[i])
+				}
+			}
+		}()
+	}
+feed:
+	for i := range missions {
+		select {
+		case next <- i:
+		case <-ctx.Done():
+			// Missions the cancelled batch never started have no result;
+			// mark them explicitly rather than leaving zero-value
+			// "successes".
+			for j := i; j < len(missions); j++ {
+				results[j] = MissionResult{Name: missions[j].Name, Seed: missions[j].Seed, Err: ctx.Err()}
+			}
+			break feed
 		}
 	}
+	close(next)
+	wg.Wait()
 	rep := &Report{
 		Results:  results,
 		Workers:  opts.workers(),
@@ -279,57 +294,6 @@ func runOne(ctx context.Context, m Mission, st *store.Tiered) (res MissionResult
 		}
 	}
 	return res
-}
-
-// parallelMap is Run's worker pool: it runs fn(0..n-1) across workers
-// goroutines (≤0 defaults to GOMAXPROCS) and collects the results in index
-// order. The returned error is the join (errors.Join, in index order) of
-// every per-index error — no worker-level error can be silently dropped.
-// Cancelling the context stops the feed: indices not yet handed to a worker
-// fail with the context's error; indices already in flight run fn to
-// completion (fn receives the context and is expected to honour it).
-//
-// Index-ordered collection is what lets callers build worker-count-invariant
-// results on top: Run is built on it, and internal/certify and
-// internal/falsify fold each Run batch into their campaign state strictly in
-// index order, so a verdict never depends on which worker finished first.
-// Keep that property when changing parallelMap.
-func parallelMap[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	w := Options{Workers: workers}.workers()
-	if w > n {
-		w = n
-	}
-	results := make([]T, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				results[idx], errs[idx] = fn(ctx, idx)
-			}
-		}()
-	}
-	done := ctx.Done()
-feed:
-	for idx := 0; idx < n; idx++ {
-		select {
-		case next <- idx:
-		case <-done:
-			for j := idx; j < n; j++ {
-				errs[j] = ctx.Err()
-			}
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	return results, errors.Join(errs...)
 }
 
 // Seeds returns n deterministic seeds derived from base, spaced so derived

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -155,10 +154,17 @@ func TestFleetFailuresIsolated(t *testing.T) {
 	}
 }
 
+// TestMapOrderAndBound: Run collects results in mission order whichever
+// worker finishes first, and never runs more missions at once than its
+// worker bound.
 func TestMapOrderAndBound(t *testing.T) {
 	var inFlight, peak atomic.Int32
 	const workers, n = 3, 20
-	out, err := parallelMap(context.Background(), workers, n, func(_ context.Context, i int) (int, error) {
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = int64(i)
+	}
+	missions := seedSweep("order", seeds, func(seed int64) (sim.RunConfig, error) {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -166,16 +172,14 @@ func TestMapOrderAndBound(t *testing.T) {
 				break
 			}
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(time.Duration(n-seed) * 100 * time.Microsecond)
 		inFlight.Add(-1)
-		return i * i, nil
+		return sim.RunConfig{}, fmt.Errorf("built-%d", seed)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
+	rep := Run(context.Background(), missions, Options{Workers: workers})
+	for i, res := range rep.Results {
+		if res.Name != missions[i].Name || res.Err == nil || res.Err.Error() != fmt.Sprintf("built-%d", i) {
+			t.Fatalf("result %d = %q %v, want %q built-%d", i, res.Name, res.Err, missions[i].Name, i)
 		}
 	}
 	if p := peak.Load(); p > workers {
@@ -183,31 +187,10 @@ func TestMapOrderAndBound(t *testing.T) {
 	}
 }
 
-func TestMapJoinsEveryError(t *testing.T) {
-	_, err := parallelMap(context.Background(), 4, 10, func(_ context.Context, i int) (int, error) {
-		if i == 3 || i == 7 {
-			return 0, fmt.Errorf("fail-%d", i)
-		}
-		return i, nil
-	})
-	if err == nil {
-		t.Fatal("nil error from a failing parallelMap")
-	}
-	// The contract is errors.Join of every per-index error, in index order:
-	// no worker-level error can be silently dropped.
-	msg := err.Error()
-	if !strings.Contains(msg, "fail-3") || !strings.Contains(msg, "fail-7") {
-		t.Fatalf("err = %v, want both fail-3 and fail-7", err)
-	}
-	if strings.Index(msg, "fail-3") > strings.Index(msg, "fail-7") {
-		t.Errorf("errors out of index order: %v", err)
-	}
-}
-
 func TestMapEmpty(t *testing.T) {
-	out, err := parallelMap[int](context.Background(), 4, 0, func(_ context.Context, i int) (int, error) { return 0, nil })
-	if err != nil || out != nil {
-		t.Fatalf("out=%v err=%v", out, err)
+	rep := Run(context.Background(), nil, Options{Workers: 4})
+	if len(rep.Results) != 0 || rep.Missions != 0 || rep.Failed != 0 || rep.FirstErr() != nil {
+		t.Fatalf("empty batch reported %+v", rep)
 	}
 }
 
@@ -249,22 +232,22 @@ func TestRunCancelledBatchContract(t *testing.T) {
 	}
 }
 
-// TestMapCancelledFeed: indices never handed to a worker fail with the
+// TestMapCancelledFeed: missions never handed to a worker fail with the
 // context's error instead of silently returning zero values.
 func TestMapCancelledFeed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the feed starts
-	out, err := parallelMap(ctx, 2, 8, func(ctx context.Context, i int) (int, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return i + 1, nil
+	missions := seedSweep("feed", Seeds(1, 8), func(int64) (sim.RunConfig, error) {
+		return sim.RunConfig{}, ctx.Err()
 	})
-	if len(out) != 8 {
-		t.Fatalf("len(out) = %d", len(out))
+	rep := Run(ctx, missions, Options{Workers: 2})
+	if len(rep.Results) != len(missions) || rep.Failed != len(missions) {
+		t.Fatalf("results=%d failed=%d, want %d of each", len(rep.Results), rep.Failed, len(missions))
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for i, res := range rep.Results {
+		if res.Name != missions[i].Name || !errors.Is(res.Err, context.Canceled) {
+			t.Errorf("result %d = %q %v, want %q context.Canceled", i, res.Name, res.Err, missions[i].Name)
+		}
 	}
 }
 

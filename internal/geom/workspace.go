@@ -8,7 +8,9 @@ import (
 // Workspace is the drone's operating volume: an outer bound and a set of
 // static axis-aligned obstacles. It mirrors the simplified setting of the
 // paper's case study (Section II-A): all obstacles are static and known a
-// priori, and there are no environment uncertainties like wind.
+// priori, and there are no environment uncertainties like wind. Its
+// obstacles are read through the aliasing ObstaclesView or the indexed
+// queries (Free, BoxFree, SegmentFree); there is no copying accessor.
 type Workspace struct {
 	bounds    AABB
 	obstacles []AABB
@@ -33,19 +35,10 @@ func NewWorkspace(bounds AABB, obstacles []AABB) (*Workspace, error) {
 // Bounds returns the outer bounding box of the workspace.
 func (w *Workspace) Bounds() AABB { return w.bounds }
 
-// Obstacles returns a copy of the obstacle set.
-func (w *Workspace) Obstacles() []AABB {
-	out := make([]AABB, len(w.obstacles))
-	copy(out, w.obstacles)
-	return out
-}
-
 // ObstaclesView returns the workspace's obstacle slice without copying. The
-// returned slice is shared and MUST be treated as read-only — it exists so
-// internal consumers on deterministic hot paths (planner construction,
-// canonicalization, derived workspaces) avoid the defensive copy Obstacles
-// makes per call. soter-vet's obstacleview analyzer steers those packages
-// here.
+// returned slice is shared and MUST be treated as read-only; a caller that
+// wants an edited obstacle set builds a new Workspace, and NewWorkspace
+// copies what it is given.
 func (w *Workspace) ObstaclesView() []AABB { return w.obstacles }
 
 // NumObstacles returns the number of obstacles.

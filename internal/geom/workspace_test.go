@@ -144,12 +144,6 @@ func TestCityWorkspace(t *testing.T) {
 	if ws.Free(V(10, 10, 2)) {
 		t.Error("inside a house should not be free")
 	}
-	// Obstacles returns a copy: mutating it must not affect the workspace.
-	obs := ws.Obstacles()
-	obs[0] = Box(V(0, 0, 0), V(50, 50, 12))
-	if !ws.Free(V(3, 3, 2)) {
-		t.Error("mutating the returned obstacle slice changed the workspace")
-	}
 }
 
 // Property: BoxFree(box) implies Free for every sampled point of the box.

@@ -37,10 +37,9 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// Deterministic lists the packages (by import-path base) whose behaviour
-// must be a pure function of (Spec, seed). It is shared with the other
-// determinism-scoped analyzers (obstacleview) so the set cannot drift.
-var Deterministic = map[string]bool{
+// deterministic lists the packages (by import-path base) whose behaviour
+// must be a pure function of (Spec, seed).
+var deterministic = map[string]bool{
 	"sim": true, "fleet": true, "rta": true, "runtime": true,
 	"plant": true, "pubsub": true, "scenario": true, "plan": true,
 	"mission": true, "reach": true, "battery": true, "falsify": true,
@@ -57,7 +56,7 @@ var allowedRand = map[string]bool{
 const suppress = "nondet-ok"
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !Deterministic[PathBase(pass.Pkg.Path())] {
+	if !deterministic[pathBase(pass.Pkg.Path())] {
 		return nil, nil
 	}
 	idx := directive.ParseFiles(pass.Fset, pass.Files)
@@ -72,9 +71,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// PathBase returns the last import-path element, with any " [p.test]"
+// pathBase returns the last import-path element, with any " [p.test]"
 // test-variant suffix stripped.
-func PathBase(path string) string {
+func pathBase(path string) string {
 	if i := strings.Index(path, " ["); i >= 0 {
 		path = path[:i]
 	}

@@ -1,9 +1,8 @@
 // Package directive parses soter-vet suppression comments. A diagnostic is
 // suppressed by writing
 //
-//	//soter:nondet-ok <reason>      (detsource findings)
-//	//soter:ctx-ok <reason>         (ctxflow findings)
-//	//soter:obstacles-ok <reason>   (obstacleview findings)
+//	//soter:nondet-ok <reason>   (detsource findings)
+//	//soter:ctx-ok <reason>      (ctxflow findings)
 //
 // either on the offending line or on the line immediately above it. The
 // reason is mandatory: a bare directive is itself reported, so every audited

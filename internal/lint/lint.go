@@ -10,9 +10,6 @@
 //     excluded from the canonical cache key.
 //   - ctxflow: long-running exported entry points take a context.Context,
 //     and internal packages never mint ambient root contexts.
-//   - obstacleview: deterministic hot-path packages read workspace geometry
-//     through the aliasing ObstaclesView accessor or the indexed queries,
-//     never through the per-call-copying Obstacles().
 //
 // The suite runs three ways with identical findings: `go run
 // ./cmd/soter-vet ./...` (CI, pre-build), the repo-wide self-check test in
@@ -27,14 +24,12 @@ import (
 	"repro/internal/lint/ctxflow"
 	"repro/internal/lint/detsource"
 	"repro/internal/lint/eventkind"
-	"repro/internal/lint/obstacleview"
 )
 
 // Suite returns the full soter-vet analyzer suite, in reporting order.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		detsource.Analyzer,
-		obstacleview.Analyzer,
 		eventkind.Analyzer,
 		canonicalfield.Analyzer,
 		ctxflow.Analyzer,

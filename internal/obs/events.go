@@ -109,8 +109,6 @@ func (s KindSet) Has(k Kind) bool { return s&(1<<k) != 0 }
 type Event interface {
 	// Kind identifies the variant without a type switch.
 	Kind() Kind
-	// Time is the run-relative timestamp ct of the event.
-	Time() time.Duration
 }
 
 // RunStart opens a run's event stream. Modules lists the RTA modules of the
@@ -304,18 +302,3 @@ func (Landed) Kind() Kind              { return KindLanded }
 func (CampaignProgress) Kind() Kind    { return KindCampaignProgress }
 func (CounterexampleFound) Kind() Kind { return KindCounterexample }
 func (CertifyProgress) Kind() Kind     { return KindCertifyProgress }
-
-// Time implements Event.
-func (e RunStart) Time() time.Duration            { return e.T }
-func (e RunEnd) Time() time.Duration              { return e.T }
-func (e NodeFired) Time() time.Duration           { return e.T }
-func (e ModeSwitch) Time() time.Duration          { return e.T }
-func (e InvariantViolation) Time() time.Duration  { return e.T }
-func (e TimeProgress) Time() time.Duration        { return e.T }
-func (e TrajectorySample) Time() time.Duration    { return e.T }
-func (e BatterySample) Time() time.Duration       { return e.T }
-func (e Crash) Time() time.Duration               { return e.T }
-func (e Landed) Time() time.Duration              { return e.T }
-func (e CampaignProgress) Time() time.Duration    { return e.T }
-func (e CounterexampleFound) Time() time.Duration { return e.T }
-func (e CertifyProgress) Time() time.Duration     { return e.T }

@@ -154,8 +154,8 @@ func TestRecorderBound(t *testing.T) {
 	events := r.Events()
 	for i, e := range events {
 		want := time.Duration(total - capacity + i)
-		if e.Time() != want {
-			t.Errorf("event %d at t=%v, want %v (oldest-first order)", i, e.Time(), want)
+		if got := e.(BatterySample).T; got != want {
+			t.Errorf("event %d at t=%v, want %v (oldest-first order)", i, got, want)
 		}
 	}
 }

@@ -77,29 +77,43 @@ func TestCanonicalResolvesDefaults(t *testing.T) {
 	}
 }
 
-// TestCanonicalResolvesBugRate: a skip-edge-check Spec that leaves the bug
-// rate unset runs the default rate, so it must fingerprint like the Spec
-// that spells 0.3, and compile to the stack that runs it.
+// TestCanonicalResolvesBugRate: a Spec fingerprints the bug rate that runs.
+// A skip-edge-check Spec that leaves the rate unset runs the default rate, so
+// it must fingerprint like the Spec that spells 0.3; the other bugs never
+// read the rate, so any rate must fingerprint like rate 0. Each Spec also
+// compiles to the stack that runs that rate.
 func TestCanonicalResolvesBugRate(t *testing.T) {
-	unset := MustGet("surveillance-city").With(Override{Apply: func(s *Spec) { s.PlannerBug = plan.BugSkipEdgeCheck }})
-	spelled := unset.With(Override{Apply: func(s *Spec) { s.PlannerBugRate = 0.3 }})
-	got, err := unset.Fingerprint(1)
-	if err != nil {
-		t.Fatal(err)
+	withBug := func(bug plan.Bug, rate float64) Spec {
+		return MustGet("surveillance-city").With(Override{Apply: func(s *Spec) { s.PlannerBug, s.PlannerBugRate = bug, rate }})
 	}
-	want, err := spelled.Fingerprint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("unset rate fingerprints %s, spelled 0.3 %s", got, want)
-	}
-	cfg, err := unset.StackConfig(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.PlannerBugRate != 0.3 {
-		t.Errorf("unset rate compiles to %v, want 0.3", cfg.PlannerBugRate)
+	for _, tc := range []struct {
+		bug        plan.Bug
+		rate, runs float64
+	}{
+		{plan.BugSkipEdgeCheck, 0, 0.3},
+		{plan.BugStaleObstacles, 0.2, 0},
+		{plan.BugStaleObstacles, 0.7, 0},
+		{plan.BugUncheckedShortcut, 0.2, 0},
+		{plan.BugUncheckedShortcut, 0.7, 0},
+	} {
+		got, err := withBug(tc.bug, tc.rate).Fingerprint(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := withBug(tc.bug, tc.runs).Fingerprint(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%v at rate %v fingerprints %s, at rate %v %s", tc.bug, tc.rate, got, tc.runs, want)
+		}
+		cfg, err := withBug(tc.bug, tc.rate).StackConfig(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.PlannerBugRate != tc.runs {
+			t.Errorf("%v at rate %v compiles to rate %v, want %v", tc.bug, tc.rate, cfg.PlannerBugRate, tc.runs)
+		}
 	}
 }
 

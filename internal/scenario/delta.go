@@ -12,14 +12,15 @@ import (
 
 // Delta is the one declarative edit of a registered Spec: a
 // JSON-serializable bundle of named knobs layered over a base, and the only
-// code that maps a knob name onto a Spec field. Every surface that edits a
-// registered scenario from outside the process goes through Apply:
-// soter-serve's /jobs, /certify and /falsify bodies, soter-falsify -base,
-// soter-sim's flags, falsification candidates and the committed
-// counterexample corpus. An absent field inherits the base's value, so a
-// Delta is exactly what a counterexample needs to carry to be replayed, and
-// the applied Spec's canonical fingerprint then identifies the run. The
-// in-process sweep axis is Override, not Delta.
+// code that maps a knob name onto a Spec field. Every surface that names a
+// registered scenario from outside the process comes in through Resolve
+// (registry name + Delta → validated Spec): soter-serve's /jobs, /certify
+// and /falsify bodies, soter-falsify -base, soter-sim's flags and the
+// committed counterexample corpus; falsification candidates layer their
+// Delta over the campaign base with Apply. An absent field inherits the
+// base's value, so a Delta is exactly what a counterexample needs to carry
+// to be replayed, and the applied Spec's canonical fingerprint then
+// identifies the run. The in-process sweep axis is Override, not Delta.
 //
 // The knobs the Spec reads as "zero means default" (hysteresis,
 // initial_battery, drain_multiple, plan_margin, motion_delta_ns,

@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -45,6 +47,28 @@ func Get(name string) (Spec, bool) {
 	s, ok := registry.specs[name]
 	s.Targets = slices.Clone(s.Targets)
 	return s, ok
+}
+
+// Resolve turns a cell named from outside the process — a registry name and
+// a Delta layered over it — into the validated Spec it denotes. It is the
+// one way in for every such surface: soter-serve's /jobs, /certify and
+// /falsify, the falsify corpus and soter-sim.
+func Resolve(name string, d Delta) (Spec, error) {
+	if name == "" {
+		return Spec{}, errors.New("no scenario name")
+	}
+	base, ok := Get(name)
+	if !ok {
+		return Spec{}, fmt.Errorf("unknown scenario %q (have: %s)", name, strings.Join(Names(), ", "))
+	}
+	s, err := d.Apply(base)
+	if err != nil {
+		return Spec{}, fmt.Errorf("scenario %q: %w", name, err)
+	}
+	if err := s.Validate(); err != nil {
+		return Spec{}, err
+	}
+	return s, nil
 }
 
 // MustGet is Get, panicking on a missing name — for experiment code whose

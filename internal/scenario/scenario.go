@@ -151,7 +151,8 @@ type Spec struct {
 	Faults FaultProfile
 	// PlannerBug injects the selected defect into the RRT* AC planner at
 	// PlannerBugRate (Section V-C); under BugSkipEdgeCheck a zero rate
-	// selects plan.DefaultBugRate.
+	// selects plan.DefaultBugRate. Only BugSkipEdgeCheck reads the rate, so
+	// under any other bug it is ignored (and not fingerprinted).
 	PlannerBug     plan.Bug
 	PlannerBugRate float64
 	// JitterProb enables best-effort-scheduling outages (Section V-D);
@@ -292,7 +293,10 @@ func (s Spec) resolve() (resolved, error) {
 	cfg.SwitchPolicy = pol
 	cfg.PlannerBug = s.PlannerBug
 	cfg.PlannerBugRate = s.PlannerBugRate
-	if s.PlannerBug == plan.BugSkipEdgeCheck && s.PlannerBugRate == 0 {
+	switch {
+	case s.PlannerBug != plan.BugSkipEdgeCheck:
+		cfg.PlannerBugRate = 0 // no other bug reads the rate
+	case s.PlannerBugRate == 0:
 		cfg.PlannerBugRate = plan.DefaultBugRate
 	}
 	if s.Protection != 0 {

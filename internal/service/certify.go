@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/certify"
 	"repro/internal/obs"
@@ -46,17 +45,21 @@ type CertifyJobSpec struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// config compiles the wire spec into a campaign configuration.
+// config compiles the wire spec into a campaign configuration. A wire
+// duration wins over the overrides' duration_ns.
 func (cs CertifyJobSpec) config() certify.Config {
+	overrides := cs.Overrides
+	if d := cs.Duration.present(); d != nil {
+		overrides.Duration = d
+	}
 	return certify.Config{
 		Scenario:        cs.Scenario,
-		Overrides:       cs.Overrides,
+		Overrides:       overrides,
 		Threshold:       cs.Threshold,
 		Confidence:      cs.Confidence,
 		MaxSeeds:        cs.MaxSeeds,
 		Batch:           cs.Batch,
 		Seed:            cs.Seed,
-		Duration:        time.Duration(cs.Duration),
 		FaultActivation: cs.FaultActivation,
 		Boost:           cs.Boost,
 	}

@@ -159,6 +159,7 @@ func TestCertifyValidation(t *testing.T) {
 		{"bad activation", `{"scenario":"surveillance-city","threshold":0.01,"fault_activation":-0.5}`},
 		{"boost without sporadic model", `{"scenario":"surveillance-city","threshold":0.01,"boost":2}`},
 		{"bad policy override", `{"scenario":"surveillance-city","threshold":0.01,"overrides":{"policy":"warp"}}`},
+		{"negative horizon", `{"scenario":"surveillance-city","threshold":0.01,"duration":"-1s"}`},
 		{"unknown field", `{"scenario":"surveillance-city","threshold":0.01,"bogus":1}`},
 	} {
 		if _, code := postCertify(t, ts.URL, tc.body); code != http.StatusBadRequest {

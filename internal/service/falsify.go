@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/falsify"
 	"repro/internal/obs"
@@ -44,15 +43,19 @@ type FalsifyJobSpec struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// config compiles the wire spec into a campaign configuration.
+// config compiles the wire spec into a campaign configuration. A wire
+// duration wins over the base's duration_ns.
 func (fs FalsifyJobSpec) config() falsify.Config {
+	base := fs.Base
+	if d := fs.Duration.present(); d != nil {
+		base.Duration = d
+	}
 	return falsify.Config{
 		Scenario:           fs.Scenario,
 		Strategy:           fs.Strategy,
 		Seed:               fs.Seed,
 		Budget:             fs.Budget,
-		Duration:           time.Duration(fs.Duration),
-		Base:               fs.Base,
+		Base:               base,
 		Policies:           fs.Policies,
 		ClampStorm:         fs.ClampStorm,
 		MaxCounterexamples: fs.MaxCounterexamples,

@@ -154,8 +154,8 @@ func TestFalsifyRegisterExposesScenario(t *testing.T) {
 		t.Fatalf("campaign: %s, %d finds", done.Status, len(done.FalsifyResult.Counterexamples))
 	}
 	name := done.FalsifyResult.Counterexamples[0].Name
-	if _, ok := scenario.Get(name); !ok {
-		t.Fatalf("counterexample scenario %q not registered", name)
+	if _, err := scenario.Resolve(name, scenario.Delta{}); err != nil {
+		t.Fatalf("counterexample scenario %q not registered: %v", name, err)
 	}
 	// The registered counterexample runs as a plain sweep job.
 	sweep := postJob(t, ts, `{"scenario":"`+name+`","seeds":[`+
@@ -203,6 +203,7 @@ func TestFalsifyValidation(t *testing.T) {
 		{"bad policy pool", `{"scenario":"surveillance-city","policies":["warp"]}`},
 		{"unknown field", `{"scenario":"surveillance-city","bogus":1}`},
 		{"negative budget", `{"scenario":"surveillance-city","budget":-2}`},
+		{"negative horizon", `{"scenario":"surveillance-city","duration":"-1s"}`},
 	} {
 		if _, code := postFalsify(t, ts.URL, tc.body); code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", tc.name, code)

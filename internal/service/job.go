@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -110,11 +109,11 @@ type Overrides struct {
 	InvariantMonitor *bool `json:"invariant_monitor,omitempty"`
 }
 
-// apply returns the spec with the overrides folded in: the knobs shared with
-// /certify and /falsify through scenario.Delta, then the three /jobs-only
-// ones through their enums' parsers.
-func (o Overrides) apply(s scenario.Spec) (scenario.Spec, error) {
-	s, err := scenario.Delta{
+// resolve returns the named registry spec with the overrides folded in: the
+// knobs shared with /certify and /falsify through scenario.Resolve, then the
+// three /jobs-only ones through their enums' parsers.
+func (o Overrides) resolve(name string) (scenario.Spec, error) {
+	s, err := scenario.Resolve(name, scenario.Delta{
 		Policy:         o.Policy,
 		PlannerBug:     o.PlannerBug,
 		PlannerBugRate: o.PlannerBugRate,
@@ -125,7 +124,7 @@ func (o Overrides) apply(s scenario.Spec) (scenario.Spec, error) {
 		Hysteresis:     o.Hysteresis,
 		MotionDelta:    o.MotionDelta.present(),
 		Duration:       o.Duration.present(),
-	}.Apply(s)
+	})
 	if err != nil {
 		return s, err
 	}
@@ -208,19 +207,8 @@ func (js JobSpec) expandSeeds() ([]int64, error) {
 // registry and compiles it into the effective spec, the seed sweep and the
 // per-cell cache keys.
 func (js JobSpec) resolve() (kind, error) {
-	if js.Scenario == "" {
-		return nil, fmt.Errorf("missing scenario name")
-	}
-	base, ok := scenario.Get(js.Scenario)
-	if !ok {
-		return nil, fmt.Errorf("unknown scenario %q (have: %s)",
-			js.Scenario, strings.Join(scenario.Names(), ", "))
-	}
-	spec, err := js.Overrides.apply(base)
+	spec, err := js.Overrides.resolve(js.Scenario)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", js.Scenario, err)
-	}
-	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	seeds, err := js.expandSeeds()

@@ -206,9 +206,6 @@ func (s *Server) Close() {
 	})
 }
 
-// Store exposes the tiered result store (tests seed or inspect it).
-func (s *Server) Store() *store.Tiered { return s.store }
-
 // maxCellsPerJob bounds one job's cell total (a sweep's seeds, a falsify
 // budget, a certify max_seeds). Submit checks it before any per-cell work, so
 // an oversized request is refused at once instead of being expanded and

@@ -321,9 +321,6 @@ func (d *Disk) Len() int {
 	return len(d.index)
 }
 
-// Dir returns the tier's root directory.
-func (d *Disk) Dir() string { return d.dir }
-
 // Stats returns a snapshot of the counters.
 func (d *Disk) Stats() TierStats {
 	d.mu.Lock()

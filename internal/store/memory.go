@@ -80,13 +80,6 @@ func (m *Memory) Put(_ context.Context, key string, val []byte) {
 	}
 }
 
-// Len returns the number of entries currently held.
-func (m *Memory) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.order.Len()
-}
-
 // Stats returns a snapshot of the counters.
 func (m *Memory) Stats() TierStats {
 	m.mu.Lock()
