@@ -88,10 +88,29 @@ func waypointManagerNode() (*node.Node, error) {
 	)
 }
 
+// primitiveClock reads a motion primitive's local state, its own clock, and
+// returns the clock after one more firing. It is the whole state transition
+// of the node: the step and the idle step both advance the clock through
+// it, so the two cannot drift apart.
+func primitiveClock(st node.State) (now, next time.Duration) {
+	t, _ := st.(time.Duration)
+	return t, t + primitivePeriod
+}
+
+// primitiveIdle is the motion primitive's idle step (node.WithIdleStep): the
+// clock advances on every firing the executor does not drop, whether or not
+// OE enables the node's outputs.
+func primitiveIdle(st node.State) node.State {
+	_, next := primitiveClock(st)
+	return next
+}
+
 // primitiveNode wraps a controller as a motion-primitive node with period
 // primitivePeriod: it subscribes to the drone state and current waypoint and
 // publishes the commanded acceleration, like the MotionPrimitive node of
-// Figure 4.
+// Figure 4. The next state never reads the inputs, so the node declares an
+// idle step: the controller of a module that OE has disabled computes no
+// command.
 func primitiveNode(name string, ctrl controller.Controller) (*node.Node, error) {
 	if ctrl == nil {
 		return nil, fmt.Errorf("primitive node %q: nil controller", name)
@@ -100,8 +119,7 @@ func primitiveNode(name string, ctrl controller.Controller) (*node.Node, error) 
 	// firing; controllers use it for time-dependent behaviour (faults).
 	out := make(pubsub.Valuation, 1) // refilled every firing (node.StepFunc)
 	step := func(st node.State, in pubsub.Valuation) (node.State, pubsub.Valuation, error) {
-		t, _ := st.(time.Duration)
-		nextT := t + primitivePeriod
+		t, nextT := primitiveClock(st)
 		ds, haveState := droneState(in)
 		wp, haveWP := waypoint(in)
 		if !haveState || ds.Landed {
@@ -121,6 +139,7 @@ func primitiveNode(name string, ctrl controller.Controller) (*node.Node, error) 
 		[]pubsub.TopicName{TopicCmd},
 		step,
 		node.WithInit(func() node.State { return time.Duration(0) }),
+		node.WithIdleStep(primitiveIdle),
 	)
 }
 

@@ -15,7 +15,7 @@ import (
 
 // State is the local state l ∈ L of a node. States must be treated as values:
 // Step must not mutate its argument but return a fresh (or identical) state,
-// so the systematic-testing engine can snapshot configurations.
+// so a configuration read off the executor stays valid after later firings.
 type State any
 
 // StepFunc is the transition relation T of a node restricted to a
@@ -39,6 +39,11 @@ type StepFunc func(st State, in pubsub.Valuation) (State, pubsub.Valuation, erro
 
 // InitFunc produces the initial local state l0 of a node.
 type InitFunc func() State
+
+// IdleFunc is the local-state half of a node's transition for a firing whose
+// outputs are disabled: it returns the state the step would have returned,
+// without the inputs. See WithIdleStep.
+type IdleFunc func(State) State
 
 // Schedule is the time-table C(N) of one node: the node fires at phase,
 // phase+period, phase+2*period, ... A system's calendar is the union of its
@@ -86,6 +91,7 @@ type Node struct {
 	sched   Schedule
 	init    InitFunc
 	step    StepFunc
+	idle    IdleFunc
 }
 
 // Option configures optional node attributes.
@@ -94,6 +100,7 @@ type Option func(*options)
 type options struct {
 	phase time.Duration
 	init  InitFunc
+	idle  IdleFunc
 }
 
 // WithPhase offsets the node's first firing from time zero.
@@ -105,6 +112,18 @@ func WithPhase(p time.Duration) Option {
 // with a nil local state.
 func WithInit(f InitFunc) Option {
 	return func(o *options) { o.init = f }
+}
+
+// WithIdleStep declares the node's idle step: for every local state, f
+// returns exactly the state the step returns, whatever the inputs. An
+// executor may then run f instead of the step on a firing whose outputs OE
+// disables (Fig. 11 discards them anyway), skipping the input read and the
+// output computation. Only a node whose next state never depends on its
+// inputs can declare one: a state that accumulates history (a plan cache,
+// an RNG advanced per input-dependent draw, a site pinned from the first
+// input) cannot.
+func WithIdleStep(f IdleFunc) Option {
+	return func(o *options) { o.idle = f }
 }
 
 // New constructs a node named name with period period, subscribing to inputs,
@@ -155,6 +174,7 @@ func New(name string, period time.Duration, inputs, outputs []pubsub.TopicName, 
 		sched:   sched,
 		init:    init,
 		step:    step,
+		idle:    o.idle,
 	}, nil
 }
 
@@ -175,6 +195,10 @@ func (n *Node) Schedule() Schedule { return n.sched }
 
 // InitState returns a fresh initial local state l0.
 func (n *Node) InitState() State { return n.init() }
+
+// IdleStep returns the node's idle step (WithIdleStep), nil when it
+// declares none.
+func (n *Node) IdleStep() IdleFunc { return n.idle }
 
 // Step applies the transition relation once. It validates that the produced
 // output valuation only mentions declared output topics. The check counts

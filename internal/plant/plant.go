@@ -100,10 +100,15 @@ func (p Params) MaxCost(t time.Duration) float64 {
 }
 
 // Drone is the stepping plant. It owns an RNG for sensor noise so runs are
-// reproducible from a seed.
+// reproducible from a seed; that RNG and Step's coefficient cache make a
+// Drone serve one run at a time.
 type Drone struct {
 	params Params
 	rng    *rand.Rand
+	// lagH and lagAlpha cache the actuation-lag coefficient 1 - exp(-h/τ)
+	// of the last sub-step length h: a run's sub-steps share one length
+	// but the last, partial one.
+	lagH, lagAlpha float64
 }
 
 // NewDrone creates a plant with the given parameters and noise seed.
@@ -140,8 +145,10 @@ func (d *Drone) Step(s State, cmd geom.Vec3, dt time.Duration) State {
 	// First-order actuation lag: a' = a + (cmd - a) * (1 - exp(-h/τ)).
 	applied := cmd
 	if d.params.LagTau > 0 {
-		alpha := 1 - math.Exp(-h/d.params.LagTau.Seconds())
-		applied = s.Accel.Add(cmd.Sub(s.Accel).Scale(alpha))
+		if h != d.lagH {
+			d.lagH, d.lagAlpha = h, 1-math.Exp(-h/d.params.LagTau.Seconds())
+		}
+		applied = s.Accel.Add(cmd.Sub(s.Accel).Scale(d.lagAlpha))
 	}
 	applied = applied.ClampBox(sat.Neg(), sat)
 

@@ -255,3 +255,40 @@ func TestStepZeroDuration(t *testing.T) {
 		t.Errorf("zero-dt step changed state: %+v", got)
 	}
 }
+
+// TestLagCoefficientCache steps one drone through sub-steps of varying
+// length — full 5 ms steps, a run's last partial sub-step, and back — and
+// holds every state bit for bit to a step of a drone that has never stepped,
+// so computes 1 - exp(-h/τ) afresh.
+func TestLagCoefficientCache(t *testing.T) {
+	p := DefaultParams()
+	d := mustDrone(t, p, 1)
+	s := State{Pos: geom.V(1, 2, 3), Battery: 1}
+	steps := []time.Duration{
+		5 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond,
+		3 * time.Millisecond, // the last, partial sub-step of a run
+		5 * time.Millisecond, time.Nanosecond, 5 * time.Millisecond,
+		7 * time.Millisecond, 7 * time.Millisecond, 2 * time.Millisecond,
+	}
+	for i, dt := range steps {
+		cmd := geom.V(float64(i%3)-1, 2-float64(i%5), 0.5*float64(i))
+		got := d.Step(s, cmd, dt)
+		want := mustDrone(t, p, 1).Step(s, cmd, dt)
+		if !sameBits(got, want) {
+			t.Fatalf("step %d (dt %v): cached %+v, uncached %+v", i, dt, got, want)
+		}
+		s = got
+	}
+}
+
+// sameBits reports whether two states are equal bit for bit.
+func sameBits(a, b State) bool {
+	fa := []float64{a.Pos.X, a.Pos.Y, a.Pos.Z, a.Vel.X, a.Vel.Y, a.Vel.Z, a.Accel.X, a.Accel.Y, a.Accel.Z, a.Battery}
+	fb := []float64{b.Pos.X, b.Pos.Y, b.Pos.Z, b.Vel.X, b.Vel.Y, b.Vel.Z, b.Accel.X, b.Accel.Y, b.Accel.Z, b.Battery}
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	return a.Landed == b.Landed
+}

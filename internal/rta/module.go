@@ -215,7 +215,7 @@ func (m *Module) generateDM() (*node.Node, error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("decision module local state has type %T, want rta.DMState", st)
 		}
-		return m.DecideState(dm, in), nil, nil
+		return m.decideState(dm, in), nil, nil
 	}
 	return node.New(
 		m.name+".dm",
@@ -223,25 +223,25 @@ func (m *Module) generateDM() (*node.Node, error) {
 		m.monitored,
 		nil,
 		step,
-		node.WithInit(func() node.State { return m.InitDMState() }),
+		node.WithInit(func() node.State { return m.initDMState() }),
 		node.WithPhase(m.dmPhase),
 	)
 }
 
-// InitDMState is the initial DM local state: SC mode (the initial
+// initDMState is the initial DM local state: SC mode (the initial
 // configuration of Section IV, OE0 enables SC) with the policy's initial
 // state.
-func (m *Module) InitDMState() DMState {
+func (m *Module) initDMState() DMState {
 	return DMState{Mode: ModeSC, Policy: m.policy.Init()}
 }
 
-// DecideState applies the module's switching policy to the current DM state
+// decideState applies the module's switching policy to the current DM state
 // and monitored state, then enforces the framework's safety clamp: a
 // proposed AC is overridden to SC whenever ttf2Δ fails, so no policy —
 // however adversarial — can hold AC in a state from which φsafe could be
 // left within 2Δ. With the default Figure 9 policy this reproduces Decide
 // exactly (the paper's rules never propose AC against a failing ttf2Δ).
-func (m *Module) DecideState(st DMState, in pubsub.Valuation) DMState {
+func (m *Module) decideState(st DMState, in pubsub.Valuation) DMState {
 	ctx := &m.decideCtx
 	*ctx = DecisionContext{
 		Module:  m.name,
@@ -280,11 +280,11 @@ func (m *Module) DecideState(st DMState, in pubsub.Valuation) DMState {
 //	mode = AC ∧ ttf2Δ        → SC
 //	mode = SC ∧ st ∈ φsafer  → AC
 //
-// Stateful policies should be driven through DecideState, which threads the
-// policy state; Decide answers the memoryless question "what would a fresh
-// DM decide here".
+// A stateful policy runs in the module's DM node, which threads the policy
+// state from one decision to the next; Decide answers the memoryless
+// question "what would a fresh DM decide here".
 func (m *Module) Decide(mode Mode, st pubsub.Valuation) Mode {
-	return m.DecideState(DMState{Mode: mode, Policy: m.policy.Init()}, st).Mode
+	return m.decideState(DMState{Mode: mode, Policy: m.policy.Init()}, st).Mode
 }
 
 // Policy returns the module's switching policy.

@@ -32,16 +32,16 @@ type step struct {
 	wantReason SwitchReason
 }
 
-// drive runs the scripted sequence through DecideState, threading the DM
+// drive runs the scripted sequence through decideState, threading the DM
 // state exactly like the executor does.
 func drive(t *testing.T, policy Policy, seq []step) {
 	t.Helper()
 	var ttf, safer bool
 	m := policyModule(t, policy, &ttf, &safer)
-	st := m.InitDMState()
+	st := m.initDMState()
 	for i, s := range seq {
 		ttf, safer = s.ttf, s.safer
-		st = m.DecideState(st, nil)
+		st = m.decideState(st, nil)
 		if st.Mode != s.wantMode || st.Reason != s.wantReason {
 			t.Fatalf("step %d (ttf=%v safer=%v): got (%v, %q), want (%v, %q)",
 				i, s.ttf, s.safer, st.Mode, st.Reason, s.wantMode, s.wantReason)
@@ -164,12 +164,12 @@ func TestClampHoldsForAdversarialPolicies(t *testing.T) {
 		var ttf, safer bool
 		m := policyModule(t, chaoticPolicy{seed: seed}, &ttf, &safer)
 		env := rand.New(rand.NewSource(seed * 977))
-		st := m.InitDMState()
+		st := m.initDMState()
 		sawClamp := false
 		for i := 0; i < 2000; i++ {
 			ttf = env.Intn(3) == 0
 			safer = env.Intn(2) == 0
-			st = m.DecideState(st, nil)
+			st = m.decideState(st, nil)
 			if ttf && st.Mode != ModeSC {
 				t.Fatalf("seed %d step %d: mode %v while ttf2Δ fails — clamp violated", seed, i, st.Mode)
 			}
@@ -232,7 +232,7 @@ func TestPolicyRegistry(t *testing.T) {
 }
 
 // TestDefaultPolicyMatchesLegacyFig9 replays random observation sequences
-// through DecideState with the default policy and through an inline
+// through decideState with the default policy and through an inline
 // transcription of the pre-redesign hardwired rules; the mode sequences must
 // agree wherever the legacy rules were defined (the one divergence — SC
 // recovery while ttf2Δ fails — is unreachable for well-formed modules by
@@ -256,14 +256,14 @@ func TestDefaultPolicyMatchesLegacyFig9(t *testing.T) {
 		var ttf, safer bool
 		m := policyModule(t, nil, &ttf, &safer) // nil Decl.Policy = default fig9
 		env := rand.New(rand.NewSource(seed))
-		st := m.InitDMState()
+		st := m.initDMState()
 		want := ModeSC
 		for i := 0; i < 2000; i++ {
 			ttf = env.Intn(3) == 0
 			// Well-formedness coupling: φsafer states survive 2Δ (P3), so a
 			// sound analyzer never reports safer ∧ ttf.
 			safer = !ttf && env.Intn(2) == 0
-			st = m.DecideState(st, nil)
+			st = m.decideState(st, nil)
 			want = legacy(want, ttf, safer)
 			if st.Mode != want {
 				t.Fatalf("seed %d step %d: policy path %v, legacy rules %v", seed, i, st.Mode, want)

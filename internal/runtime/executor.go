@@ -10,7 +10,13 @@
 //     its mode, and the output-enable map OE is updated so exactly one of
 //     {AC, SC} has its outputs enabled;
 //   - AC-OR-SC-STEP: a firing controller (or plain) node reads its input
-//     topics, steps, and publishes its outputs only if enabled in OE.
+//     topics, steps, and publishes its outputs only if enabled in OE. A
+//     firing whose outputs OE disables, of a node that declares an idle step
+//     (node.WithIdleStep), runs that step instead: the local state moves
+//     exactly as the full step would move it, without reading the inputs
+//     or computing the outputs OE would discard. Everything else about the
+//     firing (the drop-filter decision, its NodeFired event) is unchanged,
+//     so the event stream is the same with or without the idle step.
 //
 // The executor is deterministic: nodes firing at the same instant run in a
 // fixed order (DMs first, then the remaining nodes alphabetically) unless a
@@ -98,6 +104,9 @@ type nodeRec struct {
 	// plain nodes and DMs).
 	local node.State
 	oe    bool
+	// idle is the node's idle step, run instead of the step while oe is
+	// false; nil when the node declares none.
+	idle node.IdleFunc
 }
 
 // Option configures an Executor.
@@ -115,16 +124,17 @@ func WithScheduleOrder(o ScheduleOrder) Option {
 
 // WithInvariantChecking makes the executor assert the module invariant φInv
 // and φsafe after every DM step, returning an *InvariantViolationError when
-// it fails. This is the "checked mode" used by tests and the
-// systematic-testing engine.
+// it fails. This is the "checked mode" behind sim.RunConfig.CheckInvariants
+// (the φInv monitor that falsification campaigns run under) and tests.
 func WithInvariantChecking() Option {
 	return func(e *Executor) { e.checkInv = true }
 }
 
 // WithObservers attaches observers to the executor's event stream: the
 // executor emits obs.NodeFired at every firing (including drop-filtered
-// ones), obs.ModeSwitch at every DM mode change, obs.InvariantViolation when
-// the checked-mode monitor trips, and obs.TimeProgress at every
+// ones, and output-disabled ones that ran the node's idle step in place of
+// its step), obs.ModeSwitch at every DM mode change, obs.InvariantViolation
+// when the checked-mode monitor trips, and obs.TimeProgress at every
 // DISCRETE-TIME-PROGRESS-STEP. Events are delivered synchronously on the run
 // goroutine, in a deterministic order for a given system and schedule.
 func WithObservers(observers ...obs.Observer) Option {
@@ -235,6 +245,7 @@ func New(sys *rta.System, envTopics []pubsub.Topic, opts ...Option) (*Executor, 
 			outIDs: outIDs,
 			local:  n.InitState(),
 			oe:     true,
+			idle:   n.IdleStep(),
 		}
 		e.byName[name] = &recs[i]
 	}
@@ -253,8 +264,17 @@ func New(sys *rta.System, envTopics []pubsub.Topic, opts ...Option) (*Executor, 
 	}
 	e.byKind = obs.ByKind(e.observers)
 	e.firedTyped = obs.NodeFiredObservers(e.byKind[obs.KindNodeFired])
+	if testHookNew != nil {
+		testHookNew(e)
+	}
 	return e, nil
 }
+
+// testHookNew, when set, sees every executor New builds before its first
+// step. Tests set it (export_test.go) to reach the executor behind a
+// closed-loop run: to read every node's final local state, or to replace a
+// record's idle step.
+var testHookNew func(*Executor)
 
 // Now returns the current time ct.
 func (e *Executor) Now() time.Duration { return e.cfg.ct }
@@ -284,8 +304,8 @@ func (e *Executor) OutputEnabled(nodeName string) bool {
 	return !ok || r.oe
 }
 
-// LocalState returns the local state of a node (for inspection by tests and
-// the systematic-testing engine).
+// LocalState returns the local state of a node. The simulator reads the
+// surveillance app's visit counter through it; tests inspect any node.
 func (e *Executor) LocalState(nodeName string) (node.State, bool) {
 	r, ok := e.byName[nodeName]
 	if !ok {
@@ -403,8 +423,7 @@ func (e *Executor) nextInstant() (next time.Duration, ok bool) {
 // first (so OE reflects the freshest mode before controllers publish), then
 // the rest, both alphabetically — unless a custom order is installed. The
 // default path builds into per-executor scratch; the custom path hands the
-// scheduler freshly allocated slices, since the hook may retain them (the
-// systematic-testing engine records schedules).
+// scheduler freshly allocated slices, since the hook may retain them.
 func (e *Executor) orderFiring(ct time.Duration) []*nodeRec {
 	if e.order != nil {
 		// FN' = {n | (n, ct) ∈ CS} of rule dt3, in sorted name order.
@@ -447,6 +466,12 @@ func (e *Executor) appendDefaultOrder(ct time.Duration, dst []*nodeRec) []*nodeR
 func (e *Executor) fire(r *nodeRec) error {
 	if len(e.byKind[obs.KindNodeFired]) > 0 {
 		e.emitFired(obs.NodeFired{T: e.cfg.ct, Node: r.name, DM: r.mod != nil})
+	}
+	if !r.oe && r.idle != nil {
+		// OE discards this firing's outputs, and the idle step gives the
+		// state the step would leave: neither inputs nor outputs are needed.
+		r.local = r.idle(r.local)
+		return nil
 	}
 	// The input valuation is a per-node reusable buffer filled through the
 	// store's dense topic IDs; it is only valid for the duration of the

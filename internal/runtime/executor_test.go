@@ -58,14 +58,20 @@ func testModule(t *testing.T, delta time.Duration) *rta.Module {
 		}
 		return n
 	}
+	return testModuleOf(t, delta, mk("tm.ac", "AC"), mk("tm.sc", "SC"))
+}
+
+// testModuleOf builds testModule's module "tm" around the given AC and SC.
+func testModuleOf(t *testing.T, delta time.Duration, ac, sc *node.Node) *rta.Module {
+	t.Helper()
 	boolTopic := func(v pubsub.Valuation, name pubsub.TopicName) bool {
 		b, _ := v[name].(bool)
 		return b
 	}
 	m, err := rta.NewModule(rta.Decl{
 		Name:      "tm",
-		AC:        mk("tm.ac", "AC"),
-		SC:        mk("tm.sc", "SC"),
+		AC:        ac,
+		SC:        sc,
 		Delta:     delta,
 		TTF2Delta: func(v pubsub.Valuation) bool { return boolTopic(v, "danger") },
 		InSafer:   func(v pubsub.Valuation) bool { return boolTopic(v, "calm") },
@@ -167,6 +173,62 @@ func TestOutputGating(t *testing.T) {
 	}
 	if sw[0].Module != "tm" || sw[0].From != rta.ModeSC || sw[0].T != 200*time.Millisecond || sw[1].T != 300*time.Millisecond {
 		t.Errorf("switches = %+v", sw)
+	}
+}
+
+// TestDisabledControllerRunsIdleStep checks the elision in AC-OR-SC-STEP:
+// a firing whose outputs OE disables runs the node's idle step instead of
+// its step, and still emits its NodeFired event; an enabled firing steps.
+func TestDisabledControllerRunsIdleStep(t *testing.T) {
+	delta := 100 * time.Millisecond
+	steps := map[string]int{}
+	mk := func(name, val string) *node.Node {
+		n, err := node.New(name, delta, []pubsub.TopicName{"danger", "calm"}, []pubsub.TopicName{"who"},
+			func(st node.State, _ pubsub.Valuation) (node.State, pubsub.Valuation, error) {
+				steps[name]++
+				return st.(int) + 1, pubsub.Valuation{"who": val}, nil
+			},
+			node.WithInit(func() node.State { return 0 }),
+			node.WithIdleStep(func(st node.State) node.State { return st.(int) + 1 }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	fired := map[string]int{}
+	exec := newTestExec(t, testModuleOf(t, delta, mk("tm.ac", "AC"), mk("tm.sc", "SC")),
+		WithObservers(obs.ObserverFunc(func(e obs.Event) {
+			if f, ok := e.(obs.NodeFired); ok {
+				fired[f.Node]++
+			}
+		})))
+	check := func(when string, acSteps, scSteps, firings int) {
+		t.Helper()
+		for name, want := range map[string]int{"tm.ac": acSteps, "tm.sc": scSteps} {
+			if steps[name] != want {
+				t.Errorf("%s: %s stepped %d times, want %d", when, name, steps[name], want)
+			}
+			if st, _ := exec.LocalState(name); st != firings || fired[name] != firings {
+				t.Errorf("%s: %s state %v after %d NodeFired events, want %d of each", when, name, st, fired[name], firings)
+			}
+		}
+	}
+	// SC mode at 100 and 200 ms: the AC only idles.
+	if err := exec.RunUntil(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	check("SC mode", 0, 2, 2)
+	// calm: the DM enables the AC at 300 ms, before the controllers fire,
+	// and the SC idles from then on.
+	if err := exec.Topics().Set("calm", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := exec.RunUntil(500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	check("AC mode", 3, 2, 5)
+	if v, _ := exec.Topics().Get("who"); v != "AC" {
+		t.Errorf("who = %v, want AC", v)
 	}
 }
 

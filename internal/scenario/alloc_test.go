@@ -13,22 +13,54 @@ import (
 // NodeFired events, per-firing output maps and per-search A* arrays a
 // mission made ~4.9k; the unboxed, node-owned hot path made ~2.3k, and
 // republishing unchanged boxed values (battery AC and lander, waypoint
-// manager) makes ~1.8k. Reboxing NodeFired alone adds ~0.9k, a per-firing
-// output map in the motion primitives alone ~1k, reboxing the waypoint
-// manager's state and output ~0.4k.
+// manager) made ~1.8k; idling the output-disabled motion primitive
+// instead of stepping it makes ~1.5k. Reboxing NodeFired alone adds ~0.9k,
+// a per-firing output map in the motion primitives alone ~1k, reboxing the
+// waypoint manager's state and output ~0.4k.
 const missionAllocBound = 2100
 
 // TestMissionAllocations guards the hot path's allocation budget: reboxing
 // an event per firing or allocating an output valuation per node step
 // pushes a mission over the bound.
 func TestMissionAllocations(t *testing.T) {
+	allocs := missionAllocs(t, scenario.MustGet("corner-hazard-tour").With(scenario.Override{Apply: func(s *scenario.Spec) {
+		s.Duration = 5 * time.Second
+		s.SwitchPolicy = "soter-fig9"
+	}}))
+	if allocs > missionAllocBound {
+		t.Fatalf("%.0f allocations per mission, want ≤ %d", allocs, missionAllocBound)
+	}
+}
+
+// idleAllocBound caps the allocations of one 10 s corner-hazard-tour
+// mission without the planner module, seed 1. Its 500 motion-primitive
+// instants each fire both controllers: a controller that ran its full step
+// while disabled boxed one command OE then discarded, and the mission made
+// 3,248 allocations. Running the disabled controller's idle step instead
+// makes 2,748, so the bound leaves 152 (5.5%) of headroom: boxing a third
+// of the discarded commands again fails it.
+const idleAllocBound = 2900
+
+// TestDisabledControllerAllocations guards the idle step on the hot path:
+// the output-disabled motion primitive of every instant allocates no
+// command.
+func TestDisabledControllerAllocations(t *testing.T) {
+	allocs := missionAllocs(t, scenario.MustGet("corner-hazard-tour").With(scenario.Override{Apply: func(s *scenario.Spec) {
+		s.Duration = 10 * time.Second
+		s.NoPlannerModule = true
+	}}))
+	if allocs > idleAllocBound {
+		t.Fatalf("%.0f allocations per mission, want ≤ %d", allocs, idleAllocBound)
+	}
+}
+
+// missionAllocs returns the average heap allocations of building and
+// running spec with seed 1.
+func missionAllocs(t *testing.T, spec scenario.Spec) float64 {
+	t.Helper()
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation changes allocation counts")
 	}
-	spec := scenario.MustGet("corner-hazard-tour").With(scenario.Override{Apply: func(s *scenario.Spec) {
-		s.Duration = 5 * time.Second
-		s.SwitchPolicy = "soter-fig9"
-	}})
 	var runErr error
 	allocs := testing.AllocsPerRun(5, func() {
 		cfg, err := spec.Build(1)
@@ -43,7 +75,5 @@ func TestMissionAllocations(t *testing.T) {
 		t.Fatal(runErr)
 	}
 	t.Logf("%.0f allocations per mission", allocs)
-	if allocs > missionAllocBound {
-		t.Fatalf("%.0f allocations per mission, want ≤ %d", allocs, missionAllocBound)
-	}
+	return allocs
 }
