@@ -80,6 +80,10 @@ func (g *Grid) Occupied(c Cell) bool {
 	return g.occupied[g.index(c)]
 }
 
+// OccupiedAt reports whether the cell with linear index i is blocked. The
+// index must be in [0, NumCells).
+func (g *Grid) OccupiedAt(i int) bool { return g.occupied[i] }
+
 // CellCenter returns the world-space centre of the cell.
 func (g *Grid) CellCenter(c Cell) Vec3 {
 	return Vec3{

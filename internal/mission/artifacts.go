@@ -29,16 +29,17 @@ type artifactKey struct {
 // artifacts bundles the shareable, immutable build products: the canonical
 // workspace instance (so every mission hits the same per-margin index
 // cache), the derived analysis/landing workspaces and analyzers, and the
-// certified A* planner's occupancy grid. Stateful or seed-dependent pieces —
-// the A* planner with its search scratch, the RRT* planner, controllers,
-// app node — are always built per mission.
+// certified A* planner, which keeps no state between Plan calls (each call
+// borrows its search scratch from plan's process-wide free list).
+// Stateful or seed-dependent pieces — the RRT* planner, controllers, app
+// node — are always built per mission.
 type artifacts struct {
 	ws              *geom.Workspace
 	bounds          geom.AABB
 	obstacles       []geom.AABB // snapshot for exact hit validation
 	analyzer        *reach.Analyzer
 	landingAnalyzer *reach.Analyzer
-	astarGrid       *geom.Grid // plan.AStarGrid(ws, 1.0, planMargin)
+	astar           *plan.AStar // plan.NewAStar(ws, 1.0, planMargin)
 }
 
 // maxPooledArtifacts bounds the pool; sweeps use one geometry (or a
@@ -182,7 +183,7 @@ func buildArtifacts(ws *geom.Workspace, b reach.Bounds, margin, hysteresis, plan
 	if err != nil {
 		return nil, err
 	}
-	astarGrid, err := plan.AStarGrid(ws, 1.0, planMargin)
+	astar, err := plan.NewAStar(ws, 1.0, planMargin)
 	if err != nil {
 		return nil, err
 	}
@@ -194,6 +195,6 @@ func buildArtifacts(ws *geom.Workspace, b reach.Bounds, margin, hysteresis, plan
 		obstacles:       ws.ObstaclesView(),
 		analyzer:        analyzer,
 		landingAnalyzer: landingAnalyzer,
-		astarGrid:       astarGrid,
+		astar:           astar,
 	}, nil
 }

@@ -1,8 +1,10 @@
 package mission
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/battery"
@@ -198,6 +200,23 @@ type Stack struct {
 	AppNode *node.Node
 	// Config echoes the configuration.
 	Config StackConfig
+
+	// ran is set by the first Claim.
+	ran atomic.Bool
+}
+
+// ErrStackUsed is Claim's error for a stack that already ran.
+var ErrStackUsed = errors.New("stack already ran; build a fresh stack for every run")
+
+// Claim marks the stack as run and returns ErrStackUsed when it already
+// was. A stack runs once: its planners and node closures keep state across
+// runs (RNG draws, plan caches), so a second run over it would continue
+// from where the first ended instead of repeating it.
+func (s *Stack) Claim() error {
+	if s.ran.Swap(true) {
+		return ErrStackUsed
+	}
+	return nil
 }
 
 // AnalysisWorkspace derives the workspace used by the motion-primitive
@@ -253,7 +272,7 @@ func Build(cfg StackConfig) (*Stack, error) {
 		BrakeDecel: 0.8 * cfg.PlantParams.MaxAccel,
 	}
 	// Seed-independent artifacts (derived workspaces, analyzers, the
-	// certified A* grid) are pure functions of geometry and safety
+	// certified A* planner) are pure functions of geometry and safety
 	// parameters, so sweep missions share one pooled set instead of
 	// rebuilding per mission. On a hit the canonical workspace instance also
 	// replaces cfg.Workspace, so every mission reuses its query indexes.
@@ -289,7 +308,6 @@ func Build(cfg StackConfig) (*Stack, error) {
 	plain = append(plain, appNode)
 
 	// --- Motion planner layer ----------------------------------------------
-	astar := plan.NewAStarOnGrid(cfg.Workspace, arts.astarGrid, cfg.PlanMargin)
 	if cfg.WithPlannerModule {
 		if cfg.PlannerBug == plan.BugSkipEdgeCheck && cfg.PlannerBugRate <= 0 {
 			return nil, fmt.Errorf("stack: planner bug %v needs a positive rate, not %v", cfg.PlannerBug, cfg.PlannerBugRate)
@@ -311,7 +329,7 @@ func Build(cfg StackConfig) (*Stack, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
-		scPlanner, err := plannerNode("planner.sc", astar, false)
+		scPlanner, err := plannerNode("planner.sc", arts.astar, false)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
@@ -324,7 +342,7 @@ func Build(cfg StackConfig) (*Stack, error) {
 	} else {
 		// Unprotected: the certified planner runs alone (keeps baselines
 		// focused on the motion layer).
-		p, err := plannerNode("planner", astar, false)
+		p, err := plannerNode("planner", arts.astar, false)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}

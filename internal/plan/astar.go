@@ -12,20 +12,14 @@ import (
 // smoothing and a final validation pass. Its output is safe by construction:
 // every returned plan passes Validate, or an error is returned.
 //
-// The grid is immutable and may be shared (see AStarGrid, NewAStarOnGrid);
-// the search arrays are per-planner scratch, kept across Plan calls, so an
-// AStar serves one goroutine at a time — a mission stack owns its own.
+// An AStar holds only immutable data (workspace, grid, margin), so one
+// planner may serve any number of goroutines and missions at once. Each Plan
+// call borrows its search arrays from a process-wide free list and returns
+// them when it ends.
 type AStar struct {
 	ws     *geom.Workspace
 	grid   *geom.Grid
 	margin float64
-
-	// Search scratch, sized to the grid on first use and reset per Plan.
-	gScore   []float64
-	cameFrom []int32
-	closed   []bool
-	open     asHeap
-	nbuf     []geom.Cell
 }
 
 var _ Planner = (*AStar)(nil)
@@ -34,30 +28,52 @@ var _ Planner = (*AStar)(nil)
 // clearance required of the final plan (the grid is inflated by margin plus
 // half a cell diagonal so that cell-centre paths respect the margin).
 func NewAStar(ws *geom.Workspace, res, margin float64) (*AStar, error) {
-	grid, err := AStarGrid(ws, res, margin)
-	if err != nil {
-		return nil, err
-	}
-	return NewAStarOnGrid(ws, grid, margin), nil
-}
-
-// AStarGrid builds the inflated occupancy grid NewAStar searches for the
-// given resolution and margin. The grid is immutable, so many planners may
-// share it.
-func AStarGrid(ws *geom.Workspace, res, margin float64) (*geom.Grid, error) {
 	inflate := margin + res*math.Sqrt(3)/2
 	grid, err := geom.NewGrid(ws, res, inflate)
 	if err != nil {
 		return nil, fmt.Errorf("astar grid: %w", err)
 	}
-	return grid, nil
+	return &AStar{ws: ws, grid: grid, margin: margin}, nil
 }
 
-// NewAStarOnGrid builds a planner over a grid from AStarGrid(ws, res,
-// margin), with its own search scratch; it plans exactly as NewAStar(ws,
-// res, margin) does.
-func NewAStarOnGrid(ws *geom.Workspace, grid *geom.Grid, margin float64) *AStar {
-	return &AStar{ws: ws, grid: grid, margin: margin}
+// astarScratch is one search's working memory, indexed by a grid's linear
+// cell index and sized to the largest grid it has served. A cell's mark
+// stamps what the current search knows of it: 2·gen once the search has
+// seen it (its gScore and cameFrom entries are this search's), 2·gen+1 once
+// it is closed. Any other mark means unseen: the cell's g-score is +Inf and
+// its array entries are stale. A search therefore starts by bumping gen
+// rather than refilling the arrays; the marks are cleared only when gen
+// wraps, once every astarMaxGen searches.
+type astarScratch struct {
+	gen      uint16
+	mark     []uint16
+	gScore   []float64
+	cameFrom []int32
+	open     asHeap
+}
+
+// astarMaxGen is the last generation whose closed stamp fits a uint16 mark.
+const astarMaxGen = math.MaxUint16 / 2
+
+// astarScratches is the free list every AStar borrows its scratch from.
+var astarScratches freeList[astarScratch]
+
+// begin readies s for a search over n cells and returns the search's seen
+// stamp; its closed stamp is one more.
+func (s *astarScratch) begin(n int) uint16 {
+	if len(s.mark) < n {
+		s.mark = make([]uint16, n)
+		s.gScore = make([]float64, n)
+		s.cameFrom = make([]int32, n)
+		s.gen = 0
+	}
+	if s.gen == astarMaxGen {
+		clear(s.mark)
+		s.gen = 0
+	}
+	s.gen++
+	s.open = s.open[:0]
+	return 2 * s.gen
 }
 
 // asItem is an open-list entry: a cell's linear grid index and its f-score.
@@ -113,8 +129,8 @@ func (h *asHeap) pop() asItem {
 }
 
 // Plan implements Planner. The search runs over flat arrays indexed by the
-// grid's linear cell index — no per-node map or interface allocations — and
-// reuses them from the previous call.
+// grid's linear cell index — no per-node map or interface allocations —
+// and touches only the cells it visits.
 func (a *AStar) Plan(start, goal geom.Vec3) (Plan, error) {
 	sc, err := a.nearestFreeCell(start)
 	if err != nil {
@@ -125,61 +141,62 @@ func (a *AStar) Plan(start, goal geom.Vec3) (Plan, error) {
 		return nil, fmt.Errorf("astar goal %v: %w", goal, err)
 	}
 
-	gScore, cameFrom, closed := a.resetScratch()
+	s := astarScratches.get()
+	defer astarScratches.put(s)
+	seen := s.begin(a.grid.NumCells())
+	closed := seen + 1
+	mark, gScore, cameFrom := s.mark, s.gScore, s.cameFrom
+	nx, ny, nz := a.grid.Dims()
 	goalP := a.grid.CellCenter(gc)
 
 	h := func(c geom.Cell) float64 { return a.grid.CellCenter(c).Dist(goalP) }
 	si, _ := a.grid.Index(sc)
 	gi, _ := a.grid.Index(gc)
-	open := &a.open
+	open := &s.open
 	open.push(asItem{ci: int32(si), f: h(sc)})
-	gScore[si] = 0
+	mark[si], gScore[si], cameFrom[si] = seen, 0, -1
 
 	for len(*open) > 0 {
 		ci := int(open.pop().ci)
-		if closed[ci] {
+		if mark[ci] == closed {
 			continue
 		}
 		if ci == gi {
 			return a.reconstruct(cameFrom, ci, start, goal)
 		}
-		closed[ci] = true
+		mark[ci] = closed
 		cur := a.grid.CellAt(ci)
 		curP := a.grid.CellCenter(cur)
-		a.nbuf = a.grid.Neighbors26(cur, a.nbuf[:0])
-		for _, nb := range a.nbuf {
-			ni, _ := a.grid.Index(nb)
-			if a.grid.Occupied(nb) || closed[ni] {
+		// The neighbours in Neighbors26's order, addressed by linear index.
+		for dz := -1; dz <= 1; dz++ {
+			z := cur.Z + dz
+			if z < 0 || z >= nz {
 				continue
 			}
-			tentative := gScore[ci] + curP.Dist(a.grid.CellCenter(nb))
-			if tentative < gScore[ni] {
-				gScore[ni] = tentative
-				cameFrom[ni] = int32(ci)
-				open.push(asItem{ci: int32(ni), f: tentative + h(nb)})
+			for dy := -1; dy <= 1; dy++ {
+				y := cur.Y + dy
+				if y < 0 || y >= ny {
+					continue
+				}
+				for dx := -1; dx <= 1; dx++ {
+					x := cur.X + dx
+					ni := ci + (dz*ny+dy)*nx + dx
+					if x < 0 || x >= nx || ni == ci || mark[ni] == closed || a.grid.OccupiedAt(ni) {
+						continue
+					}
+					nb := geom.Cell{X: x, Y: y, Z: z}
+					// An unseen cell's g-score is +Inf, which the finite
+					// tentative score always beats.
+					tentative := gScore[ci] + curP.Dist(a.grid.CellCenter(nb))
+					if mark[ni] != seen || tentative < gScore[ni] {
+						mark[ni], gScore[ni], cameFrom[ni] = seen, tentative, int32(ci)
+						open.push(asItem{ci: int32(ni), f: tentative + h(nb)})
+					}
+				}
 			}
 		}
 	}
 	return nil, fmt.Errorf("astar %v → %v: %w", start, goal, ErrNoPath)
-}
-
-// resetScratch returns the search arrays, sized to the grid, in their
-// initial state: every g-score +Inf, no predecessors, nothing closed.
-func (a *AStar) resetScratch() (gScore []float64, cameFrom []int32, closed []bool) {
-	if n := a.grid.NumCells(); len(a.gScore) != n {
-		a.gScore, a.cameFrom, a.closed = make([]float64, n), make([]int32, n), make([]bool, n)
-		a.open = make(asHeap, 0, 1024)
-	}
-	inf := math.Inf(1)
-	for i := range a.gScore {
-		a.gScore[i] = inf
-	}
-	for i := range a.cameFrom {
-		a.cameFrom[i] = -1
-	}
-	clear(a.closed)
-	a.open = a.open[:0]
-	return a.gScore, a.cameFrom, a.closed
 }
 
 func (a *AStar) reconstruct(cameFrom []int32, cur int, start, goal geom.Vec3) (Plan, error) {

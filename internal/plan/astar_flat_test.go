@@ -2,7 +2,10 @@ package plan
 
 import (
 	"container/heap"
+	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -94,51 +97,173 @@ func refPlan(a *AStar, start, goal geom.Vec3) (Plan, error) {
 	return nil, ErrNoPath
 }
 
-// TestAStarFlatMatchesReference runs the flat-array planner and the original
-// map-based search over random endpoint pairs in every factory workspace and
-// requires waypoint-identical plans.
-func TestAStarFlatMatchesReference(t *testing.T) {
-	workspaces := []*geom.Workspace{
+// astarQuery is one planner query with the reference search's answer.
+type astarQuery struct {
+	a           *AStar
+	start, goal geom.Vec3
+	want        Plan
+	wantErr     error
+}
+
+// astarQueries draws perTrial random endpoint pairs for a planner in each
+// factory workspace (grids of different sizes) and interleaves them, one
+// query per planner in turn, so consecutive searches share one scratch
+// across grids. Each query carries refPlan's answer.
+func astarQueries(t *testing.T, perTrial int) []astarQuery {
+	t.Helper()
+	var planners []*AStar
+	for _, ws := range []*geom.Workspace{
 		geom.CityWorkspace(),
 		geom.CanyonWorkspace(),
 		geom.CornerHazardWorkspace(),
-	}
-	rng := rand.New(rand.NewSource(31))
-	for _, ws := range workspaces {
+	} {
 		a, err := NewAStar(ws, 1.0, 0.45)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := ws.Bounds()
-		size := b.Size()
-		for trial := 0; trial < 12; trial++ {
-			start := geom.V(
-				b.Min.X+rng.Float64()*size.X,
-				b.Min.Y+rng.Float64()*size.Y,
-				b.Min.Z+0.5+rng.Float64()*(size.Z-1),
-			)
-			goal := geom.V(
-				b.Min.X+rng.Float64()*size.X,
-				b.Min.Y+rng.Float64()*size.Y,
-				b.Min.Z+0.5+rng.Float64()*(size.Z-1),
-			)
-			got, errG := a.Plan(start, goal)
-			want, errW := refPlan(a, start, goal)
-			if (errG == nil) != (errW == nil) {
-				t.Fatalf("%v → %v: flat err %v, reference err %v", start, goal, errG, errW)
+		planners = append(planners, a)
+	}
+	rng := rand.New(rand.NewSource(31))
+	var qs []astarQuery
+	for trial := 0; trial < perTrial; trial++ {
+		for _, a := range planners {
+			b := a.ws.Bounds()
+			size := b.Size()
+			pt := func() geom.Vec3 {
+				return geom.V(
+					b.Min.X+rng.Float64()*size.X,
+					b.Min.Y+rng.Float64()*size.Y,
+					b.Min.Z+0.5+rng.Float64()*(size.Z-1),
+				)
 			}
-			if errG != nil {
-				continue
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%v → %v: flat plan %v, reference %v", start, goal, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%v → %v: waypoint %d differs: %v vs %v", start, goal, i, got[i], want[i])
-				}
+			q := astarQuery{a: a, start: pt(), goal: pt()}
+			q.want, q.wantErr = refPlan(a, q.start, q.goal)
+			qs = append(qs, q)
+		}
+	}
+	return qs
+}
+
+// check runs the query through the flat planner and reports any difference
+// from the reference answer.
+func (q astarQuery) check() error {
+	got, err := q.a.Plan(q.start, q.goal)
+	if (err == nil) != (q.wantErr == nil) {
+		return fmt.Errorf("%v → %v: flat err %v, reference err %v", q.start, q.goal, err, q.wantErr)
+	}
+	if len(got) != len(q.want) {
+		return fmt.Errorf("%v → %v: flat plan %v, reference %v", q.start, q.goal, got, q.want)
+	}
+	for i := range got {
+		if got[i] != q.want[i] {
+			return fmt.Errorf("%v → %v: waypoint %d differs: %v vs %v", q.start, q.goal, i, got[i], q.want[i])
+		}
+	}
+	return nil
+}
+
+// isolateAStarScratch empties the process-wide A* free list for the test,
+// so its searches start from fresh scratch, and restores it afterwards.
+func isolateAStarScratch(t *testing.T) {
+	astarScratches.mu.Lock()
+	saved := astarScratches.free
+	astarScratches.free = nil
+	astarScratches.mu.Unlock()
+	t.Cleanup(func() {
+		astarScratches.mu.Lock()
+		astarScratches.free = saved
+		astarScratches.mu.Unlock()
+	})
+}
+
+// eachFreeAStarScratch applies f to every scratch on the free list: the
+// test-only seam that moves a scratch's generation.
+func eachFreeAStarScratch(f func(*astarScratch)) {
+	astarScratches.mu.Lock()
+	defer astarScratches.mu.Unlock()
+	for _, s := range astarScratches.free {
+		f(s)
+	}
+}
+
+// replayAStar runs the queries through one fresh free list, first on one
+// goroutine and then on two at once (one in reverse order), applying wrap to
+// every free scratch before each round after the first, and returns the
+// first difference from the reference.
+func replayAStar(qs []astarQuery, wrap func(*astarScratch)) error {
+	sequential := func() error {
+		for _, q := range qs {
+			if err := q.check(); err != nil {
+				return err
 			}
 		}
+		return nil
+	}
+	concurrent := func() error {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range qs {
+					q := qs[i]
+					if g == 1 {
+						q = qs[len(qs)-1-i]
+					}
+					if err := q.check(); err != nil {
+						errs[g] = err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		return errors.Join(errs...)
+	}
+	for round, run := range []func() error{sequential, sequential, concurrent, concurrent} {
+		if round > 0 {
+			eachFreeAStarScratch(wrap)
+		}
+		if err := run(); err != nil {
+			return fmt.Errorf("round %d: %w", round, err)
+		}
+	}
+	return nil
+}
+
+// TestAStarFlatMatchesReference holds the flat-array planner to the original
+// map-based search: waypoint-identical plans on interleaved random queries
+// over the city, canyon and corner-hazard grids, all served by one free list
+// of shared scratch, from one goroutine and from two at once. Before each
+// round after the first, every free scratch is set to its last generation,
+// so the round's first search on it wraps and clears its marks.
+func TestAStarFlatMatchesReference(t *testing.T) {
+	isolateAStarScratch(t)
+	qs := astarQueries(t, 12)
+	if err := replayAStar(qs, func(s *astarScratch) { s.gen = astarMaxGen }); err != nil {
+		t.Fatal(err)
+	}
+	// Every scratch wrapped before the last round and ran at most one
+	// generation per query since.
+	eachFreeAStarScratch(func(s *astarScratch) {
+		if s.gen == 0 || int(s.gen) > len(qs) {
+			t.Errorf("scratch at generation %d after the last wrap, want 1..%d", s.gen, len(qs))
+		}
+	})
+}
+
+// TestAStarWrapDefectDetected plants the defect a generation wrap must not
+// have: restarting the generations without clearing the marks, so the
+// stamps of the searches before the wrap read as this search's. The replay
+// of TestAStarFlatMatchesReference must report it.
+func TestAStarWrapDefectDetected(t *testing.T) {
+	isolateAStarScratch(t)
+	qs := astarQueries(t, 12)
+	if err := replayAStar(qs, func(s *astarScratch) { s.gen = 0 }); err == nil {
+		t.Fatal("a wrap that keeps the stale marks went unnoticed")
+	} else {
+		t.Logf("detected: %v", err)
 	}
 }
 

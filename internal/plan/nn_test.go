@@ -14,16 +14,12 @@ import (
 // duplicate positions (index tie-breaks) and out-of-bounds points (clamped
 // cells).
 func TestNNGridMatchesLinear(t *testing.T) {
-	ws := geom.CityWorkspace()
-	r, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.6, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds := ws.Bounds()
+	bounds := geom.CityWorkspace().Bounds()
 	size := bounds.Size()
 	rng := rand.New(rand.NewSource(23))
 	const n = 600
-	r.nn.reset(bounds, rrtNeighborRadius, n)
+	var g nnGrid
+	g.reset(bounds, rrtNeighborRadius, n)
 	var nodes []rrtNode
 	randPt := func(slack float64) geom.Vec3 {
 		return geom.V(
@@ -43,8 +39,8 @@ func TestNNGridMatchesLinear(t *testing.T) {
 			p = randPt(0)
 		}
 		nodes = append(nodes, rrtNode{pos: p, parent: -1})
-		r.nn.insert(len(nodes)-1, p)
-		checkNN(t, r, nodes, randPt(3))
+		g.insert(len(nodes)-1, p)
+		checkNN(t, &g, nodes, randPt(3))
 	}
 }
 
@@ -77,11 +73,8 @@ func TestNNGridBoundaryCases(t *testing.T) {
 			p.Add(geom.V(3, 3, 3)), p.Add(geom.V(-3, 3, -3)))
 	}
 	for _, descending := range []bool{false, true} {
-		r, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.6, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.nn.reset(ws.Bounds(), rad, len(pts))
+		var g nnGrid
+		g.reset(ws.Bounds(), rad, len(pts))
 		var nodes []rrtNode
 		for k := range pts {
 			p := pts[k]
@@ -89,10 +82,10 @@ func TestNNGridBoundaryCases(t *testing.T) {
 				p = pts[len(pts)-1-k]
 			}
 			nodes = append(nodes, rrtNode{pos: p, parent: -1})
-			r.nn.insert(k, p)
+			g.insert(k, p)
 			if k%16 == 15 || k == len(pts)-1 {
 				for _, q := range queries {
-					checkNN(t, r, nodes, q)
+					checkNN(t, &g, nodes, q)
 				}
 			}
 		}
@@ -101,19 +94,16 @@ func TestNNGridBoundaryCases(t *testing.T) {
 	// A node clamped into an edge cell from past the face is nearer than
 	// the query cell's own node, though the edge cell's in-bounds slab
 	// would put it beyond that node.
-	r, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.6, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.nn.reset(ws.Bounds(), rad, 2)
+	var g nnGrid
+	g.reset(ws.Bounds(), rad, 2)
 	nodes := []rrtNode{{pos: geom.V(60, 3, 3), parent: -1}, {pos: geom.V(55, 7, 3), parent: -1}}
 	for i, n := range nodes {
-		r.nn.insert(i, n.pos)
+		g.insert(i, n.pos)
 	}
-	if got := r.nearest(nodes, geom.V(60, 7, 3)); got != 0 {
+	if got := g.nearest(nodes, geom.V(60, 7, 3)); got != 0 {
 		t.Fatalf("nearest past the face = %d, want 0", got)
 	}
-	checkNN(t, r, nodes, geom.V(60, 7, 3))
+	checkNN(t, &g, nodes, geom.V(60, 7, 3))
 }
 
 // FuzzNNGridMatchesLinear holds the grid queries to the linear references on
@@ -135,20 +125,16 @@ func FuzzNNGridMatchesLinear(f *testing.F) {
 			t.Skip()
 		}
 		rad := []float64{2.5, 4, 6, 13}[data[0]%4]
-		ws := geom.CityWorkspace()
-		r, err := NewRRTStar(ws, RRTStarConfig{Margin: 0.6, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
 		chunks := data[1:]
-		r.nn.reset(ws.Bounds(), rad, len(chunks)/4+1)
+		var g nnGrid
+		g.reset(geom.CityWorkspace().Bounds(), rad, len(chunks)/4+1)
 		var nodes []rrtNode
 		for ; len(chunks) >= 4; chunks = chunks[4:] {
 			p := geom.V(-6+float64(chunks[0]%128)*0.5, -6+float64(chunks[1]%128)*0.5, -3+float64(chunks[2]%64)*0.5)
 			op := chunks[3]
 			if op&1 == 0 {
 				nodes = append(nodes, rrtNode{pos: p, parent: -1})
-				r.nn.insert(len(nodes)-1, p)
+				g.insert(len(nodes)-1, p)
 			}
 			if len(nodes) == 0 {
 				continue
@@ -159,20 +145,20 @@ func FuzzNNGridMatchesLinear(f *testing.F) {
 				off[(op>>2)%3] = rad
 				q = q.Add(geom.V(off[0], off[1], off[2]))
 			}
-			checkNN(t, r, nodes, q)
+			checkNN(t, &g, nodes, q)
 		}
 	})
 }
 
 // checkNN compares the grid queries against the linear references at q, at
 // the radius the grid was reset with.
-func checkNN(t *testing.T, r *RRTStar, nodes []rrtNode, q geom.Vec3) {
+func checkNN(t *testing.T, g *nnGrid, nodes []rrtNode, q geom.Vec3) {
 	t.Helper()
-	if got, want := r.nearest(nodes, q), r.nearestLinear(nodes, q); got != want {
+	if got, want := g.nearest(nodes, q), nearestLinear(nodes, q); got != want {
 		t.Fatalf("%d nodes: nearest(%v) = %d, linear = %d", len(nodes), q, got, want)
 	}
-	gotIdx, gotDist := r.near(nodes, q)
-	wantIdx, wantDist := nearLinear(nodes, q, r.nn.cell)
+	gotIdx, gotDist := g.near(nodes, q)
+	wantIdx, wantDist := nearLinear(nodes, q, g.cell)
 	if len(gotIdx) != len(wantIdx) || len(gotDist) != len(gotIdx) {
 		t.Fatalf("%d nodes: near(%v) = %v %v, linear = %v %v", len(nodes), q, gotIdx, gotDist, wantIdx, wantDist)
 	}

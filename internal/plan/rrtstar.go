@@ -103,12 +103,18 @@ type RRTStar struct {
 	// staleObs is the shrunken obstacle set used by BugStaleObstacles.
 	staleWS  *geom.Workspace
 	staleIdx *geom.Index
+}
 
-	// Per-planner scratch reused across Plan calls (a planner instance is
-	// driven sequentially by its mission stack, never concurrently).
+// rrtScratch is one Plan call's working memory: the node arena and the
+// nearest-neighbour grid over it. Plan resets both before use, so a plan
+// never depends on which scratch it borrowed.
+type rrtScratch struct {
 	nodes []rrtNode
 	nn    nnGrid
 }
+
+// rrtScratches is the free list every RRTStar borrows its scratch from.
+var rrtScratches freeList[rrtScratch]
 
 var _ Planner = (*RRTStar)(nil)
 
@@ -144,16 +150,21 @@ type rrtNode struct {
 
 // Plan implements Planner. With BugNone the result always satisfies the
 // clearance margin (it is validated); with a bug injected the result may
-// collide — by design, to exercise the RTA protection.
+// collide — by design, to exercise the RTA protection. The draws come from
+// the planner's own RNG, so a planner serves one goroutine at a time.
 func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
+	s := rrtScratches.get()
+	defer rrtScratches.put(s)
 	bounds := r.ws.Bounds()
 	maxNodes := rrtMaxIters + 1 // the start plus one node per iteration
-	if cap(r.nodes) < maxNodes {
-		r.nodes = make([]rrtNode, 0, maxNodes)
+	if cap(s.nodes) < maxNodes {
+		s.nodes = make([]rrtNode, 0, maxNodes)
 	}
-	nodes := append(r.nodes[:0], rrtNode{pos: start, parent: -1})
-	r.nn.reset(bounds, rrtNeighborRadius, maxNodes)
-	r.nn.insert(0, start)
+	// The arena never outgrows maxNodes, so appends stay in s.nodes.
+	nodes := append(s.nodes[:0], rrtNode{pos: start, parent: -1})
+	nn := &s.nn
+	nn.reset(bounds, rrtNeighborRadius, maxNodes)
+	nn.insert(0, start)
 	bestGoal := -1
 	bestCost := math.Inf(1)
 	size := bounds.Size()
@@ -169,7 +180,7 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 				bounds.Min.Z+r.rng.Float64()*size.Z,
 			)
 		}
-		nearest := r.nearest(nodes, sample)
+		nearest := nn.nearest(nodes, sample)
 		newPos := r.steer(nodes[nearest].pos, sample)
 		if !r.pointFree(newPos) {
 			continue
@@ -182,7 +193,7 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 		cost := nodes[nearest].cost + nodes[nearest].pos.Dist(newPos)
 		// near's distances are reused below: Dist is bitwise symmetric, so
 		// they equal both nodes[n].pos.Dist(newPos) and newPos.Dist(nodes[n].pos).
-		neighbors, dists := r.near(nodes, newPos)
+		neighbors, dists := nn.near(nodes, newPos)
 		for j, n := range neighbors {
 			c := nodes[n].cost + dists[j]
 			if c < cost && r.edgeFree(nodes[n].pos, newPos) {
@@ -191,7 +202,7 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 		}
 		nodes = append(nodes, rrtNode{pos: newPos, parent: parent, cost: cost})
 		newIdx := len(nodes) - 1
-		r.nn.insert(newIdx, newPos)
+		nn.insert(newIdx, newPos)
 		// Rewire neighbours through the new node when cheaper.
 		for j, n := range neighbors {
 			c := cost + dists[j]
@@ -207,7 +218,6 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 			}
 		}
 	}
-	r.nodes = nodes // keep the backing array for the next Plan call
 	if bestGoal < 0 {
 		return nil, fmt.Errorf("rrtstar %v → %v after %d iters: %w", start, goal, rrtMaxIters, ErrNoPath)
 	}
@@ -236,8 +246,7 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 // the shell walk stops, once its lower-bound distance to p exceeds the best
 // distance found so far by more than float rounding (nnSlack), so a node that
 // could tie or win is never skipped.
-func (r *RRTStar) nearest(nodes []rrtNode, p geom.Vec3) int {
-	g := &r.nn
+func (g *nnGrid) nearest(nodes []rrtNode, p geom.Vec3) int {
 	cqx := g.axisOf(p.X, g.origin.X, g.nx)
 	cqy := g.axisOf(p.Y, g.origin.Y, g.ny)
 	cqz := g.axisOf(p.Z, g.origin.Z, g.nz)
@@ -298,9 +307,8 @@ func (r *RRTStar) nearest(nodes []rrtNode, p geom.Vec3) int {
 // scan returns them, and alongside each index its distance
 // nodes[i].pos.Dist(p). Hits are marked in a bitmap over node indices, so
 // the ascending order comes from a word scan rather than a sort. Both slices
-// are planner scratch, valid until the next near call.
-func (r *RRTStar) near(nodes []rrtNode, p geom.Vec3) ([]int, []float64) {
-	g := &r.nn
+// are grid scratch, valid until the next near call.
+func (g *nnGrid) near(nodes []rrtNode, p geom.Vec3) ([]int, []float64) {
 	rad := g.cell
 	lox := g.axisOf(p.X-rad, g.origin.X, g.nx)
 	hix := g.axisOf(p.X+rad, g.origin.X, g.nx)
@@ -345,7 +353,7 @@ func nnSlack(d float64) float64 { return 1e-9 * (1 + d) }
 
 // nearestLinear is the reference O(n) nearest kept as differential-test
 // ground truth for the grid implementation.
-func (r *RRTStar) nearestLinear(nodes []rrtNode, p geom.Vec3) int {
+func nearestLinear(nodes []rrtNode, p geom.Vec3) int {
 	best, bestD := 0, math.Inf(1)
 	for i, n := range nodes {
 		if d := n.pos.Dist(p); d < bestD {
@@ -373,8 +381,7 @@ func nearLinear(nodes []rrtNode, p geom.Vec3, rad float64) ([]int, []float64) {
 // to the rewiring radius: near() inspects at most 3 cells per axis, and
 // nearest() usually scans only the query cell and its first shell, skipping
 // the cells its best distance so far already rules out. Buckets and the
-// per-node near() scratch are sized once per planner and reused across Plan
-// calls.
+// per-node near() scratch keep their storage across resets.
 type nnGrid struct {
 	origin     geom.Vec3
 	cell       float64

@@ -71,19 +71,19 @@ func TestStoreReadIntoReusesBuffer(t *testing.T) {
 func TestValuationCloneInto(t *testing.T) {
 	v := Valuation{"a": 1, "b": 2}
 	dst := Valuation{"stale": 9}
-	got := v.CloneInto(dst)
+	got := v.cloneInto(dst)
 	if !reflect.DeepEqual(got, Valuation{"a": 1, "b": 2}) {
-		t.Errorf("CloneInto = %v", got)
+		t.Errorf("cloneInto = %v", got)
 	}
 	got["a"] = 99
 	if v["a"].(int) != 1 {
-		t.Error("CloneInto shares storage with the source")
+		t.Error("cloneInto shares storage with the source")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		v.CloneInto(dst)
+		v.cloneInto(dst)
 	})
 	if allocs != 0 {
-		t.Errorf("CloneInto allocates %.1f objects per call, want 0", allocs)
+		t.Errorf("cloneInto allocates %.1f objects per call, want 0", allocs)
 	}
 }
 

@@ -42,13 +42,13 @@ type Valuation map[TopicName]Value
 
 // Clone returns a shallow copy of the valuation.
 func (v Valuation) Clone() Valuation {
-	return v.CloneInto(make(Valuation, len(v)))
+	return v.cloneInto(make(Valuation, len(v)))
 }
 
-// CloneInto copies the valuation into dst, clearing dst first, and returns
+// cloneInto copies the valuation into dst, clearing dst first, and returns
 // dst. Reusing a destination across calls avoids the per-call map allocation
 // of Clone: refilling a map with the same keys reuses its buckets.
-func (v Valuation) CloneInto(dst Valuation) Valuation {
+func (v Valuation) cloneInto(dst Valuation) Valuation {
 	clear(dst)
 	for k, val := range v {
 		dst[k] = val

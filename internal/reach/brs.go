@@ -99,10 +99,10 @@ func (b *BackwardReachSet) compute() {
 	}
 }
 
-// TimeToUnsafe returns the minimum time (seconds) in which the plant can
+// timeToUnsafe returns the minimum time (seconds) in which the plant can
 // reach an unsafe cell from p, and +Inf when unreachable. Points outside the
 // grid report zero (the boundary is unsafe).
-func (b *BackwardReachSet) TimeToUnsafe(p geom.Vec3) float64 {
+func (b *BackwardReachSet) timeToUnsafe(p geom.Vec3) float64 {
 	c := b.grid.CellOf(p)
 	i, ok := b.grid.Index(c)
 	if !ok {
@@ -115,7 +115,7 @@ func (b *BackwardReachSet) TimeToUnsafe(p geom.Vec3) float64 {
 // t starting from p — the grid analogue of Reach(s, *, t) ⊄ φsafe for a
 // velocity-bounded plant.
 func (b *BackwardReachSet) CanEscapeWithin(p geom.Vec3, t time.Duration) bool {
-	return b.TimeToUnsafe(p) <= t.Seconds()
+	return b.timeToUnsafe(p) <= t.Seconds()
 }
 
 // FractionEscapable returns the fraction of free cells whose time-to-unsafe

@@ -48,18 +48,18 @@ func TestNewBackwardReachSetValidation(t *testing.T) {
 func TestTimeToUnsafeBasics(t *testing.T) {
 	brs, _ := brsFixture(t)
 	// Inside the obstacle: zero.
-	if got := brs.TimeToUnsafe(geom.V(10, 10, 2)); got != 0 {
-		t.Errorf("TimeToUnsafe inside obstacle = %v", got)
+	if got := brs.timeToUnsafe(geom.V(10, 10, 2)); got != 0 {
+		t.Errorf("timeToUnsafe inside obstacle = %v", got)
 	}
 	// Outside the grid: zero (boundary is unsafe).
-	if got := brs.TimeToUnsafe(geom.V(-5, 0, 0)); got != 0 {
-		t.Errorf("TimeToUnsafe outside grid = %v", got)
+	if got := brs.timeToUnsafe(geom.V(-5, 0, 0)); got != 0 {
+		t.Errorf("timeToUnsafe outside grid = %v", got)
 	}
 	// A free point ~2m from the obstacle at vmax=2 m/s needs ≈1s, certainly
 	// within [0.5, 2].
-	got := brs.TimeToUnsafe(geom.V(6, 10, 2))
+	got := brs.timeToUnsafe(geom.V(6, 10, 2))
 	if got < 0.5 || got > 2.0 {
-		t.Errorf("TimeToUnsafe 2m away = %v, want ≈1s", got)
+		t.Errorf("timeToUnsafe 2m away = %v, want ≈1s", got)
 	}
 }
 
@@ -67,9 +67,9 @@ func TestTimeToUnsafeMonotoneWithDistance(t *testing.T) {
 	brs, _ := brsFixture(t)
 	// Walking away from the obstacle along -x, time-to-unsafe must be
 	// non-decreasing until boundary effects dominate.
-	prev := brs.TimeToUnsafe(geom.V(7.5, 10, 2))
+	prev := brs.timeToUnsafe(geom.V(7.5, 10, 2))
 	for x := 7.0; x >= 4.0; x -= 0.5 {
-		cur := brs.TimeToUnsafe(geom.V(x, 10, 2))
+		cur := brs.timeToUnsafe(geom.V(x, 10, 2))
 		if cur+1e-9 < prev {
 			t.Fatalf("time-to-unsafe decreased moving away: x=%v %v -> %v", x, prev, cur)
 		}
@@ -121,7 +121,7 @@ func TestBRSLowerBound(t *testing.T) {
 		if !ws.Free(p) {
 			continue
 		}
-		tt := brs.TimeToUnsafe(p)
+		tt := brs.timeToUnsafe(p)
 		// Nearest unsafe set: the obstacle or the outer boundary.
 		dObs := obstacle.Distance(p)
 		dBound := boundaryDistance(ws.Bounds(), p)
@@ -129,7 +129,7 @@ func TestBRSLowerBound(t *testing.T) {
 		// One cell diagonal of slack for discretisation.
 		slack := 0.5 * math.Sqrt(3) / 2.0
 		if tt+slack < lower {
-			t.Errorf("TimeToUnsafe(%v) = %v below metric lower bound %v", p, tt, lower)
+			t.Errorf("timeToUnsafe(%v) = %v below metric lower bound %v", p, tt, lower)
 		}
 	}
 }

@@ -4,7 +4,7 @@
 // integrator with per-axis bounds, for which worst-case reachable sets have
 // closed forms, so the same checks are computed analytically:
 //
-//   - ReachBox(s, t): the positions reachable within [0, t] under ANY
+//   - reachBox(s, t): the positions reachable within [0, t] under ANY
 //     admissible control (the Reach(s, *, t) of the paper, projected to
 //     position).
 //   - BrakeBox(s): the positions swept while braking to a stop at full
@@ -103,10 +103,10 @@ func brakeExcursion(v, amax float64) float64 {
 	return v * v / (2 * amax)
 }
 
-// ReachBox returns the axis-aligned over-approximation of Reach(s, *, t)
+// reachBox returns the axis-aligned over-approximation of Reach(s, *, t)
 // projected to position: every position the plant can occupy within [0, t]
 // from (pos, vel) under the bounds.
-func ReachBox(pos, vel geom.Vec3, b Bounds, t time.Duration) geom.AABB {
+func reachBox(pos, vel geom.Vec3, b Bounds, t time.Duration) geom.AABB {
 	sec := t.Seconds()
 	x := axisReach(pos.X, vel.X, b.MaxAccel, b.MaxVel, sec)
 	y := axisReach(pos.Y, vel.Y, b.MaxAccel, b.MaxVel, sec)
@@ -141,7 +141,7 @@ func BrakeBox(pos, vel geom.Vec3, b Bounds) geom.AABB {
 // side by the braking excursion of the worst velocity attainable within t.
 func StopBox(pos, vel geom.Vec3, b Bounds, t time.Duration) geom.AABB {
 	sec := t.Seconds()
-	box := ReachBox(pos, vel, b, t)
+	box := reachBox(pos, vel, b, t)
 	ext := func(v float64) (lo, hi float64) {
 		vHi := math.Min(b.MaxVel, v+b.MaxAccel*sec)
 		vLo := math.Max(-b.MaxVel, v-b.MaxAccel*sec)

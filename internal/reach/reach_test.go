@@ -38,12 +38,12 @@ func TestBoundsValidate(t *testing.T) {
 func TestReachBoxContainsStart(t *testing.T) {
 	b := testBounds()
 	pos, vel := geom.V(1, 2, 3), geom.V(1, -2, 0)
-	box := ReachBox(pos, vel, b, 100*time.Millisecond)
+	box := reachBox(pos, vel, b, 100*time.Millisecond)
 	if !box.Contains(pos) {
 		t.Errorf("reach box %v does not contain the start %v", box, pos)
 	}
 	// Zero horizon: the box degenerates to the point.
-	box0 := ReachBox(pos, vel, b, 0)
+	box0 := reachBox(pos, vel, b, 0)
 	if !vecEq(box0.Min, pos) || !vecEq(box0.Max, pos) {
 		t.Errorf("zero-horizon reach box = %v", box0)
 	}
@@ -53,13 +53,13 @@ func TestReachBoxKnownValues(t *testing.T) {
 	// From rest, reach in time t is ±(a t²/2) per axis (below the velocity
 	// cap).
 	b := testBounds()
-	box := ReachBox(geom.V(0, 0, 0), geom.Vec3{}, b, 200*time.Millisecond)
+	box := reachBox(geom.V(0, 0, 0), geom.Vec3{}, b, 200*time.Millisecond)
 	want := 0.5 * 5 * 0.04 // 0.1 m
 	if !floatEq(box.Max.X, want) || !floatEq(box.Min.X, -want) {
 		t.Errorf("reach from rest = %v, want ±%v", box, want)
 	}
 	// Moving at the velocity cap: forward reach is exactly vmax·t.
-	box = ReachBox(geom.V(0, 0, 0), geom.V(3, 0, 0), b, time.Second)
+	box = reachBox(geom.V(0, 0, 0), geom.V(3, 0, 0), b, time.Second)
 	if !floatEq(box.Max.X, 3) {
 		t.Errorf("capped forward reach = %v, want 3", box.Max.X)
 	}
@@ -80,7 +80,7 @@ func TestBrakeBoxKnownValues(t *testing.T) {
 }
 
 // Property: BrakeBox ⊆ StopBox(t) ⊆ StopBox(t') for t ≤ t' (monotone), and
-// ReachBox(t) ⊆ StopBox(t).
+// reachBox(t) ⊆ StopBox(t).
 func TestBoxNesting(t *testing.T) {
 	b := testBounds()
 	f := func(px, py, pz, vx, vy, vz float64, tRaw uint16) bool {
@@ -91,7 +91,7 @@ func TestBoxNesting(t *testing.T) {
 		brake := BrakeBox(pos, vel, b)
 		stop1 := StopBox(pos, vel, b, t1)
 		stop2 := StopBox(pos, vel, b, t2)
-		reach1 := ReachBox(pos, vel, b, t1)
+		reach1 := reachBox(pos, vel, b, t1)
 		return stop1.ContainsBox(brake) && stop2.ContainsBox(stop1) && stop1.ContainsBox(reach1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -54,6 +55,46 @@ func TestDisabledControllerAllocations(t *testing.T) {
 	}
 }
 
+// missionAllocBytesBound caps the bytes one 10 s corner-hazard-tour mission
+// without the planner module allocates, seed 1, build included. A* is its
+// only planner. While each mission's planner allocated its own dense search
+// arrays and refilled them per search, the mission allocated ~254,900
+// bytes. With the search scratch borrowed from the process-wide free list
+// it allocates 129,994, so the bound leaves 20,006 (15%) of headroom:
+// per-mission search arrays again fail it, and so would scratch that the
+// free list lost between missions.
+const missionAllocBytesBound = 150_000
+
+// TestMissionAllocBytes guards the A* search scratch: a warm process plans
+// a mission's searches without allocating a grid-sized array.
+func TestMissionAllocBytes(t *testing.T) {
+	spec := scenario.MustGet("corner-hazard-tour").With(scenario.Override{Apply: func(s *scenario.Spec) {
+		s.Duration = 10 * time.Second
+		s.NoPlannerModule = true
+	}})
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation changes allocation counts")
+	}
+	run := func() {
+		if err := runMission(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: pooled artifacts, free-list scratch
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes allocated per mission", bytes)
+	if bytes > missionAllocBytesBound {
+		t.Fatalf("%d bytes allocated per mission, want ≤ %d", bytes, missionAllocBytesBound)
+	}
+}
+
 // missionAllocs returns the average heap allocations of building and
 // running spec with seed 1.
 func missionAllocs(t *testing.T, spec scenario.Spec) float64 {
@@ -63,11 +104,7 @@ func missionAllocs(t *testing.T, spec scenario.Spec) float64 {
 	}
 	var runErr error
 	allocs := testing.AllocsPerRun(5, func() {
-		cfg, err := spec.Build(1)
-		if err == nil {
-			_, err = sim.Run(cfg)
-		}
-		if err != nil {
+		if err := runMission(spec); err != nil {
 			runErr = err
 		}
 	})
@@ -76,4 +113,13 @@ func missionAllocs(t *testing.T, spec scenario.Spec) float64 {
 	}
 	t.Logf("%.0f allocations per mission", allocs)
 	return allocs
+}
+
+// runMission builds spec with seed 1 and runs it.
+func runMission(spec scenario.Spec) error {
+	cfg, err := spec.Build(1)
+	if err == nil {
+		_, err = sim.Run(cfg)
+	}
+	return err
 }

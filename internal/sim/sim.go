@@ -47,7 +47,7 @@ const physicsStep = 5 * time.Millisecond
 
 // RunConfig configures a closed-loop run.
 type RunConfig struct {
-	// Stack is the system under test.
+	// Stack is the system under test, freshly built: a stack runs once.
 	Stack *mission.Stack
 	// Initial is the drone's initial state; Battery defaults to 1.
 	Initial plant.State
@@ -269,6 +269,7 @@ func (r *runner) markLanded(t time.Duration) {
 // Run executes one closed-loop simulation. A run cancelled through
 // RunConfig.Context returns the consistent partial Result accumulated so far
 // together with the context's error; any other error returns a nil Result.
+// A stack runs once: Run refuses one that already ran (mission.ErrStackUsed).
 //
 //soter:ctx-ok cancellation rides on RunConfig.Context; a ctx parameter would duplicate it
 func Run(cfg RunConfig) (*Result, error) {
@@ -277,6 +278,9 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("sim: duration %v must be positive", cfg.Duration)
+	}
+	if err := cfg.Stack.Claim(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if cfg.Initial.Battery == 0 {
 		cfg.Initial.Battery = 1

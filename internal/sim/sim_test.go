@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -25,6 +27,43 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(RunConfig{Stack: st}); err == nil {
 		t.Error("zero duration accepted")
+	}
+}
+
+// TestRunRefusesUsedStack: a stack runs once. A second Run over it would
+// start from the state the first left in its planners and node closures,
+// so Run refuses it; a rejected config does not use the stack up, and a
+// fresh stack from the same config repeats the first run.
+func TestRunRefusesUsedStack(t *testing.T) {
+	cfg := mission.DefaultStackConfig(1)
+	cfg.App = mission.AppConfig{Points: squareTour()}
+	build := func() RunConfig {
+		st, err := mission.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RunConfig{Stack: st, Initial: initialAt(geom.V(3, 3, 2)), Duration: 2 * time.Second, Seed: 1}
+	}
+	rc := build()
+	bad := rc
+	bad.Duration = 0
+	if _, err := Run(bad); err == nil {
+		t.Fatal("zero duration accepted")
+	}
+	first, err := Run(rc)
+	if err != nil {
+		t.Fatalf("first run after a rejected config: %v", err)
+	}
+	res, err := Run(rc)
+	if !errors.Is(err, mission.ErrStackUsed) || res != nil {
+		t.Fatalf("second run over one stack = (%v, %v), want (nil, ErrStackUsed)", res, err)
+	}
+	again, err := Run(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Metrics, first.Metrics) {
+		t.Errorf("fresh stack: metrics %+v, first run %+v", again.Metrics, first.Metrics)
 	}
 }
 
