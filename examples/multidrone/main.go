@@ -9,9 +9,13 @@
 // well-formed on its own topic namespace, their outputs are disjoint, so the
 // composition satisfies both safety invariants — which this run checks with
 // the φInv monitor enabled while injecting faults into drone A.
+//
+// The closing claim is printed only when claim accepts what the run
+// observed; main_test.go holds the same function to the real run.
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -19,11 +23,13 @@ import (
 	soter "repro"
 	"repro/internal/controller"
 	"repro/internal/geom"
+	"repro/internal/mission"
 	"repro/internal/plant"
 	"repro/internal/reach"
 )
 
-// droneRig bundles one drone's nodes, module and plant.
+// droneRig bundles one drone's nodes, module and plant, and the state the
+// run leaves it in.
 type droneRig struct {
 	name     string
 	module   *soter.Module
@@ -34,31 +40,76 @@ type droneRig struct {
 	wpT      soter.TopicName
 	cmdT     soter.TopicName
 	crashed  bool
+	mode     soter.Mode
+}
+
+// result is what one run observed: the φInv monitor's report (nil if φInv
+// held for both modules), each drone's state at the end, and drone-b's
+// demotions forced by drone-a's disengagements.
+type result struct {
+	violation   *soter.InvariantViolationError
+	drones      []*droneRig
+	coordinated []soter.ModeSwitchEvent
+}
+
+// claim reports why the closing sentence would be false for res, or nil if
+// it holds: φInv held, neither drone crashed, and the coordination link
+// demoted drone-b at least once.
+func claim(res result) error {
+	if res.violation != nil {
+		return fmt.Errorf("φInv violated: %w", res.violation)
+	}
+	for _, d := range res.drones {
+		if d.crashed {
+			return fmt.Errorf("%s crashed — composed invariant broken", d.name)
+		}
+	}
+	if len(res.coordinated) == 0 {
+		return errors.New("expected at least one coordinated demotion")
+	}
+	return nil
 }
 
 func main() {
-	if err := run(); err != nil {
+	fmt.Println("two RTA-protected drones, coordinated switching drone-a → drone-b")
+	res, err := run()
+	if err != nil {
 		log.Fatal(err)
 	}
+	for _, d := range res.drones {
+		fmt.Printf("%s: pos=%v crashed=%v final mode=%v\n", d.name, d.state.Pos, d.crashed, d.mode)
+	}
+	fmt.Printf("\ncoordinated demotions of drone-b: %d\n", len(res.coordinated))
+	for i, sw := range res.coordinated[:min(5, len(res.coordinated))] {
+		fmt.Printf("  %d: t=%v %s forced %v→%v by drone-a's disengagement\n",
+			i+1, sw.T.Round(10*time.Millisecond), sw.Module, sw.From, sw.To)
+	}
+	if n := len(res.coordinated) - 5; n > 0 {
+		fmt.Printf("  ... and %d more\n", n)
+	}
+	if err := claim(res); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("\nφInv held for both modules (Theorem 4.1) throughout the faulted mission.")
 }
 
-func run() error {
+// run flies both drones for 60 s and returns what it observed. A φInv
+// violation ends the run and is recorded in the result, not returned as an
+// error.
+func run() (result, error) {
+	var res result
 	ws := geom.CityWorkspace()
 	params := plant.DefaultParams()
 	limits := controller.Limits{MaxAccel: params.MaxAccel, MaxVel: params.MaxVel}
-	bounds := reach.Bounds{MaxAccel: params.MaxAccel, MaxVel: params.MaxVel, BrakeDecel: 0.8 * params.MaxAccel}
 
-	// Both drones share the obstacle map; the analysis floor is lowered a
-	// hair like the surveillance stack's.
-	b := ws.Bounds()
-	b.Min.Z -= 0.25
-	aws, err := geom.NewWorkspace(b, ws.ObstaclesView())
+	// Both drones share the mission stack's floor-lowered analysis workspace.
+	aws, err := mission.AnalysisWorkspace(ws)
 	if err != nil {
-		return err
+		return res, err
 	}
-	analyzer, err := reach.NewAnalyzer(aws, bounds, 0.45, 100*time.Millisecond, 2.0)
+	analyzer, err := reach.NewAnalyzer(aws, mission.ReachBounds(params), 0.45, 100*time.Millisecond, 2.0)
 	if err != nil {
-		return err
+		return res, err
 	}
 
 	// Drone A flies the outer tour with a faulty AC; drone B patrols the
@@ -70,13 +121,13 @@ func run() error {
 			{Kind: controller.FaultFullThrust, Start: 25 * time.Second, End: 26500 * time.Millisecond, Param: geom.V(0.3, 1, 0)},
 		})
 	if err != nil {
-		return err
+		return res, err
 	}
 	rigB, err := buildDrone("drone-b", analyzer, limits, params,
 		[]geom.Vec3{geom.V(20, 16, 3), geom.V(34, 17, 3), geom.V(36, 34, 3), geom.V(20, 33, 3)},
 		nil)
 	if err != nil {
-		return err
+		return res, err
 	}
 
 	sys, err := soter.NewSystem(
@@ -84,11 +135,11 @@ func run() error {
 		[]*soter.Node{rigA.tourNode, rigB.tourNode},
 	)
 	if err != nil {
-		return err
+		return res, err
 	}
 	// The Section VII link: distrust of A demotes B.
 	if err := sys.AddCoordination("drone-a", "drone-b"); err != nil {
-		return err
+		return res, err
 	}
 
 	rigs := []*droneRig{rigA, rigB}
@@ -101,7 +152,6 @@ func run() error {
 		return nil
 	})
 
-	var coordinated []soter.ModeSwitchEvent
 	exec, err := soter.NewExecutor(sys,
 		[]soter.Topic{
 			{Name: rigA.stateT, Default: rigA.state},
@@ -111,40 +161,24 @@ func run() error {
 		soter.WithEnvironment(env),
 		soter.WithObservers(soter.ObserverFunc(func(e soter.Event) {
 			if sw, ok := e.(soter.ModeSwitchEvent); ok && sw.Coordinated {
-				coordinated = append(coordinated, sw)
+				res.coordinated = append(res.coordinated, sw)
 			}
 		})),
 	)
 	if err != nil {
-		return err
+		return res, err
 	}
 
-	fmt.Println("two RTA-protected drones, coordinated switching drone-a → drone-b")
-	if err := exec.RunUntil(60 * time.Second); err != nil {
-		return fmt.Errorf("φInv violated: %w", err)
+	if err := exec.RunUntil(60 * time.Second); err != nil && !errors.As(err, &res.violation) {
+		return res, err
 	}
-
 	for _, rig := range rigs {
-		mode, _ := exec.Mode(rig.name)
-		fmt.Printf("%s: pos=%v crashed=%v final mode=%v\n", rig.name, rig.state.Pos, rig.crashed, mode)
-		if rig.crashed {
-			return fmt.Errorf("%s crashed — composed invariant broken", rig.name)
+		if rig.mode, err = exec.Mode(rig.name); err != nil {
+			return res, err
 		}
 	}
-	fmt.Printf("\ncoordinated demotions of drone-b: %d\n", len(coordinated))
-	for i, sw := range coordinated {
-		if i >= 5 {
-			fmt.Printf("  ... and %d more\n", len(coordinated)-i)
-			break
-		}
-		fmt.Printf("  %d: t=%v %s forced %v→%v by drone-a's disengagement\n",
-			i+1, sw.T.Round(10*time.Millisecond), sw.Module, sw.From, sw.To)
-	}
-	if len(coordinated) == 0 {
-		return fmt.Errorf("expected at least one coordinated demotion")
-	}
-	fmt.Println("\nφInv held for both modules (Theorem 4.1) throughout the faulted mission.")
-	return nil
+	res.drones = rigs
+	return res, nil
 }
 
 // buildDrone assembles one drone's tour node, AC/SC primitive nodes and RTA
@@ -164,16 +198,12 @@ func buildDrone(name string, analyzer *reach.Analyzer, limits controller.Limits,
 	rig.state = plant.State{Pos: tour[len(tour)-1], Battery: 1}
 
 	stateOf := func(v soter.Valuation) (plant.State, bool) {
-		raw, ok := v[rig.stateT]
-		if !ok || raw == nil {
-			return plant.State{}, false
-		}
-		s, ok := raw.(plant.State)
+		s, ok := v[rig.stateT].(plant.State)
 		return s, ok
 	}
 
 	// The tour node publishes the current waypoint, advancing on arrival.
-	tourNode, err := soter.NewNode(name+".tour", 100*time.Millisecond,
+	rig.tourNode, err = soter.NewNode(name+".tour", 100*time.Millisecond,
 		[]soter.TopicName{rig.stateT}, []soter.TopicName{rig.wpT},
 		func(st soter.State, in soter.Valuation) (soter.State, soter.Valuation, error) {
 			idx, _ := st.(int)
@@ -187,7 +217,6 @@ func buildDrone(name string, analyzer *reach.Analyzer, limits controller.Limits,
 	if err != nil {
 		return nil, err
 	}
-	rig.tourNode = tourNode
 
 	mkPrimitive := func(suffix string, ctrl controller.Controller) (*soter.Node, error) {
 		return soter.NewNode(name+suffix, 20*time.Millisecond,
@@ -199,11 +228,9 @@ func buildDrone(name string, analyzer *reach.Analyzer, limits controller.Limits,
 				if !ok {
 					return next, nil, nil
 				}
-				target := s.Pos
-				if raw := in[rig.wpT]; raw != nil {
-					if wp, ok := raw.(geom.Vec3); ok {
-						target = wp
-					}
+				target, ok := in[rig.wpT].(geom.Vec3)
+				if !ok {
+					target = s.Pos
 				}
 				return next, soter.Valuation{rig.cmdT: ctrl.Control(t, s.Pos, s.Vel, target)}, nil
 			},
@@ -249,17 +276,10 @@ func buildDrone(name string, analyzer *reach.Analyzer, limits controller.Limits,
 // advance integrates this drone's plant over [prev, now] and publishes its
 // state.
 func (r *droneRig) advance(ws *geom.Workspace, prev, now time.Duration, topics *soter.Store) error {
+	raw, _ := topics.Get(r.cmdT)
+	cmd, _ := raw.(geom.Vec3)
 	for t := prev; t < now; {
-		dt := 5 * time.Millisecond
-		if t+dt > now {
-			dt = now - t
-		}
-		cmd := geom.Vec3{}
-		if raw, err := topics.Get(r.cmdT); err == nil && raw != nil {
-			if v, ok := raw.(geom.Vec3); ok {
-				cmd = v
-			}
-		}
+		dt := min(5*time.Millisecond, now-t)
 		r.state = r.plant.Step(r.state, cmd, dt)
 		t += dt
 		if plant.Crashed(r.state, ws) {

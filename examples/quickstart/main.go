@@ -9,11 +9,16 @@
 // It also shows the context-aware execution surface: the run is driven by
 // Run(ctx, ...) under a deadline, and the mode switches are consumed from
 // the typed event stream through an Observer instead of a bespoke hook.
+//
+// The closing claim is printed only when claim accepts what the run
+// observed; main_test.go holds the same function to the real run.
 package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -35,22 +40,15 @@ const (
 )
 
 // roverState is the environment-owned plant state, published on "rover/state".
-type roverState struct {
-	X, V float64
-}
+type roverState struct{ X, V float64 }
 
 // brakeDist is the stopping distance from speed v at full braking.
-func brakeDist(v float64) float64 {
-	if v < 0 {
-		v = -v
-	}
-	return v * v / (2 * maxAccel)
-}
+func brakeDist(v float64) float64 { return v * v / (2 * maxAccel) }
 
 // maxDisp is the largest forward displacement achievable in time t starting
 // at signed velocity v under the bounds.
 func maxDisp(v, t float64) float64 {
-	v = minF(v, maxVel)
+	v = min(v, maxVel)
 	t1 := (maxVel - v) / maxAccel
 	if t <= t1 {
 		return v*t + 0.5*maxAccel*t*t
@@ -62,17 +60,17 @@ func maxDisp(v, t float64) float64 {
 // admissible control for horizon t and then brakes — the 1D analogue of the
 // StopBox used by the drone case study.
 func stopSpan(x, v, t float64) (lo, hi float64) {
-	vHi := minF(maxVel, v+maxAccel*t)
-	vLo := maxF(-maxVel, v-maxAccel*t)
-	hi = x + maxDisp(v, t) + brakeDist(maxF(vHi, 0))
-	lo = x - maxDisp(-v, t) - brakeDist(maxF(-vLo, 0))
+	vHi := min(maxVel, v+maxAccel*t)
+	vLo := max(-maxVel, v-maxAccel*t)
+	hi = x + maxDisp(v, t) + brakeDist(max(vHi, 0))
+	lo = x - maxDisp(-v, t) - brakeDist(max(-vLo, 0))
 	return lo, hi
 }
 
 // safe is φsafe: the rover can still stop before either wall.
 func safe(x, v float64) bool {
-	return x-brakeDist(maxF(-v, 0)) >= wallLo+margin &&
-		x+brakeDist(maxF(v, 0)) <= wallHi-margin
+	return x-brakeDist(max(-v, 0)) >= wallLo+margin &&
+		x+brakeDist(max(v, 0)) <= wallHi-margin
 }
 
 // ttf2Delta is the Figure 9 check: Reach(st, *, 2Δ) ⊄ φsafe.
@@ -88,31 +86,65 @@ func inSafer(x, v float64) bool {
 }
 
 func stateOf(in soter.Valuation) (roverState, bool) {
-	raw, ok := in["rover/state"]
-	if !ok || raw == nil {
-		return roverState{}, false
-	}
-	st, ok := raw.(roverState)
+	st, ok := in["rover/state"].(roverState)
 	return st, ok
 }
 
-func clampAccel(u float64) float64 {
-	if u > maxAccel {
-		return maxAccel
+func clampAccel(u float64) float64 { return max(-maxAccel, min(u, maxAccel)) }
+
+// result is what one run observed: the φInv monitor's report (nil if φInv
+// held), the extremes of x over every environment step, the mode switches in
+// each direction and the simulated time reached.
+type result struct {
+	violation  *soter.InvariantViolationError
+	minX, maxX float64
+	toSC, toAC int
+	end        time.Duration
+}
+
+// claim reports why the closing sentence would be false for res, or nil if
+// it holds: φInv held, the rover kept its margin from both walls at every
+// step, and control passed to the SC and back to the AC at least once each.
+func claim(res result) error {
+	if res.violation != nil {
+		return fmt.Errorf("safety violated: %w", res.violation)
 	}
-	if u < -maxAccel {
-		return -maxAccel
+	if res.minX < wallLo+margin || res.maxX > wallHi-margin {
+		return fmt.Errorf("rover left [%.0f, %.0f]: x ranged over [%.2f, %.2f]",
+			wallLo+margin, wallHi-margin, res.minX, res.maxX)
 	}
-	return u
+	if res.toSC == 0 || res.toAC == 0 {
+		return fmt.Errorf("expected AC→SC and SC→AC switches, got %d and %d", res.toSC, res.toAC)
+	}
+	return nil
 }
 
 func main() {
-	if err := run(); err != nil {
+	// Ctrl-C cancels the run between instants.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	res, err := run(ctx, os.Stdout)
+	interrupted := ctx.Err() != nil
+	stop()
+	if interrupted {
+		fmt.Printf("\ninterrupted at t=%v with %d mode switches so far\n", res.end, res.toSC+res.toAC)
+		return
+	}
+	if err == nil {
+		err = claim(res)
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("\n%d mode switches; rover stayed within [%.0f+%.0f, %.0f-%.0f] — φsafe held.\n",
+		res.toSC+res.toAC, wallLo, margin, wallHi, margin)
+	fmt.Println("The full-throttle AC was used whenever safe; the SC braked near the wall.")
 }
 
-func run() error {
+// run simulates 60 s of the rover, printing its state to w every 5 s, and
+// returns what it observed. A φInv violation ends the run and is recorded
+// in the result, not returned as an error.
+func run(ctx context.Context, w io.Writer) (result, error) {
+	var res result
 	// The untrusted AC: full throttle toward the far wall — fast, and
 	// guaranteed to crash if left alone.
 	ac, err := soter.NewNode("rover.ac", ctrlTick,
@@ -121,20 +153,17 @@ func run() error {
 			return st, soter.Valuation{"rover/cmd": maxAccel}, nil
 		})
 	if err != nil {
-		return err
+		return res, err
 	}
 	// The certified SC: brake to a stop.
 	sc, err := soter.NewNode("rover.sc", ctrlTick,
 		[]soter.TopicName{"rover/state"}, []soter.TopicName{"rover/cmd"},
 		func(st soter.State, in soter.Valuation) (soter.State, soter.Valuation, error) {
-			rs, ok := stateOf(in)
-			if !ok {
-				return st, soter.Valuation{"rover/cmd": 0.0}, nil
-			}
+			rs, _ := stateOf(in)
 			return st, soter.Valuation{"rover/cmd": clampAccel(-rs.V / ctrlTick.Seconds())}, nil
 		})
 	if err != nil {
-		return err
+		return res, err
 	}
 
 	// The RTA module declaration, mirroring Figure 7.
@@ -157,42 +186,38 @@ func run() error {
 		},
 	})
 	if err != nil {
-		return err
+		return res, err
 	}
 
 	sys, err := soter.NewSystem([]*soter.Module{mod}, nil)
 	if err != nil {
-		return err
+		return res, err
 	}
 
 	// The environment integrates the rover dynamics between events and
 	// publishes the state estimate.
 	rover := roverState{X: 10}
+	res.minX, res.maxX = rover.X, rover.X
 	env := soter.EnvironmentFunc(func(prev, now time.Duration, topics *soter.Store) error {
 		dt := (now - prev).Seconds()
-		u := 0.0
-		if raw, err := topics.Get("rover/cmd"); err == nil && raw != nil {
-			if v, ok := raw.(float64); ok {
-				u = clampAccel(v)
-			}
-		}
-		rover.V += u * dt
-		if rover.V > maxVel {
-			rover.V = maxVel
-		}
-		if rover.V < -maxVel {
-			rover.V = -maxVel
-		}
+		raw, _ := topics.Get("rover/cmd")
+		u, _ := raw.(float64)
+		rover.V = max(-maxVel, min(rover.V+clampAccel(u)*dt, maxVel))
 		rover.X += rover.V * dt
+		res.minX = min(res.minX, rover.X)
+		res.maxX = max(res.maxX, rover.X)
 		return topics.Set("rover/state", rover)
 	})
 
-	// Consume the typed event stream: collect the mode switches through an
+	// Consume the typed event stream: count the mode switches through an
 	// Observer.
-	var switches []soter.ModeSwitchEvent
 	onEvent := soter.ObserverFunc(func(e soter.Event) {
 		if sw, ok := e.(soter.ModeSwitchEvent); ok {
-			switches = append(switches, sw)
+			if sw.To == soter.ModeSC {
+				res.toSC++
+			} else {
+				res.toAC++
+			}
 		}
 	})
 	exec, err := soter.NewExecutor(sys,
@@ -202,50 +227,28 @@ func run() error {
 		soter.WithObservers(onEvent),
 	)
 	if err != nil {
-		return err
+		return res, err
 	}
 
-	// Run for 60 simulated seconds, reporting once per second. Ctrl-C
-	// cancels the run between instants.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	fmt.Println("t(s)   x(m)    v(m/s)  mode")
+	// Run for 60 simulated seconds, reporting every 5 s.
+	fmt.Fprintln(w, "t(s)   x(m)    v(m/s)  mode")
 	for s := 1; s <= 60; s++ {
-		if err := exec.Run(ctx, time.Duration(s)*time.Second); err != nil {
-			if ctx.Err() != nil {
-				fmt.Printf("\ninterrupted at t=%v with %d mode switches so far\n", exec.Now(), len(switches))
-				return nil
-			}
-			return fmt.Errorf("safety violated: %w", err)
+		err := exec.Run(ctx, time.Duration(s)*time.Second)
+		res.end = exec.Now()
+		if errors.As(err, &res.violation) {
+			return res, nil
+		}
+		if err != nil {
+			return res, err
+		}
+		if s%5 != 0 {
+			continue
 		}
 		mode, err := exec.Mode("SafeRover")
 		if err != nil {
-			return err
+			return res, err
 		}
-		if s%5 == 0 {
-			fmt.Printf("%4d  %6.2f  %6.2f  %v\n", s, rover.X, rover.V, mode)
-		}
+		fmt.Fprintf(w, "%4d  %6.2f  %6.2f  %v\n", s, rover.X, rover.V, mode)
 	}
-
-	fmt.Printf("\n%d mode switches; rover stayed within [%.0f+%.0f, %.0f-%.0f] — φsafe held.\n",
-		len(switches), wallLo, margin, wallHi, margin)
-	if rover.X < wallLo+margin || rover.X > wallHi-margin {
-		return fmt.Errorf("rover escaped the safe region: x=%.2f", rover.X)
-	}
-	fmt.Println("The full-throttle AC was used whenever safe; the SC braked near the wall.")
-	return nil
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return res, nil
 }

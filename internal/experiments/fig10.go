@@ -48,12 +48,11 @@ func fig10(_ context.Context, seed int64, quick bool, _ int) (Outcome, error) {
 	}
 	seed += 2
 	ws := geom.CityWorkspace()
-	params := plant.DefaultParams()
 	aws, err := mission.AnalysisWorkspace(ws)
 	if err != nil {
 		return Outcome{}, err
 	}
-	bounds := reach.Bounds{MaxAccel: params.MaxAccel, MaxVel: params.MaxVel, BrakeDecel: 0.8 * params.MaxAccel}
+	bounds := mission.ReachBounds(plant.DefaultParams())
 	const delta = 100 * time.Millisecond
 	an, err := reach.NewAnalyzer(aws, bounds, 0.45, delta, 2.0)
 	if err != nil {

@@ -219,6 +219,14 @@ func (s *Stack) Claim() error {
 	return nil
 }
 
+// ReachBounds derives the reachability analysis's actuation bounds from the
+// plant's. The braking deceleration assumes the lagged plant achieves at
+// least 80% of MaxAccel within a small fraction of a braking maneuver (see
+// plant.Params.LagTau); this is the one place that assumption is stated.
+func ReachBounds(p plant.Params) reach.Bounds {
+	return reach.Bounds{MaxAccel: p.MaxAccel, MaxVel: p.MaxVel, BrakeDecel: 0.8 * p.MaxAccel}
+}
+
 // AnalysisWorkspace derives the workspace used by the motion-primitive
 // safety analysis from the physical one: identical obstacles, but the floor
 // is lowered slightly. The ground is landable — touchdown happens at the
@@ -264,13 +272,7 @@ func Build(cfg StackConfig) (*Stack, error) {
 		MaxAccel: cfg.PlantParams.MaxAccel,
 		MaxVel:   cfg.PlantParams.MaxVel,
 	}
-	bounds := reach.Bounds{
-		MaxAccel: cfg.PlantParams.MaxAccel,
-		MaxVel:   cfg.PlantParams.MaxVel,
-		// The lagged plant achieves at least 80% of MaxAccel within a small
-		// fraction of a braking maneuver; see plant.Params.LagTau.
-		BrakeDecel: 0.8 * cfg.PlantParams.MaxAccel,
-	}
+	bounds := ReachBounds(cfg.PlantParams)
 	// Seed-independent artifacts (derived workspaces, analyzers, the
 	// certified A* planner) are pure functions of geometry and safety
 	// parameters, so sweep missions share one pooled set instead of

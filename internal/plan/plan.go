@@ -92,24 +92,6 @@ func FirstUnsafeSegment(p Plan, ws *geom.Workspace, margin float64) int {
 	return -1
 }
 
-// DistanceToUnsafe returns the path distance from the start of the plan to
-// the first unsafe segment, and whether any segment is unsafe. The planner
-// RTA module's ttf2Δ does not use it: that check measures the straight-line
-// distance from the drone to the unsafe segment's start, the conservative
-// bound. Along-path distance is the tighter measure a sampled ttf2Δ could
-// adopt.
-func DistanceToUnsafe(p Plan, ws *geom.Workspace, margin float64) (float64, bool) {
-	idx := FirstUnsafeSegment(p, ws, margin)
-	if idx < 0 {
-		return 0, false
-	}
-	d := 0.0
-	for i := 0; i < idx; i++ {
-		d += p[i].Dist(p[i+1])
-	}
-	return d, true
-}
-
 // Shortcut greedily smooths the plan: it repeatedly removes intermediate
 // waypoints whenever the direct segment between their neighbours is free
 // with the given margin. The input plan is not modified.

@@ -89,19 +89,6 @@ func TestFirstUnsafeSegment(t *testing.T) {
 	}
 }
 
-func TestDistanceToUnsafe(t *testing.T) {
-	ws := planWorkspace(t)
-	p := Plan{geom.V(2, 2, 2), geom.V(8, 2, 2), geom.V(15, 2, 2)}
-	d, unsafe := DistanceToUnsafe(p, ws, 0.4)
-	if !unsafe || d != 6 {
-		t.Errorf("DistanceToUnsafe = %v %v, want 6 true", d, unsafe)
-	}
-	_, unsafe = DistanceToUnsafe(Plan{geom.V(2, 2, 2), geom.V(8, 2, 2)}, ws, 0.4)
-	if unsafe {
-		t.Error("safe plan reported unsafe")
-	}
-}
-
 func TestShortcut(t *testing.T) {
 	ws := planWorkspace(t)
 	// A dog-leg in open space collapses to the direct segment.

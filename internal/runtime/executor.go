@@ -297,13 +297,6 @@ func (e *Executor) Mode(moduleName string) (rta.Mode, error) {
 	return 0, fmt.Errorf("unknown module %q", moduleName)
 }
 
-// OutputEnabled reports whether the named controller node's outputs are
-// currently enabled; plain nodes are always enabled.
-func (e *Executor) OutputEnabled(nodeName string) bool {
-	r, ok := e.byName[nodeName]
-	return !ok || r.oe
-}
-
 // LocalState returns the local state of a node. The simulator reads the
 // surveillance app's visit counter through it; tests inspect any node.
 func (e *Executor) LocalState(nodeName string) (node.State, bool) {

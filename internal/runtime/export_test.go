@@ -15,3 +15,10 @@ func OnNew(f func(*Executor)) (restore func()) {
 func (e *Executor) SetIdleStep(name string, idle node.IdleFunc) {
 	e.byName[name].idle = idle
 }
+
+// OutputEnabled reports whether the named controller node's outputs are
+// currently enabled; plain nodes are always enabled.
+func (e *Executor) OutputEnabled(nodeName string) bool {
+	r, ok := e.byName[nodeName]
+	return !ok || r.oe
+}
