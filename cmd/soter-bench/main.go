@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	soter-bench [-seed N] [-quick] [-workers N] [-timeout D] [-json]
+//	soter-bench [-seed N] [-quick] [-workers N] [-timeout D]
 //	            [-cpuprofile F] [-memprofile F] [experiment ...]
 //	soter-bench -certify [-certify-scenario S] [-certify-policies P,Q]
 //	            [-threshold T] [-confidence C] [-max-seeds N]
@@ -23,20 +23,14 @@
 // the rta.Policy redesign: every registered policy family on the faulted
 // ablation mission.
 //
-// With -json, one JSON object per experiment is written to stdout instead of
-// the text tables: {"name", "policy", "wall_ms", "crashes", "ac_fraction"} —
-// the machine-readable feed for BENCH_*.json perf-trajectory tracking.
-// ac_fraction is -1 for experiments with no AC/SC switching layer; policy is
-// the switching policy the experiment ran ("grid" for multi-policy sweeps,
-// "n/a" when there is no switching layer to run one).
-//
 // The second form runs statistical certification (internal/certify) instead
 // of the paper experiments: sequential seed sweeps with early stopping decide
 // whether each cell's crash probability is below -threshold at -confidence.
 // -certify-scenario selects one cell (its registry policy, or the
 // -certify-policies list); with no scenario the whole registry × policy
-// matrix is certified. With -json, one certify.Result object (plus wall_ms)
-// is written per cell.
+// matrix is certified. With -json, each cell's certify.Result is written as
+// one JSON object: only deterministic fields, so a rerun prints the same
+// bytes. -json is a -certify flag; soter-bench refuses it without -certify.
 //
 // The whole harness is cancellation-aware: -timeout bounds the total wall
 // clock and SIGINT/SIGTERM interrupt it; either way the experiments finished
@@ -62,7 +56,6 @@ import (
 
 	"repro/internal/certify"
 	"repro/internal/experiments"
-	"repro/internal/rta"
 )
 
 func main() {
@@ -78,7 +71,7 @@ func run() error {
 	quick := flag.Bool("quick", false, "run scaled-down configurations")
 	workers := flag.Int("workers", 0, "fleet worker-pool bound (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "cancel the whole harness after this wall-clock budget (0 = none)")
-	jsonOut := flag.Bool("json", false, "emit one JSON object per experiment instead of text tables")
+	jsonOut := flag.Bool("json", false, "with -certify: emit one certify.Result JSON object per cell instead of text")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the experiments finish) to this file")
 	certifyMode := flag.Bool("certify", false, "run statistical certification instead of the paper experiments")
@@ -92,12 +85,14 @@ func run() error {
 	certifyActivation := flag.Float64("certify-activation", 0, "sporadic fault model: per-window activation probability (0 or 1 = deterministic profile)")
 	certifyBoost := flag.Float64("certify-boost", 0, "importance sampling: activation boost factor (0 or 1 = plain sampling)")
 	flag.Parse()
+	if *jsonOut && !*certifyMode {
+		return errors.New("-json is a -certify flag: the paper experiments print text tables")
+	}
 
 	// Profiles cover exactly the selected experiments: the CPU profile starts
 	// before the first and stops after the last; the heap profile is snapped
 	// once everything has finished (after a GC, so it reflects live retention
-	// rather than garbage). Both feed `go tool pprof` against the perf
-	// trajectory tracked in BENCH_*.json.
+	// rather than garbage). Both feed `go tool pprof`.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -174,7 +169,6 @@ func run() error {
 	// parallelism lives inside each experiment, whose scenario sweeps fan
 	// out through the fleet engine bounded at -workers, so total concurrency
 	// never exceeds the flag.
-	enc := json.NewEncoder(os.Stdout)
 	start := time.Now()
 	completed := 0
 	for _, name := range selected {
@@ -191,42 +185,10 @@ func run() error {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		completed++
-		wall := time.Since(expStart)
-		if *jsonOut {
-			policy := out.Policy
-			if policy == "" {
-				// Mirror the ac_fraction sentinel: an experiment with no
-				// AC/SC switching layer ran no switching policy either.
-				if out.ACFraction < 0 {
-					policy = "n/a"
-				} else {
-					policy = rta.DefaultPolicyName
-				}
-			}
-			if err := enc.Encode(struct {
-				Name       string  `json:"name"`
-				Policy     string  `json:"policy"`
-				WallMS     float64 `json:"wall_ms"`
-				Crashes    int     `json:"crashes"`
-				ACFraction float64 `json:"ac_fraction"`
-			}{name, policy, float64(wall.Microseconds()) / 1000, out.Crashes, out.ACFraction}); err != nil {
-				return err
-			}
-			continue
-		}
-		fmt.Printf("%s\n[%s took %v]\n\n", out.Text, name, wall.Round(time.Millisecond))
+		fmt.Printf("%s\n[%s took %v]\n\n", out.Text, name, time.Since(expStart).Round(time.Millisecond))
 	}
-	if !*jsonOut {
-		fmt.Printf("[%d experiments took %v total]\n", len(selected), time.Since(start).Round(time.Millisecond))
-	}
+	fmt.Printf("[%d experiments took %v total]\n", len(selected), time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// certifyRow is the -certify -json wire row: the deterministic cell result
-// plus the one non-deterministic field, wall time.
-type certifyRow struct {
-	certify.Result
-	WallMS float64 `json:"wall_ms"`
 }
 
 // runCertify runs the certification mode: one cell when a scenario is named
@@ -243,7 +205,7 @@ func runCertify(ctx context.Context, scenarioName, policyList string, cell certi
 	enc := json.NewEncoder(os.Stdout)
 	emit := func(res *certify.Result, wall time.Duration) error {
 		if jsonOut {
-			return enc.Encode(certifyRow{Result: *res, WallMS: float64(wall.Microseconds()) / 1000})
+			return enc.Encode(res)
 		}
 		fmt.Printf("  %-44s %-10s %-22s %d/%d seeds  %d crashes  est %.3g  [%.3g, %.3g]  %v\n",
 			res.Scenario, res.Policy, res.Verdict, res.Seeds, res.MaxSeeds,
@@ -293,9 +255,9 @@ func runCertify(ctx context.Context, scenarioName, policyList string, cell certi
 	if res == nil {
 		return err
 	}
-	// Matrix wall time is sequential; apportion rows their share only in the
-	// text view, where the column is cosmetic — the JSON rows carry the
-	// whole-sweep average for lack of per-cell timing.
+	// Matrix wall time is sequential and not timed per cell: the text view
+	// shows each row the sweep's average, a cosmetic column the JSON rows
+	// leave out.
 	per := time.Duration(0)
 	if len(res.Cells) > 0 {
 		per = time.Since(start) / time.Duration(len(res.Cells))

@@ -1,8 +1,7 @@
 // Command soter-vet runs the repo's custom go/analysis suite — the
-// determinism and exhaustiveness invariants that `go vet` cannot know about
-// (see internal/lint). It loads the named packages (tests included, because
-// the round-trip corpus lives in a test file), applies every analyzer, and
-// prints positioned findings:
+// determinism and context-flow invariants that `go vet` cannot know about
+// and no test can see (see internal/lint). It loads the named packages'
+// non-test files, applies every analyzer, and prints positioned findings:
 //
 //	$ go run ./cmd/soter-vet ./...
 //	internal/foo/bar.go:12:9: detsource: time.Now reads the wall clock …
@@ -25,7 +24,6 @@ import (
 
 func main() {
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	tests := flag.Bool("tests", true, "also analyze test files (the eventkind corpus check needs them)")
 	list := flag.Bool("list", false, "list the analyzers of the suite and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: soter-vet [flags] [packages]\n\nFlags:\n")
@@ -63,7 +61,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := load.Load(load.Config{Patterns: patterns, Tests: *tests})
+	pkgs, err := load.Load(load.Config{Patterns: patterns})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "soter-vet: %v\n", err)
 		os.Exit(2)

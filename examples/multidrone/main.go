@@ -99,15 +99,13 @@ func main() {
 func run() (result, error) {
 	var res result
 	ws := geom.CityWorkspace()
-	params := plant.DefaultParams()
+	// Both drones fly the evaluation stack's plant and share its
+	// motion-module analyzer.
+	cfg := mission.DefaultStackConfig(0)
+	cfg.Workspace = ws
+	params := cfg.PlantParams
 	limits := controller.Limits{MaxAccel: params.MaxAccel, MaxVel: params.MaxVel}
-
-	// Both drones share the mission stack's floor-lowered analysis workspace.
-	aws, err := mission.AnalysisWorkspace(ws)
-	if err != nil {
-		return res, err
-	}
-	analyzer, err := reach.NewAnalyzer(aws, mission.ReachBounds(params), 0.45, 100*time.Millisecond, 2.0)
+	analyzer, err := mission.MotionAnalyzer(cfg)
 	if err != nil {
 		return res, err
 	}

@@ -107,7 +107,6 @@ func ablationDelta(ctx context.Context, seed int64, quick bool, workers int) (Ou
 		return Outcome{}, fmt.Errorf("ablation: %w", err)
 	}
 	var res AblationDeltaResult
-	out := Outcome{ACFraction: -1}
 	for i, r := range rep.Results {
 		m := r.Metrics
 		row := DeltaRow{Delta: grid[i].delta, Hysteresis: grid[i].hyst, Crashed: m.Crashed, Targets: m.TargetsVisited}
@@ -116,13 +115,8 @@ func ablationDelta(ctx context.Context, seed int64, quick bool, workers int) (Ou
 			row.ACFraction = s.ACFraction()
 		}
 		res.Rows = append(res.Rows, row)
-		out.Crashes += boolCount(row.Crashed)
-		if row.Delta == 100*time.Millisecond && row.Hysteresis == 2.0 {
-			out.ACFraction = row.ACFraction
-		}
 	}
-	out.Text, out.Result = res.Format(), res
-	return out, nil
+	return Outcome{Text: res.Format(), Result: res}, nil
 }
 
 // ReturnRow is one switching-policy configuration.
@@ -182,7 +176,6 @@ func ablationReturn(ctx context.Context, seed int64, quick bool, workers int) (O
 		return Outcome{}, fmt.Errorf("ablation return: %w", err)
 	}
 	var res AblationReturnResult
-	out := Outcome{}
 	for i, r := range rep.Results {
 		m := r.Metrics
 		row := ReturnRow{Policy: policies[i].name, Crashed: m.Crashed, Targets: m.TargetsVisited, Distance: m.DistanceFlown}
@@ -191,8 +184,6 @@ func ablationReturn(ctx context.Context, seed int64, quick bool, workers int) (O
 			row.Disengagements = s.Disengagements
 		}
 		res.Rows = append(res.Rows, row)
-		out.Crashes += boolCount(row.Crashed)
 	}
-	out.Text, out.ACFraction, out.Result = res.Format(), res.Rows[0].ACFraction, res
-	return out, nil
+	return Outcome{Text: res.Format(), Result: res}, nil
 }

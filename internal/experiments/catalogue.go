@@ -2,16 +2,10 @@ package experiments
 
 import "context"
 
-// Outcome is one experiment run: its printable table, the headline numbers
-// soter-bench -json reports, and the typed result value (Fig5RightResult,
-// *fleet.Report, ...) the claim table asserts on.
+// Outcome is one experiment run: its printable table and the typed result
+// value (Fig5RightResult, *fleet.Report, ...) the claim table asserts on.
 type Outcome struct {
-	Text       string
-	Crashes    int
-	ACFraction float64 // -1 when the experiment has no AC/SC layer
-	// Policy is the switching policy the experiment ran ("" = the default
-	// soter-fig9; "grid" for sweeps spanning several policies).
-	Policy string
+	Text   string
 	Result any
 }
 

@@ -51,10 +51,3 @@ func fmtDur(d time.Duration) string {
 func fmtPct(f float64) string {
 	return fmt.Sprintf("%.1f%%", 100*f)
 }
-
-func boolCount(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}

@@ -3,11 +3,9 @@ package experiments
 import (
 	"context"
 	"math/rand"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/mission"
-	"repro/internal/plant"
 	"repro/internal/reach"
 )
 
@@ -47,17 +45,16 @@ func fig10(_ context.Context, seed int64, quick bool, _ int) (Outcome, error) {
 		samples = 1000
 	}
 	seed += 2
+	// The motion module of the evaluation's stack, on the city workspace.
+	cfg := mission.DefaultStackConfig(seed)
 	ws := geom.CityWorkspace()
-	aws, err := mission.AnalysisWorkspace(ws)
+	cfg.Workspace = ws
+	an, err := mission.MotionAnalyzer(cfg)
 	if err != nil {
 		return Outcome{}, err
 	}
-	bounds := mission.ReachBounds(plant.DefaultParams())
-	const delta = 100 * time.Millisecond
-	an, err := reach.NewAnalyzer(aws, bounds, 0.45, delta, 2.0)
-	if err != nil {
-		return Outcome{}, err
-	}
+	bounds := mission.ReachBounds(cfg.PlantParams)
+	delta := cfg.MotionDelta
 
 	rng := rand.New(rand.NewSource(seed))
 	counts := make(map[reach.Region]int)
@@ -83,7 +80,7 @@ func fig10(_ context.Context, seed int64, quick bool, _ int) (Outcome, error) {
 
 	// Grid backward reachable set over the physical workspace, at a
 	// resolution fine enough to resolve the thin 2Δ escape band.
-	grid, err := geom.NewGrid(ws, 0.4, 0.45)
+	grid, err := geom.NewGrid(ws, 0.4, cfg.Margin)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -99,7 +96,7 @@ func fig10(_ context.Context, seed int64, quick bool, _ int) (Outcome, error) {
 	// differently, so we report agreement rather than require equality.
 	agree, total := 0, 0
 	for i := 0; i < samples/2; i++ {
-		pos, ok := ws.RandomFreePoint(rng, 0.45, 128)
+		pos, ok := ws.RandomFreePoint(rng, cfg.Margin, 128)
 		if !ok {
 			continue
 		}
@@ -113,5 +110,5 @@ func fig10(_ context.Context, seed int64, quick bool, _ int) (Outcome, error) {
 	if total > 0 {
 		res.Agreement = float64(agree) / float64(total)
 	}
-	return Outcome{Text: res.Format(), ACFraction: -1, Result: res}, nil
+	return Outcome{Text: res.Format(), Result: res}, nil
 }

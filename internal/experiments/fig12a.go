@@ -85,12 +85,5 @@ func fig12a(ctx context.Context, seed int64, quick bool, _ int) (Outcome, error)
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	out := Outcome{Text: res.Format(), ACFraction: -1, Result: res}
-	for _, row := range res.Rows {
-		out.Crashes += row.Collisions
-		if row.Mode == mission.ProtectRTA.String() {
-			out.ACFraction = row.ACFraction
-		}
-	}
-	return out, nil
+	return Outcome{Text: res.Format(), Result: res}, nil
 }

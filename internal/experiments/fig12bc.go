@@ -91,7 +91,7 @@ func fig12b(ctx context.Context, seed int64, quick bool, _ int) (Outcome, error)
 			res.RecoveryTimes = append(res.RecoveryTimes, sw.T)
 		}
 	}
-	return Outcome{Text: res.Format(), Crashes: boolCount(res.Crashed), ACFraction: res.ACFraction, Result: res}, nil
+	return Outcome{Text: res.Format(), Result: res}, nil
 }
 
 // Fig12cResult reproduces Figure 12c: the battery falls below the safety
@@ -148,7 +148,7 @@ func fig12c(ctx context.Context, seed int64, _ bool, _ int) (Outcome, error) {
 			break
 		}
 	}
-	return Outcome{Text: res.Format(), Crashes: boolCount(res.Crashed), ACFraction: -1, Result: res}, nil
+	return Outcome{Text: res.Format(), Result: res}, nil
 }
 
 // Fig12bFleetResult aggregates the multi-seed surveillance sweep: the Figure
@@ -211,5 +211,5 @@ func fig12bFleet(ctx context.Context, seed int64, quick bool, workers int) (Outc
 		res.MeanACFraction = s.ACFraction()
 		res.MeanDisengagements = float64(s.Disengagements) / float64(rep.Missions)
 	}
-	return Outcome{Text: res.Format(), Crashes: res.Crashes, ACFraction: res.MeanACFraction, Result: res}, nil
+	return Outcome{Text: res.Format(), Result: res}, nil
 }

@@ -117,7 +117,7 @@ func fig5Right(ctx context.Context, seed int64, quick bool, _ int) (Outcome, err
 			res.CollidingLaps++
 		}
 	}
-	return Outcome{Text: res.Format(), Crashes: res.CollidingLaps, ACFraction: -1, Result: res}, ctx.Err()
+	return Outcome{Text: res.Format(), Result: res}, ctx.Err()
 }
 
 // Fig5LeftResult reports the data-driven controller experiment: tracking a
@@ -262,5 +262,5 @@ func fig5Left(ctx context.Context, seed int64, _ bool, _ int) (Outcome, error) {
 	if devCount > 0 {
 		res.AvgDeviation = devSum / float64(devCount)
 	}
-	return Outcome{Text: res.Format(), Crashes: res.UnsafeLoops, ACFraction: -1, Result: res}, err
+	return Outcome{Text: res.Format(), Result: res}, err
 }

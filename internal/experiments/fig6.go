@@ -98,5 +98,5 @@ func fig6(ctx context.Context, seed int64, _ bool, _ int) (Outcome, error) {
 			res.SwitchTimes = append(res.SwitchTimes, sw.T)
 		}
 	}
-	return Outcome{Text: res.Format(), Crashes: boolCount(res.Crashed), ACFraction: -1, Result: res}, nil
+	return Outcome{Text: res.Format(), Result: res}, nil
 }

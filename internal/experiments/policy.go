@@ -83,7 +83,6 @@ func ablationPolicy(ctx context.Context, seed int64, quick bool, workers int) (O
 		return Outcome{}, fmt.Errorf("ablation policy: %w", err)
 	}
 	var res AblationPolicyResult
-	out := Outcome{ACFraction: -1, Policy: "grid"}
 	for i, r := range rep.Results {
 		m := r.Metrics
 		row := PolicyRow{Policy: specs[i], Crashed: m.Crashed, Targets: m.TargetsVisited, Distance: m.DistanceFlown}
@@ -93,11 +92,6 @@ func ablationPolicy(ctx context.Context, seed int64, quick bool, workers int) (O
 			row.Clamped = s.Clamped
 		}
 		res.Rows = append(res.Rows, row)
-		out.Crashes += boolCount(row.Crashed)
-		if row.Policy == rta.DefaultPolicyName {
-			out.ACFraction = row.ACFraction
-		}
 	}
-	out.Text, out.Result = res.Format(), res
-	return out, nil
+	return Outcome{Text: res.Format(), Result: res}, nil
 }

@@ -20,11 +20,7 @@ func scenarioSweep(ctx context.Context, seed int64, quick bool, workers int) (Ou
 		cfg.Duration = 10 * time.Second
 	}
 	rep := fleet.Run(ctx, fleet.ScenarioGrid(cfg), fleet.Options{Workers: workers})
-	out := Outcome{Text: formatScenarioSweep(rep), Crashes: rep.Crashes, ACFraction: -1, Result: rep}
-	if s := rep.ModuleStats("safe-motion-primitive"); s.ACTime+s.SCTime > 0 {
-		out.ACFraction = s.ACFraction()
-	}
-	return out, rep.FirstErr()
+	return Outcome{Text: formatScenarioSweep(rep), Result: rep}, rep.FirstErr()
 }
 
 // formatScenarioSweep appends per-mission verdict lines to the fleet summary.

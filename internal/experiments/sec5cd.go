@@ -119,7 +119,7 @@ func sec5c(ctx context.Context, seed int64, quick bool, _ int) (Outcome, error) 
 			res.PlannerACFrac = s.ACFraction()
 		}
 	}
-	return Outcome{Text: res.Format(), Crashes: boolCount(res.ClosedCrashed), ACFraction: res.PlannerACFrac, Result: res}, nil
+	return Outcome{Text: res.Format(), Result: res}, nil
 }
 
 // Sec5dRow is one scheduling configuration of the endurance study.
@@ -217,11 +217,7 @@ func sec5d(ctx context.Context, seed int64, quick bool, workers int) (Outcome, e
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	out := Outcome{Text: res.Format(), ACFraction: res.Rows[0].ACFraction, Result: res}
-	for _, row := range res.Rows {
-		out.Crashes += row.Crashes
-	}
-	return out, nil
+	return Outcome{Text: res.Format(), Result: res}, nil
 }
 
 func clampF(v, lo, hi float64) float64 {

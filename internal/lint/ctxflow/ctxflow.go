@@ -10,8 +10,8 @@
 //
 // The documented shims (Executor.RunUntil, sim's nil-context default, the
 // experiments default and the service's own lifecycle root) are annotated in
-// place: //soter:ctx-ok <reason>. Test files and main packages are exempt —
-// a main owns its root context.
+// place: //soter:ctx-ok <reason>. Main packages are exempt — a main owns its
+// root context — and test files are never loaded.
 package ctxflow
 
 import (
@@ -48,15 +48,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	idx := directive.ParseFiles(pass.Fset, pass.Files)
-	inTest := func(pos ast.Node) bool {
-		return strings.HasSuffix(pass.Fset.Position(pos.Pos()).Filename, "_test.go")
-	}
 
 	nodeFilter := []ast.Node{(*ast.FuncDecl)(nil), (*ast.SelectorExpr)(nil)}
 	ins.Preorder(nodeFilter, func(n ast.Node) {
-		if inTest(n) {
-			return
-		}
 		switch n := n.(type) {
 		case *ast.FuncDecl:
 			checkEntryPoint(pass, idx, n)

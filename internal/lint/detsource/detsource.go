@@ -61,26 +61,15 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 	idx := directive.ParseFiles(pass.Fset, pass.Files)
 	for _, file := range pass.Files {
-		name := pass.Fset.Position(file.FileStart).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue // test code may measure and shuffle freely
-		}
 		checkAmbientSources(pass, idx, file)
 		checkMapRanges(pass, idx, file)
 	}
 	return nil, nil
 }
 
-// pathBase returns the last import-path element, with any " [p.test]"
-// test-variant suffix stripped.
+// pathBase returns the last import-path element.
 func pathBase(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		path = path[:i]
-	}
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		path = path[i+1:]
-	}
-	return path
+	return path[strings.LastIndex(path, "/")+1:]
 }
 
 // checkAmbientSources reports references to wall-clock and global-rand

@@ -78,17 +78,6 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Diagnostic, er
 			results[a] = res
 		}
 	}
-	// A package and its test variant share source files, so a finding in a
-	// shared file surfaces once per variant: keep the first.
-	seen := map[Diagnostic]bool{}
-	uniq := diags[:0]
-	for _, d := range diags {
-		if !seen[d] {
-			seen[d] = true
-			uniq = append(uniq, d)
-		}
-	}
-	diags = uniq
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -1,13 +1,10 @@
 // Package lint assembles the soter-vet analysis suite: the custom
-// go/analysis analyzers that machine-check the repo's determinism and
-// exhaustiveness invariants on every build, before any test runs.
+// go/analysis analyzers that machine-check what no test can see, the
+// determinism and context discipline of the repo's non-test code, on every
+// build before any test runs.
 //
 //   - detsource: deterministic packages must not read the wall clock, draw
 //     from the global rand source, or publish map-iteration order.
-//   - eventkind: every obs.Kind is fully plumbed — wire name, decode arm,
-//     concrete event type, round-trip corpus entry.
-//   - canonicalfield: every scenario.Spec field is included in or explicitly
-//     excluded from the canonical cache key.
 //   - ctxflow: long-running exported entry points take a context.Context,
 //     and internal packages never mint ambient root contexts.
 //
@@ -20,18 +17,14 @@ package lint
 import (
 	"golang.org/x/tools/go/analysis"
 
-	"repro/internal/lint/canonicalfield"
 	"repro/internal/lint/ctxflow"
 	"repro/internal/lint/detsource"
-	"repro/internal/lint/eventkind"
 )
 
 // Suite returns the full soter-vet analyzer suite, in reporting order.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		detsource.Analyzer,
-		eventkind.Analyzer,
-		canonicalfield.Analyzer,
 		ctxflow.Analyzer,
 	}
 }

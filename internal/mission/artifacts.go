@@ -90,16 +90,17 @@ func geometryHash(ws *geom.Workspace) uint64 {
 	return h
 }
 
-func artifactKeyFor(ws *geom.Workspace, b reach.Bounds, margin, hysteresis, planMargin float64, motionDelta time.Duration) artifactKey {
+func artifactKeyFor(cfg StackConfig) artifactKey {
+	b := ReachBounds(cfg.PlantParams)
 	return artifactKey{
-		geoHash:     geometryHash(ws),
-		margin:      margin,
-		hysteresis:  hysteresis,
+		geoHash:     geometryHash(cfg.Workspace),
+		margin:      cfg.Margin,
+		hysteresis:  cfg.Hysteresis,
 		maxAccel:    b.MaxAccel,
 		maxVel:      b.MaxVel,
 		brakeDecel:  b.BrakeDecel,
-		planMargin:  planMargin,
-		motionDelta: motionDelta,
+		planMargin:  cfg.PlanMargin,
+		motionDelta: cfg.MotionDelta,
 	}
 }
 
@@ -165,13 +166,10 @@ func sameGeometry(a *artifacts, ws *geom.Workspace) bool {
 	return true
 }
 
-// buildArtifacts constructs the shareable stack artifacts from scratch.
-func buildArtifacts(ws *geom.Workspace, b reach.Bounds, margin, hysteresis, planMargin float64, motionDelta time.Duration) (*artifacts, error) {
-	aws, err := AnalysisWorkspace(ws)
-	if err != nil {
-		return nil, err
-	}
-	analyzer, err := reach.NewAnalyzer(aws, b, margin, motionDelta, hysteresis)
+// buildArtifacts constructs cfg's shareable stack artifacts from scratch.
+func buildArtifacts(cfg StackConfig) (*artifacts, error) {
+	ws := cfg.Workspace
+	analyzer, err := MotionAnalyzer(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -179,11 +177,11 @@ func buildArtifacts(ws *geom.Workspace, b reach.Bounds, margin, hysteresis, plan
 	if err != nil {
 		return nil, err
 	}
-	landingAnalyzer, err := reach.NewAnalyzer(lws, b, margin, motionDelta, hysteresis)
+	landingAnalyzer, err := analyzerOver(lws, cfg)
 	if err != nil {
 		return nil, err
 	}
-	astar, err := plan.NewAStar(ws, 1.0, planMargin)
+	astar, err := plan.NewAStar(ws, 1.0, cfg.PlanMargin)
 	if err != nil {
 		return nil, err
 	}

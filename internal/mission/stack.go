@@ -227,14 +227,33 @@ func ReachBounds(p plant.Params) reach.Bounds {
 	return reach.Bounds{MaxAccel: p.MaxAccel, MaxVel: p.MaxVel, BrakeDecel: 0.8 * p.MaxAccel}
 }
 
-// AnalysisWorkspace derives the workspace used by the motion-primitive
+// MotionAnalyzer builds the motion-primitive module's reachability analyzer
+// for cfg: over the analysis workspace of cfg.Workspace (which must be set),
+// with the plant's ReachBounds and cfg's Margin, MotionDelta and Hysteresis.
+// Build constructs every stack's analyzer through it, so an analysis of the
+// motion module outside a stack (Figure 10, the multi-drone example) that
+// starts from DefaultStackConfig gets the analyzer the missions run.
+func MotionAnalyzer(cfg StackConfig) (*reach.Analyzer, error) {
+	aws, err := analysisWorkspace(cfg.Workspace)
+	if err != nil {
+		return nil, err
+	}
+	return analyzerOver(aws, cfg)
+}
+
+// analyzerOver builds cfg's motion-module analyzer over the given workspace.
+func analyzerOver(ws *geom.Workspace, cfg StackConfig) (*reach.Analyzer, error) {
+	return reach.NewAnalyzer(ws, ReachBounds(cfg.PlantParams), cfg.Margin, cfg.MotionDelta, cfg.Hysteresis)
+}
+
+// analysisWorkspace derives the workspace used by the motion-primitive
 // safety analysis from the physical one: identical obstacles, but the floor
 // is lowered slightly. The ground is landable — touchdown happens at the
 // GroundZ altitude, above the geo-fenced band — so the motion module's
 // floor margin must sit below the touchdown altitude, while still switching
 // to SC before any dive can reach the actual ground. Side and top bounds are
 // enforced unchanged.
-func AnalysisWorkspace(ws *geom.Workspace) (*geom.Workspace, error) {
+func analysisWorkspace(ws *geom.Workspace) (*geom.Workspace, error) {
 	b := ws.Bounds()
 	b.Min.Z -= 0.25
 	return geom.NewWorkspace(b, ws.ObstaclesView())
@@ -272,20 +291,19 @@ func Build(cfg StackConfig) (*Stack, error) {
 		MaxAccel: cfg.PlantParams.MaxAccel,
 		MaxVel:   cfg.PlantParams.MaxVel,
 	}
-	bounds := ReachBounds(cfg.PlantParams)
 	// Seed-independent artifacts (derived workspaces, analyzers, the
 	// certified A* planner) are pure functions of geometry and safety
 	// parameters, so sweep missions share one pooled set instead of
 	// rebuilding per mission. On a hit the canonical workspace instance also
 	// replaces cfg.Workspace, so every mission reuses its query indexes.
-	key := artifactKeyFor(cfg.Workspace, bounds, cfg.Margin, cfg.Hysteresis, cfg.PlanMargin, cfg.MotionDelta)
+	key := artifactKeyFor(cfg)
 	var arts *artifacts
 	if !cfg.FreshArtifacts {
 		arts = sharedArtifacts.get(key, cfg.Workspace)
 	}
 	if arts == nil {
 		var err error
-		arts, err = buildArtifacts(cfg.Workspace, bounds, cfg.Margin, cfg.Hysteresis, cfg.PlanMargin, cfg.MotionDelta)
+		arts, err = buildArtifacts(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}

@@ -35,17 +35,29 @@ func allEventKinds() []Event {
 	}
 }
 
-// TestEveryKindCovered pins the corpus to the Kind enum, so the JSONL
-// round-trip below really covers the whole taxonomy.
+// TestEveryKindCovered pins the corpus and the wire-name table to the Kind
+// enum: every kind has a wire name no other kind shares, and a corpus event,
+// so the JSONL round-trip below (which needs a decode arm per kind) really
+// covers the whole taxonomy.
 func TestEveryKindCovered(t *testing.T) {
 	seen := map[Kind]bool{}
 	for _, e := range allEventKinds() {
 		seen[e.Kind()] = true
 	}
+	named := map[string]Kind{}
 	for k := Kind(0); k < Kind(KindCount); k++ {
 		if !seen[k] {
-			t.Errorf("no corpus event of kind %v", k)
+			t.Errorf("no corpus event of kind %d (%q)", k, k)
 		}
+		name := k.String()
+		if name == "" {
+			t.Errorf("kind %d has no wire name in kindNames", k)
+			continue
+		}
+		if prev, dup := named[name]; dup {
+			t.Errorf("kinds %d and %d share the wire name %q", prev, k, name)
+		}
+		named[name] = k
 	}
 }
 

@@ -13,20 +13,14 @@ import (
 	"repro/internal/plan"
 )
 
-// canonicalExcluded lists the Spec fields deliberately absent from the
-// canonical form: pure labels, carrying no influence on the compiled
-// mission, so two Specs differing only here must share cache entries. The
-// canonicalfield analyzer (internal/lint/canonicalfield) requires every Spec
-// field to be either referenced by the canonicalization below or listed
-// here; TestCanonicalHandlesEverySpecField asserts the same at run time.
-var canonicalExcluded = [...]string{"Name", "Description"}
-
 // canonicalSpec is the serialization schema of Canonical: every field of a
 // Spec that influences the compiled mission, in a fixed order, with the
 // workspace factory resolved to its concrete geometry and every defaulted
 // field resolved to its effective value. Name and Description are excluded
 // deliberately — two Specs that differ only in labelling denote the same
 // mission, and the result cache should treat them as one.
+// TestCanonicalHandlesEverySpecField edits every Spec field and holds the
+// fingerprint to that split.
 type canonicalSpec struct {
 	WorkspaceBounds    geom.AABB              `json:"workspace_bounds"`
 	WorkspaceObstacles []geom.AABB            `json:"workspace_obstacles"`

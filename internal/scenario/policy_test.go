@@ -3,80 +3,111 @@ package scenario
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/geom"
+	"repro/internal/mission"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/rta"
 	"repro/internal/sim"
 )
 
+// canonicalExcluded lists the Spec fields deliberately absent from the
+// canonical form: pure labels, carrying no influence on the compiled
+// mission, so two Specs differing only here must share cache entries.
+var canonicalExcluded = map[string]bool{"Name": true, "Description": true}
+
+// specFieldEdit is one Spec field's entry in
+// TestCanonicalHandlesEverySpecField: edit changes the field of a valid
+// spec; context, when set, is applied to both sides first, for a field that
+// only some configurations read.
+type specFieldEdit struct {
+	context func(*Spec)
+	edit    func(*Spec)
+}
+
 // TestCanonicalHandlesEverySpecField is the cache-poisoning guard: every
-// field of Spec must be explicitly accounted for by Canonical() — either
-// included in the canonical schema or deliberately excluded below. A knob
-// added to Spec without a decision here fails this test, instead of silently
-// aliasing cache entries for missions that differ in the new knob (the
-// soter-serve result cache would then serve one mission's verdict for the
-// other).
+// field of Spec has exactly one edit below, and the fingerprint must follow
+// it — an edit to an included field changes Fingerprint(1), an edit to a
+// field in canonicalExcluded leaves it alone. A knob added to Spec without
+// an entry fails here, as does one that Build reads but Canonical ignores,
+// instead of silently aliasing cache entries for missions that differ in
+// the new knob (the soter-serve result cache would then serve one mission's
+// verdict for the other).
 func TestCanonicalHandlesEverySpecField(t *testing.T) {
-	// included: the field influences the compiled mission and is serialized
-	// (directly or in resolved form — Workspace becomes bounds+obstacles,
-	// Start is defaulted, SwitchPolicy is canonicalized).
-	// excluded: the field is labelling only; two Specs differing only there
-	// denote the same mission and must share cache entries.
-	// The excluded set is declared once, in canonical.go, where the
-	// canonicalfield analyzer checks it at build time; this test consumes it
-	// so the two guards can never disagree.
-	handled := map[string]string{
-		"Workspace":          "included",
-		"Targets":            "included",
-		"RandomTargets":      "included",
-		"Start":              "included",
-		"InitialBattery":     "included",
-		"DrainMultiple":      "included",
-		"Protection":         "included",
-		"AC":                 "included",
-		"LearnedBadFraction": "included",
-		"NoPlannerModule":    "included",
-		"NoBatteryModule":    "included",
-		"OneWaySwitching":    "included",
-		"MotionDelta":        "included",
-		"Hysteresis":         "included",
-		"SwitchPolicy":       "included",
-		"PlanMargin":         "included",
-		"Faults":             "included",
-		"PlannerBug":         "included",
-		"PlannerBugRate":     "included",
-		"JitterProb":         "included",
-		"JitterSCOnly":       "included",
-		"Duration":           "included",
-		"InvariantMonitor":   "included",
-	}
-	for _, name := range canonicalExcluded {
-		handled[name] = "excluded"
-	}
-	excluded := 0
-	for _, decision := range handled {
-		if decision == "excluded" {
-			excluded++
-		}
+	edits := map[string]specFieldEdit{
+		"Name":        {edit: func(s *Spec) { s.Name += "-renamed" }},
+		"Description": {edit: func(s *Spec) { s.Description = "another label" }},
+		"Workspace":   {edit: func(s *Spec) { s.Workspace = geom.CanyonWorkspace }},
+		"Targets":     {edit: func(s *Spec) { s.Targets = append(slices.Clone(s.Targets), geom.V(25, 20, 3)) }},
+		// Validate makes a fixed tour and RandomTargets exclusive, so this
+		// edit drops the tour too.
+		"RandomTargets":      {edit: func(s *Spec) { s.Targets, s.RandomTargets = nil, true }},
+		"Start":              {edit: func(s *Spec) { s.Start = geom.V(5, 5, 2) }},
+		"InitialBattery":     {edit: func(s *Spec) { s.InitialBattery = 0.5 }},
+		"DrainMultiple":      {edit: func(s *Spec) { s.DrainMultiple = 3 }},
+		"Protection":         {edit: func(s *Spec) { s.Protection = mission.ProtectSCOnly }},
+		"AC":                 {edit: func(s *Spec) { s.AC = mission.ACLearned }},
+		"LearnedBadFraction": {context: func(s *Spec) { s.AC = mission.ACLearned }, edit: func(s *Spec) { s.LearnedBadFraction = 0.3 }},
+		"NoPlannerModule":    {edit: func(s *Spec) { s.NoPlannerModule = !s.NoPlannerModule }},
+		"NoBatteryModule":    {edit: func(s *Spec) { s.NoBatteryModule = !s.NoBatteryModule }},
+		"OneWaySwitching":    {edit: func(s *Spec) { s.OneWaySwitching = !s.OneWaySwitching }},
+		"MotionDelta":        {edit: func(s *Spec) { s.MotionDelta = 50 * time.Millisecond }},
+		"Hysteresis":         {edit: func(s *Spec) { s.Hysteresis = 3 }},
+		"SwitchPolicy":       {edit: func(s *Spec) { s.SwitchPolicy = "sticky-sc" }},
+		"PlanMargin":         {edit: func(s *Spec) { s.PlanMargin = 0.9 }},
+		"Faults":             {edit: func(s *Spec) { s.Faults.Len += 100 * time.Millisecond }},
+		"PlannerBug":         {edit: func(s *Spec) { s.PlannerBug = plan.BugStaleObstacles }},
+		"PlannerBugRate":     {context: func(s *Spec) { s.PlannerBug = plan.BugSkipEdgeCheck }, edit: func(s *Spec) { s.PlannerBugRate = plan.DefaultBugRate / 2 }},
+		"JitterProb":         {edit: func(s *Spec) { s.JitterProb = 0.1 }},
+		"JitterSCOnly":       {context: func(s *Spec) { s.JitterProb = 0.1 }, edit: func(s *Spec) { s.JitterSCOnly = !s.JitterSCOnly }},
+		"Duration":           {edit: func(s *Spec) { s.Duration += time.Second }},
+		"InvariantMonitor":   {edit: func(s *Spec) { s.InvariantMonitor = !s.InvariantMonitor }},
 	}
 	typ := reflect.TypeOf(Spec{})
+	fields := map[string]bool{}
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
-		if _, ok := handled[name]; !ok {
-			t.Errorf("Spec field %q is not handled by Canonical(): include it in the canonical schema or deliberately exclude it (and record the decision in TestCanonicalHandlesEverySpecField)", name)
+		fields[name] = true
+		if _, ok := edits[name]; !ok {
+			t.Errorf("Spec field %q has no edit in TestCanonicalHandlesEverySpecField: add one, and include the field in Canonical() or list it in canonicalExcluded", name)
 		}
-		delete(handled, name)
 	}
-	for name := range handled {
-		t.Errorf("TestCanonicalHandlesEverySpecField lists %q but Spec has no such field — stale entry", name)
+	for name := range canonicalExcluded {
+		if !fields[name] {
+			t.Errorf("canonicalExcluded lists %q but Spec has no such field — stale entry", name)
+		}
 	}
-	// Cross-check the "included" count against the canonical schema so a
-	// field can't be marked included while the schema forgot it: every Spec
-	// knob maps to at least one canonicalSpec field (Workspace maps to two).
-	if specFields, canonFields := typ.NumField()-excluded, reflect.TypeOf(canonicalSpec{}).NumField(); canonFields < specFields {
-		t.Errorf("canonicalSpec has %d fields for %d included Spec knobs — a knob is missing from the schema", canonFields, specFields)
+
+	fingerprint := func(s Spec) string {
+		t.Helper()
+		h, err := s.Fingerprint(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	for name, e := range edits {
+		if !fields[name] {
+			t.Errorf("TestCanonicalHandlesEverySpecField edits %q but Spec has no such field — stale entry", name)
+			continue
+		}
+		base := MustGet("surveillance-city")
+		if e.context != nil {
+			e.context(&base)
+		}
+		edited := base
+		e.edit(&edited)
+		changed := fingerprint(edited) != fingerprint(base)
+		switch {
+		case canonicalExcluded[name] && changed:
+			t.Errorf("editing excluded Spec field %s changes the fingerprint: labels must share cache entries", name)
+		case !canonicalExcluded[name] && !changed:
+			t.Errorf("editing Spec field %s leaves the fingerprint unchanged: include it in Canonical() or list it in canonicalExcluded (two workloads differing only in %s would share a fingerprint)", name, name)
+		}
 	}
 }
 
