@@ -42,11 +42,10 @@ func BenchmarkFleetScaling(b *testing.B) {
 			return sim.RunConfig{}, err
 		}
 		return sim.RunConfig{
-			Stack:           st,
-			Initial:         plant.State{Pos: geom.V(3, 3, 2), Battery: 1},
-			Duration:        10 * time.Second,
-			Seed:            seed,
-			CheckInvariants: true,
+			Stack:    st,
+			Initial:  plant.State{Pos: geom.V(3, 3, 2), Battery: 1},
+			Duration: 10 * time.Second,
+			Seed:     seed,
 		}, nil
 	}
 	var missions []fleet.Mission

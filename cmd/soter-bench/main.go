@@ -25,7 +25,8 @@
 //
 // The second form runs statistical certification (internal/certify) instead
 // of the paper experiments: sequential seed sweeps with early stopping decide
-// whether each cell's crash probability is below -threshold at -confidence.
+// whether each cell's failure probability is below -threshold at -confidence.
+// A run fails when it crashed or violated φInv (Theorem 3.1).
 // -certify-scenario selects one cell (its registry policy, or the
 // -certify-policies list); with no scenario the whole registry × policy
 // matrix is certified. With -json, each cell's certify.Result is written as
@@ -77,7 +78,7 @@ func run() error {
 	certifyMode := flag.Bool("certify", false, "run statistical certification instead of the paper experiments")
 	certifyScenario := flag.String("certify-scenario", "", "certify this one scenario (empty = the whole registry × policy matrix)")
 	certifyPolicies := flag.String("certify-policies", "", "comma-separated switching policies to certify under (empty = scenario default, or every registered policy in matrix mode)")
-	threshold := flag.Float64("threshold", 1e-3, "crash-probability bound under test")
+	threshold := flag.Float64("threshold", 1e-3, "bound under test on P(crash ∨ φInv violation)")
 	confidence := flag.Float64("confidence", certify.DefaultConfidence, "two-sided confidence level of the interval")
 	maxSeeds := flag.Int("max-seeds", certify.DefaultMaxSeeds, "seed budget per cell")
 	certifyBatch := flag.Int("certify-batch", certify.DefaultBatch, "seeds per sequential batch (the early-stopping granularity)")
@@ -207,9 +208,9 @@ func runCertify(ctx context.Context, scenarioName, policyList string, cell certi
 		if jsonOut {
 			return enc.Encode(res)
 		}
-		fmt.Printf("  %-44s %-10s %-22s %d/%d seeds  %d crashes  est %.3g  [%.3g, %.3g]  %v\n",
+		fmt.Printf("  %-44s %-10s %-22s %d/%d seeds  %d crashes  %d violating  est %.3g  [%.3g, %.3g]  %v\n",
 			res.Scenario, res.Policy, res.Verdict, res.Seeds, res.MaxSeeds,
-			res.Crashes, res.Estimate, res.Lo, res.Hi, wall.Round(time.Millisecond))
+			res.Crashes, res.Violations, res.Estimate, res.Lo, res.Hi, wall.Round(time.Millisecond))
 		if res.Err != "" {
 			fmt.Printf("    error: %s\n", res.Err)
 		}
@@ -228,7 +229,7 @@ func runCertify(ctx context.Context, scenarioName, policyList string, cell certi
 			return err
 		}
 		if !jsonOut {
-			fmt.Printf("Certification: crash probability < %v at %v confidence (%s mode, %s interval)\n",
+			fmt.Printf("Certification: P(crash ∨ φInv violation) < %v at %v confidence (%s mode, %s interval)\n",
 				res.Threshold, res.Confidence, res.Mode, res.Method)
 		}
 		if emitErr := emit(res, time.Since(start)); emitErr != nil {
@@ -247,7 +248,7 @@ func runCertify(ctx context.Context, scenarioName, policyList string, cell certi
 		scenarios = []string{scenarioName}
 	}
 	if !jsonOut {
-		fmt.Printf("Certification matrix: crash probability < %v at %v confidence\n", cell.Threshold, cmpConfidence(cell.Confidence))
+		fmt.Printf("Certification matrix: P(crash ∨ φInv violation) < %v at %v confidence\n", cell.Threshold, cmpConfidence(cell.Confidence))
 	}
 	mc := certify.MatrixConfig{Scenarios: scenarios, Policies: policies, Cell: cell}
 	start := time.Now()

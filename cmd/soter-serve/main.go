@@ -30,7 +30,8 @@
 //
 // Besides plain sweep jobs the server runs falsification campaigns (POST
 // /falsify) and statistical certification campaigns (POST /certify — is the
-// cell's crash probability below a threshold at a confidence level?); both
+// cell's probability of a crash or a φInv violation below a threshold at a
+// confidence level?); both
 // stream progress over the same /jobs/{id}/events endpoint and serve their
 // terminal results at /jobs/{id}/report:
 //

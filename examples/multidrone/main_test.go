@@ -44,7 +44,7 @@ func TestClaimRejects(t *testing.T) {
 		"drone crashed": func(r *result) { r.drones[1].crashed = true },
 		"no demotion":   func(r *result) { r.coordinated = nil },
 		"φInv violated": func(r *result) {
-			r.violation = &soter.InvariantViolationError{Time: time.Second, Module: "drone-a"}
+			r.violation = &soter.InvariantViolationEvent{T: time.Second, Module: "drone-a"}
 		},
 	} {
 		r := held()

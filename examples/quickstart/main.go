@@ -16,7 +16,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -92,11 +91,11 @@ func stateOf(in soter.Valuation) (roverState, bool) {
 
 func clampAccel(u float64) float64 { return max(-maxAccel, min(u, maxAccel)) }
 
-// result is what one run observed: the φInv monitor's report (nil if φInv
-// held), the extremes of x over every environment step, the mode switches in
+// result is what one run observed: the φInv monitor's first report (nil if
+// φInv held), the extremes of x over every environment step, the mode switches in
 // each direction and the simulated time reached.
 type result struct {
-	violation  *soter.InvariantViolationError
+	violation  *soter.InvariantViolationEvent
 	minX, maxX float64
 	toSC, toAC int
 	end        time.Duration
@@ -106,8 +105,8 @@ type result struct {
 // it holds: φInv held, the rover kept its margin from both walls at every
 // step, and control passed to the SC and back to the AC at least once each.
 func claim(res result) error {
-	if res.violation != nil {
-		return fmt.Errorf("safety violated: %w", res.violation)
+	if v := res.violation; v != nil {
+		return fmt.Errorf("safety violated: φInv failed at t=%v in module %q", v.T, v.Module)
 	}
 	if res.minX < wallLo+margin || res.maxX > wallHi-margin {
 		return fmt.Errorf("rover left [%.0f, %.0f]: x ranged over [%.2f, %.2f]",
@@ -141,8 +140,8 @@ func main() {
 }
 
 // run simulates 60 s of the rover, printing its state to w every 5 s, and
-// returns what it observed. A φInv violation ends the run and is recorded
-// in the result, not returned as an error.
+// returns what it observed. A φInv violation is recorded in the result, not
+// returned as an error.
 func run(ctx context.Context, w io.Writer) (result, error) {
 	var res result
 	// The untrusted AC: full throttle toward the far wall — fast, and
@@ -209,20 +208,25 @@ func run(ctx context.Context, w io.Writer) (result, error) {
 		return topics.Set("rover/state", rover)
 	})
 
-	// Consume the typed event stream: count the mode switches through an
-	// Observer.
+	// Consume the typed event stream through an Observer: count the mode
+	// switches and keep the first φInv violation the executor's monitor
+	// reports.
 	onEvent := soter.ObserverFunc(func(e soter.Event) {
-		if sw, ok := e.(soter.ModeSwitchEvent); ok {
-			if sw.To == soter.ModeSC {
+		switch e := e.(type) {
+		case soter.ModeSwitchEvent:
+			if e.To == soter.ModeSC {
 				res.toSC++
 			} else {
 				res.toAC++
+			}
+		case soter.InvariantViolationEvent:
+			if res.violation == nil {
+				res.violation = &e
 			}
 		}
 	})
 	exec, err := soter.NewExecutor(sys,
 		[]soter.Topic{{Name: "rover/state", Default: rover}},
-		soter.WithInvariantChecking(),
 		soter.WithEnvironment(env),
 		soter.WithObservers(onEvent),
 	)
@@ -235,9 +239,6 @@ func run(ctx context.Context, w io.Writer) (result, error) {
 	for s := 1; s <= 60; s++ {
 		err := exec.Run(ctx, time.Duration(s)*time.Second)
 		res.end = exec.Now()
-		if errors.As(err, &res.violation) {
-			return res, nil
-		}
 		if err != nil {
 			return res, err
 		}

@@ -37,7 +37,7 @@ func TestClaimRejects(t *testing.T) {
 		"past far wall margin":  func(r *result) { r.maxX = 99.2 },
 		"past near wall margin": func(r *result) { r.minX = 0.5 },
 		"φInv violated": func(r *result) {
-			r.violation = &soter.InvariantViolationError{Time: time.Second, Module: "SafeRover"}
+			r.violation = &soter.InvariantViolationEvent{T: time.Second, Module: "SafeRover"}
 		},
 		"never handed to SC": func(r *result) { r.toSC = 0 },
 		"never handed back":  func(r *result) { r.toAC = 0 },

@@ -19,7 +19,7 @@ import (
 )
 
 // Verdict is a certification campaign's terminal answer to "is this cell's
-// crash probability below the threshold?".
+// failure probability P(crash ∨ φInv violation) below the threshold?".
 type Verdict string
 
 // The verdicts. VerdictError only appears in matrix cells whose
@@ -44,7 +44,7 @@ const (
 )
 
 // Config is one certification cell plus the test to run against it: a
-// (scenario, overrides) pair, the crash-probability threshold and confidence
+// (scenario, overrides) pair, the failure-probability threshold and confidence
 // level, and the sequential-sweep knobs. The cell resolves through
 // scenario.Resolve, so every knob of the cell, the mission horizon included,
 // lives in Overrides and is refused there when out of range. The resulting
@@ -58,8 +58,8 @@ type Config struct {
 	// be fed straight back into certification. Its Policy field selects the
 	// switching policy under test and its Duration the mission horizon.
 	Overrides scenario.Delta
-	// Threshold is the crash-probability bound being tested ("crash
-	// probability < Threshold"). Required, in (0, 1).
+	// Threshold is the failure-probability bound being tested
+	// ("P(crash ∨ φInv violation) < Threshold"). Required, in (0, 1).
 	Threshold float64
 	// Confidence is the two-sided confidence level of the interval; zero
 	// defaults to DefaultConfidence.
@@ -83,12 +83,12 @@ type Config struct {
 	// the deterministic profile (every window fires).
 	FaultActivation float64
 	// Boost enables importance sampling: runs are sampled with the
-	// activation probability raised to Boost·FaultActivation and crash
+	// activation probability raised to Boost·FaultActivation and failure
 	// indicators reweighted by the exact likelihood ratio. Zero or 1 keeps
 	// plain sampling; values above 1 require an active fault profile and
 	// Boost·FaultActivation < 1 — the nominal measure must stay absolutely
 	// continuous with respect to the sampling measure, or the reweighted
-	// estimator silently loses the fault-free slice of the crash
+	// estimator silently loses the fault-free slice of the failure
 	// probability.
 	Boost float64
 	// Observers receive the campaign's CertifyProgress stream (one event per
@@ -120,14 +120,17 @@ type Result struct {
 	Method  string  `json:"method"`
 	Verdict Verdict `json:"verdict"`
 	// Seeds is the number of seeds consumed (early stopping makes this
-	// smaller than MaxSeeds for conclusive cells); Crashes the raw crash
-	// count among them; Errored the runs that could not be evaluated
-	// (excluded from the estimator).
-	Seeds    int `json:"seeds"`
-	MaxSeeds int `json:"max_seeds"`
-	Crashes  int `json:"crashes"`
-	Errored  int `json:"errored,omitempty"`
-	// Estimate is the crash-probability estimate ([weighted] crash rate);
+	// smaller than MaxSeeds for conclusive cells); Crashes the runs among
+	// them that crashed and Violations the runs whose φInv monitor reported
+	// at least one violation (a run may count in both); Errored the runs
+	// that could not be evaluated (excluded from the estimator).
+	Seeds      int `json:"seeds"`
+	MaxSeeds   int `json:"max_seeds"`
+	Crashes    int `json:"crashes"`
+	Violations int `json:"violations"`
+	Errored    int `json:"errored,omitempty"`
+	// Estimate is the failure-probability estimate ([weighted] rate of runs
+	// that crashed or violated φInv);
 	// [Lo, Hi] the verdict-driving interval, [WilsonLo, WilsonHi] the
 	// narrower Wilson display interval.
 	Estimate float64 `json:"estimate"`
@@ -176,13 +179,15 @@ type campaign struct {
 	p, q      float64 // nominal and sampling activation probabilities
 	observers obs.Multi
 
-	seeds   int // consumed (including errored)
-	samples int // evaluated runs feeding the estimator
-	crashes int // raw crash count
-	errored int
-	sumY    float64 // Σ weight·crashed, in seed order
-	sumY2   float64 // Σ (weight·crashed)², in seed order
-	rmax    float64 // largest possible weight over evaluated runs
+	seeds      int // consumed (including errored)
+	samples    int // evaluated runs feeding the estimator
+	crashes    int // runs that crashed
+	violations int // runs with a φInv violation
+	failures   int // runs that crashed or violated φInv
+	errored    int
+	sumY       float64 // Σ weight·failed, in seed order
+	sumY2      float64 // Σ (weight·failed)², in seed order
+	rmax       float64 // largest possible weight over evaluated runs
 }
 
 // newCampaign resolves and validates a cell configuration.
@@ -295,10 +300,11 @@ func (c *campaign) run(ctx context.Context) (*Result, error) {
 
 // runOutcome is one evaluated seed.
 type runOutcome struct {
-	crashed bool
-	weight  float64 // likelihood-ratio weight (1 under the nominal sampler)
-	wmax    float64 // largest weight any outcome of this run could carry
-	err     error
+	crashed  bool
+	violated bool    // the φInv monitor reported a violation
+	weight   float64 // likelihood-ratio weight (1 under the nominal sampler)
+	wmax     float64 // largest weight any outcome of this run could carry
+	err      error
 }
 
 // batchKeys fingerprints the batch's seeds for the result store, or returns
@@ -353,7 +359,7 @@ func (c *campaign) evaluate(ctx context.Context, first, n int) []runOutcome {
 	}
 	rep := fleet.Run(ctx, missions, fleet.Options{Workers: c.cfg.Workers, Store: c.cfg.Store})
 	for i, res := range rep.Results {
-		outs[i].crashed, outs[i].err = res.Metrics.Crashed, res.Err
+		outs[i].crashed, outs[i].violated, outs[i].err = res.Metrics.Crashed, res.Metrics.InvariantViolations > 0, res.Err
 	}
 	return outs
 }
@@ -415,12 +421,18 @@ func (c *campaign) account(o *runOutcome) {
 	}
 	if o.crashed {
 		c.crashes++
+	}
+	if o.violated {
+		c.violations++
+	}
+	if o.crashed || o.violated {
+		c.failures++
 		c.sumY += o.weight
 		c.sumY2 += o.weight * o.weight
 	}
 }
 
-// estimate returns the current crash-probability estimate and its
+// estimate returns the current failure-probability estimate and its
 // verdict-driving interval.
 func (c *campaign) estimate() (est float64, iv Interval) {
 	n := c.samples
@@ -428,7 +440,7 @@ func (c *campaign) estimate() (est float64, iv Interval) {
 		return 0, Interval{Lo: 0, Hi: 1}
 	}
 	if !c.importance() {
-		return float64(c.crashes) / float64(n), ClopperPearson(c.crashes, n, c.cfg.Confidence)
+		return float64(c.failures) / float64(n), ClopperPearson(c.failures, n, c.cfg.Confidence)
 	}
 	mean := c.sumY / float64(n)
 	var variance float64
@@ -467,7 +479,7 @@ func (c *campaign) result(verdict Verdict) *Result {
 		if c.importance() {
 			wilson = wilsonAt(clamp01(est), c.samples, c.cfg.Confidence)
 		} else {
-			wilson = Wilson(c.crashes, c.samples, c.cfg.Confidence)
+			wilson = Wilson(c.failures, c.samples, c.cfg.Confidence)
 		}
 	}
 	res := &Result{
@@ -481,6 +493,7 @@ func (c *campaign) result(verdict Verdict) *Result {
 		Seeds:      c.seeds,
 		MaxSeeds:   c.cfg.MaxSeeds,
 		Crashes:    c.crashes,
+		Violations: c.violations,
 		Errored:    c.errored,
 		Estimate:   est,
 		Lo:         iv.Lo,

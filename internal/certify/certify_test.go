@@ -180,11 +180,35 @@ func TestSafeCellCertifiedEarly(t *testing.T) {
 	if res.Seeds != 8 {
 		t.Fatalf("certified after %d seeds, want the first batch of 8", res.Seeds)
 	}
-	if res.Crashes != 0 || res.Estimate != 0 || res.Lo != 0 {
-		t.Fatalf("safe cell crashed: %+v", res)
+	if res.Crashes != 0 || res.Violations != 0 || res.Estimate != 0 || res.Lo != 0 {
+		t.Fatalf("safe cell failed: %+v", res)
 	}
 	if res.Hi >= res.Threshold {
 		t.Fatalf("certified with Hi %v >= threshold %v", res.Hi, res.Threshold)
+	}
+}
+
+// A run that violates φInv fails like one that crashes: the planner-bug
+// gauntlet never crashes in its first 8 s, yet most of its seeds violate
+// Theorem 3.1 (the planner module's (P3) gap), so the cell is refuted and
+// the estimate counts the violating runs.
+func TestViolatingCellRefuted(t *testing.T) {
+	horizon := 8 * time.Second
+	res, err := Certify(context.Background(), Config{
+		Scenario:  "planner-bug-gauntlet",
+		Overrides: scenario.Delta{Duration: &horizon},
+		Threshold: 0.1,
+		MaxSeeds:  8,
+		Batch:     8,
+	})
+	if err != nil {
+		t.Fatalf("Certify: %v", err)
+	}
+	if res.Verdict != VerdictRefuted || res.Crashes != 0 || res.Violations == 0 {
+		t.Fatalf("want a crash-free cell refuted on its violations, got %+v", res)
+	}
+	if want := float64(res.Violations) / float64(res.Seeds); res.Estimate != want {
+		t.Fatalf("estimate %v, want %d violating of %d seeds = %v", res.Estimate, res.Violations, res.Seeds, want)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package certify is the statistical certification engine of the
 // reproduction: it turns "is this (scenario, policy) cell safe?" from a
 // single-seed anecdote into a sequential hypothesis test. A certification
-// campaign sweeps seeds in batches through the fleet engine, maintains a
-// crash-probability estimator with exact two-sided confidence intervals
+// campaign sweeps seeds in batches through the fleet engine, maintains an
+// estimator of the failure probability P(crash ∨ φInv violation) — a run
+// fails when it crashed or the executor's φInv monitor reported a violation
+// of Theorem 3.1 — with exact two-sided confidence intervals
 // (Clopper-Pearson, plus Wilson for display), and stops as soon as the
 // interval is conclusive against the target threshold — certified when the
 // upper bound falls below it, refuted when the lower bound rises above it,
@@ -12,9 +14,9 @@
 // fault profile is treated as sporadic (each scheduled fault window fires
 // with probability FaultActivation under the nominal measure), runs are
 // sampled with the activation probability boosted by Boost, and each run's
-// crash indicator is reweighted by the exact likelihood ratio. The weighted
+// failure indicator is reweighted by the exact likelihood ratio. The weighted
 // estimator's interval is an empirical-Bernstein bound (the weighted sum is
-// no longer binomial), so cells whose nominal crash probability is far below
+// no longer binomial), so cells whose nominal failure probability is far below
 // the threshold certify in thousands rather than millions of seeds.
 //
 // Certification results are deterministic: verdict, estimate, interval and

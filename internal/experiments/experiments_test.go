@@ -109,6 +109,9 @@ var claims = map[string]func(tb testing.TB, out Outcome){
 		if res.Crashes != 0 {
 			tb.Errorf("protected sweep crashed %d times", res.Crashes)
 		}
+		if res.InvariantViolations != 0 {
+			tb.Errorf("protected sweep violated φInv %d times", res.InvariantViolations)
+		}
 		if res.MeanACFraction < 0.5 {
 			tb.Errorf("mean AC fraction = %v, want majority", res.MeanACFraction)
 		}

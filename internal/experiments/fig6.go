@@ -76,7 +76,6 @@ func fig6(ctx context.Context, seed int64, _ bool, _ int) (Outcome, error) {
 		Duration:        60 * time.Second,
 		Seed:            seed,
 		Context:         ctx,
-		CheckInvariants: true,
 		StopAfterVisits: 1,
 	})
 	if err != nil {

@@ -106,10 +106,9 @@ func (e CorpusEntry) Replay(ctx context.Context) (v Verdict, skipped bool, err e
 }
 
 // Rebuild resolves the counterexample back into the concrete Spec it was
-// found on: registry base + spec delta, φInv monitor forced on (the
-// campaign instrument is part of the counterexample's identity).
+// found on: registry base + spec delta.
 func (c Counterexample) Rebuild() (scenario.Spec, error) {
-	spec, err := resolve(c.Scenario, c.Candidate.Params)
+	spec, err := scenario.Resolve(c.Scenario, c.Candidate.Params)
 	if err != nil {
 		return scenario.Spec{}, fmt.Errorf("falsify: counterexample %s: %w", c.Fingerprint, err)
 	}

@@ -223,24 +223,10 @@ type Engine struct {
 	found      []Counterexample
 }
 
-// resolve turns a campaign cell (registry name + Delta) into the Spec its
-// candidates run on. The φInv monitor is the campaign's instrument: without
-// it the invariant category is structurally empty, so every candidate runs
-// checked. It is part of the candidate specs' canonical identity, which
-// keeps falsified/<hash> replays and corpus entries monitored too.
-func resolve(name string, d scenario.Delta) (scenario.Spec, error) {
-	s, err := scenario.Resolve(name, d)
-	if err != nil {
-		return scenario.Spec{}, err
-	}
-	s.InvariantMonitor = true
-	return s, nil
-}
-
 // NewEngine resolves and validates a campaign configuration. Strategies
 // normally receive an engine from Campaign rather than building one.
 func NewEngine(cfg Config) (*Engine, error) {
-	base, err := resolve(cfg.Scenario, cfg.Base)
+	base, err := scenario.Resolve(cfg.Scenario, cfg.Base)
 	if err != nil {
 		return nil, fmt.Errorf("falsify: base: %w", err)
 	}
@@ -294,8 +280,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Base returns the resolved base spec (campaign Base delta applied, φInv
-// monitor forced on). The copy is the caller's.
+// Base returns the resolved base spec (campaign Base delta applied). The
+// copy is the caller's.
 func (e *Engine) Base() scenario.Spec { return e.base.With(scenario.Override{}) }
 
 // CampaignSeed returns the campaign's seed.

@@ -100,8 +100,8 @@ func TestPlantedBugFoundByMultipleStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("counterexample %s not registered as scenario %q: %v", ce.Fingerprint, ce.Name, err)
 			}
-			if !reg.InvariantMonitor {
-				t.Error("registered counterexample scenario lost the φInv monitor")
+			if fp, err := reg.Fingerprint(ce.Candidate.Seed); err != nil || fp != ce.Fingerprint {
+				t.Errorf("registered scenario %q fingerprints %s (%v), want %s", ce.Name, fp, err, ce.Fingerprint)
 			}
 			// ...whose fingerprint pins the exact spec the campaign ran.
 			spec, err := ce.Rebuild()

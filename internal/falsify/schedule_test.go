@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/pubsub"
 	"repro/internal/rta"
 	"repro/internal/runtime"
@@ -275,31 +276,37 @@ func buildSoloSystem() (*rta.System, error) {
 	return rta.NewSystem(nil, []*node.Node{n})
 }
 
-// violation is a φInv failure found by runChecked.
+// violation is the first φInv failure runChecked saw: the event, and the
+// schedule's choice vector and seed when it was emitted.
 type violation struct {
 	choices []int
 	seed    int64
-	at      time.Duration
-	err     error
+	ev      obs.InvariantViolation
 }
 
-// runChecked runs a fresh system in checked mode through every instant up
-// to horizon with the schedule's order installed, returning the first φInv
-// violation (nil on a clean run).
+// runChecked runs a fresh system through every instant up to horizon with
+// the schedule's order installed, returning the first φInv violation the
+// executor reported (nil on a clean run).
 func runChecked(t *testing.T, build func() (*rta.System, error), horizon time.Duration, sch *schedule) *violation {
 	t.Helper()
 	sys, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := runtime.New(sys, nil, runtime.WithScheduleOrder(sch.order), runtime.WithInvariantChecking())
+	var first *violation
+	record := obs.ObserverFunc(func(e obs.Event) {
+		if ev, ok := e.(obs.InvariantViolation); ok && first == nil {
+			first = &violation{choices: append([]int(nil), sch.chosen...), seed: sch.seed, ev: ev}
+		}
+	})
+	exec, err := runtime.New(sys, nil, runtime.WithScheduleOrder(sch.order), runtime.WithObservers(record))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := exec.Run(context.Background(), horizon); err != nil {
-		return &violation{choices: append([]int(nil), sch.chosen...), seed: sch.seed, at: exec.Now(), err: err}
+		t.Fatal(err)
 	}
-	return nil
+	return first
 }
 
 // errFound stops an exploration at its first violation.
@@ -327,9 +334,8 @@ func TestExhaustiveFindsInterleavingViolation(t *testing.T) {
 	if v == nil {
 		t.Fatalf("exhaustive exploration missed the schedule-dependent violation in %d schedules", runs)
 	}
-	var iv *runtime.InvariantViolationError
-	if !errors.As(v.err, &iv) {
-		t.Fatalf("violation error = %v", v.err)
+	if v.ev.Module != "m" {
+		t.Fatalf("violation in module %q, want m", v.ev.Module)
 	}
 	// The default order (the all-zero first vector) is safe: the violation
 	// is interleaving-only.
@@ -345,11 +351,11 @@ func TestReplaySchedule(t *testing.T) {
 	if want == nil {
 		t.Fatal("no violation to replay")
 	}
-	got := runChecked(t, buildToggleSystem, want.at, &schedule{prefix: want.choices})
+	got := runChecked(t, buildToggleSystem, want.ev.T, &schedule{prefix: want.choices})
 	if got == nil {
 		t.Fatal("replay no longer reproduces the violation")
 	}
-	if got.at != want.at || !reflect.DeepEqual(got.choices, want.choices) {
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("replay diverged: got %+v, want %+v", got, want)
 	}
 	if clean := runChecked(t, buildSoloSystem, 50*time.Millisecond, &schedule{}); clean != nil {

@@ -12,8 +12,8 @@ type Verdict struct {
 	CrashTime int64 `json:"crash_time_ns,omitempty"`
 	// Collisions counts distinct collision episodes.
 	Collisions int `json:"collisions,omitempty"`
-	// InvariantViolations counts φInv monitor failures (the campaign forces
-	// the monitor on for every candidate).
+	// InvariantViolations counts φInv monitor failures (the monitor runs in
+	// every simulation).
 	InvariantViolations int `json:"invariant_violations,omitempty"`
 	// Clamped counts framework clamps — the module overriding a policy's AC
 	// proposal in a state where ttf2Δ fails. A storm of them marks a

@@ -43,11 +43,10 @@ func surveillanceMission(seed int64) (sim.RunConfig, error) {
 		return sim.RunConfig{}, err
 	}
 	return sim.RunConfig{
-		Stack:           st,
-		Initial:         plant.State{Pos: geom.V(3, 3, 2), Battery: 1},
-		Duration:        5 * time.Second,
-		Seed:            seed,
-		CheckInvariants: true,
+		Stack:    st,
+		Initial:  plant.State{Pos: geom.V(3, 3, 2), Battery: 1},
+		Duration: 5 * time.Second,
+		Seed:     seed,
 	}, nil
 }
 

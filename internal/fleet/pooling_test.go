@@ -29,11 +29,10 @@ func pooledOrFreshMission(seed int64, fresh bool) (sim.RunConfig, error) {
 		return sim.RunConfig{}, err
 	}
 	return sim.RunConfig{
-		Stack:           st,
-		Initial:         plant.State{Pos: geom.V(3, 3, 2), Battery: 1},
-		Duration:        5 * time.Second,
-		Seed:            seed,
-		CheckInvariants: true,
+		Stack:    st,
+		Initial:  plant.State{Pos: geom.V(3, 3, 2), Battery: 1},
+		Duration: 5 * time.Second,
+		Seed:     seed,
 	}, nil
 }
 

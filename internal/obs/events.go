@@ -167,8 +167,10 @@ type ModeSwitch struct {
 	Coordinated bool `json:"coordinated,omitempty"`
 }
 
-// InvariantViolation reports that the Theorem 3.1 invariant φInv (or φsafe)
-// failed at a DM sampling instant, as detected by the runtime monitor.
+// InvariantViolation reports that the Theorem 3.1 invariant φInv failed at a
+// DM sampling instant: φsafe did not hold after the DM step. The executor's
+// monitor checks every DM step of every run; Mode is the mode the step left
+// the module in.
 type InvariantViolation struct {
 	T      time.Duration `json:"t_ns"`
 	Module string        `json:"module"`

@@ -56,7 +56,8 @@ type Metrics struct {
 	Modules map[string]ModuleStats
 	// DroppedFirings counts node firings skipped by scheduler jitter.
 	DroppedFirings int
-	// InvariantViolations counts φInv monitor failures (checked mode).
+	// InvariantViolations counts φInv monitor failures: DM steps after which
+	// φsafe failed. The monitor runs in every run, so 0 is a measurement.
 	InvariantViolations int
 }
 

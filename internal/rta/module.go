@@ -10,8 +10,9 @@
 //
 // The package also implements the structural well-formedness checks (P1a,
 // P1b), hooks for discharging the semantic obligations (P2a, P2b, P3)
-// through a Certificate, the module invariant φInv of Theorem 3.1, and the
-// output-disjoint composition of modules into RTA systems (Theorem 4.1).
+// through a Certificate, and the output-disjoint composition of modules into
+// RTA systems (Theorem 4.1). The executor (internal/runtime) monitors the
+// module invariant φInv of Theorem 3.1 through SafeHolds in every run.
 //
 // The Figure 9 rules are one switching Policy among several. A fixed table
 // names the built-ins (soter-fig9, sticky-sc, hysteresis, always-ac,
@@ -90,9 +91,9 @@ type Decl struct {
 	// InSafer is st ∈ φsafer: when true in SC mode the DM returns control
 	// to AC.
 	InSafer StatePredicate
-	// Safe is φsafe itself, used for runtime invariant monitoring
-	// (Theorem 3.1) and by the systematic-testing engine. Optional but
-	// strongly recommended; without it violations cannot be detected.
+	// Safe is φsafe itself, which the executor's φInv monitor evaluates
+	// after every DM step (Theorem 3.1). Optional but strongly recommended;
+	// without it violations cannot be detected.
 	Safe StatePredicate
 	// DMPhase offsets the DM's first decision. The module starts in SC mode
 	// (the initial configuration of Section IV); the DM's first chance to
@@ -330,25 +331,6 @@ func (m *Module) TTF2Delta(st pubsub.Valuation) bool { return m.ttf(st) }
 
 // InSafer evaluates st ∈ φsafer.
 func (m *Module) InSafer(st pubsub.Valuation) bool { return m.inSafer(st) }
-
-// InvariantHolds evaluates the module invariant φInv(mode, s) of Theorem 3.1:
-//
-//	(mode = SC ∧ s ∈ φsafe) ∨ (mode = AC ∧ Reach(s, *, Δ) ⊆ φsafe)
-//
-// Since ttf2Δ checks the 2Δ horizon and Reach(s,*,Δ) ⊆ Reach(s,*,2Δ), the
-// AC disjunct is implied by ¬ttf2Δ(s); we additionally accept states where
-// φsafe holds and the 2Δ check passes-after-switch, making the monitor sound
-// (it never reports a violation when φInv holds) at the sampling instants.
-func (m *Module) InvariantHolds(mode Mode, st pubsub.Valuation) bool {
-	switch mode {
-	case ModeSC:
-		return m.SafeHolds(st)
-	case ModeAC:
-		return !m.ttf(st) || m.SafeHolds(st)
-	default:
-		return false
-	}
-}
 
 // Certificate discharges the semantic well-formedness obligations of a
 // module (Section III-C). Implementations typically come from the

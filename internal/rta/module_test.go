@@ -162,25 +162,6 @@ func TestDMStepUpdatesMode(t *testing.T) {
 	}
 }
 
-func TestInvariantHolds(t *testing.T) {
-	d := validDecl(t)
-	d.Safe = constPred(false)
-	d.TTF2Delta = constPred(false)
-	m, err := NewModule(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.InvariantHolds(ModeSC, nil) {
-		t.Error("SC mode with ¬φsafe must violate φInv")
-	}
-	if !m.InvariantHolds(ModeAC, nil) {
-		t.Error("AC mode with ¬ttf must satisfy φInv")
-	}
-	if m.InvariantHolds(Mode(0), nil) {
-		t.Error("unknown mode must violate φInv")
-	}
-}
-
 func TestSafeHoldsDefaultsTrue(t *testing.T) {
 	d := validDecl(t)
 	d.Safe = nil

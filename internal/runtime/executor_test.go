@@ -232,19 +232,28 @@ func TestDisabledControllerRunsIdleStep(t *testing.T) {
 	}
 }
 
+// TestInvariantChecking: the φInv monitor needs no option. A module whose
+// φsafe fails reports a violation at every DM sampling instant, and the run
+// still reaches its deadline.
 func TestInvariantChecking(t *testing.T) {
 	m := testModule(t, 100*time.Millisecond)
-	exec := newTestExec(t, m, WithInvariantChecking())
+	var at []time.Duration
+	exec := newTestExec(t, m, WithObservers(obs.ObserverFunc(func(e obs.Event) {
+		if v, ok := e.(obs.InvariantViolation); ok {
+			at = append(at, v.T)
+		}
+	})))
 	if err := exec.Topics().Set("crashed", true); err != nil {
 		t.Fatal(err)
 	}
-	err := exec.RunUntil(time.Second)
-	var iv *InvariantViolationError
-	if !errors.As(err, &iv) {
-		t.Fatalf("RunUntil = %v, want InvariantViolationError", err)
+	if err := exec.RunUntil(time.Second); err != nil {
+		t.Fatalf("RunUntil = %v, want a run that reports violations and goes on", err)
 	}
-	if iv.Module != "tm" || iv.Time != 100*time.Millisecond {
-		t.Errorf("violation = %+v", iv)
+	if exec.Now() != time.Second {
+		t.Errorf("run stopped at %v, want 1s", exec.Now())
+	}
+	if len(at) != 10 || at[0] != 100*time.Millisecond || at[9] != time.Second {
+		t.Errorf("violations at %v, want one per DM step from 100ms to 1s", at)
 	}
 }
 
@@ -743,19 +752,19 @@ func TestExecutorEventStream(t *testing.T) {
 	}
 }
 
-// TestInvariantViolationEvent: the checked-mode monitor emits the event
-// alongside the error.
+// TestInvariantViolationEvent: the event names the module and the mode the
+// DM step left it in, and the monitor checks φsafe in AC mode too.
 func TestInvariantViolationEvent(t *testing.T) {
 	m := testModule(t, 100*time.Millisecond)
 	rec := obs.NewRecorder(0)
-	exec := newTestExec(t, m, WithInvariantChecking(), WithObservers(rec))
-	if err := exec.Topics().Set("crashed", true); err != nil {
-		t.Fatal(err)
+	exec := newTestExec(t, m, WithObservers(rec))
+	for _, topic := range []pubsub.TopicName{"calm", "crashed"} {
+		if err := exec.Topics().Set(topic, true); err != nil {
+			t.Fatal(err)
+		}
 	}
-	err := exec.RunUntil(time.Second)
-	var iv *InvariantViolationError
-	if !errors.As(err, &iv) {
-		t.Fatalf("err = %v, want InvariantViolationError", err)
+	if err := exec.RunUntil(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
 	}
 	var events []obs.InvariantViolation
 	for _, e := range rec.Events() {
@@ -763,11 +772,12 @@ func TestInvariantViolationEvent(t *testing.T) {
 			events = append(events, v)
 		}
 	}
-	if len(events) != 1 {
-		t.Fatalf("InvariantViolation events = %d, want 1", len(events))
+	want := []obs.InvariantViolation{
+		{T: 100 * time.Millisecond, Module: "tm", Mode: rta.ModeAC},
+		{T: 200 * time.Millisecond, Module: "tm", Mode: rta.ModeAC},
 	}
-	if events[0].T != iv.Time || events[0].Module != iv.Module || events[0].Mode != iv.Mode {
-		t.Errorf("event %+v diverges from error %+v", events[0], iv)
+	if !reflect.DeepEqual(events, want) {
+		t.Errorf("InvariantViolation events %+v, want %+v", events, want)
 	}
 }
 

@@ -106,16 +106,14 @@ func (c cell) build(t *testing.T) sim.RunConfig {
 }
 
 // idleCells are the runs the idle step is held to: every registry scenario
-// at seeds 1–3, capped at 20 s, with the φInv monitor on, and every live
-// entry of the committed falsify corpus (jitter windows among them, which
-// drop firings of the SC).
+// at seeds 1–3, capped at 20 s, and every live entry of the committed falsify
+// corpus (jitter windows among them, which drop firings of the SC).
 func idleCells(t *testing.T) []cell {
 	t.Helper()
 	var cells []cell
 	for _, spec := range scenario.All() {
 		spec = spec.With(scenario.Override{Apply: func(s *scenario.Spec) {
 			s.Duration = min(s.Duration, 20*time.Second)
-			s.InvariantMonitor = true
 		}})
 		for seed := int64(1); seed <= 3; seed++ {
 			cells = append(cells, cell{fmt.Sprintf("%s seed %d", spec.Name, seed), spec, seed})

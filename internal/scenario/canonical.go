@@ -45,7 +45,6 @@ type canonicalSpec struct {
 	JitterProb         float64                `json:"jitter_prob"`
 	JitterSCOnly       bool                   `json:"jitter_sc_only,omitempty"`
 	DurationNS         time.Duration          `json:"duration_ns"`
-	InvariantMonitor   bool                   `json:"invariant_monitor,omitempty"`
 }
 
 // Canonical returns a deterministic serialization of the mission the Spec
@@ -88,7 +87,6 @@ func (s Spec) Canonical() ([]byte, error) {
 		JitterProb:         s.JitterProb,
 		JitterSCOnly:       s.JitterSCOnly,
 		DurationNS:         s.Duration,
-		InvariantMonitor:   s.InvariantMonitor,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: canonicalize: %w", s.Name, err)

@@ -202,12 +202,11 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	seen := map[string]string{"base/seed-1": same}
 	distinct := map[string]string{
-		"seed-2":    fp(base, 2),
-		"duration":  fp(base.With(Override{Apply: func(s *Spec) { s.Duration = 42 * time.Second }}), 1),
-		"jitter":    fp(base.With(Override{Apply: func(s *Spec) { s.JitterProb = 0.01 }}), 1),
-		"invariant": fp(base.With(Override{Apply: func(s *Spec) { s.InvariantMonitor = true }}), 1),
-		"policy":    fp(base.With(Override{Apply: func(s *Spec) { s.SwitchPolicy = "sticky-sc" }}), 1),
-		"canyon":    fp(MustGet("canyon-corridor"), 1),
+		"seed-2":   fp(base, 2),
+		"duration": fp(base.With(Override{Apply: func(s *Spec) { s.Duration = 42 * time.Second }}), 1),
+		"jitter":   fp(base.With(Override{Apply: func(s *Spec) { s.JitterProb = 0.01 }}), 1),
+		"policy":   fp(base.With(Override{Apply: func(s *Spec) { s.SwitchPolicy = "sticky-sc" }}), 1),
+		"canyon":   fp(MustGet("canyon-corridor"), 1),
 	}
 	for name, h := range distinct {
 		for prev, ph := range seen {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,8 +48,12 @@ func switchLines(switches []obs.ModeSwitch) []switchLine {
 	return out
 }
 
-func resultDigests(t testing.TB) string {
-	var b strings.Builder
+// registryPass runs every registry scenario under every policy at seeds 1–3
+// once per test binary. It returns the digest text of resultDigestFile and
+// the violation ledger of invariantLedgerFile, both from the same runs.
+var registryPass = sync.OnceValues(func() (pass registryResults, err error) {
+	var digests, ledger strings.Builder
+	ledger.WriteString(ledgerHeader)
 	for _, spec := range scenario.All() {
 		if spec.Duration > digestCap {
 			spec.Duration = digestCap
@@ -59,20 +64,38 @@ func resultDigests(t testing.TB) string {
 			for seed := int64(1); seed <= 3; seed++ {
 				cfg, err := s.Build(seed)
 				if err != nil {
-					t.Fatal(err)
+					return pass, err
 				}
 				res, err := sim.Run(cfg)
 				if err != nil {
-					t.Fatalf("%s %s seed %d: %v", spec.Name, pol, seed, err)
+					return pass, fmt.Errorf("%s %s seed %d: %w", spec.Name, pol, seed, err)
 				}
 				m, p := res.Metrics, res.Metrics.CrashPos
 				fmt.Fprintf(h, "seed=%d crash=%v,%v,%v %+v\n%+v\n", seed, p.X, p.Y, p.Z, m, switchLines(res.Switches))
+				if m.InvariantViolations > 0 {
+					fmt.Fprintf(&ledger, "%s %s %d %d\n", spec.Name, pol, seed, m.InvariantViolations)
+				}
 			}
-			fmt.Fprintf(&b, "%s %s %x\n", spec.Name, pol, h.Sum(nil))
+			fmt.Fprintf(&digests, "%s %s %x\n", spec.Name, pol, h.Sum(nil))
 		}
 	}
-	return b.String()
+	return registryResults{digests: digests.String(), ledger: ledger.String()}, nil
+})
+
+// registryResults is what registryPass records.
+type registryResults struct {
+	digests, ledger string
 }
+
+// invariantLedgerFile lists every registry cell (scenario, policy, seed, in
+// the digest's grid) whose run reports φInv violations, with the count.
+// Theorem 3.1 says the list should be empty; each line is a known defect. A
+// cell that starts violating fails TestInvariantLedger, and so does a fix,
+// until its commit removes the cell's line: the ledger may only shrink.
+const invariantLedgerFile = "testdata/invariant_ledger.golden"
+
+// ledgerHeader opens the ledger file.
+const ledgerHeader = "# scenario policy seed φInv-violations (registry × policy × seeds 1–3, 20 s cap)\n"
 
 // TestRegistryResultDigest holds every registry scenario's results
 // bit-identical to the recorded ones under every switching policy: hot-path
@@ -83,7 +106,28 @@ func TestRegistryResultDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resultDigests(t); got != string(want) {
+	pass, err := registryPass()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pass.digests; got != string(want) {
 		t.Fatalf("registry result digests changed.\ngot:\n%swant:\n%s", got, want)
+	}
+}
+
+// TestInvariantLedger holds the registry's φInv violations to the ledger:
+// exactly the listed cells violate, each with its listed count.
+func TestInvariantLedger(t *testing.T) {
+	want, err := os.ReadFile(invariantLedgerFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass, err := registryPass()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pass.ledger; got != string(want) {
+		t.Fatalf("registry φInv violations differ from %s: a new or changed line is a regression; "+
+			"a fixed cell's line goes in the fix's commit.\ngot:\n%swant:\n%s", invariantLedgerFile, got, want)
 	}
 }

@@ -65,7 +65,6 @@ func TestCanonicalHandlesEverySpecField(t *testing.T) {
 		"JitterProb":         {edit: func(s *Spec) { s.JitterProb = 0.1 }},
 		"JitterSCOnly":       {context: func(s *Spec) { s.JitterProb = 0.1 }, edit: func(s *Spec) { s.JitterSCOnly = !s.JitterSCOnly }},
 		"Duration":           {edit: func(s *Spec) { s.Duration += time.Second }},
-		"InvariantMonitor":   {edit: func(s *Spec) { s.InvariantMonitor = !s.InvariantMonitor }},
 	}
 	typ := reflect.TypeOf(Spec{})
 	fields := map[string]bool{}

@@ -162,12 +162,6 @@ type Spec struct {
 
 	// Duration is the default mission length; must be positive.
 	Duration time.Duration
-	// InvariantMonitor enables the runtime φInv monitor
-	// (sim.RunConfig.CheckInvariants): violations are asserted at every DM
-	// sampling instant and counted in the metrics. Off by default — the
-	// monitor evaluates the module predicates on every DM step, so it is a
-	// cost knob workloads opt into.
-	InvariantMonitor bool
 }
 
 // defaultStart is the city workspace take-off pad used whenever a Spec does
@@ -374,13 +368,12 @@ func (s Spec) BuildWith(seed int64, tweak func(*mission.StackConfig)) (sim.RunCo
 		return sim.RunConfig{}, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	return sim.RunConfig{
-		Stack:           st,
-		Initial:         plant.State{Pos: r.start, Battery: r.battery},
-		Duration:        s.Duration,
-		Seed:            seed,
-		JitterProb:      s.JitterProb,
-		JitterSCOnly:    s.JitterSCOnly,
-		CheckInvariants: s.InvariantMonitor,
+		Stack:        st,
+		Initial:      plant.State{Pos: r.start, Battery: r.battery},
+		Duration:     s.Duration,
+		Seed:         seed,
+		JitterProb:   s.JitterProb,
+		JitterSCOnly: s.JitterSCOnly,
 	}, nil
 }
 

@@ -11,7 +11,8 @@ import (
 // CertifyJobSpec is a certification request — the third job type the server
 // runs. Where a sweep job reports per-seed verdicts and a falsify job hunts
 // counterexamples, a certify job answers a statistical question: is the
-// cell's crash probability below the threshold at the requested confidence?
+// cell's failure probability P(crash ∨ φInv violation) below the threshold at
+// the requested confidence?
 // Progress streams as certify_progress events (one per batch) over the same
 // JSONL event endpoints; the terminal certify.Result is served by
 // GET /jobs/{id}/report.
@@ -22,7 +23,8 @@ type CertifyJobSpec struct {
 	// scenario.Delta falsification counterexamples carry, so a falsified
 	// cell pastes straight into a certification request.
 	Overrides scenario.Delta `json:"overrides,omitzero"`
-	// Threshold is the crash-probability bound under test, in (0,1). Required.
+	// Threshold is the failure-probability bound under test, in (0,1).
+	// Required.
 	Threshold float64 `json:"threshold"`
 	// Confidence is the two-sided confidence level; zero defaults to
 	// certify.DefaultConfidence.

@@ -75,7 +75,7 @@ func (d Duration) present() *time.Duration {
 
 // Overrides is the declarative override set a job may apply on top of its
 // base scenario: /jobs' wire form of a scenario.Delta (duration and motion
-// delta as Go duration strings) plus three /jobs-only knobs. Pointer fields
+// delta as Go duration strings) plus two /jobs-only knobs. Pointer fields
 // distinguish "not overridden" from an explicit zero. The overridden spec
 // (not the override set) is what gets canonically hashed, so two jobs
 // reaching the same effective spec share cache entries regardless of how
@@ -105,13 +105,11 @@ type Overrides struct {
 	// Policy selects the motion module's switching policy by spec
 	// ("soter-fig9", "sticky-sc:25", "hysteresis", "always-ac", "always-sc").
 	Policy string `json:"policy,omitempty"`
-	// InvariantMonitor toggles the runtime φInv monitor.
-	InvariantMonitor *bool `json:"invariant_monitor,omitempty"`
 }
 
 // resolve returns the named registry spec with the overrides folded in: the
 // knobs shared with /certify and /falsify through scenario.Resolve, then the
-// three /jobs-only ones through their enums' parsers.
+// two /jobs-only ones through their enums' parsers.
 func (o Overrides) resolve(name string) (scenario.Spec, error) {
 	s, err := scenario.Resolve(name, scenario.Delta{
 		Policy:         o.Policy,
@@ -137,9 +135,6 @@ func (o Overrides) resolve(name string) (scenario.Spec, error) {
 		if s.AC, err = mission.ParseACKind(o.AC); err != nil {
 			return s, err
 		}
-	}
-	if o.InvariantMonitor != nil {
-		s.InvariantMonitor = *o.InvariantMonitor
 	}
 	return s, nil
 }

@@ -285,6 +285,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"seed conflict", `{"scenario":"surveillance-city","seeds":[1],"seed_count":2}`},
 		{"seed_start without count", `{"scenario":"surveillance-city","seed_start":100}`},
 		{"unknown field", `{"scenario":"surveillance-city","bogus":true}`},
+		// The φInv monitor runs in every simulation; there is no knob.
+		{"invariant monitor", `{"scenario":"surveillance-city","overrides":{"invariant_monitor":false}}`},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

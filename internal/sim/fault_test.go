@@ -36,11 +36,10 @@ func TestRTASurvivesInjectedFaults(t *testing.T) {
 		t.Fatalf("build stack: %v", err)
 	}
 	res, err := Run(RunConfig{
-		Stack:           st,
-		Initial:         initialAt(geom.V(3, 3, 2)),
-		Duration:        70 * time.Second,
-		Seed:            2,
-		CheckInvariants: true,
+		Stack:    st,
+		Initial:  initialAt(geom.V(3, 3, 2)),
+		Duration: 70 * time.Second,
+		Seed:     2,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -15,8 +15,8 @@ import (
 // brokenStack hand-assembles a minimal mission.Stack around an RTA module
 // whose φsafe predicate is rigged to fail at every DM sampling instant. The
 // real mission modules can never violate φInv (that is Theorem 3.1, and the
-// fault-fuzzing tests hold them to it), so proving the monitor is actually
-// installed requires a module that is wrong by construction.
+// fault-fuzzing tests hold them to it), so proving the monitor runs requires
+// a module that is wrong by construction.
 func brokenStack(t *testing.T) *mission.Stack {
 	t.Helper()
 	hover := func(st node.State, _ pubsub.Valuation) (node.State, pubsub.Valuation, error) {
@@ -63,29 +63,24 @@ func brokenStack(t *testing.T) *mission.Stack {
 	}
 }
 
-// TestCheckInvariantsInstallsMonitor is the regression test for the latent
-// wiring bug: sim documented CheckInvariants as enabling the φInv monitor but
-// never installed runtime.WithInvariantChecking, so violations were silently
-// undetectable. With the flag set, violations must be counted (and tolerated,
-// not aborted on); with it clear, the same run must count none.
-func TestCheckInvariantsInstallsMonitor(t *testing.T) {
-	run := func(check bool) Metrics {
-		res, err := Run(RunConfig{
-			Stack:           brokenStack(t),
-			Initial:         plant.State{Pos: geom.V(3, 3, 2), Battery: 1},
-			Duration:        2 * time.Second,
-			Seed:            1,
-			CheckInvariants: check,
-		})
-		if err != nil {
-			t.Fatalf("run(check=%v): %v", check, err)
-		}
-		return res.Metrics
+// TestMonitorNeedsNoOption: a RunConfig that sets nothing about φInv counts
+// the violations of a module whose φsafe always fails, one per DM sampling
+// instant, and runs to its deadline rather than stopping at the first.
+func TestMonitorNeedsNoOption(t *testing.T) {
+	res, err := Run(RunConfig{
+		Stack:    brokenStack(t),
+		Initial:  plant.State{Pos: geom.V(3, 3, 2), Battery: 1},
+		Duration: 2 * time.Second,
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m := run(true); m.InvariantViolations == 0 {
-		t.Error("CheckInvariants=true counted no φInv violations on a module whose φsafe always fails")
+	m := res.Metrics
+	if m.Duration != 2*time.Second {
+		t.Errorf("run ended at %v, want its 2s deadline", m.Duration)
 	}
-	if m := run(false); m.InvariantViolations != 0 {
-		t.Errorf("CheckInvariants=false counted %d φInv violations, want 0", m.InvariantViolations)
+	if m.InvariantViolations != 20 {
+		t.Errorf("counted %d φInv violations, want 20, one per DM step (every 100 ms from 20 ms)", m.InvariantViolations)
 	}
 }

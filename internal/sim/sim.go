@@ -74,14 +74,6 @@ type RunConfig struct {
 	// JitterSCOnly restricts outages to SC and DM nodes, the failure mode
 	// the paper observed.
 	JitterSCOnly bool
-	// CheckInvariants installs the runtime φInv monitor
-	// (runtime.WithInvariantChecking): the invariant is asserted at every DM
-	// sampling instant and violations are counted in the metrics rather than
-	// aborting the run. Off by default — the monitor evaluates the module
-	// predicates on every DM step, and an enabled monitor changes the
-	// run-slice control flow, so it is a cost knob the scenario layer leaves
-	// off unless a workload opts in (scenario.Spec.InvariantMonitor).
-	CheckInvariants bool
 	// KeepFlyingAfterCrash continues the run through collisions, counting
 	// episodes instead of stopping at the first (used by the unprotected
 	// baselines of Figure 12a).
@@ -332,12 +324,6 @@ func Run(cfg RunConfig) (*Result, error) {
 		runtime.WithEnvironment(env),
 		runtime.WithObservers(observers...),
 	}
-	if cfg.CheckInvariants {
-		// Without this option the executor never evaluates φInv and the
-		// tolerance loop in runSlice is dead code — the monitor must actually
-		// be installed for violations to be detected and counted.
-		opts = append(opts, runtime.WithInvariantChecking())
-	}
 	if cfg.JitterProb > 0 {
 		opts = append(opts, runtime.WithDropFilter(r.dropFilter))
 	}
@@ -379,7 +365,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		if stepUntil > deadline {
 			stepUntil = deadline
 		}
-		if err := runSlice(ctx, exec, stepUntil, cfg); err != nil {
+		if err := exec.Run(ctx, stepUntil); err != nil {
 			if cancelled(ctx, err) {
 				runErr = err
 				break
@@ -416,26 +402,6 @@ func Run(cfg RunConfig) (*Result, error) {
 // cancelled reports whether err is the context's cancellation surfacing.
 func cancelled(ctx context.Context, err error) bool {
 	return ctx.Err() != nil && errors.Is(err, ctx.Err())
-}
-
-// runSlice advances the executor, tolerating invariant violations when
-// configured to monitor rather than abort (the violations are counted by the
-// metrics sink from the executor's event stream).
-func runSlice(ctx context.Context, exec *runtime.Executor, until time.Duration, cfg RunConfig) error {
-	if !cfg.CheckInvariants {
-		return exec.Run(ctx, until)
-	}
-	for {
-		err := exec.Run(ctx, until)
-		if err == nil {
-			return nil
-		}
-		var iv *runtime.InvariantViolationError
-		if errors.As(err, &iv) {
-			continue
-		}
-		return err
-	}
 }
 
 // visitsSoFar reads the surveillance app's visit counter mid-run.

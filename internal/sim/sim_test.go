@@ -108,11 +108,10 @@ func TestLearnedControllerUnderRTA(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(RunConfig{
-		Stack:           st,
-		Initial:         initialAt(geom.V(3, 3, 2)),
-		Duration:        90 * time.Second,
-		Seed:            4,
-		CheckInvariants: true,
+		Stack:    st,
+		Initial:  initialAt(geom.V(3, 3, 2)),
+		Duration: 90 * time.Second,
+		Seed:     4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,11 +137,10 @@ func TestBuggyPlannerUnderRTA(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(RunConfig{
-		Stack:           st,
-		Initial:         initialAt(geom.V(3, 3, 2)),
-		Duration:        60 * time.Second,
-		Seed:            5,
-		CheckInvariants: true,
+		Stack:    st,
+		Initial:  initialAt(geom.V(3, 3, 2)),
+		Duration: 60 * time.Second,
+		Seed:     5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,11 +220,10 @@ func TestBatteryLandingUnderFastDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(RunConfig{
-		Stack:           st,
-		Initial:         plant.State{Pos: geom.V(3, 3, 2), Battery: 0.9},
-		Duration:        5 * time.Minute,
-		Seed:            7,
-		CheckInvariants: true,
+		Stack:    st,
+		Initial:  plant.State{Pos: geom.V(3, 3, 2), Battery: 0.9},
+		Duration: 5 * time.Minute,
+		Seed:     7,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,11 +25,10 @@ func TestSmokeSurveillance(t *testing.T) {
 		t.Fatalf("build stack: %v", err)
 	}
 	res, err := Run(RunConfig{
-		Stack:           st,
-		Initial:         initialAt(geom.V(3, 3, 2)),
-		Duration:        60 * time.Second,
-		Seed:            1,
-		CheckInvariants: true,
+		Stack:    st,
+		Initial:  initialAt(geom.V(3, 3, 2)),
+		Duration: 60 * time.Second,
+		Seed:     1,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -19,7 +19,9 @@
 // Execution is context-aware and observable: Run honours cancellation, and
 // any number of Observers can consume the run's typed event stream — mode
 // switches, node firings, invariant violations, time progress — through
-// WithObservers (one stream, many composable consumers):
+// WithObservers (one stream, many composable consumers). Every executor
+// monitors φInv after each DM step and reports a violation as an event; the
+// run goes on:
 //
 //	mp, _ := soter.NewNode("MotionPrimitive", 10*time.Millisecond,
 //	    []soter.TopicName{"localPosition", "targetWaypoint"},
@@ -38,10 +40,12 @@
 //	sys, _ := soter.NewSystem([]*soter.Module{mod}, nil)
 //
 //	exec, _ := soter.NewExecutor(sys, nil,
-//	    soter.WithInvariantChecking(),
 //	    soter.WithObservers(soter.ObserverFunc(func(e soter.Event) {
-//	        if sw, ok := e.(soter.ModeSwitchEvent); ok {
-//	            log.Printf("t=%v %s: %v -> %v", sw.T, sw.Module, sw.From, sw.To)
+//	        switch e := e.(type) {
+//	        case soter.ModeSwitchEvent:
+//	            log.Printf("t=%v %s: %v -> %v", e.T, e.Module, e.From, e.To)
+//	        case soter.InvariantViolationEvent: // φsafe failed at a DM step
+//	            log.Printf("t=%v %s: φInv violated", e.T, e.Module)
 //	        }
 //	    })))
 //
@@ -123,8 +127,6 @@ type (
 	Environment = runtime.Environment
 	// EnvironmentFunc adapts a function to Environment.
 	EnvironmentFunc = runtime.EnvironmentFunc
-	// InvariantViolationError reports a φInv monitor failure.
-	InvariantViolationError = runtime.InvariantViolationError
 )
 
 // Observability vocabulary: one typed event stream, many composable
@@ -139,6 +141,9 @@ type (
 	// ModeSwitchEvent reports a DM mode change (aliased so public Observers
 	// can type-switch without importing internal packages).
 	ModeSwitchEvent = obs.ModeSwitch
+	// InvariantViolationEvent reports that φInv failed at a DM sampling
+	// instant (the executor's monitor runs in every run).
+	InvariantViolationEvent = obs.InvariantViolation
 )
 
 // Modes.
@@ -218,9 +223,6 @@ func NewExecutor(sys *System, envTopics []Topic, opts ...ExecutorOption) (*Execu
 
 // WithEnvironment installs the environment hook on an executor.
 func WithEnvironment(env Environment) ExecutorOption { return runtime.WithEnvironment(env) }
-
-// WithInvariantChecking makes the executor assert φInv at every DM step.
-func WithInvariantChecking() ExecutorOption { return runtime.WithInvariantChecking() }
 
 // WithObservers attaches observers to the executor's event stream.
 func WithObservers(observers ...Observer) ExecutorOption {
