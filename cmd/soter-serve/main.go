@@ -31,9 +31,8 @@
 // Besides plain sweep jobs the server runs falsification campaigns (POST
 // /falsify) and statistical certification campaigns (POST /certify — is the
 // cell's probability of a crash or a φInv violation below a threshold at a
-// confidence level?); both
-// stream progress over the same /jobs/{id}/events endpoint and serve their
-// terminal results at /jobs/{id}/report:
+// confidence level?); both stream progress over the same /jobs/{id}/events
+// endpoint and serve their terminal results at /jobs/{id}/report:
 //
 //	cid=$(curl -s -X POST localhost:8080/certify \
 //	    -d '{"scenario":"surveillance-city","duration":"30s","threshold":0.05}' | jq -r .id)

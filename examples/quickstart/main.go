@@ -92,8 +92,8 @@ func stateOf(in soter.Valuation) (roverState, bool) {
 func clampAccel(u float64) float64 { return max(-maxAccel, min(u, maxAccel)) }
 
 // result is what one run observed: the φInv monitor's first report (nil if
-// φInv held), the extremes of x over every environment step, the mode switches in
-// each direction and the simulated time reached.
+// φInv held), the extremes of x over every environment step, the mode
+// switches in each direction and the simulated time reached.
 type result struct {
 	violation  *soter.InvariantViolationEvent
 	minX, maxX float64

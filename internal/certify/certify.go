@@ -520,16 +520,17 @@ func (c *campaign) emitProgress(res *Result) {
 		return
 	}
 	c.observers.OnEvent(obs.CertifyProgress{
-		T:         time.Duration(res.Seeds),
-		Scenario:  res.Scenario,
-		Policy:    res.Policy,
-		Seeds:     res.Seeds,
-		MaxSeeds:  res.MaxSeeds,
-		Crashes:   res.Crashes,
-		Estimate:  res.Estimate,
-		Lo:        res.Lo,
-		Hi:        res.Hi,
-		Threshold: res.Threshold,
-		Verdict:   string(res.Verdict),
+		T:          time.Duration(res.Seeds),
+		Scenario:   res.Scenario,
+		Policy:     res.Policy,
+		Seeds:      res.Seeds,
+		MaxSeeds:   res.MaxSeeds,
+		Crashes:    res.Crashes,
+		Violations: res.Violations,
+		Estimate:   res.Estimate,
+		Lo:         res.Lo,
+		Hi:         res.Hi,
+		Threshold:  res.Threshold,
+		Verdict:    string(res.Verdict),
 	})
 }

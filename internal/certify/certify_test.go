@@ -116,7 +116,7 @@ func TestPlantedCellRefutedPlain(t *testing.T) {
 		t.Fatalf("%d progress events for %d seeds at batch %d", len(rec.progress), res.Seeds, res.Batch)
 	}
 	last := rec.progress[len(rec.progress)-1]
-	if last.Verdict != string(VerdictRefuted) || last.Seeds != res.Seeds || last.Crashes != res.Crashes {
+	if last.Verdict != string(VerdictRefuted) || last.Seeds != res.Seeds || last.Crashes != res.Crashes || last.Violations != res.Violations {
 		t.Fatalf("terminal progress %+v does not match result %+v", last, res)
 	}
 	for i, ev := range rec.progress {

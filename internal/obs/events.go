@@ -277,14 +277,16 @@ type CertifyProgress struct {
 	// Seeds is the number of seeds consumed so far; MaxSeeds the budget.
 	Seeds    int `json:"seeds"`
 	MaxSeeds int `json:"max_seeds"`
-	// Crashes is the raw crash count among evaluated runs.
-	Crashes int `json:"crashes"`
-	// Estimate is the crash-probability estimate (weighted in the
-	// importance-sampling mode); [Lo, Hi] its confidence interval.
+	// Crashes counts the evaluated runs that crashed, Violations those that
+	// violated φInv; a run may count in both.
+	Crashes    int `json:"crashes"`
+	Violations int `json:"violations"`
+	// Estimate is the estimate of P(crash ∨ φInv violation) (weighted in
+	// the importance-sampling mode); [Lo, Hi] its confidence interval.
 	Estimate float64 `json:"estimate"`
 	Lo       float64 `json:"lo"`
 	Hi       float64 `json:"hi"`
-	// Threshold is the crash-probability bound being tested.
+	// Threshold is the failure-probability bound being tested.
 	Threshold float64 `json:"threshold"`
 	// Verdict is the terminal verdict; empty until the campaign concludes.
 	Verdict string `json:"verdict,omitempty"`

@@ -31,7 +31,7 @@ func allEventKinds() []Event {
 		Landed{T: 800 * time.Millisecond, Pos: geom.V(3, 3, 0.2), Battery: 0.3},
 		CampaignProgress{T: 16, Scenario: "surveillance-city", Strategy: "guided:8", Executions: 16, Budget: 64, Found: 2, BestSeverity: 1030.5},
 		CounterexampleFound{T: 16, Strategy: "guided:8", Scenario: "falsified/deadbeefcafe", Fingerprint: "deadbeefcafef00ddeadbeefcafef00d", Seed: 7, Category: "crash", Severity: 1030.5},
-		CertifyProgress{T: 64, Scenario: "surveillance-city", Policy: "soter-fig9", Seeds: 64, MaxSeeds: 4096, Crashes: 1, Estimate: 0.015625, Lo: 0.0004, Hi: 0.084, Threshold: 0.1, Verdict: "certified"},
+		CertifyProgress{T: 64, Scenario: "surveillance-city", Policy: "soter-fig9", Seeds: 64, MaxSeeds: 4096, Crashes: 1, Violations: 1, Estimate: 0.015625, Lo: 0.0004, Hi: 0.084, Threshold: 0.1, Verdict: "certified"},
 	}
 }
 
