@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/mission"
 	"repro/internal/reach"
 )
@@ -188,10 +189,24 @@ var claims = map[string]func(tb testing.TB, out Outcome){
 			tb.Errorf("two-way distance %v should exceed one-way %v", two.Distance, one.Distance)
 		}
 	},
-	// The registry sweep is a survey of every registered workload, not a
-	// claim: jitter-storm's scheduling outages crash some of its seeds, as
-	// Section V-D predicts for best-effort scheduling.
-	"scenarios": nil,
+	// The registry sweep surveys every registered workload. jitter-storm's
+	// scheduling outages crash some of its seeds, as Section V-D predicts
+	// for best-effort scheduling, and planner-bug-gauntlet's defective
+	// planners violate φInv on some; every other workload flies clean.
+	"scenarios": func(tb testing.TB, out Outcome) {
+		rep := out.Result.(*fleet.Report)
+		for _, res := range rep.Results {
+			m := res.Metrics
+			if !m.Crashed && m.InvariantViolations == 0 {
+				continue
+			}
+			name, _, _ := strings.Cut(res.Name, "/seed-")
+			if name != "jitter-storm" && name != "planner-bug-gauntlet" {
+				tb.Errorf("%s: crashed=%v, φInv violations %d; only jitter-storm and planner-bug-gauntlet may",
+					res.Name, m.Crashed, m.InvariantViolations)
+			}
+		}
+	},
 }
 
 // claimFor returns the claim-table row of a catalogue entry, failing when

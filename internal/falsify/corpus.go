@@ -61,8 +61,10 @@ func WriteCorpus(dir string, entries []CorpusEntry) ([]string, error) {
 }
 
 // LoadCorpus reads every *.json entry under dir, sorted by file name (i.e.
-// by fingerprint), so corpus iteration order is stable. A missing directory
-// is an empty corpus, not an error.
+// by fingerprint), so corpus iteration order is stable. It refuses what
+// WriteCorpus would not write: an entry without a fingerprint, or one in a
+// file not named after it. A missing directory is an empty corpus, not an
+// error.
 func LoadCorpus(dir string) ([]CorpusEntry, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
@@ -78,6 +80,9 @@ func LoadCorpus(dir string) ([]CorpusEntry, error) {
 		var e CorpusEntry
 		if err := json.Unmarshal(raw, &e); err != nil {
 			return out, fmt.Errorf("falsify: corpus %s: %w", filepath.Base(name), err)
+		}
+		if e.Fingerprint == "" {
+			return out, fmt.Errorf("falsify: corpus %s: entry without fingerprint", filepath.Base(name))
 		}
 		if want := e.CorpusFile(); filepath.Base(name) != want {
 			return out, fmt.Errorf("falsify: corpus %s: fingerprint says it should be named %s", filepath.Base(name), want)

@@ -1,9 +1,13 @@
 package falsify
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -73,6 +77,15 @@ func TestCorpusRejectsMisnamedFile(t *testing.T) {
 	}
 	if _, err := LoadCorpus(dir); err == nil {
 		t.Error("misnamed corpus file accepted")
+	}
+	// ".json" is the name an empty fingerprint asks for; WriteCorpus never
+	// writes such an entry, so LoadCorpus does not accept one.
+	empty := t.TempDir()
+	if err := os.WriteFile(filepath.Join(empty, ".json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCorpus(empty); err == nil {
+		t.Error("fingerprint-less corpus file accepted")
 	}
 }
 
@@ -231,4 +244,69 @@ func TestReplayRetirementPath(t *testing.T) {
 			t.Errorf("retired entry with reason %q replayed to %v, want rejection", reason, err)
 		}
 	}
+}
+
+// FuzzLoadCorpus holds the corpus decoder to its contract on one file named
+// "<name>.json" holding the fuzz bytes: it never panics, an accepted entry
+// is named after its fingerprint and survives WriteCorpus → LoadCorpus
+// unchanged, a decodable entry whose fingerprint disagrees with the file
+// name is refused, and loading is deterministic. The committed corpus
+// entries are the seeds.
+func FuzzLoadCorpus(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "falsified", "*.json"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("committed corpus: %v, %d files", err, len(seeds))
+	}
+	for _, path := range seeds {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(strings.TrimSuffix(filepath.Base(path), ".json"), raw)
+	}
+	// One directory pair per fuzz worker, emptied after every input: a fresh
+	// t.TempDir per input would cost more than the decode under test.
+	dir, out := f.TempDir(), f.TempDir()
+	f.Fuzz(func(t *testing.T, name string, raw []byte) {
+		file := name + ".json"
+		if strings.ContainsRune(name, filepath.Separator) {
+			return
+		}
+		path := filepath.Join(dir, file)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			return // not a file name the file system takes
+		}
+		defer os.Remove(path)
+		entries, err := LoadCorpus(dir)
+		again, againErr := LoadCorpus(dir)
+		if !reflect.DeepEqual(entries, again) || fmt.Sprint(err) != fmt.Sprint(againErr) {
+			t.Fatalf("LoadCorpus not deterministic: %v, %v then %v, %v", entries, err, again, againErr)
+		}
+		var decoded CorpusEntry
+		if json.Unmarshal(raw, &decoded) == nil && decoded.CorpusFile() != file && err == nil {
+			t.Fatalf("file %q holding fingerprint %q accepted", file, decoded.Fingerprint)
+		}
+		if err != nil {
+			return
+		}
+		if len(entries) != 1 || entries[0].CorpusFile() != file {
+			t.Fatalf("file %q loaded as %d entries: %+v", file, len(entries), entries)
+		}
+		written, err := WriteCorpus(out, entries)
+		for _, p := range written {
+			defer os.Remove(p)
+		}
+		if err != nil {
+			t.Fatalf("accepted entry %q does not write back: %v", file, err)
+		}
+		reloaded, err := LoadCorpus(out)
+		if err != nil {
+			t.Fatalf("written entry %q does not load: %v", file, err)
+		}
+		want, _ := json.Marshal(entries)
+		got, _ := json.Marshal(reloaded)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("entry %q changed across WriteCorpus → LoadCorpus:\n%s\nvs\n%s", file, got, want)
+		}
+	})
 }

@@ -8,12 +8,13 @@
 // The search space is scenario.Delta, the declarative spec edit every
 // external surface shares — fault/planner-bug/jitter profiles,
 // Δ/hysteresis, workspace family, switching policy — filtered for validity
-// through Spec.Validate; the mutation operators live here. Strategies
-// live behind a named registry mirroring rta.Policy's: "random" (seeded
+// through Spec.Validate; the mutation operators live here. The strategies
+// are a fixed table, like rta's switching policies: "random" (seeded
 // uniform sampling), "guided" (hill-climb on the verdict's severity
 // objective), "schedule" (bounded-asynchrony enumeration of node-firing
 // interleavings of the base configuration, each one an ordinary closed-loop
-// run).
+// run). A caller names one in Config.Strategy; there is no plug-in
+// interface, and the engine the strategies drive is unexported.
 //
 // Campaigns are deterministic: given (strategy, seed, budget) the ranked
 // counterexample list is byte-identical at any worker count, because
@@ -104,8 +105,8 @@ type Candidate struct {
 	Seed   int64          `json:"seed"`
 }
 
-// Outcome is the evaluated verdict of one candidate.
-type Outcome struct {
+// outcome is the evaluated verdict of one candidate.
+type outcome struct {
 	Candidate   Candidate
 	Verdict     Verdict
 	Severity    float64
@@ -181,37 +182,33 @@ type Result struct {
 // the partial Result accumulated so far is returned with the context's
 // error).
 func Campaign(ctx context.Context, cfg Config) (*Result, error) {
-	e, err := NewEngine(cfg)
+	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	searchErr := e.strategy.Search(ctx, e)
-	res := e.Result()
-	if searchErr != nil {
-		return res, searchErr
-	}
-	return res, nil
+	err = e.strategy.search(ctx, e)
+	return e.result(), err
 }
 
 // Validate checks the campaign configuration without running anything — the
 // submit-time gate of the serving layer.
 func (c Config) Validate() error {
-	_, err := NewEngine(c)
+	_, err := newEngine(c)
 	return err
 }
 
-// Engine is the shared campaign state strategies drive: it owns the resolved
+// engine is the shared campaign state strategies drive: it owns the resolved
 // base spec, the campaign RNG, the budget, the deduplicated counterexample
-// list and the progress stream. Strategies call RandomCandidate/Mutate to
-// move through the space and Evaluate to spend budget; the engine accounts
+// list and the progress stream. Strategies call randomCandidate/mutate to
+// move through the space and evaluate to spend budget; the engine accounts
 // results single-threaded in candidate order, which is what makes campaigns
 // worker-count-independent.
-type Engine struct {
+type engine struct {
 	cfg        Config
 	base       scenario.Spec
 	baseParams scenario.Delta
 	baseFP     string
-	strategy   Strategy
+	strategy   strategy
 	rng        *rand.Rand
 	margin     float64
 	observers  obs.Multi
@@ -223,9 +220,8 @@ type Engine struct {
 	found      []Counterexample
 }
 
-// NewEngine resolves and validates a campaign configuration. Strategies
-// normally receive an engine from Campaign rather than building one.
-func NewEngine(cfg Config) (*Engine, error) {
+// newEngine resolves and validates a campaign configuration.
+func newEngine(cfg Config) (*engine, error) {
 	base, err := scenario.Resolve(cfg.Scenario, cfg.Base)
 	if err != nil {
 		return nil, fmt.Errorf("falsify: base: %w", err)
@@ -257,7 +253,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("falsify: policy pool: %w", err)
 		}
 	}
-	strat, err := ParseStrategy(cfg.Strategy)
+	strat, err := parseStrategy(cfg.Strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +263,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{
+	return &engine{
 		cfg:        cfg,
 		base:       base,
 		baseParams: cfg.Base,
@@ -280,22 +276,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Base returns the resolved base spec (campaign Base delta applied). The
-// copy is the caller's.
-func (e *Engine) Base() scenario.Spec { return e.base.With(scenario.Override{}) }
+// remaining returns the unspent execution budget.
+func (e *engine) remaining() int { return e.cfg.Budget - e.executions }
 
-// CampaignSeed returns the campaign's seed.
-func (e *Engine) CampaignSeed() int64 { return e.cfg.Seed }
-
-// Remaining returns the unspent execution budget.
-func (e *Engine) Remaining() int { return e.cfg.Budget - e.executions }
-
-// NewSeed draws a fresh run seed from the campaign RNG.
-func (e *Engine) NewSeed() int64 { return 1 + e.rng.Int63n(1_000_000_000) }
+// newSeed draws a fresh run seed from the campaign RNG.
+func (e *engine) newSeed() int64 { return 1 + e.rng.Int63n(1_000_000_000) }
 
 // candidateValid reports whether the candidate's spec passes the scenario
 // layer's own consistency rules — the validity filter of the search space.
-func (e *Engine) candidateValid(p scenario.Delta) bool {
+func (e *engine) candidateValid(p scenario.Delta) bool {
 	spec, err := p.Apply(e.base)
 	if err != nil {
 		return false
@@ -303,17 +292,17 @@ func (e *Engine) candidateValid(p scenario.Delta) bool {
 	return spec.Validate() == nil
 }
 
-// mutate applies the idx-th applicable operator to a copy of p.
-func (e *Engine) applyMutator(p scenario.Delta, m mutator) scenario.Delta {
+// applyMutator applies operator m to a copy of p.
+func (e *engine) applyMutator(p scenario.Delta, m mutator) scenario.Delta {
 	out := p
 	m.apply(&out, e.cfg.Policies, e.rng)
 	return out
 }
 
-// Mutate returns p with one random mutation operator applied, retrying
+// mutate returns p with one random mutation operator applied, retrying
 // operators whose result the scenario layer rejects; after a bounded number
 // of invalid draws it returns p unchanged (the RNG advances either way).
-func (e *Engine) Mutate(p scenario.Delta) scenario.Delta {
+func (e *engine) mutate(p scenario.Delta) scenario.Delta {
 	for try := 0; try < 8; try++ {
 		m := mutators[e.rng.Intn(len(mutators))]
 		if m.ok != nil && !m.ok(e.base) {
@@ -326,10 +315,10 @@ func (e *Engine) Mutate(p scenario.Delta) scenario.Delta {
 	return p
 }
 
-// RandomCandidate draws a uniform point of the search space: the campaign
+// randomCandidate draws a uniform point of the search space: the campaign
 // base with 1–3 mutation operators applied and a fresh seed, filtered for
 // validity.
-func (e *Engine) RandomCandidate() Candidate {
+func (e *engine) randomCandidate() Candidate {
 	for try := 0; try < 8; try++ {
 		p := e.baseParams
 		for n := 1 + e.rng.Intn(3); n > 0; n-- {
@@ -340,25 +329,25 @@ func (e *Engine) RandomCandidate() Candidate {
 			p = e.applyMutator(p, m)
 		}
 		if e.candidateValid(p) {
-			return Candidate{Params: p, Seed: e.NewSeed()}
+			return Candidate{Params: p, Seed: e.newSeed()}
 		}
 	}
-	return Candidate{Params: e.baseParams, Seed: e.NewSeed()}
+	return Candidate{Params: e.baseParams, Seed: e.newSeed()}
 }
 
-// Evaluate runs a batch of candidates on the worker pool and accounts the
+// evaluate runs a batch of candidates on the worker pool and accounts the
 // outcomes: budget, severity high-water mark, counterexample dedup and
 // registration, progress events. The batch is truncated to the remaining
 // budget; the returned slice is index-aligned with the (truncated) batch.
 // Cancellation returns ctx's error with nothing accounted.
-func (e *Engine) Evaluate(ctx context.Context, batch []Candidate) ([]Outcome, error) {
-	if rem := e.Remaining(); len(batch) > rem {
+func (e *engine) evaluate(ctx context.Context, batch []Candidate) ([]outcome, error) {
+	if rem := e.remaining(); len(batch) > rem {
 		batch = batch[:rem]
 	}
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	outs := make([]Outcome, len(batch))
+	outs := make([]outcome, len(batch))
 	missions := make([]fleet.Mission, len(batch))
 	for i, cand := range batch {
 		outs[i].Candidate = cand
@@ -381,13 +370,13 @@ func (e *Engine) Evaluate(ctx context.Context, batch []Candidate) ([]Outcome, er
 
 // score derives an evaluated run's verdict from its metrics; a run error
 // keeps the verdict from qualifying.
-func (e *Engine) score(out *Outcome, m sim.Metrics, runErr error) {
+func (e *engine) score(out *outcome, m sim.Metrics, runErr error) {
 	out.Verdict = verdictOf(m)
 	if runErr != nil {
 		out.Verdict.Err = runErr.Error()
 		return
 	}
-	out.Severity = Severity(out.Verdict, e.margin)
+	out.Severity = severity(out.Verdict, e.margin)
 	out.Category = out.Verdict.Category(e.cfg.ClampStorm)
 }
 
@@ -396,7 +385,7 @@ func (e *Engine) score(out *Outcome, m sim.Metrics, runErr error) {
 // across jobs, and every fill would cost a store write. A candidate that cannot be evaluated — an invalid spec after mutation, a
 // build failure — records the reason in out.Err; the Build closure runs on a
 // fleet worker and writes only its own outcome.
-func (e *Engine) mission(out *Outcome) fleet.Mission {
+func (e *engine) mission(out *outcome) fleet.Mission {
 	cand := out.Candidate
 	m := fleet.Mission{Name: e.cfg.Scenario, Seed: cand.Seed}
 	spec, err := cand.Params.Apply(e.base)
@@ -423,7 +412,7 @@ func (e *Engine) mission(out *Outcome) fleet.Mission {
 // Parameter-space finds are named (and optionally registered) as
 // "falsified/<hash>" scenarios; schedule finds carry their choice vector
 // instead.
-func (e *Engine) account(out *Outcome) {
+func (e *engine) account(out *outcome) {
 	e.executions++
 	if out.Err != nil || out.Verdict.Err != "" {
 		e.errored++
@@ -439,7 +428,7 @@ func (e *Engine) account(out *Outcome) {
 	ce := Counterexample{
 		Scenario:     e.cfg.Scenario,
 		Candidate:    out.Candidate,
-		Strategy:     e.strategy.Name(),
+		Strategy:     e.strategy.name,
 		Fingerprint:  out.Fingerprint,
 		Category:     out.Category,
 		Severity:     out.Severity,
@@ -472,7 +461,7 @@ func (e *Engine) account(out *Outcome) {
 // Re-finding a known counterexample (same fingerprint, e.g. across two
 // campaigns in one process) is idempotent: the duplicate registration is
 // deliberately ignored.
-func (e *Engine) registerScenario(ce Counterexample) {
+func (e *engine) registerScenario(ce Counterexample) {
 	spec, err := ce.Candidate.Params.Apply(e.base)
 	if err != nil {
 		return
@@ -486,7 +475,7 @@ func (e *Engine) registerScenario(ce Counterexample) {
 // Result assembles the deterministic campaign summary: counterexamples
 // ranked by severity descending, fingerprint ascending on ties, bounded by
 // MaxCounterexamples.
-func (e *Engine) Result() *Result {
+func (e *engine) result() *Result {
 	ranked := slices.Clone(e.found)
 	slices.SortStableFunc(ranked, func(a, b Counterexample) int {
 		switch {
@@ -503,7 +492,7 @@ func (e *Engine) Result() *Result {
 	}
 	return &Result{
 		Scenario:        e.cfg.Scenario,
-		Strategy:        e.strategy.Name(),
+		Strategy:        e.strategy.name,
 		Seed:            e.cfg.Seed,
 		Budget:          e.cfg.Budget,
 		Executions:      e.executions,
@@ -514,7 +503,7 @@ func (e *Engine) Result() *Result {
 }
 
 // emit delivers a campaign event to the configured observers.
-func (e *Engine) emit(ev obs.Event) {
+func (e *engine) emit(ev obs.Event) {
 	if len(e.observers) > 0 {
 		e.observers.OnEvent(ev)
 	}
@@ -523,11 +512,11 @@ func (e *Engine) emit(ev obs.Event) {
 // emitProgress emits the post-batch CampaignProgress event. T is the
 // campaign pseudo-clock: executions-so-far as nanoseconds, monotone and
 // deterministic.
-func (e *Engine) emitProgress() {
+func (e *engine) emitProgress() {
 	e.emit(obs.CampaignProgress{
 		T:            time.Duration(e.executions),
 		Scenario:     e.cfg.Scenario,
-		Strategy:     e.strategy.Name(),
+		Strategy:     e.strategy.name,
 		Executions:   e.executions,
 		Budget:       e.cfg.Budget,
 		Found:        len(e.found),

@@ -2,11 +2,9 @@ package falsify
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"time"
 
-	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -27,24 +25,14 @@ import (
 // (6!) are explored.
 const maxBranching = 720
 
-// scheduleStrategy is the strategy table's "schedule" (exhaustive lexicographic DFS
-// over choice vectors) / "schedule:N" (one random interleaving per seed
-// CampaignSeed, …, CampaignSeed+N-1).
-type scheduleStrategy struct{ seeds int }
-
-func (s scheduleStrategy) Name() string {
-	if s.seeds > 0 {
-		return fmt.Sprintf("schedule:%d", s.seeds)
-	}
-	return "schedule"
-}
-
-// Search explores until the budget is spent. Exhaustive mode may visit the
-// whole bounded tree below budget; that ends the search, not an error.
-func (s scheduleStrategy) Search(ctx context.Context, e *Engine) error {
-	spec := e.Base()
-	_, err := exploreSchedules(ctx, s.seeds, e.CampaignSeed(), e.Remaining, func(sch *schedule) error {
-		return e.evaluateSchedule(ctx, spec, sch)
+// searchSchedules is the strategy table's "schedule" (seeds 0: exhaustive
+// lexicographic DFS over choice vectors) / "schedule:N" (one random
+// interleaving per seed Seed, …, Seed+N-1 of the campaign). It explores
+// until the budget is spent; exhaustive mode may visit the whole bounded
+// tree below budget, which ends the search, not an error.
+func searchSchedules(ctx context.Context, e *engine, seeds int) error {
+	_, err := exploreSchedules(ctx, seeds, e.cfg.Seed, e.remaining, func(sch *schedule) error {
+		return e.evaluateSchedule(ctx, sch)
 	})
 	return err
 }
@@ -52,8 +40,8 @@ func (s scheduleStrategy) Search(ctx context.Context, e *Engine) error {
 // evaluateSchedule runs the base spec at the campaign seed under one
 // interleaving and files the run. Cancellation returns ctx's error with
 // nothing accounted.
-func (e *Engine) evaluateSchedule(ctx context.Context, spec scenario.Spec, sch *schedule) error {
-	rc, err := spec.Build(e.cfg.Seed)
+func (e *engine) evaluateSchedule(ctx context.Context, sch *schedule) error {
+	rc, err := e.base.Build(e.cfg.Seed)
 	var res *sim.Result
 	if err == nil {
 		rc.Context = ctx
@@ -70,8 +58,8 @@ func (e *Engine) evaluateSchedule(ctx context.Context, spec scenario.Spec, sch *
 // fileSchedule accounts one explored schedule like an evaluated candidate:
 // the campaign's base params at the campaign seed, identified by the (spec,
 // choice vector) fingerprint.
-func (e *Engine) fileSchedule(sch *schedule, res *sim.Result, err error) {
-	out := Outcome{Candidate: Candidate{Params: e.baseParams, Seed: e.cfg.Seed}, ScheduleSeed: sch.seed, Err: err}
+func (e *engine) fileSchedule(sch *schedule, res *sim.Result, err error) {
+	out := outcome{Candidate: Candidate{Params: e.baseParams, Seed: e.cfg.Seed}, ScheduleSeed: sch.seed, Err: err}
 	if err == nil {
 		out.Schedule = append([]int{}, sch.chosen...) // non-nil marks a schedule outcome
 		out.Fingerprint = scheduleFingerprint(e.baseFP, out.Schedule)

@@ -21,9 +21,9 @@ import (
 
 // newTestEngine builds an engine around the planted base for direct
 // accounting tests.
-func newTestEngine(t *testing.T, cfg Config) *Engine {
+func newTestEngine(t *testing.T, cfg Config) *engine {
 	t.Helper()
-	e, err := NewEngine(cfg)
+	e, err := newEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +45,10 @@ func TestScheduleAccounting(t *testing.T) {
 	e.fileSchedule(&schedule{chosen: []int{0, 2, 1}}, crash, nil)
 	e.fileSchedule(&schedule{chosen: []int{1, 0, 0}, seed: 7}, inv, nil)
 
-	if e.Remaining() != 54 {
-		t.Errorf("remaining = %d, want 54 (10 schedules spent)", e.Remaining())
+	if e.remaining() != 54 {
+		t.Errorf("remaining = %d, want 54 (10 schedules spent)", e.remaining())
 	}
-	res := e.Result()
+	res := e.result()
 	if res.Executions != 10 || len(res.Counterexamples) != 2 {
 		t.Fatalf("executions=%d counterexamples=%d", res.Executions, len(res.Counterexamples))
 	}
@@ -69,7 +69,7 @@ func TestScheduleAccounting(t *testing.T) {
 	for range 3 {
 		e.fileSchedule(&schedule{chosen: []int{0, 2, 1}}, crash, nil)
 	}
-	res = e.Result()
+	res = e.result()
 	if res.Executions != 13 || len(res.Counterexamples) != 2 {
 		t.Errorf("after duplicate report: executions=%d counterexamples=%d", res.Executions, len(res.Counterexamples))
 	}

@@ -9,50 +9,59 @@ import (
 	"strings"
 )
 
-// Strategy decides how a campaign spends its execution budget. Search drives
-// the engine until the budget is exhausted (Remaining() == 0) or the context
-// is cancelled; it must be deterministic given the engine's RNG — strategies
-// draw candidates single-threaded between Evaluate calls, never concurrently.
-type Strategy interface {
-	// Name returns the canonical strategy spec ("random", "guided:8", ...),
-	// with defaulted parameters made explicit — the form results report.
-	Name() string
-	// Search runs the campaign. A cancelled context returns its error; the
-	// engine keeps whatever was accounted before.
-	Search(ctx context.Context, e *Engine) error
+// strategy is a resolved strategy spec. name is the canonical spec
+// ("random", "guided:8", ...), with defaulted parameters made explicit — the
+// form results report. search drives the engine until the budget is
+// exhausted (remaining() == 0) or ctx is cancelled; it must be deterministic
+// given the engine's RNG — it draws candidates single-threaded between
+// evaluate calls, never concurrently. A cancelled context returns its error;
+// the engine keeps whatever was accounted before.
+type strategy struct {
+	name   string
+	search func(ctx context.Context, e *engine) error
 }
 
 // DefaultStrategyName names the default (random sampling) strategy.
 const DefaultStrategyName = "random"
 
-// strategies maps each strategy name — the first component of a spec — to
-// the factory building it from the spec's integer parameter ("name:K"). The
-// parameter is 0 when the spec had none; factories substitute their default
-// or reject a parameter they do not take.
-var strategies = map[string]func(param int) (Strategy, error){
-	"random": func(param int) (Strategy, error) {
+// strategies is the fixed strategy table: it maps each strategy name — the
+// first component of a spec — to the function resolving the spec's integer
+// parameter ("name:K"). The parameter is 0 when the spec had none; a
+// strategy substitutes its default or rejects a parameter it does not take.
+var strategies = map[string]func(param int) (strategy, error){
+	"random": func(param int) (strategy, error) {
 		if param != 0 {
-			return nil, fmt.Errorf("strategy %q takes no parameter", "random")
+			return strategy{}, fmt.Errorf("strategy %q takes no parameter", "random")
 		}
-		return randomStrategy{}, nil
+		return strategy{name: "random", search: searchRandom}, nil
 	},
-	"guided": func(param int) (Strategy, error) {
+	"guided": func(param int) (strategy, error) {
 		if param == 0 {
-			param = DefaultGuidedBatch
+			param = defaultGuidedBatch
 		}
-		return guidedStrategy{batch: param}, nil
+		return strategy{
+			name:   fmt.Sprintf("guided:%d", param),
+			search: func(ctx context.Context, e *engine) error { return searchGuided(ctx, e, param) },
+		}, nil
 	},
-	"schedule": func(param int) (Strategy, error) {
-		return scheduleStrategy{seeds: param}, nil
+	"schedule": func(param int) (strategy, error) {
+		name := "schedule"
+		if param > 0 {
+			name = fmt.Sprintf("schedule:%d", param)
+		}
+		return strategy{
+			name:   name,
+			search: func(ctx context.Context, e *engine) error { return searchSchedules(ctx, e, param) },
+		}, nil
 	},
 }
 
 // StrategyNames returns the strategy names, sorted.
 func StrategyNames() []string { return slices.Sorted(maps.Keys(strategies)) }
 
-// ParseStrategy resolves a strategy spec — "name" or "name:K" with K a
+// parseStrategy resolves a strategy spec — "name" or "name:K" with K a
 // positive integer. The empty spec resolves to the default random strategy.
-func ParseStrategy(spec string) (Strategy, error) {
+func parseStrategy(spec string) (strategy, error) {
 	name, param := spec, 0
 	if spec == "" {
 		name = DefaultStrategyName
@@ -62,13 +71,13 @@ func ParseStrategy(spec string) (Strategy, error) {
 		name = name[:i]
 		n, err := strconv.Atoi(raw)
 		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("strategy spec %q: parameter %q must be a positive integer", spec, raw)
+			return strategy{}, fmt.Errorf("strategy spec %q: parameter %q must be a positive integer", spec, raw)
 		}
 		param = n
 	}
 	f, ok := strategies[name]
 	if !ok {
-		return nil, fmt.Errorf("unknown strategy %q (have: %s)", name, strings.Join(StrategyNames(), ", "))
+		return strategy{}, fmt.Errorf("unknown strategy %q (have: %s)", name, strings.Join(StrategyNames(), ", "))
 	}
 	return f(param)
 }
@@ -78,61 +87,53 @@ func ParseStrategy(spec string) (Strategy, error) {
 // and with it the whole campaign, is identical at any parallelism.
 const randomBatch = 8
 
-// randomStrategy samples the space uniformly: every batch is fresh draws of
+// searchRandom samples the space uniformly: every batch is fresh draws of
 // (1–3 mutations over the base, fresh seed). The baseline strategy and the
 // coverage workhorse.
-type randomStrategy struct{}
-
-func (randomStrategy) Name() string { return "random" }
-
-func (randomStrategy) Search(ctx context.Context, e *Engine) error {
-	for e.Remaining() > 0 {
-		n := min(randomBatch, e.Remaining())
+func searchRandom(ctx context.Context, e *engine) error {
+	for e.remaining() > 0 {
+		n := min(randomBatch, e.remaining())
 		batch := make([]Candidate, n)
 		for i := range batch {
-			batch[i] = e.RandomCandidate()
+			batch[i] = e.randomCandidate()
 		}
-		if _, err := e.Evaluate(ctx, batch); err != nil {
+		if _, err := e.evaluate(ctx, batch); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// DefaultGuidedBatch is the guided strategy's default mutants-per-generation.
-const DefaultGuidedBatch = 8
+// defaultGuidedBatch is the guided strategy's default mutants-per-generation.
+const defaultGuidedBatch = 8
 
 // guidedStalePatience is how many non-improving generations the guided
 // strategy tolerates before restarting from a fresh random incumbent.
 const guidedStalePatience = 3
 
-// guidedStrategy hill-climbs on the oracle's severity objective: each
-// generation evaluates `batch` single-mutation neighbours of the incumbent
+// searchGuided hill-climbs on the oracle's severity objective: each
+// generation evaluates batchSize single-mutation neighbours of the incumbent
 // (half keeping the incumbent's seed, half drawing fresh ones), adopts the
 // best strict improvement, and random-restarts after a few stale
 // generations. The continuous severity terms (clamp count, near-miss
 // distance) give it a slope to climb before any discrete violation exists.
-type guidedStrategy struct{ batch int }
-
-func (g guidedStrategy) Name() string { return fmt.Sprintf("guided:%d", g.batch) }
-
-func (g guidedStrategy) Search(ctx context.Context, e *Engine) error {
-	incumbent, sev, err := g.seedIncumbent(ctx, e)
-	if err != nil || e.Remaining() <= 0 {
+func searchGuided(ctx context.Context, e *engine, batchSize int) error {
+	incumbent, sev, err := seedIncumbent(ctx, e)
+	if err != nil || e.remaining() <= 0 {
 		return err
 	}
 	stale := 0
-	for e.Remaining() > 0 {
-		n := min(g.batch, e.Remaining())
+	for e.remaining() > 0 {
+		n := min(batchSize, e.remaining())
 		batch := make([]Candidate, n)
 		for i := range batch {
-			c := Candidate{Params: e.Mutate(incumbent.Params), Seed: incumbent.Seed}
+			c := Candidate{Params: e.mutate(incumbent.Params), Seed: incumbent.Seed}
 			if i%2 == 1 {
-				c.Seed = e.NewSeed()
+				c.Seed = e.newSeed()
 			}
 			batch[i] = c
 		}
-		outs, err := e.Evaluate(ctx, batch)
+		outs, err := e.evaluate(ctx, batch)
 		if err != nil {
 			return err
 		}
@@ -148,7 +149,7 @@ func (g guidedStrategy) Search(ctx context.Context, e *Engine) error {
 			continue
 		}
 		if stale++; stale >= guidedStalePatience {
-			if incumbent, sev, err = g.seedIncumbent(ctx, e); err != nil {
+			if incumbent, sev, err = seedIncumbent(ctx, e); err != nil {
 				return err
 			}
 			stale = 0
@@ -158,9 +159,9 @@ func (g guidedStrategy) Search(ctx context.Context, e *Engine) error {
 }
 
 // seedIncumbent evaluates one fresh random candidate as the next incumbent.
-func (guidedStrategy) seedIncumbent(ctx context.Context, e *Engine) (Candidate, float64, error) {
-	c := e.RandomCandidate()
-	outs, err := e.Evaluate(ctx, []Candidate{c})
+func seedIncumbent(ctx context.Context, e *engine) (Candidate, float64, error) {
+	c := e.randomCandidate()
+	outs, err := e.evaluate(ctx, []Candidate{c})
 	if err != nil || len(outs) == 0 {
 		return c, 0, err
 	}

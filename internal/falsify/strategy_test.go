@@ -21,13 +21,13 @@ func TestParseStrategy(t *testing.T) {
 		"schedule:3": "schedule:3",
 	}
 	for spec, wantName := range good {
-		s, err := ParseStrategy(spec)
+		s, err := parseStrategy(spec)
 		if err != nil {
-			t.Errorf("ParseStrategy(%q): %v", spec, err)
+			t.Errorf("parseStrategy(%q): %v", spec, err)
 			continue
 		}
-		if s.Name() != wantName {
-			t.Errorf("ParseStrategy(%q).Name() = %q, want %q", spec, s.Name(), wantName)
+		if s.name != wantName {
+			t.Errorf("parseStrategy(%q).name = %q, want %q", spec, s.name, wantName)
 		}
 	}
 	bad := []string{
@@ -40,8 +40,8 @@ func TestParseStrategy(t *testing.T) {
 		" guided",    // whitespace is not trimmed
 	}
 	for _, spec := range bad {
-		if _, err := ParseStrategy(spec); err == nil {
-			t.Errorf("ParseStrategy(%q) accepted", spec)
+		if _, err := parseStrategy(spec); err == nil {
+			t.Errorf("parseStrategy(%q) accepted", spec)
 		}
 	}
 }
@@ -52,23 +52,23 @@ func TestParseStrategy(t *testing.T) {
 // deterministic (the same spec gives the same name or the same error).
 func FuzzParseStrategy(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
-		s, err := ParseStrategy(spec)
-		again, againErr := ParseStrategy(spec)
+		s, err := parseStrategy(spec)
+		again, againErr := parseStrategy(spec)
 		if err != nil {
 			if againErr == nil || againErr.Error() != err.Error() {
-				t.Fatalf("ParseStrategy(%q) errors differ: %v, then %v", spec, err, againErr)
+				t.Fatalf("parseStrategy(%q) errors differ: %v, then %v", spec, err, againErr)
 			}
 			return
 		}
-		if againErr != nil || again.Name() != s.Name() {
-			t.Fatalf("ParseStrategy(%q) not deterministic: %q, then %v, %v", spec, s.Name(), again, againErr)
+		if againErr != nil || again.name != s.name {
+			t.Fatalf("parseStrategy(%q) not deterministic: %q, then %q, %v", spec, s.name, again.name, againErr)
 		}
-		canon, err := ParseStrategy(s.Name())
+		canon, err := parseStrategy(s.name)
 		if err != nil {
-			t.Fatalf("canonical name %q of %q does not parse: %v", s.Name(), spec, err)
+			t.Fatalf("canonical name %q of %q does not parse: %v", s.name, spec, err)
 		}
-		if canon.Name() != s.Name() {
-			t.Fatalf("canonical name %q of %q reparses as %q", s.Name(), spec, canon.Name())
+		if canon.name != s.name {
+			t.Fatalf("canonical name %q of %q reparses as %q", s.name, spec, canon.name)
 		}
 	})
 }

@@ -66,11 +66,11 @@ const (
 	sevNearMiss  = 50.0
 )
 
-// Severity scores a verdict for ranking and for the guided strategy's
+// severity scores a verdict for ranking and for the guided strategy's
 // objective. margin is the workspace safety margin near-misses are measured
 // against (the mission stack's ttf margin). Deterministic: same verdict and
 // margin, same score.
-func Severity(v Verdict, margin float64) float64 {
+func severity(v Verdict, margin float64) float64 {
 	if v.Err != "" {
 		return 0
 	}

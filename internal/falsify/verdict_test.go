@@ -37,29 +37,29 @@ func TestVerdictCategory(t *testing.T) {
 }
 
 func TestSeverity(t *testing.T) {
-	if got := Severity(Verdict{}, 1); got != 0 {
+	if got := severity(Verdict{}, 1); got != 0 {
 		t.Errorf("clean verdict severity = %v", got)
 	}
-	if got := Severity(Verdict{Crashed: true, Err: "x"}, 1); got != 0 {
+	if got := severity(Verdict{Crashed: true, Err: "x"}, 1); got != 0 {
 		t.Errorf("errored verdict severity = %v, want 0", got)
 	}
-	crash := Severity(Verdict{Crashed: true, Collisions: 1}, 1)
-	inv := Severity(Verdict{InvariantViolations: 1}, 1)
-	storm := Severity(Verdict{Clamped: 20}, 1)
+	crash := severity(Verdict{Crashed: true, Collisions: 1}, 1)
+	inv := severity(Verdict{InvariantViolations: 1}, 1)
+	storm := severity(Verdict{Clamped: 20}, 1)
 	if !(crash > inv && inv > storm) {
 		t.Errorf("severity ordering violated: crash=%v invariant=%v storm=%v", crash, inv, storm)
 	}
 	// The near-miss term slopes continuously toward zero clearance — the
 	// gradient the guided strategy climbs before any discrete violation.
-	close := Severity(Verdict{MinClearance: 0.1}, 1.0)
-	far := Severity(Verdict{MinClearance: 0.9}, 1.0)
+	close := severity(Verdict{MinClearance: 0.1}, 1.0)
+	far := severity(Verdict{MinClearance: 0.9}, 1.0)
 	if !(close > far && far > 0) {
 		t.Errorf("near-miss slope: clearance 0.1 → %v, 0.9 → %v", close, far)
 	}
-	if got := Severity(Verdict{MinClearance: 1.5}, 1.0); got != 0 {
+	if got := severity(Verdict{MinClearance: 1.5}, 1.0); got != 0 {
 		t.Errorf("clearance beyond margin scored %v", got)
 	}
-	if got := Severity(Verdict{MinClearance: 0.1}, 0); got != 0 {
+	if got := severity(Verdict{MinClearance: 0.1}, 0); got != 0 {
 		t.Errorf("zero margin scored %v", got)
 	}
 }

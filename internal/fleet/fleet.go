@@ -36,8 +36,8 @@ import (
 // Sweeps whose missions share a workspace additionally share immutable build
 // artifacts (inflated-obstacle indexes, occupancy grids, the A* planner)
 // through a pool inside mission.Build — no fleet-level knob is needed, and
-// TestFleetPooledStacksByteIdenticalToFresh holds pooled sweeps byte-identical
-// to fresh ones. Set mission.StackConfig.FreshArtifacts to opt a mission out.
+// mission's TestFleetPooledStacksByteIdenticalToFresh holds pooled sweeps
+// byte-identical to fresh ones.
 type Options struct {
 	// Workers bounds how many missions simulate concurrently. Zero or
 	// negative defaults to runtime.GOMAXPROCS(0).

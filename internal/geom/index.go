@@ -180,9 +180,6 @@ func (x *Index) cellOf(p Vec3) int {
 	return (czi*x.ny+cyi)*x.nx + cxi
 }
 
-// Margin returns the margin the index was built for.
-func (x *Index) Margin() float64 { return x.margin }
-
 // Free reports whether p keeps at least the index margin of clearance from
 // every obstacle and the workspace boundary — Workspace.FreeWithMargin at
 // the index's margin, allocation-free.

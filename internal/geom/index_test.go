@@ -73,7 +73,7 @@ func TestIndexCacheCapFallsBackToLinear(t *testing.T) {
 	}
 	// IndexFor still serves overflow margins with a correct uncached index.
 	idx := ws.IndexFor(99.0)
-	if idx == nil || idx.Margin() != 99.0 {
+	if idx == nil || idx.margin != 99.0 {
 		t.Fatalf("IndexFor must build past the cache cap, got %+v", idx)
 	}
 }
@@ -83,8 +83,8 @@ func TestIndexCacheCapFallsBackToLinear(t *testing.T) {
 func TestObstaclesViewAliasesStorage(t *testing.T) {
 	ws := CityWorkspace()
 	view := ws.ObstaclesView()
-	if len(view) != ws.NumObstacles() {
-		t.Fatalf("view has %d obstacles, want %d", len(view), ws.NumObstacles())
+	if len(view) != len(ws.obstacles) {
+		t.Fatalf("view has %d obstacles, want %d", len(view), len(ws.obstacles))
 	}
 	if &view[0] != &ws.obstacles[0] {
 		t.Fatal("ObstaclesView must alias the internal slice")

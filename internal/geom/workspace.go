@@ -41,9 +41,6 @@ func (w *Workspace) Bounds() AABB { return w.bounds }
 // copies what it is given.
 func (w *Workspace) ObstaclesView() []AABB { return w.obstacles }
 
-// NumObstacles returns the number of obstacles.
-func (w *Workspace) NumObstacles() int { return len(w.obstacles) }
-
 // Free reports whether point p is inside the bounds and outside every
 // obstacle. This is the position-level φsafe of the paper's obstacle
 // avoidance property φobs.

@@ -135,8 +135,8 @@ func TestRetreatDirectionPointsAway(t *testing.T) {
 
 func TestCityWorkspace(t *testing.T) {
 	ws := CityWorkspace()
-	if ws.NumObstacles() != 12 {
-		t.Errorf("city workspace has %d obstacles, want 12", ws.NumObstacles())
+	if n := len(ws.ObstaclesView()); n != 12 {
+		t.Errorf("city workspace has %d obstacles, want 12", n)
 	}
 	if !ws.Free(V(3, 3, 2)) {
 		t.Error("the home corner should be free")

@@ -500,9 +500,8 @@ func TestBuildRejectsUnsetKnobs(t *testing.T) {
 	} {
 		cfg := DefaultStackConfig(1)
 		cfg.App = AppConfig{Points: []geom.Vec3{geom.V(3, 3, 2)}}
-		cfg.FreshArtifacts = true
 		unset(&cfg)
-		if _, err := Build(cfg); err == nil {
+		if _, err := build(cfg, false); err == nil {
 			t.Errorf("Build accepted an unset %s", name)
 		}
 	}

@@ -1,30 +1,34 @@
-package fleet
+package mission_test
 
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
-	soterobs "repro/internal/obs"
-
+	"repro/internal/fleet"
 	"repro/internal/geom"
 	"repro/internal/mission"
+	"repro/internal/obs"
 	"repro/internal/plant"
 	"repro/internal/sim"
 )
 
 // pooledOrFreshMission builds the standard sweep mission with the artifact
-// pool either enabled (the default Build path) or bypassed.
+// pool either enabled (Build) or bypassed (BuildFresh).
 func pooledOrFreshMission(seed int64, fresh bool) (sim.RunConfig, error) {
 	mcfg := mission.DefaultStackConfig(seed)
-	mcfg.FreshArtifacts = fresh
 	mcfg.App = mission.AppConfig{Points: []geom.Vec3{
 		geom.V(3, 3, 2), geom.V(46, 46, 2),
 	}}
-	st, err := mission.Build(mcfg)
+	build := mission.Build
+	if fresh {
+		build = mission.BuildFresh
+	}
+	st, err := build(mcfg)
 	if err != nil {
 		return sim.RunConfig{}, err
 	}
@@ -38,31 +42,31 @@ func pooledOrFreshMission(seed int64, fresh bool) (sim.RunConfig, error) {
 
 // pooledSweepStreams runs the 4-mission sweep and returns the per-mission
 // JSONL event streams plus the results.
-func pooledSweepStreams(t *testing.T, workers int, fresh bool) ([][]byte, []MissionResult) {
+func pooledSweepStreams(t *testing.T, workers int, fresh bool) ([][]byte, []fleet.MissionResult) {
 	t.Helper()
 	const n = 4
-	recs := make([]*soterobs.Recorder, n)
-	missions := seedSweep("pool", Seeds(17, n), func(seed int64) (sim.RunConfig, error) {
-		return pooledOrFreshMission(seed, fresh)
-	})
-	for i := range missions {
-		i := i
-		build := missions[i].Build
-		recs[i] = soterobs.NewRecorder(1 << 16)
-		missions[i].Build = func() (sim.RunConfig, error) {
-			cfg, err := build()
-			cfg.Observers = append(cfg.Observers, recs[i])
-			return cfg, err
+	recs := make([]*obs.Recorder, n)
+	missions := make([]fleet.Mission, n)
+	for i, seed := range fleet.Seeds(17, n) {
+		recs[i] = obs.NewRecorder(1 << 16)
+		missions[i] = fleet.Mission{
+			Name: fmt.Sprintf("pool/seed-%d", seed),
+			Seed: seed,
+			Build: func() (sim.RunConfig, error) {
+				cfg, err := pooledOrFreshMission(seed, fresh)
+				cfg.Observers = append(cfg.Observers, recs[i])
+				return cfg, err
+			},
 		}
 	}
-	rep := Run(context.Background(), missions, Options{Workers: workers})
+	rep := fleet.Run(context.Background(), missions, fleet.Options{Workers: workers})
 	if err := rep.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
 	out := make([][]byte, n)
 	for i, rec := range recs {
 		var buf bytes.Buffer
-		w := soterobs.NewJSONLWriter(&buf)
+		w := obs.NewJSONLWriter(&buf)
 		for _, e := range rec.Events() {
 			w.OnEvent(e)
 		}

@@ -154,12 +154,6 @@ type StackConfig struct {
 	App AppConfig
 	// Seed drives every stochastic component.
 	Seed int64
-	// FreshArtifacts disables the process-wide artifact pool, forcing this
-	// build to construct its analyzers, grids and planners from scratch.
-	// Pooled and fresh builds are behaviourally identical (the fleet
-	// determinism tests hold them byte-for-byte equal); the pool only saves
-	// the rebuild cost of back-to-back missions over the same geometry.
-	FreshArtifacts bool
 }
 
 // DefaultStackConfig returns the configuration used throughout the
@@ -276,7 +270,14 @@ func landingWorkspace(ws *geom.Workspace) (*geom.Workspace, error) {
 // skip-edge-check rate) is an error. The components take no defaults of
 // their own: what does not vary between stacks is a constant of the
 // component, and Build passes the rest.
-func Build(cfg StackConfig) (*Stack, error) {
+func Build(cfg StackConfig) (*Stack, error) { return build(cfg, true) }
+
+// build is Build with the process-wide artifact pool on or off. A build off
+// the pool constructs its analyzers, grids and planners from scratch. Pooled
+// and fresh builds are behaviourally identical (the pooling test holds them
+// byte for byte equal); the pool only saves the rebuild cost of
+// back-to-back missions over the same geometry.
+func build(cfg StackConfig, pooled bool) (*Stack, error) {
 	if cfg.Workspace == nil {
 		cfg.Workspace = geom.CityWorkspace()
 	}
@@ -298,7 +299,7 @@ func Build(cfg StackConfig) (*Stack, error) {
 	// replaces cfg.Workspace, so every mission reuses its query indexes.
 	key := artifactKeyFor(cfg)
 	var arts *artifacts
-	if !cfg.FreshArtifacts {
+	if pooled {
 		arts = sharedArtifacts.get(key, cfg.Workspace)
 	}
 	if arts == nil {
@@ -307,7 +308,7 @@ func Build(cfg StackConfig) (*Stack, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stack: %w", err)
 		}
-		if !cfg.FreshArtifacts {
+		if pooled {
 			sharedArtifacts.put(key, arts)
 		}
 	}

@@ -29,15 +29,6 @@ func (p Plan) Clone() Plan {
 	return out
 }
 
-// Length returns the total Euclidean length of the plan.
-func (p Plan) Length() float64 {
-	total := 0.0
-	for i := 0; i+1 < len(p); i++ {
-		total += p[i].Dist(p[i+1])
-	}
-	return total
-}
-
 // Planner computes a waypoint plan from start to goal.
 type Planner interface {
 	Plan(start, goal geom.Vec3) (Plan, error)

@@ -11,22 +11,19 @@ func TestStoreIDsDenseSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := s.Interner()
-	if in.Len() != 3 {
-		t.Fatalf("Len = %d", in.Len())
-	}
 	// IDs are dense and follow sorted name order.
+	defaults := []int{1, 13, 26}
 	for want, name := range []TopicName{"alpha", "mid", "zeta"} {
-		id, ok := in.Lookup(name)
-		if !ok || id != TopicID(want) {
-			t.Errorf("Lookup(%q) = %v, %v; want %d", name, id, ok, want)
+		id, err := s.ID(name)
+		if err != nil || id != TopicID(want) {
+			t.Errorf("ID(%q) = %v, %v; want %d", name, id, err, want)
 		}
-		if got := in.Name(id); got != name {
-			t.Errorf("Name(%d) = %q", id, got)
+		if got := s.GetID(id); got.(int) != defaults[want] {
+			t.Errorf("GetID(%d) = %v, want %d", id, got, defaults[want])
 		}
 	}
-	if _, ok := in.Lookup("nope"); ok {
-		t.Error("Lookup of undeclared topic succeeded")
+	if _, err := s.ID("nope"); err == nil {
+		t.Error("ID of undeclared topic succeeded")
 	}
 	if _, err := s.IDs([]TopicName{"alpha", "nope"}); err == nil {
 		t.Error("IDs with undeclared topic should fail")
@@ -68,28 +65,8 @@ func TestStoreReadIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-func TestValuationCloneInto(t *testing.T) {
-	v := Valuation{"a": 1, "b": 2}
-	dst := Valuation{"stale": 9}
-	got := v.cloneInto(dst)
-	if !reflect.DeepEqual(got, Valuation{"a": 1, "b": 2}) {
-		t.Errorf("cloneInto = %v", got)
-	}
-	got["a"] = 99
-	if v["a"].(int) != 1 {
-		t.Error("cloneInto shares storage with the source")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		v.cloneInto(dst)
-	})
-	if allocs != 0 {
-		t.Errorf("cloneInto allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
-// TestStoreConcurrentReaders checks the read-only paths (interner lookups,
-// dense reads) are safe for any number of concurrent readers — what the
-// fleet engine relies on when runs share static topic metadata.
+// TestStoreConcurrentReaders checks the read-only paths (name lookups,
+// dense reads) are safe for any number of concurrent readers.
 func TestStoreConcurrentReaders(t *testing.T) {
 	s, _ := NewStore(Topic{Name: "a", Default: 1}, Topic{Name: "b", Default: 2}, Topic{Name: "c", Default: 3})
 	ids, _ := s.IDs([]TopicName{"a", "b", "c"})
@@ -154,18 +131,5 @@ func BenchmarkStoreReadInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ReadInto(ids, dst)
-	}
-}
-
-func BenchmarkStoreReadAlloc(b *testing.B) {
-	s, _ := NewStore(Topic{Name: "a", Default: 1}, Topic{Name: "b", Default: 2},
-		Topic{Name: "c", Default: 3}, Topic{Name: "d", Default: 4})
-	names := []TopicName{"a", "b", "c", "d"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Read(names); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -40,53 +40,41 @@ func TestStoreGetSet(t *testing.T) {
 	if err := s.Set("nope", 1); err == nil {
 		t.Error("expected error setting undeclared topic")
 	}
-	if !s.Has("pos") || s.Has("nope") {
-		t.Error("Has is wrong")
-	}
 }
 
 func TestStoreReadWrite(t *testing.T) {
 	s, _ := NewStore(Topic{Name: "a", Default: 1}, Topic{Name: "b", Default: 2}, Topic{Name: "c", Default: 3})
-	val, err := s.Read([]TopicName{"a", "c"})
+	ids, err := s.IDs([]TopicName{"a", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	val := make(Valuation, len(ids))
+	s.ReadInto(ids, val)
 	if !reflect.DeepEqual(val, Valuation{"a": 1, "c": 3}) {
-		t.Errorf("Read = %v", val)
+		t.Errorf("ReadInto = %v", val)
 	}
-	if _, err := s.Read([]TopicName{"a", "zzz"}); err == nil {
-		t.Error("expected error reading undeclared topic")
+	if _, err := s.IDs([]TopicName{"a", "zzz"}); err == nil {
+		t.Error("expected error resolving undeclared topic")
 	}
-	ids, _ := s.IDs([]TopicName{"a", "b"})
-	s.SetID(ids[0], 10)
-	s.SetID(ids[1], 20)
-	all, err := s.Read(s.Names())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(all, Valuation{"a": 10, "b": 20, "c": 3}) {
-		t.Errorf("after SetID, Read = %v", all)
+	all, _ := s.IDs([]TopicName{"a", "b", "c"})
+	s.SetID(all[0], 10)
+	s.SetID(all[1], 20)
+	val = make(Valuation, len(all))
+	s.ReadInto(all, val)
+	if !reflect.DeepEqual(val, Valuation{"a": 10, "b": 20, "c": 3}) {
+		t.Errorf("after SetID, ReadInto = %v", val)
 	}
 }
 
+// TestStoreNamesSorted: IDs follow the sorted order of the topic names, not
+// the declaration order.
 func TestStoreNamesSorted(t *testing.T) {
 	s, _ := NewStore(Topic{Name: "zeta"}, Topic{Name: "alpha"}, Topic{Name: "mid"})
-	got := s.Names()
-	want := []TopicName{"alpha", "mid", "zeta"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Names = %v", got)
+	got, err := s.IDs([]TopicName{"alpha", "mid", "zeta"})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestValuationClone(t *testing.T) {
-	v := Valuation{"a": 1, "b": 2}
-	c := v.Clone()
-	c["a"] = 99
-	if v["a"].(int) != 1 {
-		t.Error("Clone shares storage with the original")
-	}
-	names := v.Names()
-	if !reflect.DeepEqual(names, []TopicName{"a", "b"}) {
-		t.Errorf("Names = %v", names)
+	if want := []TopicID{0, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("IDs = %v, want %v", got, want)
 	}
 }

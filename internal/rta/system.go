@@ -140,46 +140,6 @@ func (s *System) ControllerOf(name string) (m *Module, isAC, ok bool) {
 	return nil, false, false
 }
 
-// Outputs returns the output topics OS of the system: the union of the
-// outputs of all nodes.
-func (s *System) Outputs() []pubsub.TopicName {
-	seen := make(map[pubsub.TopicName]bool)
-	var out []pubsub.TopicName
-	for _, name := range s.order {
-		for _, t := range s.byName[name].Outputs() {
-			if !seen[t] {
-				seen[t] = true
-				out = append(out, t)
-			}
-		}
-	}
-	sortTopics(out)
-	return out
-}
-
-// Inputs returns the input topics IS of the system: topics subscribed by
-// some node but produced by none (environment inputs).
-func (s *System) Inputs() []pubsub.TopicName {
-	produced := make(map[pubsub.TopicName]bool)
-	for _, name := range s.order {
-		for _, t := range s.byName[name].Outputs() {
-			produced[t] = true
-		}
-	}
-	seen := make(map[pubsub.TopicName]bool)
-	var out []pubsub.TopicName
-	for _, name := range s.order {
-		for _, t := range s.byName[name].Inputs() {
-			if !produced[t] && !seen[t] {
-				seen[t] = true
-				out = append(out, t)
-			}
-		}
-	}
-	sortTopics(out)
-	return out
-}
-
 // Topics returns all topics referenced by the system (inputs ∪ outputs).
 func (s *System) Topics() []pubsub.TopicName {
 	seen := make(map[pubsub.TopicName]bool)

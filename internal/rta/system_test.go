@@ -35,10 +35,17 @@ func TestNewSystemComposition(t *testing.T) {
 	m1 := mkModule(t, "m1", "a")
 	m2 := mkModule(t, "m2", "b")
 	app := mkNode(t, "app", 100*time.Millisecond,
-		[]pubsub.TopicName{"a/out"}, []pubsub.TopicName{"app/target"})
+		[]pubsub.TopicName{"a/out", "env/wind"}, []pubsub.TopicName{"app/target"})
 	sys, err := NewSystem([]*Module{m1, m2}, []*node.Node{app})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
+	}
+
+	// env/wind is produced by no node; the system still declares it.
+	topics := sys.Topics()
+	wantTopics := []pubsub.TopicName{"a/in", "a/out", "app/target", "b/in", "b/out", "env/wind"}
+	if !reflect.DeepEqual(topics, wantTopics) {
+		t.Errorf("Topics = %v, want %v", topics, wantTopics)
 	}
 
 	names := sys.NodeNames()
@@ -62,27 +69,6 @@ func TestNewSystemComposition(t *testing.T) {
 	}
 	if _, _, ok := sys.ControllerOf("app"); ok {
 		t.Error("app is not a controller")
-	}
-}
-
-func TestSystemOutputsInputs(t *testing.T) {
-	m := mkModule(t, "m", "x")
-	app := mkNode(t, "app", 100*time.Millisecond,
-		[]pubsub.TopicName{"x/out", "env/wind"}, []pubsub.TopicName{"x/in"})
-	sys, err := NewSystem([]*Module{m}, []*node.Node{app})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.Outputs(); !reflect.DeepEqual(got, []pubsub.TopicName{"x/in", "x/out"}) {
-		t.Errorf("Outputs = %v", got)
-	}
-	// env/wind is produced by no node: it is an environment input.
-	if got := sys.Inputs(); !reflect.DeepEqual(got, []pubsub.TopicName{"env/wind"}) {
-		t.Errorf("Inputs = %v", got)
-	}
-	topics := sys.Topics()
-	if !reflect.DeepEqual(topics, []pubsub.TopicName{"env/wind", "x/in", "x/out"}) {
-		t.Errorf("Topics = %v", topics)
 	}
 }
 

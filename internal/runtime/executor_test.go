@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"maps"
 	"reflect"
 	"slices"
 	"strings"
@@ -473,7 +474,7 @@ func TestInputValuationMutationDoesNotLeak(t *testing.T) {
 	var seen []pubsub.Valuation
 	mut, err := node.New("mut", 10*time.Millisecond, []pubsub.TopicName{"a", "b"}, nil,
 		func(st node.State, in pubsub.Valuation) (node.State, pubsub.Valuation, error) {
-			seen = append(seen, in.Clone())
+			seen = append(seen, maps.Clone(in))
 			if len(seen)%2 == 1 {
 				delete(in, "a")
 			} else {

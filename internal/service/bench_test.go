@@ -44,7 +44,7 @@ func runSweep(tb testing.TB, svc *Server, specs []JobSpec) (done, cached int) {
 		cancel()
 		view := job.view()
 		if view.Status != StatusDone {
-			tb.Fatalf("job %s (%s): %s (%v)", job.ID(), view.Scenario, view.Status, job.Err())
+			tb.Fatalf("job %s (%s): %s (%s)", job.ID(), view.Scenario, view.Status, view.Error)
 		}
 		done += view.Cells.Done
 		cached += view.Cells.Cached

@@ -439,13 +439,6 @@ func (j *Job) Status() Status {
 	return j.status
 }
 
-// Err returns the job-terminating error, if any.
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
 // Subscribe attaches an event consumer to the job's stream (see
 // fanout.Subscribe). The mask is intersected with StreamKinds — kinds outside
 // it are never captured in the first place.

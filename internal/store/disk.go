@@ -314,13 +314,6 @@ func syncDir(dir string) {
 	_ = f.Close()
 }
 
-// Len returns the number of entries currently indexed.
-func (d *Disk) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.index)
-}
-
 // Stats returns a snapshot of the counters.
 func (d *Disk) Stats() TierStats {
 	d.mu.Lock()

@@ -72,8 +72,8 @@ func TestDiskRestartByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	if reopened.Len() != len(keys) {
-		t.Fatalf("reopened store indexed %d entries, want %d", reopened.Len(), len(keys))
+	if n := reopened.Stats().Entries; n != len(keys) {
+		t.Fatalf("reopened store indexed %d entries, want %d", n, len(keys))
 	}
 	for i, key := range keys {
 		got, ok := reopened.Get(context.Background(), key)
@@ -116,8 +116,8 @@ func TestDiskKilledWriterLeavesNoEntry(t *testing.T) {
 	if _, statErr := os.Stat(tmp); !os.IsNotExist(statErr) {
 		t.Errorf("temp file survived reopen: %v", statErr)
 	}
-	if reopened.Len() != 1 {
-		t.Errorf("reopened store indexed %d entries, want only the committed one", reopened.Len())
+	if n := reopened.Stats().Entries; n != 1 {
+		t.Errorf("reopened store indexed %d entries, want only the committed one", n)
 	}
 	if _, ok := reopened.Get(context.Background(), keys[0]); !ok {
 		t.Error("committed entry lost while sweeping temp files")

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -171,4 +172,85 @@ func TestPeersConfigValidation(t *testing.T) {
 	if len(p.peers) != 1 || p.peers[0].base != "http://a:1" {
 		t.Errorf("peer normalisation: %+v", p.peers)
 	}
+}
+
+// FuzzPeerResponse holds Peers.Get to its contract against one sibling that
+// answers with the status, X-Soter-Sum header and body of the fuzz input: it
+// never panics; it hits only on a 200 whose sum matches a body within
+// maxPeerEntry, and then returns exactly that body; a 404 is a miss that is
+// not an error; any other response is a miss counted in Stats().Errors; and
+// the outcome is deterministic. Each Get runs on a fresh tier, since a
+// failure backs the peer off for the next lookup.
+func FuzzPeerResponse(f *testing.F) {
+	val := []byte(`{"metrics":{"crashed":false}}`)
+	f.Add(http.StatusOK, Sum(val), val)
+	f.Add(http.StatusOK, Sum([]byte("what was stored")), []byte("what arrived"))
+	f.Add(http.StatusOK, "", val)
+	f.Add(http.StatusNotFound, "", []byte("404 page not found\n"))
+	f.Add(http.StatusInternalServerError, Sum(val), val)
+
+	type response struct {
+		status int
+		sum    string
+		body   []byte
+	}
+	var mu sync.Mutex
+	var current response
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		resp := current
+		mu.Unlock()
+		if resp.sum != "" {
+			w.Header().Set(SumHeader, resp.sum)
+		}
+		w.WriteHeader(resp.status)
+		w.Write(resp.body)
+	}))
+	f.Cleanup(ts.Close)
+	key := fmt.Sprintf("%032x", 7)
+
+	get := func(t *testing.T) ([]byte, bool, TierStats) {
+		p, err := NewPeers(PeersConfig{Peers: []string{ts.URL}, Client: ts.Client()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := p.Get(context.Background(), key)
+		return got, ok, p.Stats()
+	}
+	f.Fuzz(func(t *testing.T, status int, sum string, body []byte) {
+		// Final statuses only (a 1xx is informational, and net/http refuses
+		// codes outside 100–999), and a sum the header carries verbatim:
+		// visible ASCII, no surrounding space to trim.
+		if status < 200 || status > 599 {
+			return
+		}
+		for _, c := range []byte(sum) {
+			if c <= ' ' || c > '~' {
+				return
+			}
+		}
+		mu.Lock()
+		current = response{status: status, sum: sum, body: body}
+		mu.Unlock()
+
+		got, ok, st := get(t)
+		again, againOK, againSt := get(t)
+		if ok != againOK || !bytes.Equal(got, again) || st != againSt {
+			t.Fatalf("not deterministic: %q, %v, %+v then %q, %v, %+v", got, ok, st, again, againOK, againSt)
+		}
+		switch {
+		case status == http.StatusOK && sum == Sum(body) && len(body) <= maxPeerEntry:
+			if !ok || !bytes.Equal(got, body) || st != (TierStats{Hits: 1}) {
+				t.Fatalf("valid entry: Get = %q, %v, %+v; want the body as a hit", got, ok, st)
+			}
+		case status == http.StatusNotFound:
+			if ok || st != (TierStats{Misses: 1}) {
+				t.Fatalf("404: Get = %q, %v, %+v; want a miss without an error", got, ok, st)
+			}
+		default:
+			if ok || st != (TierStats{Misses: 1, Errors: 1}) {
+				t.Fatalf("status %d, sum %q: Get = %q, %v, %+v; want a miss counted as an error", status, sum, got, ok, st)
+			}
+		}
+	})
 }

@@ -250,9 +250,6 @@ type Fill struct {
 	once sync.Once
 }
 
-// Key returns the key this fill is for.
-func (f *Fill) Key() string { return f.key }
-
 // Complete stores val through the local tiers and hands it to every waiter.
 func (f *Fill) Complete(ctx context.Context, val []byte) {
 	f.once.Do(func() {

@@ -76,9 +76,6 @@ func TestAcquireCollapsesWaiters(t *testing.T) {
 	if val != nil || fill == nil {
 		t.Fatalf("first Acquire = %q, %v; want nil value and a leader fill", val, fill)
 	}
-	if fill.Key() != testKey {
-		t.Fatalf("fill key = %q, want %q", fill.Key(), testKey)
-	}
 
 	const waiters = 8
 	results := make(chan []byte, waiters)
