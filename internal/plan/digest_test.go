@@ -84,3 +84,52 @@ func TestRRTStarPlanDigest(t *testing.T) {
 		t.Fatalf("RRT* plan digests changed.\ngot:\n%swant:\n%s", got, want)
 	}
 }
+
+// planScanCounts pins the neighbour-search work of the planDigestCases plans:
+// per (workspace, bug mode), the bucket entries near() and nearest() read,
+// summed over every seed and pair. The counts are clock-free, so any change
+// to which cells the grid scans shows up here even when the plans stay the
+// same.
+var planScanCounts = map[string][2]int{
+	"city none":                 {4662215, 2296705},
+	"city skip-edge-check":      {4642117, 2320276},
+	"city unchecked-shortcut":   {4662215, 2296705},
+	"city stale-obstacles":      {6064782, 2402393},
+	"canyon none":               {4539215, 2920697},
+	"canyon skip-edge-check":    {4498110, 2844887},
+	"canyon unchecked-shortcut": {4539215, 2920697},
+	"canyon stale-obstacles":    {5346359, 3042773},
+}
+
+// TestRRTStarScanCounts holds the grid's candidate counts to planScanCounts.
+// Plan returns its scratch to the free list, whose top the test then reads:
+// no other plan runs in between, since the package's tests run one at a time.
+func TestRRTStarScanCounts(t *testing.T) {
+	for _, c := range planDigestCases {
+		ws := c.ws()
+		for _, bug := range []Bug{BugNone, BugSkipEdgeCheck, BugUncheckedShortcut, BugStaleObstacles} {
+			key := c.name + " " + bug.String()
+			var sum [2]int
+			for seed := int64(1); seed <= 4; seed++ {
+				cfg := RRTStarConfig{Margin: 0.6, Seed: seed, Bug: bug}
+				if bug == BugSkipEdgeCheck {
+					cfg.BugRate = 0.3
+				}
+				r, err := NewRRTStar(ws, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sg := range c.pairs {
+					r.Plan(sg[0], sg[1])
+					s := rrtScratches.get()
+					sum[0] += s.nn.nearScanned
+					sum[1] += s.nn.nearestScanned
+					rrtScratches.put(s)
+				}
+			}
+			if want := planScanCounts[key]; sum != want {
+				t.Errorf("%s: scanned (near, nearest) = %v, want %v", key, sum, want)
+			}
+		}
+	}
+}

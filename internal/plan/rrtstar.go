@@ -69,7 +69,8 @@ const (
 	rrtMaxIters = 4000
 	// rrtStepSize is the steering extension length.
 	rrtStepSize = 3.0
-	// rrtNeighborRadius is the rewiring radius, and the NN grid's cell edge.
+	// rrtNeighborRadius is the rewiring radius. Plan also sizes the NN
+	// grid's cells to it: near() then reads at most 3 cells per axis.
 	rrtNeighborRadius = 6.0
 	// rrtGoalBias is the probability of sampling the goal directly.
 	rrtGoalBias = 0.10
@@ -163,7 +164,7 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 	// The arena never outgrows maxNodes, so appends stay in s.nodes.
 	nodes := append(s.nodes[:0], rrtNode{pos: start, parent: -1})
 	nn := &s.nn
-	nn.reset(bounds, rrtNeighborRadius, maxNodes)
+	nn.reset(bounds, rrtNeighborRadius, rrtNeighborRadius, maxNodes)
 	nn.insert(0, start)
 	bestGoal := -1
 	bestCost := math.Inf(1)
@@ -180,7 +181,7 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 				bounds.Min.Z+r.rng.Float64()*size.Z,
 			)
 		}
-		nearest := nn.nearest(nodes, sample)
+		nearest := nn.nearest(sample)
 		newPos := r.steer(nodes[nearest].pos, sample)
 		if !r.pointFree(newPos) {
 			continue
@@ -193,7 +194,7 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 		cost := nodes[nearest].cost + nodes[nearest].pos.Dist(newPos)
 		// near's distances are reused below: Dist is bitwise symmetric, so
 		// they equal both nodes[n].pos.Dist(newPos) and newPos.Dist(nodes[n].pos).
-		neighbors, dists := nn.near(nodes, newPos)
+		neighbors, dists := nn.near(newPos)
 		for j, n := range neighbors {
 			c := nodes[n].cost + dists[j]
 			if c < cost && r.edgeFree(nodes[n].pos, newPos) {
@@ -245,8 +246,9 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 // — via expanding Chebyshev shells over the NN grid. A cell is skipped, and
 // the shell walk stops, once its lower-bound distance to p exceeds the best
 // distance found so far by more than float rounding (nnSlack), so a node that
-// could tie or win is never skipped.
-func (g *nnGrid) nearest(nodes []rrtNode, p geom.Vec3) int {
+// could tie or win is never skipped. Within a cell, a node whose squared
+// distance exceeds that bound squared is skipped before its square root.
+func (g *nnGrid) nearest(p geom.Vec3) int {
 	cqx := g.axisOf(p.X, g.origin.X, g.nx)
 	cqy := g.axisOf(p.Y, g.origin.Y, g.ny)
 	cqz := g.axisOf(p.Z, g.origin.Z, g.nz)
@@ -286,9 +288,15 @@ func (g *nnGrid) nearest(nodes []rrtNode, p geom.Vec3) int {
 					if gx := g.gap(p.X, g.origin.X, cx, g.nx); gzy+gx*gx > limSq {
 						continue
 					}
-					for _, ni := range g.buckets[(cz*g.ny+cy)*g.nx+cx] {
-						i := int(ni)
-						d := nodes[i].pos.Dist(p)
+					bucket := g.buckets[(cz*g.ny+cy)*g.nx+cx]
+					g.nearestScanned += len(bucket)
+					for _, e := range bucket {
+						v := e.pos.Sub(p)
+						sq := v.Dot(v)
+						if sq > limSq {
+							continue
+						}
+						d, i := math.Sqrt(sq), int(e.i) // d is bitwise e.pos.Dist(p)
 						if d < bestD || (d == bestD && i < best) {
 							best, bestD = i, d
 							lim = bestD + nnSlack(bestD)
@@ -302,28 +310,57 @@ func (g *nnGrid) nearest(nodes []rrtNode, p geom.Vec3) int {
 	return best
 }
 
-// near returns the indices of all nodes within the grid's cell edge (the
-// rewiring radius) of p in ascending order, exactly as the reference linear
-// scan returns them, and alongside each index its distance
-// nodes[i].pos.Dist(p). Hits are marked in a bitmap over node indices, so
-// the ascending order comes from a word scan rather than a sort. Both slices
-// are grid scratch, valid until the next near call.
-func (g *nnGrid) near(nodes []rrtNode, p geom.Vec3) ([]int, []float64) {
-	rad := g.cell
-	lox := g.axisOf(p.X-rad, g.origin.X, g.nx)
-	hix := g.axisOf(p.X+rad, g.origin.X, g.nx)
-	loy := g.axisOf(p.Y-rad, g.origin.Y, g.ny)
-	hiy := g.axisOf(p.Y+rad, g.origin.Y, g.ny)
-	loz := g.axisOf(p.Z-rad, g.origin.Z, g.nz)
-	hiz := g.axisOf(p.Z+rad, g.origin.Z, g.nz)
+// near returns the indices of all nodes within the grid's radius of p in
+// ascending order, exactly as the reference linear scan returns them, and
+// alongside each index its distance nodes[i].pos.Dist(p). Cells and nodes
+// farther than the radius plus nnSlack are skipped on squared distances;
+// only the rest pay a square root and the exact d <= radius test. Hits are
+// marked in a bitmap over node indices, so the ascending order comes from a
+// word scan rather than a sort. Both slices are grid scratch, valid until
+// the next near call.
+func (g *nnGrid) near(p geom.Vec3) ([]int, []float64) {
+	rad := g.rad
+	lim := rad + nnSlack(rad)
+	limSq := lim * lim
+	lox, hix := g.axisOf(p.X-rad, g.origin.X, g.nx), g.axisOf(p.X+rad, g.origin.X, g.nx)
+	loy, hiy := g.axisOf(p.Y-rad, g.origin.Y, g.ny), g.axisOf(p.Y+rad, g.origin.Y, g.ny)
+	loz, hiz := g.axisOf(p.Z-rad, g.origin.Z, g.nz), g.axisOf(p.Z+rad, g.origin.Z, g.nz)
+	// The squared gaps of the x and then the y cells in range, packed in
+	// one scratch slice; z's are taken once per z row below.
+	gx := g.gapSq[:0]
+	for cx := lox; cx <= hix; cx++ {
+		v := g.gap(p.X, g.origin.X, cx, g.nx)
+		gx = append(gx, v*v)
+	}
+	gy := gx[len(gx):]
+	for cy := loy; cy <= hiy; cy++ {
+		v := g.gap(p.Y, g.origin.Y, cy, g.ny)
+		gy = append(gy, v*v)
+	}
 	loW, hiW := len(g.mark), -1 // bitmap words holding a hit
 	for cz := loz; cz <= hiz; cz++ {
+		gz := g.gap(p.Z, g.origin.Z, cz, g.nz)
+		gz *= gz
 		for cy := loy; cy <= hiy; cy++ {
+			gzy := gz + gy[cy-loy]
+			if gzy > limSq {
+				continue
+			}
 			base := (cz*g.ny + cy) * g.nx
 			for cx := lox; cx <= hix; cx++ {
-				for _, ni := range g.buckets[base+cx] {
-					i := int(ni)
-					if d := nodes[i].pos.Dist(p); d <= rad {
+				if gzy+gx[cx-lox] > limSq {
+					continue
+				}
+				bucket := g.buckets[base+cx]
+				g.nearScanned += len(bucket)
+				for _, e := range bucket {
+					v := e.pos.Sub(p)
+					sq := v.Dot(v)
+					if sq > limSq {
+						continue
+					}
+					if d := math.Sqrt(sq); d <= rad { // d is bitwise e.pos.Dist(p)
+						i := int(e.i)
 						g.dist[i] = d
 						w := i >> 6
 						g.mark[w] |= 1 << (i & 63)
@@ -346,8 +383,8 @@ func (g *nnGrid) near(nodes []rrtNode, p geom.Vec3) ([]int, []float64) {
 	return idx, dist
 }
 
-// nnSlack is the float-rounding allowance of nearest's lower-bound pruning:
-// a cell is skipped only when its box distance exceeds d + nnSlack(d), far
+// nnSlack is the float-rounding allowance of the grid's pruning: a cell or
+// node is skipped only when its (box) distance exceeds d + nnSlack(d), far
 // above the few-ulp error of the box and Dist arithmetic at workspace scale.
 func nnSlack(d float64) float64 { return 1e-9 * (1 + d) }
 
@@ -377,43 +414,71 @@ func nearLinear(nodes []rrtNode, p geom.Vec3, rad float64) ([]int, []float64) {
 	return idx, dist
 }
 
-// nnGrid is a uniform-grid point index over tree nodes with cell edge equal
-// to the rewiring radius: near() inspects at most 3 cells per axis, and
-// nearest() usually scans only the query cell and its first shell, skipping
-// the cells its best distance so far already rules out. Buckets and the
-// per-node near() scratch keep their storage across resets.
+// nnEntry is one node in a grid bucket: its position, copied at insertion
+// (a node never moves; rewiring changes only its parent and cost), and its
+// index in the node arena. Queries read positions from the bucket itself.
+type nnEntry struct {
+	pos geom.Vec3
+	i   int32
+}
+
+// nnGrid is a uniform-grid point index over tree nodes. near() inspects the
+// cells its radius reaches, skipping those wholly beyond it, and nearest()
+// usually scans only the query cell and its first shell, skipping the cells
+// its best distance so far already rules out. Plan uses cells one rewiring
+// radius wide. Buckets and the per-node near() scratch keep their storage
+// across resets, within the bound reset enforces.
 type nnGrid struct {
 	origin     geom.Vec3
-	cell       float64
+	cell, rad  float64 // cell edge; near()'s radius
 	nx, ny, nz int
-	buckets    [][]int32
-	// near() scratch: a hit bitmap and distance per node index, and the
-	// returned (index, distance) slices.
+	buckets    [][]nnEntry
+	// Bucket entries read by near() and nearest() since reset: the work
+	// each query does, counted without a clock.
+	nearScanned, nearestScanned int
+	// near() scratch: a hit bitmap and distance per node index, the per-axis
+	// squared cell gaps, and the returned (index, distance) slices.
 	mark     []uint64
 	dist     []float64
+	gapSq    []float64
 	nearIdx  []int
 	nearDist []float64
 }
 
-// reset empties the grid over bounds for at most maxNodes nodes.
-func (g *nnGrid) reset(bounds geom.AABB, cell float64, maxNodes int) {
+// reset empties the grid over bounds for at most maxNodes nodes, with cells
+// of edge cell and near() radius rad. A bucket keeps its storage only up to
+// twice its fair share of maxNodes (at least 16 entries): nodes bunch up
+// around each plan's goal, so keeping every bucket's peak would let a
+// reused grid grow with the number of plans rather than with maxNodes.
+func (g *nnGrid) reset(bounds geom.AABB, cell, rad float64, maxNodes int) {
 	size := bounds.Size()
 	g.origin = bounds.Min
-	g.cell = cell
+	g.cell, g.rad = cell, rad
 	g.nx = gridAxisCells(size.X, cell)
 	g.ny = gridAxisCells(size.Y, cell)
 	g.nz = gridAxisCells(size.Z, cell)
+	g.nearScanned, g.nearestScanned = 0, 0
 	n := g.nx * g.ny * g.nz
 	if cap(g.buckets) < n {
-		g.buckets = make([][]int32, n)
+		g.buckets = make([][]nnEntry, n)
 	}
-	g.buckets = g.buckets[:n]
-	for i := range g.buckets {
-		g.buckets[i] = g.buckets[i][:0]
+	// Buckets past n, kept from a larger grid, count against the bound too.
+	all := g.buckets[:cap(g.buckets)]
+	keep := max(16, 2*maxNodes/len(all))
+	for i, b := range all {
+		if cap(b) > keep {
+			all[i] = nil
+		} else {
+			all[i] = b[:0]
+		}
 	}
+	g.buckets = all[:n]
 	if len(g.dist) < maxNodes {
 		g.dist = make([]float64, maxNodes)
 		g.mark = make([]uint64, (maxNodes+63)/64)
+	}
+	if cap(g.gapSq) < g.nx+g.ny {
+		g.gapSq = make([]float64, 0, g.nx+g.ny)
 	}
 }
 
@@ -466,7 +531,7 @@ func (g *nnGrid) insert(idx int, p geom.Vec3) {
 	cy := g.axisOf(p.Y, g.origin.Y, g.ny)
 	cz := g.axisOf(p.Z, g.origin.Z, g.nz)
 	ci := (cz*g.ny+cy)*g.nx + cx
-	g.buckets[ci] = append(g.buckets[ci], int32(idx))
+	g.buckets[ci] = append(g.buckets[ci], nnEntry{pos: p, i: int32(idx)})
 }
 
 func (r *RRTStar) steer(from, to geom.Vec3) geom.Vec3 {
